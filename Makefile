@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench bench-sign bench-strategies bench-scale bench-unlearn bench-verify bench-all test-faults
+.PHONY: all build test race vet fmt check bench bench-sign bench-strategies bench-scale bench-unlearn bench-verify bench-e2e bench-all test-faults
 
 all: check
 
@@ -73,6 +73,13 @@ bench-unlearn:
 # scorecards in BENCH_verify.json.
 bench-verify:
 	scripts/bench.sh -verify
+
+# bench-e2e runs the loopback RSU benchmark declared in BENCHMARK.json
+# (bench/README.md): all four workloads untraced, then traced, one JSON
+# document last. ARGS passes flags through, e.g.
+#   make bench-e2e ARGS='--workload ingest_dense --seed 1 --seconds 25 --trace 0'
+bench-e2e:
+	bash bench/run.sh $(ARGS)
 
 # bench-all sweeps every benchmark in the repo, including the
 # experiment-scale ones, without writing the JSON record.

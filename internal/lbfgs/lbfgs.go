@@ -16,6 +16,14 @@
 // exposes HVP and never materialises the d×d matrix; Dense exists for
 // tests and tiny problems.
 //
+// A product is two sweeps over the dim-length vectors: one computes all
+// 2s projections [ΔGᵀv; ΔWᵀv] side by side (tensor.DotsInto), the 2s×2s
+// solve turns them into one multiplier per pair column, and a second
+// sweep forms σv − ΔG·q − σΔW·q element by element in registers,
+// testing finiteness and writing dst once. EstimateInto folds the rest
+// of the recovery estimate (eq. 6–7: add the stored direction, clip)
+// into that same second sweep.
+//
 // Note on the paper's σ: Algorithm 2 writes it with a MATLAB backslash
 // (left division). We follow FedRecover (Cao et al., S&P'23), which the
 // paper reproduces, and use σ = (ΔgᵀΔw)/(ΔwᵀΔw) — the standard
@@ -27,6 +35,7 @@ import (
 	"fmt"
 	"math"
 
+	"fuiov/internal/sign"
 	"fuiov/internal/tensor"
 )
 
@@ -41,14 +50,16 @@ type Approx struct {
 	dim   int
 	s     int
 	sigma float64
-	// dW and dG hold the pair columns (each of length dim).
-	dW, dG [][]float64
+	// cols holds the 2s pair columns (each of length dim) in the order
+	// a product subtracts them: Δg₀, Δw₀, Δg₁, Δw₁, …
+	cols [][]float64
 	// minv is the precomputed 2s×2s inverse middle matrix.
 	minv *tensor.Matrix
-	// rhs and q are the 2s-length scratch used by HVPInto so the
-	// recovery hot loop incurs no per-product allocation. HVP allocates
-	// its own and stays safe for concurrent use.
-	rhs, q []float64
+	// scratch is the 6s-length workspace of HVPInto and EstimateInto
+	// (see project), so the recovery hot loop incurs no per-product
+	// allocation. HVP allocates its own and stays safe for concurrent
+	// use.
+	scratch []float64
 }
 
 // New builds the approximation from s vector pairs. dW and dG must be
@@ -103,14 +114,12 @@ func New(dW, dG [][]float64) (*Approx, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: middle matrix: %v", ErrDegenerate, err)
 	}
-	cpW := make([][]float64, s)
-	cpG := make([][]float64, s)
+	cols := make([][]float64, 0, 2*s)
 	for i := 0; i < s; i++ {
-		cpW[i] = tensor.CloneVec(dW[i])
-		cpG[i] = tensor.CloneVec(dG[i])
+		cols = append(cols, tensor.CloneVec(dG[i]), tensor.CloneVec(dW[i]))
 	}
-	return &Approx{dim: dim, s: s, sigma: sigma, dW: cpW, dG: cpG, minv: minv,
-		rhs: make([]float64, 2*s), q: make([]float64, 2*s)}, nil
+	return &Approx{dim: dim, s: s, sigma: sigma, cols: cols, minv: minv,
+		scratch: make([]float64, 6*s)}, nil
 }
 
 // Dim returns the model dimension.
@@ -130,7 +139,7 @@ func (a *Approx) HVP(v []float64) ([]float64, error) {
 		return nil, fmt.Errorf("lbfgs: HVP input dimension %d, want %d", len(v), a.dim)
 	}
 	out := make([]float64, a.dim)
-	if err := a.hvpInto(out, v, make([]float64, 2*a.s), make([]float64, 2*a.s)); err != nil {
+	if _, err := a.sweep(out, v, a.project(v, make([]float64, 6*a.s)), nil, math.Inf(1)); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -139,36 +148,119 @@ func (a *Approx) HVP(v []float64) ([]float64, error) {
 // HVPInto writes H̃·v into dst (length Dim) without allocating: the
 // 2s-length intermediates live in scratch owned by the Approx. Because
 // of that shared scratch a single Approx must not run concurrent
-// HVPInto calls; use HVP where products race.
+// HVPInto or EstimateInto calls; use HVP where products race. On
+// error dst holds a partial product.
 func (a *Approx) HVPInto(dst, v []float64) error {
-	if len(v) != a.dim {
-		return fmt.Errorf("lbfgs: HVP input dimension %d, want %d", len(v), a.dim)
-	}
-	if len(dst) != a.dim {
-		return fmt.Errorf("lbfgs: HVP output dimension %d, want %d", len(dst), a.dim)
-	}
-	return a.hvpInto(dst, v, a.rhs, a.q)
+	_, err := a.EstimateInto(dst, v, nil, math.Inf(1))
+	return err
 }
 
-// hvpInto computes H̃·v into dst using the supplied 2s-length scratch.
-func (a *Approx) hvpInto(dst, v, rhs, q []float64) error {
-	// rhs = [ΔGᵀv; σΔWᵀv] ∈ R^{2s}.
-	for i := 0; i < a.s; i++ {
-		rhs[i] = tensor.Dot(a.dG[i], v)
-		rhs[a.s+i] = a.sigma * tensor.Dot(a.dW[i], v)
+// EstimateInto writes the recovery estimate of eq. 6–7 into dst:
+//
+//	dst = clip(dir + H̃·v, ±limit)
+//
+// and returns how many elements the limit clipped. Every element goes
+// through exactly the operations, in exactly the order, of HVPInto
+// followed by dir.AccumulateInto(dst, 1) and an elementwise clip, so
+// the bits are the same; but the product is never stored unclipped and
+// dst is written once. A nil dir adds nothing and a limit of +Inf
+// never clips (what HVPInto passes). It fails with ErrDegenerate as
+// soon as an element of H̃·v is not finite — dst is then partially
+// written and the caller falls back to the raw direction. It shares
+// the Approx-owned scratch with HVPInto.
+func (a *Approx) EstimateInto(dst, v []float64, dir *sign.Direction, limit float64) (clipped int, err error) {
+	if len(v) != a.dim {
+		return 0, fmt.Errorf("lbfgs: HVP input dimension %d, want %d", len(v), a.dim)
+	}
+	if len(dst) != a.dim {
+		return 0, fmt.Errorf("lbfgs: HVP output dimension %d, want %d", len(dst), a.dim)
+	}
+	if dir != nil && dir.Len() != a.dim {
+		return 0, fmt.Errorf("lbfgs: direction dimension %d, want %d", dir.Len(), a.dim)
+	}
+	return a.sweep(dst, v, a.project(v, a.scratch), dir, limit)
+}
+
+// project is the first sweep and the small solve: it returns, in the
+// last third of the 6s-length scratch, the multiplier of each pair
+// column such that H̃·v = σv + Σₖ coef[k]·cols[k], the terms added in
+// that order.
+func (a *Approx) project(v, scratch []float64) (coef []float64) {
+	s := a.s
+	rhs, q, coef := scratch[:2*s], scratch[2*s:4*s], scratch[4*s:]
+	// rhs = [ΔGᵀv; σΔWᵀv] ∈ R^{2s}; the raw projections land in coef,
+	// column order, before the multipliers overwrite them.
+	tensor.DotsInto(coef, a.cols, v)
+	for i := 0; i < s; i++ {
+		rhs[i] = coef[2*i]
+		rhs[s+i] = a.sigma * coef[2*i+1]
 	}
 	a.minv.MulVecInto(q, rhs)
-	// dst = σv − ΔG·q[:s] − σ·ΔW·q[s:].
-	tensor.ScaleInto(dst, a.sigma, v)
-	for i := 0; i < a.s; i++ {
-		tensor.AxpyInPlace(dst, -q[i], a.dG[i])
-		tensor.AxpyInPlace(dst, -a.sigma*q[a.s+i], a.dW[i])
+	// H̃·v = σv − ΔG·q[:s] − σ·ΔW·q[s:].
+	for i := 0; i < s; i++ {
+		coef[2*i] = -q[i]
+		coef[2*i+1] = -a.sigma * q[s+i]
 	}
-	if !tensor.AllFinite(dst) {
-		return fmt.Errorf("%w: non-finite product", ErrDegenerate)
-	}
-	return nil
+	return coef
 }
+
+// sweep is the second sweep: per element, σv plus the 2s column terms
+// in order, the finiteness test, the direction (when dir is non-nil)
+// and the clip, accumulated in registers and stored once. It walks
+// four elements per step — one packed direction byte — so the four
+// element chains overlap; the columns are an inner loop, which keeps
+// it generic in s.
+func (a *Approx) sweep(dst, v, coef []float64, dir *sign.Direction, limit float64) (clipped int, err error) {
+	sigma := a.sigma
+	j := 0
+	for ; j+4 <= a.dim; j += 4 {
+		vv := v[j : j+4 : j+4]
+		x0, x1, x2, x3 := sigma*vv[0], sigma*vv[1], sigma*vv[2], sigma*vv[3]
+		for k, c := range a.cols {
+			ck, cc := coef[k], c[j:j+4:j+4]
+			x0 += ck * cc[0]
+			x1 += ck * cc[1]
+			x2 += ck * cc[2]
+			x3 += ck * cc[3]
+		}
+		if !(tensor.Finite(x0) && tensor.Finite(x1) && tensor.Finite(x2) && tensor.Finite(x3)) {
+			return 0, errNonFinite
+		}
+		if dir != nil {
+			g := dir.Quad(j / 4)
+			x0 += g[0]
+			x1 += g[1]
+			x2 += g[2]
+			x3 += g[3]
+		}
+		var f0, f1, f2, f3 int
+		x0, f0 = tensor.ClampAbs(x0, limit)
+		x1, f1 = tensor.ClampAbs(x1, limit)
+		x2, f2 = tensor.ClampAbs(x2, limit)
+		x3, f3 = tensor.ClampAbs(x3, limit)
+		clipped += f0 + f1 + f2 + f3
+		d := dst[j : j+4 : j+4]
+		d[0], d[1], d[2], d[3] = x0, x1, x2, x3
+	}
+	for ; j < a.dim; j++ {
+		x := sigma * v[j]
+		for k, c := range a.cols {
+			x += coef[k] * c[j]
+		}
+		if !tensor.Finite(x) {
+			return 0, errNonFinite
+		}
+		if dir != nil {
+			x += dir.At(j)
+		}
+		var f int
+		dst[j], f = tensor.ClampAbs(x, limit)
+		clipped += f
+	}
+	return clipped, nil
+}
+
+var errNonFinite = fmt.Errorf("%w: non-finite product", ErrDegenerate)
 
 // Dense materialises the full dim×dim approximation. Intended for
 // tests and tiny models only; cost is O(dim²·s).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fuiov/internal/rng"
+	"fuiov/internal/sign"
 	"fuiov/internal/tensor"
 )
 
@@ -339,5 +340,69 @@ func TestHVPIntoMatchesHVP(t *testing.T) {
 	}
 	if err := a.HVPInto(dst, make([]float64, 3)); err == nil {
 		t.Fatal("expected dimension error for short input")
+	}
+}
+
+// TestEstimateIntoMatchesComposition: the fused estimate is HVPInto,
+// then the direction added, then an elementwise clamp — same bits,
+// same count — for every pair count and around the four-element step;
+// a non-finite product is reported, not written through.
+func TestEstimateIntoMatchesComposition(t *testing.T) {
+	r := rng.New(91)
+	for _, n := range []int{1, 3, 4, 5, 31} {
+		for s := 1; s <= 3; s++ {
+			dW, dG := pairsFromQuadratic(r, randomSPD(r, n), s)
+			a, err := New(dW, dG)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, g := make([]float64, n), make([]float64, n)
+			for i := range v {
+				v[i], g[i] = r.NormalScaled(0, 1), r.NormalScaled(0, 1)
+			}
+			dir, err := sign.Compress(g, 0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, n)
+			if err := a.HVPInto(want, v); err != nil {
+				t.Fatal(err)
+			}
+			dir.AccumulateInto(want, 1)
+			limit := math.Abs(want[n/2]) // on one element, clips some others
+			wantClipped := 0
+			for i, x := range want {
+				if math.Abs(x) > limit {
+					want[i] = math.Copysign(limit, x)
+					wantClipped++
+				}
+			}
+			got := make([]float64, n)
+			clipped, err := a.EstimateInto(got, v, dir, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clipped != wantClipped {
+				t.Errorf("n=%d s=%d: clipped %d, want %d", n, s, clipped, wantClipped)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d s=%d element %d: EstimateInto %v, composition %v", n, s, i, got[i], want[i])
+				}
+			}
+
+			v[n-1] = math.Inf(-1)
+			if _, err := a.EstimateInto(got, v, dir, limit); !errors.Is(err, ErrDegenerate) {
+				t.Errorf("n=%d s=%d: non-finite product: err = %v, want ErrDegenerate", n, s, err)
+			}
+			if _, err := a.EstimateInto(got, v[:n-1], dir, limit); err == nil && n > 1 {
+				t.Errorf("n=%d s=%d: expected dimension error for short input", n, s)
+			}
+		}
+	}
+	a, _ := New([][]float64{{1, 0}}, [][]float64{{2, 0}})
+	short, _ := sign.Compress([]float64{1}, 0)
+	if _, err := a.EstimateInto(make([]float64, 2), make([]float64, 2), short, 1); err == nil {
+		t.Error("expected dimension error for short direction")
 	}
 }

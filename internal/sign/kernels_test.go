@@ -159,3 +159,26 @@ func TestCountNonZeroLUT(t *testing.T) {
 		}
 	}
 }
+
+// TestQuadMatchesAt: the four-slot accessor fused kernels walk agrees
+// with At on every element, and reads padding slots as 0.
+func TestQuadMatchesAt(t *testing.T) {
+	for _, n := range []int{1, 3, 4, 5, 1002} {
+		d, err := Compress(randGrad(uint64(n)+29, n), 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o := 0; o < (n+3)/4; o++ {
+			q := d.Quad(o)
+			for slot, got := range q {
+				want := 0.0
+				if i := 4*o + slot; i < n {
+					want = d.At(i)
+				}
+				if got != want {
+					t.Errorf("n=%d: Quad(%d)[%d] = %v, want %v", n, o, slot, got, want)
+				}
+			}
+		}
+	}
+}

@@ -14,8 +14,9 @@
 // every decode-side path (DenseInto, AccumulateInto, CountNonZero,
 // Decode validation) walks a 256-entry lookup table that resolves four
 // elements per step without per-element branches. The recovery hot
-// loops in internal/unlearn consume directions through AccumulateInto
-// and never materialise a dense vector at all.
+// loop (lbfgs.EstimateInto, driven by internal/unlearn) reads
+// directions four elements at a time through Quad, inside its own
+// sweep, and never materialises a dense vector at all.
 package sign
 
 import (
@@ -176,8 +177,9 @@ func (d *Direction) DenseInto(dst []float64) {
 }
 
 // AccumulateInto adds w times the direction to dst (length Len): a
-// fused weighted ±1 saxpy straight off the packed representation, so
-// recovery and bootstrap paths never materialise a dense direction.
+// fused weighted ±1 saxpy straight off the packed representation, for
+// callers that add a direction to a finished vector without
+// materialising it dense.
 // Zero slots contribute w·0 = +0.0, keeping the result bit-identical
 // to expanding the direction and adding it elementwise (w must be
 // finite for that identity to hold).
@@ -198,6 +200,14 @@ func (d *Direction) AccumulateInto(dst []float64, w float64) {
 		dst[i] += w * denseLUT[d.packed[i/4]][i%4]
 	}
 }
+
+// Quad returns elements 4o..4o+3 — the four slots of packed byte o,
+// 0 ≤ o < (Len+3)/4 — for kernels that fuse the direction into a sweep
+// of their own instead of calling AccumulateInto over a finished
+// vector. Padding slots of the final byte read as 0. The result points
+// into the shared decode table (copying the 32 bytes out per step costs
+// the fused recovery sweep a fifth of its time): read-only.
+func (d *Direction) Quad(o int) *[4]float64 { return &denseLUT[d.packed[o]] }
 
 // StorageBytes reports the packed size in bytes (excluding the
 // constant-size length header used by Encode).

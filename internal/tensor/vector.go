@@ -130,6 +130,46 @@ func Dot(a, b Vec) float64 {
 	return s
 }
 
+// DotsInto sets out[k] = Dot(cols[k], v) for every column in one sweep
+// over v per group of columns. Columns are taken four at a time (then
+// two, then one) with one register accumulator each: every sum still
+// runs in ascending index order, so out[k] is bit-identical to
+// Dot(cols[k], v), but the groups' add chains and load streams overlap
+// instead of running one dependent chain after another.
+func DotsInto(out Vec, cols []Vec, v Vec) {
+	if len(out) != len(cols) {
+		panic(fmt.Sprintf("tensor.DotsInto: %d outputs for %d columns", len(out), len(cols)))
+	}
+	for _, c := range cols {
+		mustSameLen("DotsInto", c, v)
+	}
+	k := 0
+	for ; k+4 <= len(cols); k += 4 {
+		c0, c1, c2, c3 := cols[k][:len(v)], cols[k+1][:len(v)], cols[k+2][:len(v)], cols[k+3][:len(v)]
+		var s0, s1, s2, s3 float64
+		for i, x := range v {
+			s0 += c0[i] * x
+			s1 += c1[i] * x
+			s2 += c2[i] * x
+			s3 += c3[i] * x
+		}
+		out[k], out[k+1], out[k+2], out[k+3] = s0, s1, s2, s3
+	}
+	if k+2 <= len(cols) {
+		c0, c1 := cols[k][:len(v)], cols[k+1][:len(v)]
+		var s0, s1 float64
+		for i, x := range v {
+			s0 += c0[i] * x
+			s1 += c1[i] * x
+		}
+		out[k], out[k+1] = s0, s1
+		k += 2
+	}
+	if k < len(cols) {
+		out[k] = Dot(cols[k], v)
+	}
+}
+
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v Vec) float64 {
 	var s float64
@@ -181,12 +221,41 @@ func Equal(a, b Vec, tol float64) bool {
 // AllFinite reports whether every element of v is finite (no NaN/Inf).
 func AllFinite(v Vec) bool {
 	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
+		if !Finite(x) {
 			return false
 		}
 	}
 	return true
 }
+
+// Finite reports whether x is neither NaN nor ±Inf: one integer
+// compare on the exponent bits, cheap enough for a per-element test
+// inside a fused sweep.
+func Finite(x float64) bool {
+	return math.Float64bits(x)&^signBit < infBits
+}
+
+// ClampAbs limits x to [−l, l] and reports whether the limit fired
+// (1) or not (0). It is Copysign(l, x) where |x| > l and x otherwise —
+// so ±Inf clamps to ±l, while NaN and values exactly at ±l pass
+// through bit for bit — computed as a mask select on the bit pattern
+// instead of a branch: the recovery estimates clip roughly one element
+// in three, which no branch predictor follows. l must not be negative.
+func ClampAbs(x, l float64) (float64, int) {
+	b := math.Float64bits(x)
+	var fired uint64
+	if math.Abs(x) > l {
+		fired = 1
+	}
+	mask := -fired
+	b = b&^mask | (math.Float64bits(l)|b&signBit)&mask
+	return math.Float64frombits(b), int(fired)
+}
+
+const (
+	signBit = 1 << 63
+	infBits = 0x7ff << 52
+)
 
 func mustSameLen(op string, a, b Vec) {
 	if len(a) != len(b) {

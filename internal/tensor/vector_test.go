@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -151,5 +152,73 @@ func TestNormTriangleInequality(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDotsIntoMatchesDot: however the columns are grouped, every output
+// is the bits of a separate Dot call.
+func TestDotsIntoMatchesDot(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 5, 1000} {
+		v := make(Vec, n)
+		for i := range v {
+			v[i] = r.NormFloat64()
+		}
+		for ncols := 0; ncols <= 7; ncols++ {
+			cols := make([]Vec, ncols)
+			for k := range cols {
+				cols[k] = make(Vec, n)
+				for i := range cols[k] {
+					cols[k][i] = r.NormFloat64()
+				}
+			}
+			out := make(Vec, ncols)
+			DotsInto(out, cols, v)
+			for k := range cols {
+				if want := Dot(cols[k], v); math.Float64bits(out[k]) != math.Float64bits(want) {
+					t.Errorf("n=%d, column %d of %d: DotsInto %v, Dot %v", n, k, ncols, out[k], want)
+				}
+			}
+		}
+	}
+}
+
+func TestClampAbsAndFinite(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	negZero := math.Copysign(0, -1)
+	tests := []struct {
+		x, l, want float64
+		fired      int
+	}{
+		{0.5, 1, 0.5, 0},
+		{-0.5, 1, -0.5, 0},
+		{1, 1, 1, 0}, // exactly at the limit: within it
+		{-1, 1, -1, 0},
+		{math.Nextafter(1, 2), 1, 1, 1},
+		{-3, 1, -1, 1},
+		{inf, 2, 2, 1},
+		{-inf, 2, -2, 1},
+		{nan, 1, nan, 0},
+		{negZero, 1, negZero, 0},
+		{5, 0, 0, 1},
+		{-5, 0, negZero, 1},
+		{1e300, inf, 1e300, 0}, // an infinite limit never fires
+		{inf, inf, inf, 0},
+	}
+	for _, tc := range tests {
+		got, fired := ClampAbs(tc.x, tc.l)
+		if math.Float64bits(got) != math.Float64bits(tc.want) || fired != tc.fired {
+			t.Errorf("ClampAbs(%v, %v) = %v, %d; want %v, %d", tc.x, tc.l, got, fired, tc.want, tc.fired)
+		}
+	}
+	for _, x := range []float64{0, negZero, 1, -1e308, math.SmallestNonzeroFloat64} {
+		if !Finite(x) {
+			t.Errorf("Finite(%v) = false", x)
+		}
+	}
+	for _, x := range []float64{inf, -inf, nan, -nan} {
+		if Finite(x) {
+			t.Errorf("Finite(%v) = true", x)
+		}
 	}
 }

@@ -53,7 +53,6 @@ func seedState(tb testing.TB, u *Unlearner, dim int) *clientState {
 		pairs: pb,
 		raw:   make([]float64, dim),
 		est:   make([]float64, dim),
-		hv:    make([]float64, dim),
 	}
 }
 

@@ -10,6 +10,8 @@ package unlearn
 import (
 	"fmt"
 	"math"
+
+	"fuiov/internal/tensor"
 )
 
 // ClipMode selects how estimated gradients are limited (eq. 7 and the
@@ -60,8 +62,8 @@ func Clip(g []float64, l float64, mode ClipMode) []float64 {
 //
 //   - ClipElementwise guarantees |g[i]| ≤ L exactly for every finite
 //     and infinite input element: clipped elements are set to
-//     Copysign(L, v), so ±Inf clips to ±L and no rounding in
-//     v/(|v|/L) can land one ulp above the bound.
+//     Copysign(L, v) (tensor.ClampAbs), so ±Inf clips to ±L and no
+//     rounding in v/(|v|/L) can land one ulp above the bound.
 //   - Elements exactly at ±L are within the bound and pass unchanged
 //     in every mode (eq. 7 divides by max(1, |v|/L), which is 1 there).
 //   - NaN elements are preserved: NaN compares false against L, so
@@ -89,15 +91,16 @@ func ClipCount(g []float64, l float64, mode ClipMode) int {
 		}
 		return 0
 	default: // ClipElementwise, the paper's formula
+		// v / max(1, |v|/L) is mathematically sign(v)·L when it fires;
+		// ClampAbs computes that exactly (the division can round one ulp
+		// past L), maps ±Inf to ±L and does not branch on the element —
+		// the same clamp the fused recovery sweep applies
+		// (lbfgs.EstimateInto).
 		clipped := 0
 		for i, v := range g {
-			if a := math.Abs(v); a > l {
-				// v / max(1, |v|/L) is mathematically sign(v)·L when it
-				// fires; Copysign computes that exactly (the division
-				// can round one ulp past L) and maps ±Inf to ±L.
-				g[i] = math.Copysign(l, v)
-				clipped++
-			}
+			var fired int
+			g[i], fired = tensor.ClampAbs(v, l)
+			clipped += fired
 		}
 		return clipped
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"fuiov/internal/history"
+	"fuiov/internal/sign"
 )
 
 // UnlearnAndCommit runs Unlearn and additionally produces a rewritten
@@ -52,19 +53,26 @@ func (u *Unlearner) UnlearnAndCommitContext(ctx context.Context, forgotten ...hi
 // the forgotten clients' join rounds do not change while the pass runs
 // (i.e. a forgotten client does not leave and rejoin mid-pass).
 //
-// The rewritten store is built incrementally as the pass advances, so
-// Commit's critical section is proportional to the rounds appended
-// since the last Advance, not to the full history.
+// The rewritten store is built incrementally as the pass advances —
+// round t is rewritten just before the pass recovers it, when the
+// pass's running model w̄ is exactly round t's post-unlearning snapshot
+// — so Commit's critical section is proportional to the rounds
+// appended since the last Advance, not to the full history.
 type CommitPass struct {
-	u          *Unlearner
-	p          *pass
-	ns         *history.Store
-	trajectory [][]float64 // recovered models; entries freed once rewritten
-	written    int         // rounds already rewritten into ns
-	buf        []float64
-	dropped    map[history.ClientID]bool
-	done       bool
-	err        error // sticky non-context failure
+	u       *Unlearner
+	p       *pass
+	ns      *history.Store
+	written int       // rounds already rewritten into ns
+	buf     []float64 // pre-F snapshot read buffer
+
+	// Per-round carry-over scratch, cleared and refilled every rewritten
+	// round (RecordRoundDirs copies the maps' entries, not the maps).
+	participants []history.ClientID
+	dirs         map[history.ClientID]*sign.Direction
+	weights      map[history.ClientID]float64
+
+	done bool
+	err  error // sticky non-context failure
 }
 
 // BeginCommit starts an unlearn-and-commit pass without running any
@@ -74,8 +82,10 @@ type CommitPass struct {
 // cleanup — the original store is never mutated.
 func (u *Unlearner) BeginCommit(forgotten ...history.ClientID) (*CommitPass, error) {
 	if u.store.Delta() >= 1 {
-		// Directions are ±1/0; re-compressing them is lossless only
-		// when the threshold sits below 1.
+		// The rewritten store keeps the remaining clients' ±1/0 records
+		// as they are; they equal a re-recording of the expanded
+		// directions — what a commit is defined as — only when the
+		// threshold sits below 1.
 		return nil, fmt.Errorf("unlearn: cannot commit with direction threshold %v >= 1", u.store.Delta())
 	}
 	wF, f, err := u.Backtrack(forgotten...)
@@ -86,19 +96,14 @@ func (u *Unlearner) BeginCommit(forgotten ...history.ClientID) (*CommitPass, err
 	if err != nil {
 		return nil, fmt.Errorf("unlearn: commit: %w", err)
 	}
-	cp := &CommitPass{
-		u:   u,
-		ns:  ns,
-		buf: make([]float64, u.store.Dim()),
-	}
-	cp.p = u.newPass(wF, f, forgotten, func(_ int, recovered []float64) {
-		cp.trajectory = append(cp.trajectory, recovered)
-	})
-	cp.dropped = make(map[history.ClientID]bool, len(cp.p.res.Forgotten))
-	for _, id := range cp.p.res.Forgotten {
-		cp.dropped[id] = true
-	}
-	return cp, nil
+	return &CommitPass{
+		u:       u,
+		p:       u.newPass(wF, f, forgotten, nil),
+		ns:      ns,
+		buf:     make([]float64, u.store.Dim()),
+		dirs:    make(map[history.ClientID]*sign.Direction),
+		weights: make(map[history.ClientID]float64),
+	}, nil
 }
 
 // BacktrackRound returns F, the round the pass backtracked to.
@@ -145,7 +150,7 @@ func (cp *CommitPass) Commit(ctx context.Context) (*Result, *history.Store, erro
 	}
 	// Preserve leave records of remaining clients.
 	for _, id := range cp.u.store.Clients() {
-		if cp.dropped[id] {
+		if cp.p.excluded[id] {
 			continue
 		}
 		m, err := cp.u.store.MembershipOf(id)
@@ -179,68 +184,70 @@ func (cp *CommitPass) fail(err error) error {
 	return err
 }
 
-// runAndRewrite recovers rounds up to limit and folds every round whose
-// post-unlearning model is already known into the rewritten store.
+// runAndRewrite brings both the recovery and the rewritten store up to
+// limit, one round at a time: rewrite round t, then recover it. Before
+// the pass recovers round t ≥ F its running model w̄ is that round's
+// post-unlearning snapshot (w_F at t = F, where old and new state
+// coincide), so the round is recorded straight from w̄ — one copy, made
+// by the store — and no recovered trajectory is ever buffered. Rounds
+// before F keep their recorded snapshot. A context error between the
+// two steps leaves written one ahead of the pass; the resumed loop
+// skips the rewrite and recovers.
 func (cp *CommitPass) runAndRewrite(ctx context.Context, limit int) error {
-	if err := cp.p.runTo(ctx, limit); err != nil {
-		return cp.fail(err)
-	}
-	if err := cp.rewriteTo(cp.p.next); err != nil {
-		return cp.fail(fmt.Errorf("unlearn: commit: %w", err))
+	p := cp.p
+	for t := min(cp.written, p.next); t < limit; t++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if t == cp.written {
+			model := p.wBar
+			if t < p.f {
+				if err := cp.u.store.ModelInto(t, cp.buf); err != nil {
+					return cp.fail(fmt.Errorf("unlearn: commit: %w", err))
+				}
+				model = cp.buf
+			}
+			if err := cp.rewriteRound(t, model); err != nil {
+				return cp.fail(fmt.Errorf("unlearn: commit: %w", err))
+			}
+			cp.written = t + 1
+		}
+		if t >= p.f {
+			if err := p.runTo(ctx, t+1); err != nil {
+				return cp.fail(err)
+			}
+		}
 	}
 	return nil
 }
 
-// rewriteTo appends rounds [written, hi) of the post-unlearning world
-// to the rewritten store: recovered models on the new trajectory,
-// remaining clients' directions carried over, forgotten clients
-// dropped. Round records are immutable once published, so this reads
-// the live store without synchronisation.
-func (cp *CommitPass) rewriteTo(hi int) error {
-	old, f := cp.u.store, cp.p.f
-	for t := cp.written; t < hi; t++ {
-		var model []float64
-		if t <= f {
-			var err error
-			if model, err = old.Model(t); err != nil {
-				return err
-			}
-		} else {
-			// trajectory[j] is w̄ after round f+j's update, i.e. the
-			// pre-update model of round f+j+1.
-			j := t - f - 1
-			if j >= len(cp.trajectory) || cp.trajectory[j] == nil {
-				return fmt.Errorf("recovered trajectory too short at round %d", t)
-			}
-			model = cp.trajectory[j]
-			cp.trajectory[j] = nil // ownership moves to the new store
-		}
-		participants, err := old.Participants(t)
-		if err != nil {
-			return err
-		}
-		grads := make(map[history.ClientID][]float64, len(participants))
-		weights := make(map[history.ClientID]float64, len(participants))
-		for _, id := range participants {
-			if cp.dropped[id] {
-				continue
-			}
-			dir, err := old.Direction(t, id)
-			if err != nil {
-				return err
-			}
-			dir.DenseInto(cp.buf)
-			// Directions are ±1/0, so re-compression below threshold 1
-			// is exact; copy because RecordRound compresses eagerly.
-			grads[id] = append([]float64(nil), cp.buf...)
-			if weights[id], err = old.Weight(t, id); err != nil {
-				return err
-			}
-		}
-		if err := cp.ns.RecordRound(t, model, grads, weights); err != nil {
-			return err
-		}
-		cp.written = t + 1
+// rewriteRound appends round t of the post-unlearning world to the
+// rewritten store: the given model, the remaining clients' packed
+// directions and weights carried over, forgotten clients dropped. The
+// direction records are immutable, so both stores share them — nothing
+// dim-sized is expanded, copied or re-compressed per client, and the
+// stored bytes equal a re-recording of the expanded directions (±1/0
+// compress to themselves below threshold 1). Round records are
+// immutable once published, so this reads the live store without
+// synchronisation.
+func (cp *CommitPass) rewriteRound(t int, model []float64) error {
+	old := cp.u.store
+	var err error
+	if cp.participants, err = old.ParticipantsInto(t, cp.participants); err != nil {
+		return err
 	}
-	return nil
+	clear(cp.dirs)
+	clear(cp.weights)
+	for _, id := range cp.participants {
+		if cp.p.excluded[id] {
+			continue
+		}
+		if cp.dirs[id], err = old.Direction(t, id); err != nil {
+			return err
+		}
+		if cp.weights[id], err = old.Weight(t, id); err != nil {
+			return err
+		}
+	}
+	return cp.ns.RecordRoundDirs(t, model, cp.dirs, cp.weights)
 }

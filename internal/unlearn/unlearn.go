@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"fuiov/internal/fl"
 	"fuiov/internal/history"
 	"fuiov/internal/lbfgs"
+	"fuiov/internal/sign"
 	"fuiov/internal/telemetry"
 	"fuiov/internal/tensor"
 )
@@ -308,9 +310,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 type clientState struct {
 	pairs  *lbfgs.PairBuffer
 	approx *lbfgs.Approx
-	raw    []float64 // dense stored direction gᵗᵢ (filled on refresh rounds)
-	est    []float64 // corrected estimate ḡᵗᵢ
-	hv     []float64 // H̃·Δw product / refresh Δg scratch
+	raw    []float64 // dense stored direction gᵗᵢ, then Δg (refresh rounds only)
+	est    []float64 // corrected, clipped estimate g̃ᵗᵢ
 }
 
 // bootScratch holds the dim-sized vectors the L-BFGS bootstrap window
@@ -438,10 +439,20 @@ type pass struct {
 	intoAgg      fl.IntoAggregator
 	hasIntoAgg   bool
 
-	// refresh is set per round before the estimation fan-out; it is
-	// hoisted so estimateOne (a method, shared by all workers) can see
-	// it.
+	// t, refresh and chunk are set per round before the estimation
+	// fan-out; they are hoisted so estimateOne (a method, shared by all
+	// workers) can see them.
+	t       int
 	refresh bool
+	chunk   int
+
+	// The fan-out is owned by the pass so a steady-state round allocates
+	// nothing at any parallelism: workers[w] is bound once to
+	// estimateChunk(w) and started with a bare go statement, wg is
+	// reused every round. Workers live only inside a round — an
+	// abandoned pass leaves no goroutine behind.
+	wg      sync.WaitGroup
+	workers []func()
 }
 
 // newPass prepares a recovery pass over rounds f..; wF is the
@@ -464,7 +475,7 @@ func (u *Unlearner) newPass(wF []float64, f int, forgotten []history.ClientID, o
 	u.met.backtrackDepth.Set(float64(u.store.Rounds() - f))
 
 	intoAgg, hasIntoAgg := u.cfg.Aggregator.(fl.IntoAggregator)
-	return &pass{
+	p := &pass{
 		u:    u,
 		f:    f,
 		next: f,
@@ -487,6 +498,13 @@ func (u *Unlearner) newPass(wF []float64, f int, forgotten []history.ClientID, o
 		intoAgg:     intoAgg,
 		hasIntoAgg:  hasIntoAgg,
 	}
+	if parallelism > 1 {
+		p.workers = make([]func(), parallelism)
+		for w := range p.workers {
+			p.workers[w] = func() { p.estimateChunk(w) }
+		}
+	}
+	return p
 }
 
 // stateFor materialises (or returns) a remaining client's recovery
@@ -508,7 +526,6 @@ func (p *pass) stateFor(ctx context.Context, id history.ClientID) (*clientState,
 		pairs: pb,
 		raw:   make([]float64, dim),
 		est:   make([]float64, dim),
-		hv:    make([]float64, dim),
 	}
 	p.states[id] = st
 	if u.cfg.DisableBootstrap {
@@ -531,41 +548,67 @@ func (p *pass) stateFor(ctx context.Context, id history.ClientID) (*clientState,
 	return st, nil
 }
 
-// estimateOne computes one client's corrected gradient estimate for
-// round t. A method, not a per-round closure: a closure built per round
-// would be a heap allocation each iteration (it escapes through the go
-// statements in runTo).
-func (p *pass) estimateOne(t, i int, id history.ClientID, st *clientState) {
-	u := p.u
-	dir, err := u.store.Direction(t, id)
+// estimateOne computes the i-th remaining client's corrected gradient
+// estimate for the round under estimation (p.t). A method, not a
+// per-round closure: a closure built per round would be a heap
+// allocation each iteration (it escapes through the go statements in
+// runTo).
+func (p *pass) estimateOne(i int) {
+	id := p.remaining[i]
+	dir, err := p.u.store.Direction(p.t, id)
 	if err != nil {
-		p.estimates[i].err = fmt.Errorf("unlearn: round %d client %d: %w", t, id, err)
+		p.estimates[i].err = fmt.Errorf("unlearn: round %d client %d: %w", p.t, id, err)
 		return
 	}
-	if p.refresh {
-		// Only the pair refresh after this round's aggregation
-		// reads the raw dense direction; skip expanding it on
-		// every other round.
+	p.estimates[i] = p.sts[i].estimate(dir, p.deltaW, p.refresh, p.u.cfg.ClipThreshold, p.u.cfg.ClipMode)
+}
+
+// estimate fills st.est with the clipped estimate
+//
+//	ḡᵗᵢ = gᵗᵢ + H̃ᵗᵢ·(w̄ₜ − wₜ)        (eq. 6)
+//	g̃ᵗᵢ = ḡᵗᵢ / max(1, |ḡᵗᵢ|/L)     (eq. 7)
+//
+// in two sweeps over the client's pair columns (lbfgs.EstimateInto):
+// the projections of Δw, then product, packed direction, finiteness
+// test and elementwise clip fused per element, est written once. The
+// norm clip needs the finished vector, so that mode (and ClipOff) runs
+// the sweep unclipped and ClipCount afterwards. Without a usable
+// approximation — none built yet, or a non-finite product — the
+// estimate is the raw stored direction. Each client owns its Approx,
+// so the scratch-backed EstimateInto is safe under the fan-out.
+func (st *clientState) estimate(dir *sign.Direction, deltaW []float64, refresh bool, l float64, mode ClipMode) estimate {
+	if refresh {
+		// Only the pair refresh after this round's aggregation reads
+		// the raw dense direction; skip expanding it on every other
+		// round.
 		dir.DenseInto(st.raw)
 	}
-	// ḡᵗᵢ = gᵗᵢ + H̃ᵗᵢ·(w̄ₜ − wₜ)  (eq. 6), fused off the packed
-	// direction: est = H̃·Δw, then += 1·gᵗᵢ straight from the
-	// 2-bit representation (bit-identical to expanding first,
-	// since float addition commutes bitwise). Each client owns its
-	// Approx, so the scratch-backed HVPInto is safe here.
-	fallback := st.approx == nil
-	if !fallback && st.approx.HVPInto(st.hv, p.deltaW) != nil {
-		fallback = true
+	fused := mode != ClipNorm && mode != ClipOff
+	if st.approx != nil {
+		limit := math.Inf(1)
+		if fused {
+			limit = l
+		}
+		if clipped, err := st.approx.EstimateInto(st.est, deltaW, dir, limit); err == nil {
+			if !fused {
+				clipped = ClipCount(st.est, l, mode)
+			}
+			return estimate{clipped: clipped}
+		}
 	}
-	if fallback {
-		dir.DenseInto(st.est)
-	} else {
-		copy(st.est, st.hv)
-		dir.AccumulateInto(st.est, 1)
+	dir.DenseInto(st.est)
+	return estimate{clipped: ClipCount(st.est, l, mode), fallback: true}
+}
+
+// estimateChunk is fan-out worker w's share of the round: the w-th
+// contiguous chunk of the remaining clients.
+func (p *pass) estimateChunk(w int) {
+	defer p.wg.Done()
+	lo := w * p.chunk
+	hi := min(lo+p.chunk, len(p.remaining))
+	for i := lo; i < hi; i++ {
+		p.estimateOne(i)
 	}
-	// g̃ᵗᵢ = ḡᵗᵢ / max(1, |ḡᵗᵢ|/L)  (eq. 7)
-	clipped := ClipCount(st.est, u.cfg.ClipThreshold, u.cfg.ClipMode)
-	p.estimates[i] = estimate{clipped: clipped, fallback: fallback}
 }
 
 // runTo advances the pass through rounds [p.next, limit). It may be
@@ -623,31 +666,20 @@ func (p *pass) runTo(ctx context.Context, limit int) error {
 		// so splitting the list into contiguous chunks — one goroutine
 		// per worker, no goroutine-per-client churn — is bit-identical
 		// at any parallelism, including the inline workers==1 path.
-		workers := p.parallelism
-		if workers > len(remaining) {
-			workers = len(remaining)
-		}
+		p.t = t
+		workers := min(p.parallelism, len(remaining))
 		if workers <= 1 {
-			for i, id := range remaining {
-				p.estimateOne(t, i, id, sts[i])
+			for i := range remaining {
+				p.estimateOne(i)
 			}
 		} else {
-			chunk := (len(remaining) + workers - 1) / workers
-			var wg sync.WaitGroup
-			for lo := 0; lo < len(remaining); lo += chunk {
-				hi := lo + chunk
-				if hi > len(remaining) {
-					hi = len(remaining)
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					for i := lo; i < hi; i++ {
-						p.estimateOne(t, i, remaining[i], sts[i])
-					}
-				}(lo, hi)
+			p.chunk = (len(remaining) + workers - 1) / workers
+			chunks := (len(remaining) + p.chunk - 1) / p.chunk
+			p.wg.Add(chunks)
+			for w := 0; w < chunks; w++ {
+				go p.workers[w]()
 			}
-			wg.Wait()
+			p.wg.Wait()
 		}
 		estimateDur := estimateSpan.End()
 
@@ -673,10 +705,10 @@ func (p *pass) runTo(ctx context.Context, limit int) error {
 
 			// Periodic pair refresh (§IV-B): replace stale pairs with
 			// the divergence observed on the recovered trajectory.
-			// Push copies, so reusing hv as the Δg scratch is safe.
+			// Push copies, so turning raw into Δg in place is safe.
 			if p.refresh {
-				tensor.SubInto(sts[i].hv, sts[i].est, sts[i].raw)
-				if err := sts[i].pairs.Push(p.deltaW, sts[i].hv); err == nil {
+				tensor.SubInto(sts[i].raw, sts[i].est, sts[i].raw)
+				if err := sts[i].pairs.Push(p.deltaW, sts[i].raw); err == nil {
 					if a, err := sts[i].pairs.Build(); err == nil {
 						sts[i].approx = a
 						refreshed = true

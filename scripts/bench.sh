@@ -2,7 +2,10 @@
 # Kernel micro-benchmark harness: runs the compute-kernel benchmarks
 # (GEMM, conv, dense, HVP, recovery round) with -benchmem and writes
 # the results to BENCH_kernels.json as
-#   {"cpu": ..., "benchmarks": [{"op", "ns_op", "b_op", "allocs_op"}]}.
+#   {"cpu": ..., "benchmarks": [{"op", "gomaxprocs", "ns_op", "b_op", "allocs_op"}]}
+# (gomaxprocs is the -N suffix go test prints after the name, 1 when
+# there is none; run under GOMAXPROCS=1 for the single-core rows the
+# docs quote).
 # Usage: scripts/bench.sh [-smoke] [-sign] [-strategies] [-scale] [-unlearn] [-verify]
 #   -smoke  run every benchmark for a single iteration and write the
 #           JSON to a temp file — a fast harness check for check.sh.
@@ -169,7 +172,11 @@ awk '
 /^cpu:/ && cpu == "" { cpu = substr($0, index($0, ":") + 2) }
 /^Benchmark/ {
 	name = $1
-	sub(/-[0-9]+$/, "", name)
+	procs = 1
+	if (match(name, /-[0-9]+$/)) {
+		procs = substr(name, RSTART + 1)
+		name = substr(name, 1, RSTART - 1)
+	}
 	ns = ""; bo = "null"; al = "null"
 	for (i = 2; i < NF; i++) {
 		if ($(i + 1) == "ns/op") ns = $i
@@ -177,7 +184,7 @@ awk '
 		else if ($(i + 1) == "allocs/op") al = $i
 	}
 	if (ns == "") next
-	row = sprintf("    {\"op\": \"%s\", \"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s}", name, ns, bo, al)
+	row = sprintf("    {\"op\": \"%s\", \"gomaxprocs\": %s, \"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s}", name, procs, ns, bo, al)
 	rows = rows (rows == "" ? "" : ",\n") row
 }
 END {

@@ -65,6 +65,15 @@ go vet ./...
 go build ./...
 go test ./...
 
+# The benchmark is a module of its own (bench/, replacing fuiov with
+# ../), so the three commands above never see it — yet it calls the
+# kernel, store and unlearner entry points directly. Vet it and run
+# its smoke (all four workloads at tiny sizes, BENCHMARK.json diffed
+# against the metric registry) so a change next to those entry points
+# cannot break the benchmark unnoticed.
+go -C bench vet ./...
+go -C bench test ./...
+
 # Bench harness smoke: one iteration per kernel benchmark, JSON parsed
 # to a temp file — catches bench.sh or benchmark rot without the cost
 # of a real measurement run. Both suites (compute kernels, sign+history).
@@ -102,6 +111,12 @@ go test -race -count=1 -run '^TestQueue' ./internal/unlearn/
 # under the race detector (the relearn probe runs parallel federated
 # rounds).
 go test -race -count=1 -run '^TestVerifyForgettingProperty$' ./internal/experiments/
+
+# Recovery-kernel equivalence under the race detector: the two-sweep
+# estimate against the retained reference composition (bit-identical
+# est, clip count and fallback flag), and the pass-owned fan-out's
+# zero-allocation round at Parallelism 1 and 2.
+go test -race -count=1 -run '^(TestEstimateMatchesReferenceComposition|TestRecoveryRoundAllocs)$' ./internal/unlearn/
 
 # Storage-tier smoke: the disk spill path must round-trip snapshots
 # byte-for-byte, and the packed accumulate kernel must stay
