@@ -86,12 +86,20 @@ type agentMetrics struct {
 	uploadDur *telemetry.Timer
 }
 
-// Agent is one vehicle following a networked coordinator.
+// Agent is one vehicle following a networked coordinator. Run is its
+// only entry point and drives one round at a time, so the per-round
+// buffers below are reused, never shared.
 type Agent struct {
 	cfg   Config
 	clock fl.WallClock
 	hc    *http.Client
 	met   agentMetrics
+
+	// params receives each round's global model.
+	params []float64
+	// frame holds the binary frame in flight: the fetched model while
+	// it is decoded, then the upload (kept intact across retries).
+	frame bytes.Buffer
 }
 
 // New creates an agent. It validates the configuration but does not
@@ -127,9 +135,10 @@ func New(cfg Config) (*Agent, error) {
 	}
 	reg := cfg.Telemetry
 	return &Agent{
-		cfg:   cfg,
-		clock: cfg.Policy.WallClock(nil),
-		hc:    hc,
+		cfg:    cfg,
+		clock:  cfg.Policy.WallClock(nil),
+		hc:     hc,
+		params: make([]float64, cfg.Template.NumParams()),
 		met: agentMetrics{
 			rounds:    reg.Counter(telemetry.ServerAgentRounds),
 			skips:     reg.Counter(telemetry.ServerAgentSkips),
@@ -264,10 +273,11 @@ func (a *Agent) status(ctx context.Context) (*statusReply, error) {
 	return &st, nil
 }
 
-// fetchModel retrieves the round-t global parameters. The returned
-// status is the HTTP code (0 on transport failure after retries).
+// fetchModel retrieves the round-t global parameters into the
+// agent-owned vector it returns, valid until the next fetch. The
+// returned status is the HTTP code (0 on transport failure after
+// retries).
 func (a *Agent) fetchModel(ctx context.Context, t int) ([]float64, int, error) {
-	var params []float64
 	var code int
 	err := a.withRetry(ctx, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
@@ -284,17 +294,24 @@ func (a *Agent) fetchModel(ctx context.Context, t int) ([]float64, int, error) {
 		if code != http.StatusOK {
 			return nil // mapped by caller from code
 		}
-		_, params, err = server.ReadModel(resp.Body, a.cfg.Template.NumParams())
+		// One byte past a well-formed frame: an oversized body is
+		// rejected by DecodeModel instead of buffered.
+		limit := int64(server.ModelFrameLen(len(a.params))) + 1
+		a.frame.Reset()
+		if _, err := a.frame.ReadFrom(io.LimitReader(resp.Body, limit)); err != nil {
+			return err
+		}
+		_, err = server.DecodeModel(a.frame.Bytes(), a.params)
 		return err
 	})
-	return params, code, err
+	return a.params, code, err
 }
 
 // upload POSTs the gradient frame for round t and waits for the
 // round's resolution. The returned status is the HTTP code.
 func (a *Agent) upload(ctx context.Context, t int, g []float64) (int, error) {
-	var body bytes.Buffer
-	if err := server.WriteUpload(&body, a.cfg.Client.ID, t, a.cfg.Client.Weight(),
+	a.frame.Reset()
+	if err := server.WriteUpload(&a.frame, a.cfg.Client.ID, t, a.cfg.Client.Weight(),
 		a.cfg.Encoding, g, a.cfg.Delta, a.cfg.Scale); err != nil {
 		return 0, err
 	}
@@ -303,7 +320,7 @@ func (a *Agent) upload(ctx context.Context, t int, g []float64) (int, error) {
 		span := a.met.uploadDur.Start()
 		defer span.End()
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			a.cfg.BaseURL+"/v1/round", bytes.NewReader(body.Bytes()))
+			a.cfg.BaseURL+"/v1/round", bytes.NewReader(a.frame.Bytes()))
 		if err != nil {
 			return err
 		}

@@ -60,13 +60,22 @@ func (d *Dataset) Clone() *Dataset {
 // Batch assembles the samples at the given indices into an nn.Batch
 // plus the aligned label slice.
 func (d *Dataset) Batch(indices []int) (*nn.Batch, []int) {
-	b := nn.NewBatch(len(indices), d.Dims)
-	labels := make([]int, len(indices))
+	b := new(nn.Batch)
+	return b, d.BatchInto(b, make([]int, 0, len(indices)), indices)
+}
+
+// BatchInto is Batch into caller-owned storage: b is reshaped to hold
+// the samples at the given indices and labels is overwritten from its
+// start, both reusing their backing arrays when large enough. It
+// returns the label slice.
+func (d *Dataset) BatchInto(b *nn.Batch, labels []int, indices []int) []int {
+	b.Reshape(len(indices), d.Dims)
+	labels = labels[:0]
 	for i, idx := range indices {
 		copy(b.Sample(i), d.X[idx])
-		labels[i] = d.Y[idx]
+		labels = append(labels, d.Y[idx])
 	}
-	return b, labels
+	return labels
 }
 
 // FullBatch assembles the entire dataset into one batch.

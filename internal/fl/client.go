@@ -40,6 +40,11 @@ type Client struct {
 	// net is the client's private model replica, lazily cloned from
 	// the server template so concurrent clients never share state.
 	net *nn.Network
+	// batch, labels and idx are the mini-batch workspace, refilled in
+	// place every step.
+	batch  nn.Batch
+	labels []int
+	idx    []int
 }
 
 // Weight returns the FedAvg aggregation weight |Dᵢ| (eq. 1).
@@ -48,7 +53,9 @@ func (c *Client) Weight() float64 { return float64(c.Data.Len()) }
 // ComputeGradient evaluates the gradient of the mean training loss at
 // the given global parameters on a mini-batch drawn deterministically
 // from (seed, round, client ID). template provides the architecture;
-// the client keeps a private clone across rounds.
+// the client keeps a private clone and its mini-batch workspace across
+// rounds, so a steady-state call allocates little beyond the returned
+// gradient — a fresh slice the caller may retain.
 func (c *Client) ComputeGradient(template *nn.Network, params []float64, seed uint64, round int) ([]float64, error) {
 	if c.Data == nil || c.Data.Len() == 0 {
 		return nil, fmt.Errorf("fl: client %d has no data", c.ID)
@@ -59,30 +66,27 @@ func (c *Client) ComputeGradient(template *nn.Network, params []float64, seed ui
 	c.net.SetParamVector(params)
 	r := rng.New(rng.Mix(seed, uint64(c.ID)+1, uint64(round)+1))
 
-	var g []float64
+	g := make([]float64, len(params))
 	if c.LocalSteps > 1 {
 		if c.LocalLR <= 0 {
 			return nil, fmt.Errorf("fl: client %d has %d local steps but LocalLR %v",
 				c.ID, c.LocalSteps, c.LocalLR)
 		}
 		for step := 0; step < c.LocalSteps; step++ {
-			x, labels := c.sampleBatch(r)
-			c.net.LossAndGrad(x, labels)
+			c.net.LossAndGrad(c.sampleBatch(r))
 			c.net.SGDStep(c.LocalLR)
 		}
 		// Pseudo-gradient: the direction the local run moved, rescaled
 		// so the server's η-step (eq. 2) reproduces FedAvg model
 		// averaging.
-		end := c.net.ParamVector()
-		g = make([]float64, len(params))
+		c.net.ParamVectorInto(g)
 		inv := 1 / c.LocalLR
-		for i := range g {
-			g[i] = (params[i] - end[i]) * inv
+		for i, end := range g {
+			g[i] = (params[i] - end) * inv
 		}
 	} else {
-		x, labels := c.sampleBatch(r)
-		c.net.LossAndGrad(x, labels)
-		g = c.net.GradVector()
+		c.net.LossAndGrad(c.sampleBatch(r))
+		c.net.GradVectorInto(g)
 	}
 	if c.GradAttack != nil {
 		g = c.GradAttack.Apply(g, r)
@@ -91,10 +95,23 @@ func (c *Client) ComputeGradient(template *nn.Network, params []float64, seed ui
 }
 
 // sampleBatch draws the round's mini-batch (or the full shard when
-// BatchSize is 0 or exceeds the shard).
+// BatchSize is 0 or exceeds the shard) into the client's workspace. A
+// mini-batch is the first BatchSize entries of a permutation of the
+// shard — the draw Dataset.SampleBatch makes.
 func (c *Client) sampleBatch(r *rng.RNG) (*nn.Batch, []int) {
-	if c.BatchSize > 0 && c.BatchSize < c.Data.Len() {
-		return c.Data.SampleBatch(r, c.BatchSize)
+	n := c.Data.Len()
+	if cap(c.idx) < n {
+		c.idx = make([]int, n)
 	}
-	return c.Data.FullBatch()
+	idx := c.idx[:n]
+	if c.BatchSize > 0 && c.BatchSize < n {
+		r.PermInto(idx)
+		idx = idx[:c.BatchSize]
+	} else {
+		for i := range idx {
+			idx[i] = i
+		}
+	}
+	c.labels = c.Data.BatchInto(&c.batch, c.labels, idx)
+	return &c.batch, c.labels
 }

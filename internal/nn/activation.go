@@ -8,7 +8,8 @@ import (
 
 // ReLU applies max(0, x) elementwise.
 type ReLU struct {
-	lastIn *Batch
+	lastIn  *Batch
+	out, dx Batch
 }
 
 var _ Layer = (*ReLU)(nil)
@@ -22,10 +23,12 @@ func (r *ReLU) OutputDims(in Dims) Dims { return in }
 // Forward clamps negatives to zero.
 func (r *ReLU) Forward(x *Batch) *Batch {
 	r.lastIn = x
-	out := NewBatch(x.N, x.Dims)
+	out := r.out.Reshape(x.N, x.Dims)
 	for i, v := range x.Data {
 		if v > 0 {
 			out.Data[i] = v
+		} else {
+			out.Data[i] = 0
 		}
 	}
 	return out
@@ -37,10 +40,12 @@ func (r *ReLU) Backward(dy *Batch) *Batch {
 	if x == nil {
 		panic("nn.ReLU: Backward before Forward")
 	}
-	dx := NewBatch(dy.N, dy.Dims)
+	dx := r.dx.Reshape(dy.N, dy.Dims)
 	for i, v := range x.Data {
 		if v > 0 {
 			dx.Data[i] = dy.Data[i]
+		} else {
+			dx.Data[i] = 0
 		}
 	}
 	return dx
@@ -62,6 +67,7 @@ func (r *ReLU) Clone() Layer { return NewReLU() }
 // the ablation configurations; the paper's models use ReLU.
 type Tanh struct {
 	lastOut *Batch
+	out, dx Batch
 }
 
 var _ Layer = (*Tanh)(nil)
@@ -74,7 +80,7 @@ func (t *Tanh) OutputDims(in Dims) Dims { return in }
 
 // Forward applies tanh.
 func (t *Tanh) Forward(x *Batch) *Batch {
-	out := NewBatch(x.N, x.Dims)
+	out := t.out.Reshape(x.N, x.Dims)
 	for i, v := range x.Data {
 		out.Data[i] = tanh(v)
 	}
@@ -88,7 +94,7 @@ func (t *Tanh) Backward(dy *Batch) *Batch {
 	if y == nil {
 		panic("nn.Tanh: Backward before Forward")
 	}
-	dx := NewBatch(dy.N, dy.Dims)
+	dx := t.dx.Reshape(dy.N, dy.Dims)
 	for i, v := range y.Data {
 		dx.Data[i] = dy.Data[i] * (1 - v*v)
 	}

@@ -10,8 +10,13 @@
 // reused across calls. Every kernel keeps a fixed per-element
 // accumulation order, so training is bit-deterministic at any
 // parallelism level — the property the seeded federated experiments
-// rely on. The original direct loops survive as unexported reference
-// implementations checked against the kernels by property tests.
+// rely on. The original direct loops survive as _test.go oracles
+// checked against the kernels by property tests.
+//
+// Activations live in a bounded workspace: every layer owns its output
+// and input-gradient buffers, and Network walks a batch in sample-order
+// micro-batches (see microBatch), so a training step allocates nothing
+// and its scratch does not grow with the batch.
 package nn
 
 import "fmt"
@@ -42,6 +47,15 @@ type Batch struct {
 // NewBatch allocates a zeroed batch.
 func NewBatch(n int, dims Dims) *Batch {
 	return &Batch{N: n, Dims: dims, Data: make([]float64, n*dims.Size())}
+}
+
+// Reshape points b at n samples of shape dims, reusing its backing
+// array when it is large enough, and returns b. Contents are
+// unspecified; callers overwrite or clear every element.
+func (b *Batch) Reshape(n int, dims Dims) *Batch {
+	b.N, b.Dims = n, dims
+	b.Data = growFloats(b.Data, n*dims.Size())
+	return b
 }
 
 // Sample returns the slice backing sample i (a live view, not a copy).

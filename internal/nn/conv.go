@@ -17,9 +17,9 @@ import (
 // Forward and Backward are formulated as im2col + GEMM (col2im for the
 // input gradient): each sample's receptive fields are unpacked into a
 // patch matrix once, and the convolution becomes a single matrix
-// product against the weight matrix. The patch scratch is owned by the
-// layer and reused across calls, so steady-state training rounds incur
-// no per-call kernel allocation beyond the output batch itself.
+// product against the weight matrix. The patch scratch and the output
+// and input-gradient batches are owned by the layer and reused across
+// calls, so steady-state training allocates nothing here.
 type Conv2D struct {
 	InC, OutC int
 	K         int  // square kernel size
@@ -28,7 +28,8 @@ type Conv2D struct {
 	params []float64 // weights OutC*InC*K*K, then biases OutC
 	grads  []float64
 
-	lastIn *Batch
+	lastIn  *Batch
+	out, dx Batch
 	// cols caches the im2col expansion of lastIn (per sample a
 	// KK×P panel, KK = InC·K², P = OH·OW); Backward reuses it for the
 	// weight-gradient GEMM. dcols is the backward patch-gradient
@@ -97,133 +98,120 @@ func (c *Conv2D) Forward(x *Batch) *Batch {
 	if outDims.H <= 0 || outDims.W <= 0 {
 		panic(fmt.Sprintf("nn.Conv2D: kernel %d too large for input %s", c.K, x.Dims))
 	}
-	out := NewBatch(x.N, outDims)
+	out := c.out.Reshape(x.N, outDims)
 	kk := c.InC * c.K * c.K
 	p := outDims.H * outDims.W
 	c.cols = growFloats(c.cols, x.N*kk*p)
-	w := &tensor.Matrix{Rows: c.OutC, Cols: kk, Data: c.weights()}
-	b := c.bias()
-	off := c.padOffset()
 	timing := kernelTimingOn.Load()
-	parallelSamples(x.N, 2*c.OutC*kk*p, func(n int) {
-		var t0 time.Time
-		if timing {
-			t0 = time.Now()
+	// The closure is built only on the parallel branch: one passed
+	// near a go statement always escapes, and the serial path must
+	// stay allocation-free.
+	if serialSamples(x.N, 2*c.OutC*kk*p) {
+		for n := 0; n < x.N; n++ {
+			c.forwardSample(x, out, n, timing)
 		}
-		col := &tensor.Matrix{Rows: kk, Cols: p, Data: c.cols[n*kk*p : (n+1)*kk*p]}
-		im2col(x.Sample(n), col.Data, x.Dims, c.K, off, outDims)
-		if timing {
-			t1 := time.Now()
-			im2colNanos.Add(t1.Sub(t0).Nanoseconds())
-			t0 = t1
-		}
-		// y starts at the bias and accumulates weight·patch terms in
-		// the same (ic, ky, kx) order as the direct loop.
-		y := &tensor.Matrix{Rows: c.OutC, Cols: p, Data: out.Sample(n)}
-		for oc := 0; oc < c.OutC; oc++ {
-			row := y.Data[oc*p : (oc+1)*p]
-			bias := b[oc]
-			for j := range row {
-				row[j] = bias
-			}
-		}
-		tensor.MatMulAddInto(y, w, col)
-		if timing {
-			gemmNanos.Add(time.Since(t0).Nanoseconds())
-		}
-	})
-	return out
-}
-
-// forwardNaive is the original direct 7-loop convolution, kept as the
-// reference implementation for the kernel equivalence tests.
-func (c *Conv2D) forwardNaive(x *Batch) *Batch {
-	if x.Dims.C != c.InC {
-		panic(fmt.Sprintf("nn.Conv2D: input channels %d, layer expects %d", x.Dims.C, c.InC))
-	}
-	c.lastIn = x
-	outDims := c.OutputDims(x.Dims)
-	if outDims.H <= 0 || outDims.W <= 0 {
-		panic(fmt.Sprintf("nn.Conv2D: kernel %d too large for input %s", c.K, x.Dims))
-	}
-	out := NewBatch(x.N, outDims)
-	w, b := c.weights(), c.bias()
-	ih, iw := x.Dims.H, x.Dims.W
-	oh, ow := outDims.H, outDims.W
-	off := c.padOffset()
-	for n := 0; n < x.N; n++ {
-		in := x.Sample(n)
-		y := out.Sample(n)
-		for oc := 0; oc < c.OutC; oc++ {
-			bias := b[oc]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					s := bias
-					for ic := 0; ic < c.InC; ic++ {
-						wBase := ((oc*c.InC + ic) * c.K) * c.K
-						inBase := ic * ih * iw
-						for ky := 0; ky < c.K; ky++ {
-							sy := oy + ky - off
-							if sy < 0 || sy >= ih {
-								continue
-							}
-							rowW := w[wBase+ky*c.K : wBase+(ky+1)*c.K]
-							rowIn := in[inBase+sy*iw : inBase+(sy+1)*iw]
-							for kx := 0; kx < c.K; kx++ {
-								sx := ox + kx - off
-								if sx < 0 || sx >= iw {
-									continue
-								}
-								s += rowW[kx] * rowIn[sx]
-							}
-						}
-					}
-					y[(oc*oh+oy)*ow+ox] = s
-				}
-			}
-		}
+	} else {
+		spawnSamples(x.N, func(n int) { c.forwardSample(x, out, n, timing) })
 	}
 	return out
 }
 
-// Backward accumulates weight/bias gradients and returns dL/dx. The
-// input gradient is computed per sample as Wᵀ·dY followed by col2im
-// (parallel across samples); the weight/bias gradients accumulate
-// serially in sample order against the im2col panels cached by
-// Forward, so gradient bits never depend on parallelism.
+// forwardSample unpacks sample n of x into its cols panel and writes
+// its convolution into out.
+func (c *Conv2D) forwardSample(x, out *Batch, n int, timing bool) {
+	var t0 time.Time
+	if timing {
+		t0 = time.Now()
+	}
+	kk := c.InC * c.K * c.K
+	p := out.Dims.H * out.Dims.W
+	col := &tensor.Matrix{Rows: kk, Cols: p, Data: c.cols[n*kk*p : (n+1)*kk*p]}
+	im2col(x.Sample(n), col.Data, x.Dims, c.K, c.padOffset(), out.Dims)
+	if timing {
+		t1 := time.Now()
+		im2colNanos.Add(t1.Sub(t0).Nanoseconds())
+		t0 = t1
+	}
+	// y starts at the bias and accumulates weight·patch terms in
+	// the same (ic, ky, kx) order as the direct loop.
+	y := &tensor.Matrix{Rows: c.OutC, Cols: p, Data: out.Sample(n)}
+	b := c.bias()
+	for oc := 0; oc < c.OutC; oc++ {
+		row := y.Data[oc*p : (oc+1)*p]
+		bias := b[oc]
+		for j := range row {
+			row[j] = bias
+		}
+	}
+	w := &tensor.Matrix{Rows: c.OutC, Cols: kk, Data: c.weights()}
+	tensor.MatMulAddInto(y, w, col)
+	if timing {
+		gemmNanos.Add(time.Since(t0).Nanoseconds())
+	}
+}
+
+// Backward accumulates weight/bias gradients and returns dL/dx,
+// computed per sample as Wᵀ·dY followed by col2im (parallel across
+// samples, like Forward).
 func (c *Conv2D) Backward(dy *Batch) *Batch {
 	x := c.lastIn
 	if x == nil {
 		panic("nn.Conv2D: Backward before Forward")
 	}
-	dx := NewBatch(x.N, x.Dims)
+	dx := c.dx.Reshape(x.N, x.Dims)
+	clear(dx.Data) // col2im scatter-adds
 	kk := c.InC * c.K * c.K
 	p := dy.Dims.H * dy.Dims.W
 	c.dcols = growFloats(c.dcols, x.N*kk*p)
+	timing := kernelTimingOn.Load()
+	if serialSamples(x.N, 4*c.OutC*kk*p) {
+		for n := 0; n < x.N; n++ {
+			c.inputGradSample(dy, dx, n, timing)
+		}
+	} else {
+		spawnSamples(x.N, func(n int) { c.inputGradSample(dy, dx, n, timing) })
+	}
+	c.backwardParams(dy)
+	return dx
+}
+
+// inputGradSample writes sample n's input gradient into dx (already
+// cleared): Wᵀ·dY into the sample's dcols panel, then col2im.
+func (c *Conv2D) inputGradSample(dy, dx *Batch, n int, timing bool) {
+	var t0 time.Time
+	if timing {
+		t0 = time.Now()
+	}
+	kk := c.InC * c.K * c.K
+	p := dy.Dims.H * dy.Dims.W
 	w := &tensor.Matrix{Rows: c.OutC, Cols: kk, Data: c.weights()}
+	dyM := &tensor.Matrix{Rows: c.OutC, Cols: p, Data: dy.Sample(n)}
+	dcol := &tensor.Matrix{Rows: kk, Cols: p, Data: c.dcols[n*kk*p : (n+1)*kk*p]}
+	tensor.MatMulTNInto(dcol, w, dyM)
+	if timing {
+		t1 := time.Now()
+		gemmNanos.Add(t1.Sub(t0).Nanoseconds())
+		t0 = t1
+	}
+	col2im(dcol.Data, dx.Sample(n), dx.Dims, c.K, c.padOffset(), dy.Dims)
+	if timing {
+		col2imNanos.Add(time.Since(t0).Nanoseconds())
+	}
+}
+
+// backwardParams accumulates the weight/bias gradients serially in
+// sample order against the im2col panels cached by Forward, each
+// sample's terms added onto the running gradient — so gradient bits
+// depend neither on parallelism nor on how a batch is split into
+// consecutive calls.
+func (c *Conv2D) backwardParams(dy *Batch) {
+	x := c.lastIn
+	kk := c.InC * c.K * c.K
+	p := dy.Dims.H * dy.Dims.W
 	gwM := &tensor.Matrix{Rows: c.OutC, Cols: kk, Data: c.grads[:c.OutC*kk]}
 	gb := c.grads[c.OutC*kk:]
-	off := c.padOffset()
-	timing := kernelTimingOn.Load()
-	parallelSamples(x.N, 4*c.OutC*kk*p, func(n int) {
-		var t0 time.Time
-		if timing {
-			t0 = time.Now()
-		}
-		dyM := &tensor.Matrix{Rows: c.OutC, Cols: p, Data: dy.Sample(n)}
-		dcol := &tensor.Matrix{Rows: kk, Cols: p, Data: c.dcols[n*kk*p : (n+1)*kk*p]}
-		tensor.MatMulTNInto(dcol, w, dyM)
-		if timing {
-			t1 := time.Now()
-			gemmNanos.Add(t1.Sub(t0).Nanoseconds())
-			t0 = t1
-		}
-		col2im(dcol.Data, dx.Sample(n), x.Dims, c.K, off, dy.Dims)
-		if timing {
-			col2imNanos.Add(time.Since(t0).Nanoseconds())
-		}
-	})
 	var t0 time.Time
+	timing := kernelTimingOn.Load()
 	if timing {
 		t0 = time.Now()
 	}
@@ -243,61 +231,6 @@ func (c *Conv2D) Backward(dy *Batch) *Batch {
 	if timing {
 		gemmNanos.Add(time.Since(t0).Nanoseconds())
 	}
-	return dx
-}
-
-// backwardNaive is the original direct-loop backward pass, kept as the
-// reference implementation for the kernel equivalence tests. It must
-// be preceded by forwardNaive or Forward on the same batch.
-func (c *Conv2D) backwardNaive(dy *Batch) *Batch {
-	x := c.lastIn
-	if x == nil {
-		panic("nn.Conv2D: Backward before Forward")
-	}
-	dx := NewBatch(x.N, x.Dims)
-	w := c.weights()
-	gw := c.grads[:len(w)]
-	gb := c.grads[len(w):]
-	ih, iw := x.Dims.H, x.Dims.W
-	oh, ow := dy.Dims.H, dy.Dims.W
-	off := c.padOffset()
-	for n := 0; n < x.N; n++ {
-		in := x.Sample(n)
-		din := dx.Sample(n)
-		g := dy.Sample(n)
-		for oc := 0; oc < c.OutC; oc++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					gv := g[(oc*oh+oy)*ow+ox]
-					if gv == 0 {
-						continue
-					}
-					gb[oc] += gv
-					for ic := 0; ic < c.InC; ic++ {
-						wBase := ((oc*c.InC + ic) * c.K) * c.K
-						inBase := ic * ih * iw
-						for ky := 0; ky < c.K; ky++ {
-							sy := oy + ky - off
-							if sy < 0 || sy >= ih {
-								continue
-							}
-							for kx := 0; kx < c.K; kx++ {
-								sx := ox + kx - off
-								if sx < 0 || sx >= iw {
-									continue
-								}
-								idxIn := inBase + sy*iw + sx
-								idxW := wBase + ky*c.K + kx
-								gw[idxW] += gv * in[idxIn]
-								din[idxIn] += gv * w[idxW]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return dx
 }
 
 // Params returns a live view of weights followed by biases.

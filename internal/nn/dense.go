@@ -22,7 +22,8 @@ type Dense struct {
 	params []float64 // len In*Out + Out
 	grads  []float64
 
-	lastIn *Batch // cached input for backward
+	lastIn  *Batch // cached input for backward
+	out, dx Batch
 }
 
 var _ Layer = (*Dense)(nil)
@@ -63,7 +64,7 @@ func (d *Dense) Forward(x *Batch) *Batch {
 		panic(fmt.Sprintf("nn.Dense: input size %d, layer expects %d", x.Dims.Size(), d.In))
 	}
 	d.lastIn = x
-	out := NewBatch(x.N, Dims{C: d.Out, H: 1, W: 1})
+	out := d.out.Reshape(x.N, Dims{C: d.Out, H: 1, W: 1})
 	w, b := d.weights(), d.bias()
 	var t0 time.Time
 	timing := kernelTimingOn.Load()
@@ -83,42 +84,36 @@ func (d *Dense) Forward(x *Batch) *Batch {
 	return out
 }
 
-// forwardNaive is the original per-sample loop, kept as the reference
-// implementation for the kernel equivalence tests.
-func (d *Dense) forwardNaive(x *Batch) *Batch {
-	if x.Dims.Size() != d.In {
-		panic(fmt.Sprintf("nn.Dense: input size %d, layer expects %d", x.Dims.Size(), d.In))
-	}
-	d.lastIn = x
-	out := NewBatch(x.N, Dims{C: d.Out, H: 1, W: 1})
-	w, b := d.weights(), d.bias()
-	for n := 0; n < x.N; n++ {
-		xi := x.Sample(n)
-		yo := out.Sample(n)
-		for o := 0; o < d.Out; o++ {
-			row := w[o*d.In : (o+1)*d.In]
-			s := b[o]
-			for i, v := range xi {
-				s += row[i] * v
-			}
-			yo[o] = s
-		}
-	}
-	return out
-}
-
-// Backward accumulates dL/dW and dL/db and returns dL/dx, each as one
-// batched GEMM: dX = dY·W and dW += dYᵀ·X (the transposed kernel sums
-// over samples in increasing order, matching the per-sample loop
-// bit-for-bit).
+// Backward accumulates dL/dW and dL/db and returns dL/dx = dY·W, one
+// batched GEMM.
 func (d *Dense) Backward(dy *Batch) *Batch {
 	x := d.lastIn
 	if x == nil {
 		panic("nn.Dense: Backward before Forward")
 	}
-	dx := NewBatch(x.N, x.Dims)
-	w := d.weights()
-	gw := d.grads[:d.In*d.Out]
+	dx := d.dx.Reshape(x.N, x.Dims)
+	var t0 time.Time
+	timing := kernelTimingOn.Load()
+	if timing {
+		t0 = time.Now()
+	}
+	dym := &tensor.Matrix{Rows: x.N, Cols: d.Out, Data: dy.Data}
+	wm := &tensor.Matrix{Rows: d.Out, Cols: d.In, Data: d.weights()}
+	dxm := &tensor.Matrix{Rows: x.N, Cols: d.In, Data: dx.Data}
+	tensor.MatMulInto(dxm, dym, wm)
+	if timing {
+		gemmNanos.Add(time.Since(t0).Nanoseconds())
+	}
+	d.backwardParams(dy)
+	return dx
+}
+
+// backwardParams accumulates dW += dYᵀ·X and db += Σ dY. The
+// transposed kernel sums over samples in increasing order onto the
+// running gradient, so splitting a batch into consecutive calls leaves
+// every bit unchanged.
+func (d *Dense) backwardParams(dy *Batch) {
+	x := d.lastIn
 	gb := d.grads[d.In*d.Out:]
 	var t0 time.Time
 	timing := kernelTimingOn.Load()
@@ -126,55 +121,17 @@ func (d *Dense) Backward(dy *Batch) *Batch {
 		t0 = time.Now()
 	}
 	dym := &tensor.Matrix{Rows: x.N, Cols: d.Out, Data: dy.Data}
-	wm := &tensor.Matrix{Rows: d.Out, Cols: d.In, Data: w}
 	xm := &tensor.Matrix{Rows: x.N, Cols: d.In, Data: x.Data}
-	dxm := &tensor.Matrix{Rows: x.N, Cols: d.In, Data: dx.Data}
-	tensor.MatMulInto(dxm, dym, wm)
-	gwm := &tensor.Matrix{Rows: d.Out, Cols: d.In, Data: gw}
+	gwm := &tensor.Matrix{Rows: d.Out, Cols: d.In, Data: d.grads[:d.In*d.Out]}
 	tensor.MatMulTNAddInto(gwm, dym, xm)
 	for n := 0; n < x.N; n++ {
-		dyo := dy.Sample(n)
-		for o, g := range dyo {
+		for o, g := range dy.Sample(n) {
 			gb[o] += g
 		}
 	}
 	if timing {
 		gemmNanos.Add(time.Since(t0).Nanoseconds())
 	}
-	return dx
-}
-
-// backwardNaive is the original per-sample loop, kept as the reference
-// implementation for the kernel equivalence tests. It must follow
-// forwardNaive or Forward on the same batch.
-func (d *Dense) backwardNaive(dy *Batch) *Batch {
-	x := d.lastIn
-	if x == nil {
-		panic("nn.Dense: Backward before Forward")
-	}
-	dx := NewBatch(x.N, x.Dims)
-	w := d.weights()
-	gw := d.grads[:d.In*d.Out]
-	gb := d.grads[d.In*d.Out:]
-	for n := 0; n < x.N; n++ {
-		xi := x.Sample(n)
-		dyo := dy.Sample(n)
-		dxi := dx.Sample(n)
-		for o := 0; o < d.Out; o++ {
-			g := dyo[o]
-			if g == 0 {
-				continue
-			}
-			row := w[o*d.In : (o+1)*d.In]
-			grow := gw[o*d.In : (o+1)*d.In]
-			for i, v := range xi {
-				grow[i] += g * v
-				dxi[i] += g * row[i]
-			}
-			gb[o] += g
-		}
-	}
-	return dx
 }
 
 // Params returns a live view of weights followed by biases.

@@ -15,28 +15,26 @@ import (
 // loops run serially; goroutine startup would dominate otherwise.
 const minParallelFlops = 1 << 15
 
-// parallelSamples runs fn(i) for i in [0, n), partitioning the samples
-// into contiguous chunks across GOMAXPROCS goroutines when the total
-// work is large enough. Each sample is processed exactly once by
-// exactly one goroutine, so results never depend on the partitioning.
-func parallelSamples(n, flopsPerSample int, fn func(i int)) {
+// serialSamples reports whether a per-sample loop over n samples
+// should run on the calling goroutine: a single P, a single sample, or
+// too little work to amortise goroutine startup. Callers check it
+// BEFORE building the closure for spawnSamples, so the serial path
+// allocates nothing.
+func serialSamples(n, flopsPerSample int) bool {
+	return runtime.GOMAXPROCS(0) <= 1 || n <= 1 ||
+		n*flopsPerSample < minParallelFlops
+}
+
+// spawnSamples runs fn(i) for i in [0, n), partitioning the samples
+// into contiguous chunks across up to GOMAXPROCS goroutines. Each
+// sample is processed exactly once by exactly one goroutine, so
+// results never depend on the partitioning. Callers gate on
+// serialSamples first.
+func spawnSamples(n int, fn func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 || n*flopsPerSample < minParallelFlops {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	spawnSamples(n, workers, fn)
-}
-
-// spawnSamples is the goroutine-spawning half of parallelSamples, kept
-// separate so the serial fast path above does not share a function
-// body with a go statement.
-func spawnSamples(n, workers int, fn func(i int)) {
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {

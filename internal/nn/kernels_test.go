@@ -8,8 +8,8 @@ import (
 	"fuiov/internal/rng"
 )
 
-// The GEMM-based layers must agree with the retained naive reference
-// loops. Forward passes and parameter gradients share the reference's
+// The GEMM-based layers must agree with the naive reference loops
+// (ref_test.go). Forward passes and parameter gradients share the reference's
 // exact accumulation order, so they are compared bit-for-bit; the conv
 // input gradient sums its channel contributions in a different
 // (equally fixed) association, so it gets a tight relative tolerance.
@@ -161,7 +161,7 @@ func TestConvScratchReuse(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = r.NormalScaled(0, 1)
 	}
-	y1 := c.Forward(x)
+	y1 := c.Forward(x).Clone()
 	cap1 := cap(c.cols)
 	y2 := c.Forward(x)
 	if cap(c.cols) != cap1 {

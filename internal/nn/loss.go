@@ -5,41 +5,44 @@ import (
 	"math"
 )
 
-// SoftmaxCrossEntropy computes the mean softmax cross-entropy loss of
-// a batch of logits against integer class labels, together with the
-// gradient of the loss with respect to the logits.
+// crossEntropy folds one micro-batch of logits into a running mean
+// softmax cross-entropy: it returns loss plus each sample's loss·invN,
+// added in sample order, and the number of samples whose argmax is
+// their label. invN is 1/N of the WHOLE batch, so walking a batch
+// chunk by chunk sums exactly the terms a single pass would, in the
+// same order.
 //
-// The returned gradient already includes the 1/N batch averaging, so a
-// full backward pass through the network produces the gradient of the
-// *mean* loss — the quantity clients exchange with the server.
-func SoftmaxCrossEntropy(logits *Batch, labels []int) (loss float64, dLogits *Batch) {
-	if logits.N != len(labels) {
-		panic(fmt.Sprintf("nn.SoftmaxCrossEntropy: %d samples vs %d labels", logits.N, len(labels)))
-	}
+// When dLogits is non-nil it receives the gradient of the mean loss
+// with respect to the logits (every element written), 1/N included, so
+// a backward pass produces the gradient of the *mean* loss — the
+// quantity clients exchange with the server. Evaluation passes nil and
+// pays for no gradient.
+func crossEntropy(loss float64, logits *Batch, labels []int, invN float64, dLogits *Batch) (float64, int) {
 	classes := logits.Dims.Size()
-	dLogits = NewBatch(logits.N, logits.Dims)
-	invN := 1 / float64(logits.N)
+	correct := 0
 	for n := 0; n < logits.N; n++ {
 		z := logits.Sample(n)
-		g := dLogits.Sample(n)
 		label := labels[n]
 		if label < 0 || label >= classes {
-			panic(fmt.Sprintf("nn.SoftmaxCrossEntropy: label %d out of range [0,%d)", label, classes))
+			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", label, classes))
+		}
+		best := argmax(z)
+		if best == label {
+			correct++
 		}
 		// Numerically stable log-sum-exp.
-		maxZ := z[0]
-		for _, v := range z[1:] {
-			if v > maxZ {
-				maxZ = v
-			}
-		}
+		maxZ := z[best]
 		var sum float64
 		for _, v := range z {
 			sum += math.Exp(v - maxZ)
 		}
 		logSum := math.Log(sum) + maxZ
 		loss += (logSum - z[label]) * invN
-		for c := 0; c < classes; c++ {
+		if dLogits == nil {
+			continue
+		}
+		g := dLogits.Sample(n)
+		for c := range g {
 			p := math.Exp(z[c] - logSum)
 			if c == label {
 				p -= 1
@@ -47,21 +50,16 @@ func SoftmaxCrossEntropy(logits *Batch, labels []int) (loss float64, dLogits *Ba
 			g[c] = p * invN
 		}
 	}
-	return loss, dLogits
+	return loss, correct
 }
 
-// Argmax returns the index of the largest logit for each sample.
-func Argmax(logits *Batch) []int {
-	out := make([]int, logits.N)
-	for n := 0; n < logits.N; n++ {
-		z := logits.Sample(n)
-		best := 0
-		for c := 1; c < len(z); c++ {
-			if z[c] > z[best] {
-				best = c
-			}
+// argmax returns the index of the first largest element of z.
+func argmax(z []float64) int {
+	best := 0
+	for c := 1; c < len(z); c++ {
+		if z[c] > z[best] {
+			best = c
 		}
-		out[n] = best
 	}
-	return out
+	return best
 }

@@ -6,12 +6,25 @@ import (
 	"fuiov/internal/rng"
 )
 
+// microBatch is the most samples the layers see at once. Network
+// walks every batch in consecutive chunks of at most this many samples,
+// so the layer-owned buffers (and the conv im2col panels, the largest
+// of them) are sized by it and not by the batch. Chosen by measurement
+// among 8/16/32; see DESIGN.md §10.
+const microBatch = 16
+
 // Network is a sequential stack of layers ending in logits, trained
 // with softmax cross-entropy. It exposes its parameters and gradients
 // as flat vectors — the exchange format of the FL simulator.
+//
+// Like its layers, a Network is not safe for concurrent use.
 type Network struct {
 	InDims Dims
 	layers []Layer
+
+	in      Batch // view of the current micro-batch of the caller's input
+	dLogits Batch // loss gradient of the current micro-batch
+	logits  Batch // whole-batch logits handed out by Forward
 }
 
 // NewNetwork builds a sequential network over the given input shape.
@@ -73,30 +86,65 @@ func (n *Network) Init(r *rng.RNG) {
 	}
 }
 
-// Forward runs the network and returns the logits.
-func (n *Network) Forward(x *Batch) *Batch {
+// eachChunk walks x in sample order, microBatch samples at a time: it
+// runs each chunk through the stack and hands fn the chunk's first
+// sample index and its (layer-owned) logits. The input view is dropped
+// afterwards so an idle network does not pin the caller's batch.
+func (n *Network) eachChunk(x *Batch, fn func(lo int, logits *Batch)) {
+	sz := x.Dims.Size()
+	for lo := 0; lo < x.N; lo += microBatch {
+		hi := min(lo+microBatch, x.N)
+		n.in = Batch{N: hi - lo, Dims: x.Dims, Data: x.Data[lo*sz : hi*sz]}
+		fn(lo, n.forward(&n.in))
+	}
+	n.in.Data = nil
+}
+
+// forward runs one micro-batch through the stack and returns the last
+// layer's (layer-owned) logits.
+func (n *Network) forward(x *Batch) *Batch {
 	for _, l := range n.layers {
 		x = l.Forward(x)
 	}
 	return x
 }
 
-// ZeroGrads clears all accumulated gradients.
-func (n *Network) ZeroGrads() {
-	for _, l := range n.layers {
-		g := l.Grads()
-		for i := range g {
-			g[i] = 0
-		}
+// backward propagates one micro-batch's dLogits through the stack,
+// accumulating parameter gradients. The first layer's input gradient
+// has no reader, so a layer that can skip it does.
+func (n *Network) backward(dy *Batch) {
+	for i := len(n.layers) - 1; i > 0; i-- {
+		dy = n.layers[i].Backward(dy)
+	}
+	if pb, ok := n.layers[0].(paramBackwarder); ok {
+		pb.backwardParams(dy)
+	} else {
+		n.layers[0].Backward(dy)
 	}
 }
 
-// Backward propagates dLogits through the stack, accumulating
-// parameter gradients.
-func (n *Network) Backward(dLogits *Batch) {
-	dy := dLogits
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		dy = n.layers[i].Backward(dy)
+// mustLabel panics unless there is one label per sample.
+func mustLabel(x *Batch, labels []int) {
+	if x.N != len(labels) {
+		panic(fmt.Sprintf("nn: %d samples vs %d labels", x.N, len(labels)))
+	}
+}
+
+// Forward runs the network and returns the logits of the whole batch
+// in a network-owned buffer, valid until the next Forward.
+func (n *Network) Forward(x *Batch) *Batch {
+	out := n.logits.Reshape(x.N, n.OutDims())
+	classes := out.Dims.Size()
+	n.eachChunk(x, func(lo int, logits *Batch) {
+		copy(out.Data[lo*classes:], logits.Data)
+	})
+	return out
+}
+
+// ZeroGrads clears all accumulated gradients.
+func (n *Network) ZeroGrads() {
+	for _, l := range n.layers {
+		clear(l.Grads())
 	}
 }
 
@@ -104,35 +152,54 @@ func (n *Network) Backward(dLogits *Batch) {
 // leaves the gradient of the mean loss in the layers' grad buffers
 // (previous gradients are cleared first). It returns the loss and the
 // number of correctly classified samples.
+//
+// The batch is walked in micro-batches — forward, loss gradient and
+// backward per chunk. Gradients are cleared once, every parameter
+// gradient accumulates onto the running value in increasing sample
+// order, and the loss gradient carries 1/N of the whole batch, so the
+// result is bit-identical to a single whole-batch pass.
 func (n *Network) LossAndGrad(x *Batch, labels []int) (loss float64, correct int) {
+	mustLabel(x, labels)
 	n.ZeroGrads()
-	logits := n.Forward(x)
-	loss, dLogits := SoftmaxCrossEntropy(logits, labels)
-	for i, p := range Argmax(logits) {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	n.Backward(dLogits)
+	invN := 1 / float64(x.N)
+	n.eachChunk(x, func(lo int, logits *Batch) {
+		dLogits := n.dLogits.Reshape(logits.N, logits.Dims)
+		var c int
+		loss, c = crossEntropy(loss, logits, labels[lo:lo+logits.N], invN, dLogits)
+		correct += c
+		n.backward(dLogits)
+	})
 	return loss, correct
 }
 
 // ParamVector returns a copy of all parameters concatenated in layer
 // order.
 func (n *Network) ParamVector() []float64 {
-	out := make([]float64, 0, n.NumParams())
+	return n.ParamVectorInto(make([]float64, n.NumParams()))
+}
+
+// ParamVectorInto copies all parameters into dst, which must have
+// length NumParams, and returns it.
+func (n *Network) ParamVectorInto(dst []float64) []float64 {
+	n.mustDim("ParamVectorInto", len(dst))
+	off := 0
 	for _, l := range n.layers {
-		out = append(out, l.Params()...)
+		off += copy(dst[off:], l.Params())
 	}
-	return out
+	return dst
+}
+
+// mustDim panics unless got is the network's parameter count.
+func (n *Network) mustDim(op string, got int) {
+	if got != n.NumParams() {
+		panic(fmt.Sprintf("nn: %s got %d values, want %d", op, got, n.NumParams()))
+	}
 }
 
 // SetParamVector overwrites all parameters from the flat vector v,
 // which must have length NumParams.
 func (n *Network) SetParamVector(v []float64) {
-	if len(v) != n.NumParams() {
-		panic(fmt.Sprintf("nn: SetParamVector got %d values, want %d", len(v), n.NumParams()))
-	}
+	n.mustDim("SetParamVector", len(v))
 	off := 0
 	for _, l := range n.layers {
 		p := l.Params()
@@ -194,11 +261,18 @@ func (n *Network) WeightSpans() [][2]int {
 // GradVector returns a copy of all parameter gradients concatenated in
 // layer order, aligned with ParamVector.
 func (n *Network) GradVector() []float64 {
-	out := make([]float64, 0, n.NumParams())
+	return n.GradVectorInto(make([]float64, n.NumParams()))
+}
+
+// GradVectorInto copies all parameter gradients into dst, which must
+// have length NumParams, and returns it.
+func (n *Network) GradVectorInto(dst []float64) []float64 {
+	n.mustDim("GradVectorInto", len(dst))
+	off := 0
 	for _, l := range n.layers {
-		out = append(out, l.Grads()...)
+		off += copy(dst[off:], l.Grads())
 	}
-	return out
+	return dst
 }
 
 // SGDStep applies w <- w - lr * grad using the accumulated gradients.
@@ -225,17 +299,23 @@ func (n *Network) Clone() *Network {
 // Evaluate runs the network on the batch without touching gradients
 // and returns (mean loss, number correct).
 func (n *Network) Evaluate(x *Batch, labels []int) (loss float64, correct int) {
-	logits := n.Forward(x)
-	loss, _ = SoftmaxCrossEntropy(logits, labels)
-	for i, p := range Argmax(logits) {
-		if p == labels[i] {
-			correct++
-		}
-	}
+	mustLabel(x, labels)
+	invN := 1 / float64(x.N)
+	n.eachChunk(x, func(lo int, logits *Batch) {
+		var c int
+		loss, c = crossEntropy(loss, logits, labels[lo:lo+logits.N], invN, nil)
+		correct += c
+	})
 	return loss, correct
 }
 
 // Predict returns the argmax class for each sample in the batch.
 func (n *Network) Predict(x *Batch) []int {
-	return Argmax(n.Forward(x))
+	out := make([]int, x.N)
+	n.eachChunk(x, func(lo int, logits *Batch) {
+		for i := 0; i < logits.N; i++ {
+			out[lo+i] = argmax(logits.Sample(i))
+		}
+	})
+	return out
 }

@@ -140,10 +140,18 @@ func TestNetworkLearnsSeparableTask(t *testing.T) {
 	}
 }
 
+// softmaxCrossEntropy runs the production loss kernel over one whole
+// batch, gradient included.
+func softmaxCrossEntropy(logits *Batch, labels []int) (float64, *Batch) {
+	grad := NewBatch(logits.N, logits.Dims)
+	loss, _ := crossEntropy(0, logits, labels, 1/float64(logits.N), grad)
+	return loss, grad
+}
+
 func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 	// Uniform logits: loss = ln(K), gradient rows sum to 0.
 	b := NewBatch(2, Dims{C: 4, H: 1, W: 1})
-	loss, grad := SoftmaxCrossEntropy(b, []int{0, 3})
+	loss, grad := softmaxCrossEntropy(b, []int{0, 3})
 	if want := math.Log(4); math.Abs(loss-want) > 1e-12 {
 		t.Errorf("loss = %g, want %g", loss, want)
 	}
@@ -161,7 +169,7 @@ func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 func TestSoftmaxNumericalStability(t *testing.T) {
 	b := NewBatch(1, Dims{C: 3, H: 1, W: 1})
 	copy(b.Sample(0), []float64{1e4, -1e4, 0})
-	loss, grad := SoftmaxCrossEntropy(b, []int{0})
+	loss, grad := softmaxCrossEntropy(b, []int{0})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("loss not finite: %v", loss)
 	}
@@ -179,7 +187,7 @@ func TestArgmax(t *testing.T) {
 	b := NewBatch(2, Dims{C: 3, H: 1, W: 1})
 	copy(b.Sample(0), []float64{0.1, 0.9, 0.5})
 	copy(b.Sample(1), []float64{2, -1, 1})
-	got := Argmax(b)
+	got := []int{argmax(b.Sample(0)), argmax(b.Sample(1))}
 	if got[0] != 1 || got[1] != 0 {
 		t.Errorf("Argmax = %v, want [1 0]", got)
 	}

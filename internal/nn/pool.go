@@ -16,6 +16,7 @@ type MaxPool2D struct {
 	lastIn  *Batch
 	argmax  []int // flat index (within sample) of each output's source
 	outDims Dims
+	out, dx Batch
 }
 
 var _ Layer = (*MaxPool2D)(nil)
@@ -42,7 +43,7 @@ func (p *MaxPool2D) Forward(x *Batch) *Batch {
 	}
 	p.lastIn = x
 	p.outDims = outDims
-	out := NewBatch(x.N, outDims)
+	out := p.out.Reshape(x.N, outDims)
 	if cap(p.argmax) < x.N*outDims.Size() {
 		p.argmax = make([]int, x.N*outDims.Size())
 	}
@@ -77,12 +78,14 @@ func (p *MaxPool2D) Forward(x *Batch) *Batch {
 }
 
 // Backward routes each output gradient to its argmax input position.
+// dx is scatter-added into, so it is cleared first.
 func (p *MaxPool2D) Backward(dy *Batch) *Batch {
 	x := p.lastIn
 	if x == nil {
 		panic("nn.MaxPool2D: Backward before Forward")
 	}
-	dx := NewBatch(x.N, x.Dims)
+	dx := p.dx.Reshape(x.N, x.Dims)
+	clear(dx.Data)
 	osz := p.outDims.Size()
 	for n := 0; n < x.N; n++ {
 		g := dy.Sample(n)
@@ -111,6 +114,7 @@ func (p *MaxPool2D) Clone() Layer { return NewMaxPool2D(p.Size) }
 // bridge between convolutional and dense stages.
 type Flatten struct {
 	lastDims Dims
+	out, dx  Batch
 }
 
 var _ Layer = (*Flatten)(nil)
@@ -122,15 +126,18 @@ func NewFlatten() *Flatten { return &Flatten{} }
 func (f *Flatten) OutputDims(in Dims) Dims { return in.Flat() }
 
 // Forward reinterprets the batch with a flat shape; data is shared
-// since the memory layout is identical.
+// since the memory layout is identical, so the result lives only as
+// long as x does.
 func (f *Flatten) Forward(x *Batch) *Batch {
 	f.lastDims = x.Dims
-	return &Batch{N: x.N, Dims: x.Dims.Flat(), Data: x.Data}
+	f.out = Batch{N: x.N, Dims: x.Dims.Flat(), Data: x.Data}
+	return &f.out
 }
 
-// Backward restores the original shape.
+// Backward restores the original shape, sharing dy's data.
 func (f *Flatten) Backward(dy *Batch) *Batch {
-	return &Batch{N: dy.N, Dims: f.lastDims, Data: dy.Data}
+	f.dx = Batch{N: dy.N, Dims: f.lastDims, Data: dy.Data}
+	return &f.dx
 }
 
 // Params returns nil; Flatten has no parameters.

@@ -87,7 +87,20 @@ func (r *RNG) Uniform(lo, hi float64) float64 {
 }
 
 // Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	r.PermInto(p)
+	return p
+}
+
+// PermInto fills p with a random permutation of [0, len(p)), consuming
+// the stream exactly as Perm(len(p)) does.
+func (r *RNG) PermInto(p []int) {
+	for i := range p {
+		p[i] = i
+	}
+	r.src.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+}
 
 // Shuffle permutes the first n elements using the provided swap
 // function, matching the contract of rand.Shuffle.

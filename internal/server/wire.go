@@ -231,22 +231,62 @@ func ReadModel(r io.Reader, maxDim int) (round int, params []float64, err error)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, fmt.Errorf("%w: short model header: %v", ErrBadFrame, err)
 	}
-	if string(hdr[:4]) != ModelMagic {
-		return 0, nil, fmt.Errorf("%w: bad model magic %q", ErrBadFrame, hdr[:4])
+	round, n, err := parseModelHeader(hdr)
+	if err != nil {
+		return 0, nil, err
 	}
-	round = int(binary.LittleEndian.Uint64(hdr[4:]))
-	n := binary.LittleEndian.Uint64(hdr[12:])
 	if maxDim > 0 && n != uint64(maxDim) {
 		return 0, nil, fmt.Errorf("%w: model dimension %d, want %d", ErrBadFrame, n, maxDim)
-	}
-	if n > 1<<31 {
-		return 0, nil, fmt.Errorf("%w: model dimension %d", ErrBadFrame, n)
 	}
 	params = make([]float64, n)
 	if err := readFloats(r, params); err != nil {
 		return 0, nil, fmt.Errorf("%w: short model payload: %v", ErrBadFrame, err)
 	}
 	return round, params, nil
+}
+
+// ModelFrameLen is the size in bytes of a model snapshot frame carrying
+// dim parameters.
+func ModelFrameLen(dim int) int { return modelHeaderLen + 8*dim }
+
+// DecodeModel decodes a complete in-memory model snapshot frame into
+// dst, whose length is the dimension the caller expects, and returns
+// the round the frame carries. It allocates nothing, so an agent that
+// keeps its frame buffer and parameter vector pays no per-round
+// garbage for the model fetch.
+func DecodeModel(frame []byte, dst []float64) (round int, err error) {
+	if len(frame) < modelHeaderLen {
+		return 0, fmt.Errorf("%w: short model header: %d bytes", ErrBadFrame, len(frame))
+	}
+	round, n, err := parseModelHeader(frame[:modelHeaderLen])
+	if err != nil {
+		return 0, err
+	}
+	if n != uint64(len(dst)) {
+		return 0, fmt.Errorf("%w: model dimension %d, want %d", ErrBadFrame, n, len(dst))
+	}
+	payload := frame[modelHeaderLen:]
+	if len(payload) != 8*len(dst) {
+		return 0, fmt.Errorf("%w: model payload %d bytes, want %d", ErrBadFrame, len(payload), 8*len(dst))
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+	}
+	return round, nil
+}
+
+// parseModelHeader validates a model frame's fixed prefix and returns
+// the round and dimension it declares.
+func parseModelHeader(hdr []byte) (round int, n uint64, err error) {
+	if string(hdr[:4]) != ModelMagic {
+		return 0, 0, fmt.Errorf("%w: bad model magic %q", ErrBadFrame, hdr[:4])
+	}
+	round = int(binary.LittleEndian.Uint64(hdr[4:]))
+	n = binary.LittleEndian.Uint64(hdr[12:])
+	if n > 1<<31 {
+		return 0, 0, fmt.Errorf("%w: model dimension %d", ErrBadFrame, n)
+	}
+	return round, n, nil
 }
 
 // writeFloats streams v as little-endian float64s in chunkElems-sized

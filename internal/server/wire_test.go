@@ -124,8 +124,36 @@ func TestModelRoundTrip(t *testing.T) {
 	if err := WriteModel(&buf, 0, params); err != nil {
 		t.Fatal(err)
 	}
+	frame := append([]byte(nil), buf.Bytes()...)
 	if _, _, err := ReadModel(&buf, 3); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("dimension mismatch: %v", err)
+	}
+
+	// DecodeModel reads the same frame from memory into caller-owned
+	// storage, and rejects a wrong dimension, a truncated or padded
+	// payload and a bad magic.
+	dst := make([]float64, len(params))
+	if round, err := DecodeModel(frame, dst); err != nil || round != 0 {
+		t.Fatalf("DecodeModel = (%d, %v)", round, err)
+	}
+	for i := range params {
+		if math.Float64bits(dst[i]) != math.Float64bits(params[i]) {
+			t.Fatalf("DecodeModel element %d not byte-exact", i)
+		}
+	}
+	bad := map[string][]byte{
+		"short header": frame[:modelHeaderLen-1],
+		"truncated":    frame[:len(frame)-1],
+		"padded":       append(append([]byte(nil), frame...), 0),
+		"magic":        append([]byte("XXXX"), frame[4:]...),
+	}
+	for name, f := range bad {
+		if _, err := DecodeModel(f, dst); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("DecodeModel %s: err = %v, want ErrBadFrame", name, err)
+		}
+	}
+	if _, err := DecodeModel(frame, dst[:3]); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("DecodeModel dimension mismatch: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Kernel micro-benchmark harness: runs the compute-kernel benchmarks
-# (GEMM, conv, dense, HVP, recovery round) with -benchmem and writes
+# (GEMM, conv, dense, client gradient, HVP, recovery round) with
+# -benchmem and writes
 # the results to BENCH_kernels.json as
 #   {"cpu": ..., "benchmarks": [{"op", "gomaxprocs", "ns_op", "b_op", "allocs_op"}]}
 # (gomaxprocs is the -N suffix go test prints after the name, 1 when
@@ -160,8 +161,8 @@ sign)
 	pkgs="./internal/sign/ ./internal/history/"
 	;;
 *)
-	pattern='^(BenchmarkMatMul|BenchmarkMatMulNaive|BenchmarkMatMulInto|BenchmarkMulVec|BenchmarkConvForward|BenchmarkConvForwardNaive|BenchmarkConvBackward|BenchmarkConvBackwardNaive|BenchmarkDenseForward|BenchmarkDenseForwardNaive|BenchmarkDenseBackward|BenchmarkHVP|BenchmarkHVPInto|BenchmarkRecoveryRound)$'
-	pkgs="./internal/tensor/ ./internal/nn/ ./internal/lbfgs/ ."
+	pattern='^(BenchmarkMatMul|BenchmarkMatMulNaive|BenchmarkMatMulInto|BenchmarkMulVec|BenchmarkConvForward|BenchmarkConvForwardNaive|BenchmarkConvBackward|BenchmarkConvBackwardNaive|BenchmarkDenseForward|BenchmarkDenseForwardNaive|BenchmarkDenseBackward|BenchmarkClientGradient|BenchmarkHVP|BenchmarkHVPInto|BenchmarkRecoveryRound)$'
+	pkgs="./internal/tensor/ ./internal/nn/ ./internal/fl/ ./internal/lbfgs/ ."
 	;;
 esac
 

@@ -118,6 +118,15 @@ go test -race -count=1 -run '^TestVerifyForgettingProperty$' ./internal/experime
 # zero-allocation round at Parallelism 1 and 2.
 go test -race -count=1 -run '^(TestEstimateMatchesReferenceComposition|TestRecoveryRoundAllocs)$' ./internal/unlearn/
 
+# Client-compute equivalence under the race detector: the micro-batched
+# training step against the whole-batch reference composition
+# (bit-identical loss, correct count and gradient at GOMAXPROCS 1 and
+# 2), and the steady-state training round's allocation pin — the
+# returned gradient plus the round's RNG, at -cpu 1 where the layers'
+# per-sample dispatch builds no closure.
+go test -race -count=1 -run '^TestLossAndGradMatchesWholeBatch$' ./internal/nn/
+go test -count=1 -cpu 1 -run '^TestComputeGradientAllocs$' ./internal/fl/
+
 # Storage-tier smoke: the disk spill path must round-trip snapshots
 # byte-for-byte, and the packed accumulate kernel must stay
 # allocation-free (the recovery loop depends on it per round).
