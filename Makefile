@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench bench-sign bench-strategies bench-scale bench-unlearn bench-verify bench-e2e bench-all test-faults
+.PHONY: all build test race vet fmt check bench bench-sign bench-strategies bench-scale bench-verify bench-e2e bench-all test-faults
 
 all: check
 
@@ -58,13 +58,6 @@ bench-strategies:
 # flat accumulator memory — and records the table in BENCH_scale.json.
 bench-scale:
 	scripts/bench.sh -scale
-
-# bench-unlearn runs the concurrent-unlearning service benchmark —
-# training throughput while a recovery pass chases the live tip, and
-# coalesced-vs-sequential latency for K queued forget requests — and
-# records the results in BENCH_unlearn.json.
-bench-unlearn:
-	scripts/bench.sh -unlearn
 
 # bench-verify runs the forgetting-verification harness — every
 # registered strategy erases the malicious clients of a backdoored

@@ -18,16 +18,12 @@
 //	scale     streamed sharded aggregation at fleet scale — folds up to
 //	          a million synthetic uploads per round with flat memory
 //	          (also writes BENCH_scale.json); not part of "all"
-//	unlearnq  concurrent unlearning service — training-round throughput
-//	          while a recovery pass chases the live tip, and K-request
-//	          latency coalesced vs sequential (also writes
-//	          BENCH_unlearn.json); not part of "all"
 //	verify    forgetting verification — every registered strategy erases
 //	          the malicious clients of a backdoored deployment and is
 //	          scored by shadow-model membership inference, backdoor
 //	          retention and relearn time (also writes BENCH_verify.json);
 //	          not part of "all"
-//	all       everything above except scale, unlearnq and verify
+//	all       everything above except scale and verify
 //
 // Flags:
 //
@@ -57,9 +53,6 @@
 //	          result checksum is machine-independent)
 //	-scale-out      path for the scale experiment's JSON output
 //	          (default BENCH_scale.json; "-" disables the file)
-//	-unlearnq-smoke run the unlearnq experiment at its CI smoke size
-//	-unlearnq-out   path for the unlearnq experiment's JSON output
-//	          (default BENCH_unlearn.json; "-" disables the file)
 //	-verify   also score each strategies-experiment row with the
 //	          forgetting-verification suite (fills the "forgetting"
 //	          block in BENCH_strategies.json; omitted without the flag)
@@ -108,8 +101,6 @@ func run(args []string) error {
 	scaleDim := fs.Int("scale-dim", 0, "model dimension for the scale experiment (default 64)")
 	scaleShards := fs.Int("scale-shards", 0, "shard accumulator count for the scale experiment (default 8, machine-independent)")
 	scaleOut := fs.String("scale-out", "BENCH_scale.json", `path for the scale experiment's JSON output ("-" disables the file)`)
-	unlearnqSmoke := fs.Bool("unlearnq-smoke", false, "run the unlearnq experiment at its CI smoke size")
-	unlearnqOut := fs.String("unlearnq-out", "BENCH_unlearn.json", `path for the unlearnq experiment's JSON output ("-" disables the file)`)
 	verifyRows := fs.Bool("verify", false, "score each strategies-experiment row with the forgetting-verification suite")
 	verifyOut := fs.String("verify-out", "BENCH_verify.json", `path for the verify experiment's JSON output ("-" disables the file)`)
 	verifyShadows := fs.Int("verify-shadows", 0, "shadow-model count for the membership attack (0 = suite default)")
@@ -166,7 +157,6 @@ func run(args []string) error {
 		return err
 	}
 	opts.scale = sopts
-	opts.unlearnq = unlearnqOpts{smoke: *unlearnqSmoke, out: *unlearnqOut}
 	opts.verify = *verifyRows
 	opts.vopts = verifyOpts{out: *verifyOut, shadows: *verifyShadows, relearnCap: *verifyRelearnCap}
 	for _, name := range experimentsToRun {
@@ -215,12 +205,11 @@ func dumpMetrics(reg *telemetry.Registry, mode string) error {
 
 // strategyOpts carries the strategies experiment's flags.
 type strategyOpts struct {
-	names    []string // nil = every registered strategy
-	out      string   // JSON path; "-" disables the file
-	verify   bool     // score rows with the forgetting suite
-	scale    scaleOpts
-	unlearnq unlearnqOpts
-	vopts    verifyOpts
+	names  []string // nil = every registered strategy
+	out    string   // JSON path; "-" disables the file
+	verify bool     // score rows with the forgetting suite
+	scale  scaleOpts
+	vopts  verifyOpts
 }
 
 // verifyOpts carries the verify experiment's flags.
@@ -257,40 +246,6 @@ func runVerify(scale experiments.Scale, seed uint64, names []string, opts verify
 		fmt.Fprintf(os.Stderr, "verify benchmark written to %s\n", opts.out)
 	}
 	return experiments.FormatVerify(rows), nil
-}
-
-// unlearnqOpts carries the unlearnq experiment's flags.
-type unlearnqOpts struct {
-	smoke bool
-	out   string // JSON path; "-" disables the file
-}
-
-// runUnlearnQ runs the concurrent-unlearning benchmark and writes the
-// JSON artefact alongside the stdout table.
-func runUnlearnQ(opts unlearnqOpts) (string, error) {
-	cfg := experiments.DefaultUnlearnQConfig()
-	if opts.smoke {
-		cfg = experiments.SmokeUnlearnQConfig()
-	}
-	res, err := experiments.UnlearnQBench(cfg)
-	if err != nil {
-		return "", err
-	}
-	if opts.out != "" && opts.out != "-" {
-		f, err := os.Create(opts.out)
-		if err != nil {
-			return "", err
-		}
-		werr := experiments.WriteUnlearnQJSON(f, res)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return "", werr
-		}
-		fmt.Fprintf(os.Stderr, "unlearn queue benchmark written to %s\n", opts.out)
-	}
-	return experiments.FormatUnlearnQ(res), nil
 }
 
 // scaleOpts carries the scale experiment's flags.
@@ -446,11 +401,9 @@ func runOne(name string, scale experiments.Scale, seed uint64, opts strategyOpts
 		return runStrategies(scale, seed, opts)
 	case "scale":
 		return runScale(opts.scale)
-	case "unlearnq":
-		return runUnlearnQ(opts.unlearnq)
 	case "verify":
 		return runVerify(scale, seed, opts.names, opts.vopts)
 	default:
-		return "", fmt.Errorf("unknown experiment %q (want table1|fig1|fig2|fig3|storage|cost|ablate|strategies|scale|unlearnq|verify|all)", name)
+		return "", fmt.Errorf("unknown experiment %q (want table1|fig1|fig2|fig3|storage|cost|ablate|strategies|scale|verify|all)", name)
 	}
 }

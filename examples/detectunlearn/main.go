@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -112,13 +113,14 @@ func run() error {
 
 	// Reference: a model that never saw the attackers. Its "success
 	// rate" is the floor any trigger achieves on an imperfect model.
-	retrained, err := fuiov.Retrain(model, clients, forgotten, fuiov.RetrainConfig{
+	retrained, err := fuiov.Unlearn(context.Background(), "retrain", fuiov.UnlearnRequest{
+		Forgotten: forgotten, Template: model, Clients: clients,
 		LearningRate: lr, Rounds: rounds, Seed: seed,
 	})
 	if err != nil {
 		return err
 	}
-	eval.SetParamVector(retrained)
+	eval.SetParamVector(retrained.Params)
 	fmt.Printf("clean-retrain reference: accuracy %.3f, backdoor success %.1f%%\n",
 		fuiov.Accuracy(eval, test), 100*backdoor.SuccessRate(eval, test))
 	return nil

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -85,7 +86,10 @@ func run() error {
 
 	// 4. Reference: retraining from scratch without vehicle 3 — the
 	// gold standard the recovered model should approach.
-	retrained, err := fuiov.Retrain(model, clients, []fuiov.ClientID{3}, fuiov.RetrainConfig{
+	retrained, err := fuiov.Unlearn(context.Background(), "retrain", fuiov.UnlearnRequest{
+		Forgotten:    []fuiov.ClientID{3},
+		Template:     model,
+		Clients:      clients,
 		LearningRate: lr,
 		Rounds:       rounds,
 		Seed:         seed,
@@ -94,7 +98,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("retraining-from-scratch accuracy %.3f\n",
-		fuiov.AccuracyAt(model.Clone(), retrained, test))
+		fuiov.AccuracyAt(model.Clone(), retrained.Params, test))
 
 	// 5. The storage price the server paid for this capability.
 	rep := store.Storage()

@@ -140,10 +140,11 @@ func TestFacadeSentinelsAndContext(t *testing.T) {
 	if err := sim.RunContext(ctx, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext err = %v, want context.Canceled", err)
 	}
-	if _, err := fuiov.RetrainContext(ctx, model, clients, nil, fuiov.RetrainConfig{
+	if _, err := fuiov.Unlearn(ctx, "retrain", fuiov.UnlearnRequest{
+		Forgotten: []fuiov.ClientID{0}, Template: model, Clients: clients,
 		LearningRate: 0.05, Rounds: 3, Seed: seed,
 	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RetrainContext err = %v, want context.Canceled", err)
+		t.Fatalf("Unlearn(retrain) err = %v, want context.Canceled", err)
 	}
 
 	store, err := fuiov.NewStore(model.NumParams(), 1e-2)

@@ -138,8 +138,9 @@ func NewSimulation(template *Network, clients []*Client, cfg SimConfig) (*Simula
 	return fl.NewSimulation(template, clients, cfg)
 }
 
-// StreamAggregator folds uploads into fixed accumulators on arrival
-// instead of buffering a cohort (DESIGN.md §15).
+// StreamAggregator receives a round's uploads on arrival and reduces
+// them at commit: sharded accumulators under SimConfig.Streaming, a
+// buffered cohort otherwise (DESIGN.md §13, §15).
 type StreamAggregator = fl.StreamAggregator
 
 // ShardedFedAvg is the streaming weighted-mean aggregator: P hashed
@@ -158,16 +159,17 @@ func ShardOf(id ClientID, shards int) int { return fl.ShardOf(id, shards) }
 // Sampler draws seeded K-of-N round cohorts without per-client maps.
 type Sampler = fl.Sampler
 
-// RoundStream is an open streamed round accepting out-of-band uploads
-// (the networked coordinator's fold-on-arrival handle).
+// RoundStream is one open round of the engine, in either mode: Add
+// uploads as they arrive, commit with Simulation.SubmitRoundStream
+// (the networked coordinator's handle; DESIGN.md §13).
 type RoundStream = fl.RoundStream
 
 // ErrNotStreamable reports an aggregator that cannot stream (robust
 // rules need the full cohort retained).
 var ErrNotStreamable = fl.ErrNotStreamable
 
-// ErrDuplicateUpload reports a second upload from one client in a
-// streamed round.
+// ErrDuplicateUpload reports a second upload from one client in one
+// round.
 var ErrDuplicateUpload = fl.ErrDuplicateUpload
 
 // RSASimulation runs the RSA protocol of §III-C (eq. 3–4): clients
@@ -531,63 +533,6 @@ func NewFullHistory(dim int) (*FullHistory, error) { return baselines.NewFullHis
 // FedRecoverResult carries FedRecover's recovered model and its
 // client-side cost tallies (exact calls, retries, offline fallbacks).
 type FedRecoverResult = baselines.FedRecoverResult
-
-// Retrain trains a fresh model on all clients except the forgotten
-// ones — the gold-standard unlearning result exact methods are
-// compared against.
-//
-// Deprecated: use Unlearn(ctx, "retrain", UnlearnRequest{...}) — the
-// strategy layer gives every algorithm one entry point, selectable at
-// runtime.
-func Retrain(template *Network, clients []*Client, forgotten []ClientID, cfg RetrainConfig) ([]float64, error) {
-	return baselines.Retrain(template, clients, forgotten, cfg)
-}
-
-// RetrainContext is Retrain honouring context cancellation: training
-// stops at the next round boundary with the context's error.
-//
-// Deprecated: use Unlearn(ctx, "retrain", UnlearnRequest{...}).
-func RetrainContext(ctx context.Context, template *Network, clients []*Client, forgotten []ClientID, cfg RetrainConfig) ([]float64, error) {
-	return baselines.RetrainContext(ctx, template, clients, forgotten, cfg)
-}
-
-// FedRecover recovers using full stored gradients plus periodic exact
-// client corrections (Cao et al., S&P'23). Set
-// FedRecoverConfig.FaultPolicy to let corrections degrade to the
-// estimated path when clients are unreachable.
-//
-// Deprecated: use Unlearn(ctx, "fedrecover", UnlearnRequest{...}).
-func FedRecover(full *FullHistory, template *Network, clients []*Client, forgotten []ClientID, cfg FedRecoverConfig) (*FedRecoverResult, error) {
-	return baselines.FedRecover(full, template, clients, forgotten, cfg)
-}
-
-// FedRecoverContext is FedRecover honouring context cancellation:
-// recovery stops at the next replayed-round boundary with the
-// context's error.
-//
-// Deprecated: use Unlearn(ctx, "fedrecover", UnlearnRequest{...}).
-func FedRecoverContext(ctx context.Context, full *FullHistory, template *Network, clients []*Client, forgotten []ClientID, cfg FedRecoverConfig) (*FedRecoverResult, error) {
-	return baselines.FedRecoverContext(ctx, full, template, clients, forgotten, cfg)
-}
-
-// FedRecovery removes the forgotten clients' first-order influence
-// from the final model and adds Gaussian noise (Zhang et al.,
-// TIFS'23).
-//
-// Deprecated: use Unlearn(ctx, "fedrecovery", UnlearnRequest{...})
-// with UnlearnRequest.Noise as the Gaussian σ.
-func FedRecovery(full *FullHistory, finalParams []float64, forgotten []ClientID, cfg FedRecoveryConfig) ([]float64, error) {
-	return baselines.FedRecovery(full, finalParams, forgotten, cfg)
-}
-
-// FedRecoveryContext is FedRecovery honouring context cancellation:
-// the pass stops at the next replayed-round boundary with the
-// context's error.
-//
-// Deprecated: use Unlearn(ctx, "fedrecovery", UnlearnRequest{...}).
-func FedRecoveryContext(ctx context.Context, full *FullHistory, finalParams []float64, forgotten []ClientID, cfg FedRecoveryConfig) ([]float64, error) {
-	return baselines.FedRecoveryContext(ctx, full, finalParams, forgotten, cfg)
-}
 
 // ---- Detection ----
 

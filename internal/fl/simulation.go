@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -104,19 +105,21 @@ type Config struct {
 	// SampleFraction. Cohort absentees are tracked in a bitmap, not a
 	// map.
 	Sampler *Sampler
-	// Streaming enables the sharded streaming aggregation path:
+	// Streaming selects the sharded StreamAggregator for every round:
 	// uploads fold into StreamShards shard accumulators the moment
 	// they are computed (or arrive over HTTP), so round memory is
-	// O(shards × dim) instead of O(cohort × dim). Requires an
-	// Aggregator implementing StreamableAggregator — the robust rules
-	// need the whole cohort at once and fail fast with
-	// ErrNotStreamable — and cannot feed full-gradient Recorders.
-	// A history Store still works: each upload is compressed to its
-	// 2-bit direction at fold time (Store.RecordRoundDirs), so
-	// unlearning stays available. With StreamShards == 1 the committed
-	// update is bit-identical to the barrier path; with more shards it
-	// differs only by float-addition reassociation and is
-	// bit-reproducible run to run (DESIGN.md §15).
+	// O(shards × dim) instead of O(cohort × dim) — at the price of
+	// committed bits that depend on each shard's arrival order.
+	// Without it the round buffers the cohort and runs the Aggregator
+	// over it in ascending-ID order, whatever order it arrived in.
+	// Requires an Aggregator implementing StreamableAggregator — the
+	// robust rules need the whole cohort at once and fail fast with
+	// ErrNotStreamable — and cannot feed full-gradient Recorders. The
+	// history Store works in both modes: every upload is compressed to
+	// its 2-bit direction on arrival. With StreamShards == 1 and
+	// ascending-ID arrival the committed update is bit-identical to the
+	// buffered one; with more shards it differs only by float-addition
+	// reassociation and is bit-reproducible run to run (DESIGN.md §15).
 	Streaming bool
 	// StreamShards is the streaming path's shard count P
 	// (0 = Parallelism).
@@ -154,6 +157,7 @@ type Config struct {
 type simMetrics struct {
 	round        *telemetry.Timer
 	compute      *telemetry.Timer
+	compress     *telemetry.Timer
 	record       *telemetry.Timer
 	aggregate    *telemetry.Timer
 	im2col       *telemetry.Timer
@@ -166,8 +170,8 @@ type simMetrics struct {
 	stream       streamMetrics
 }
 
-// streamMetrics are the streaming-aggregation counters (fl.stream.*,
-// nil/no-op when telemetry is disabled).
+// streamMetrics describe the round's StreamAggregator, sharded or
+// buffering (fl.stream.*, nil/no-op when telemetry is disabled).
 type streamMetrics struct {
 	fold      *telemetry.Timer
 	resolve   *telemetry.Timer
@@ -226,6 +230,7 @@ func newSimMetrics(r *telemetry.Registry) simMetrics {
 	return simMetrics{
 		round:        r.Timer(telemetry.FLRound),
 		compute:      r.Timer(telemetry.FLRoundCompute),
+		compress:     r.Timer(telemetry.HistoryCompress),
 		record:       r.Timer(telemetry.FLRoundRecord),
 		aggregate:    r.Timer(telemetry.FLRoundAggregate),
 		im2col:       r.Timer(telemetry.NNKernelIm2col),
@@ -249,27 +254,26 @@ type Simulation struct {
 	round    int
 	met      simMetrics
 
-	// known is the registered-client set (O(1) upload validation —
-	// SubmitRound and RoundStream.Add check every upload against it).
+	// known is the registered-client set (O(1) upload validation in
+	// RoundStream.Add).
 	known map[history.ClientID]bool
-	// maxID bounds the responder bitmaps used by the streaming path.
-	maxID history.ClientID
 
-	// Aggregation scratch, reused each round when the aggregator
-	// supports the allocation-free into path.
-	aggIDs []history.ClientID
-	aggOut []float64
-
-	// Streaming-path state, allocated once at NewSimulation when
-	// Config.Streaming is set and reused every round: the shard
-	// accumulators, the cohort scratch and the absentee bitmap.
-	stream    StreamAggregator
+	// Round state, allocated once at NewSimulation and reset per round.
+	// stream is the round's aggregator: ShardedFedAvg under
+	// Config.Streaming, otherwise buffer — the same value, kept under
+	// its concrete type so the commit can hand the buffered cohort to
+	// Recorders. respBits marks responders (sized by the largest
+	// registered ID) and aggOut receives the resolved aggregate.
+	stream   StreamAggregator
+	buffer   *cohortBuffer
+	respBits *history.Bitmap
+	aggOut   []float64
+	// The in-process loop's cohort and per-chunk result scratch.
 	eligBuf   []*Client
 	cohortBuf []*Client
 	chunkRes  []callResult
-	respBits  *history.Bitmap
-	// liveStream is the round stream handed to an external driver
-	// (NewRoundStream); committing or reopening invalidates it.
+	// liveStream is the open round (NewRoundStream); committing or
+	// aborting closes it.
 	liveStream *RoundStream
 
 	// OnRound, when non-nil, observes (round, params-after-update).
@@ -350,10 +354,11 @@ func NewSimulation(template *nn.Network, clients []*Client, cfg Config) (*Simula
 		params:   template.ParamVector(),
 		clients:  clients,
 		known:    known,
-		maxID:    maxID,
 		round:    cfg.StartRound,
 		met:      newSimMetrics(cfg.Telemetry),
 	}
+	s.respBits = history.NewBitmap(int(maxID) + 1)
+	s.aggOut = make([]float64, len(s.params))
 	if cfg.Streaming {
 		sa, ok := cfg.Aggregator.(StreamableAggregator)
 		if !ok {
@@ -374,8 +379,10 @@ func NewSimulation(template *nn.Network, clients []*Client, cfg Config) (*Simula
 			return nil, err
 		}
 		s.stream = stream
-		s.respBits = history.NewBitmap(int(maxID) + 1)
 		s.met.stream.shards.Set(float64(s.cfg.StreamShards))
+	} else {
+		s.buffer = &cohortBuffer{rule: cfg.Aggregator}
+		s.stream = s.buffer
 	}
 	return s, nil
 }
@@ -429,7 +436,7 @@ func (s *Simulation) Config() Config { return s.cfg }
 // Template returns the architecture template (parameters unspecified).
 func (s *Simulation) Template() *nn.Network { return s.template }
 
-// RunRound executes one synchronous round: participating clients
+// RunRound executes one synchronous round: the cohort's clients
 // compute gradients at the current parameters, the server aggregates
 // and applies eq. 2, and the round is recorded in the history store.
 // A round with no participants advances the clock without an update.
@@ -448,266 +455,161 @@ func (s *Simulation) RunRound() error { return s.RunRoundContext(context.Backgro
 // round is abandoned — nothing recorded, the clock not advanced — and
 // the context's error returned if ctx is cancelled before the round
 // commits.
+//
+// The round is a RoundStream like any other: the cohort is computed in
+// chunks — gradients within a chunk run in parallel, then enter the
+// stream sequentially in ascending-ID order — and committed through
+// SubmitRoundStream. The fixed order makes the committed update
+// bit-reproducible run to run whatever the aggregator; under
+// Config.Streaming it also bounds live gradient memory at
+// O(chunk × dim), independent of the cohort size.
 func (s *Simulation) RunRoundContext(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if s.cfg.Streaming {
-		return s.runRoundStreaming(ctx)
-	}
 	roundSpan := s.met.round.Start()
-	t := s.round
-	participants := make([]*Client, 0, len(s.clients))
-	for _, c := range s.clients {
-		if s.cfg.Schedule.Participates(c.ID, t) {
-			participants = append(participants, c)
-		}
+	rs, err := s.NewRoundStream()
+	if err != nil {
+		return err
 	}
-	if f := s.cfg.SampleFraction; f > 0 && f < 1 && len(participants) > 1 {
-		k := int(f * float64(len(participants)))
-		if k < 1 {
-			k = 1
-		}
-		r := rng.New(rng.Mix(s.cfg.Seed, 0x5a3d, uint64(t)))
-		chosen := r.SampleWithoutReplacement(len(participants), k)
-		sampled := make([]*Client, 0, k)
-		for _, idx := range chosen {
-			sampled = append(sampled, participants[idx])
-		}
-		participants = sampled
-	}
+	t := rs.t
+	cohort := s.cohort(t)
 
-	grads := make(map[history.ClientID][]float64, len(participants))
-	weights := make(map[history.ClientID]float64, len(participants))
-	var computeDur time.Duration
-	absent := 0
-	if len(participants) > 0 {
-		computeSpan := s.met.compute.Start()
-		kernels := nn.KernelTimingEnabled()
-		var im2colBase, gemmBase, col2imBase time.Duration
-		if kernels {
-			im2colBase, gemmBase, col2imBase = nn.KernelTimes()
-		}
-		results := make([]callResult, len(participants))
+	var errs []error
+	computeSpan := s.met.compute.Start()
+	kernels := nn.KernelTimingEnabled()
+	var im2colBase, gemmBase, col2imBase time.Duration
+	if kernels {
+		im2colBase, gemmBase, col2imBase = nn.KernelTimes()
+	}
+	// Chunk size bounds the live gradient buffers: a small multiple of
+	// the worker count keeps every worker busy while capping what a
+	// streamed round retains at O(chunk × dim).
+	chunk := s.cfg.Parallelism * 2
+	if cap(s.chunkRes) < chunk {
+		s.chunkRes = make([]callResult, chunk)
+	}
+	sem := make(chan struct{}, s.cfg.Parallelism)
+	for lo := 0; lo < len(cohort); lo += chunk {
+		hi := min(lo+chunk, len(cohort))
+		res := s.chunkRes[:hi-lo]
 		var wg sync.WaitGroup
-		sem := make(chan struct{}, s.cfg.Parallelism)
-		for i, c := range participants {
-			// Acquire before spawning so at most Parallelism
-			// goroutines (and their gradient buffers) ever exist,
-			// rather than len(participants) goroutines all blocked on
-			// the semaphore.
+		for i, c := range cohort[lo:hi] {
+			// Acquire before spawning so at most Parallelism goroutines
+			// (and their gradient buffers) ever exist.
 			sem <- struct{}{}
 			wg.Add(1)
 			go func(i int, c *Client) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				results[i] = callWithFaults(ctx, s.cfg.Faults, s.cfg.FaultPolicy,
+				res[i] = callWithFaults(ctx, s.cfg.Faults, s.cfg.FaultPolicy,
 					s.cfg.Seed, c.ID, t, func() ([]float64, error) {
 						return c.ComputeGradient(s.template, s.params, s.cfg.Seed, t)
 					})
 			}(i, c)
 		}
 		wg.Wait()
-		computeDur = computeSpan.End()
-		if kernels {
-			im2colT, gemmT, col2imT := nn.KernelTimes()
-			s.met.im2col.Observe(im2colT - im2colBase)
-			s.met.gemm.Observe(gemmT - gemmBase)
-			s.met.col2im.Observe(col2imT - col2imBase)
-		}
 		if err := ctx.Err(); err != nil {
+			rs.Abort()
 			return err
 		}
-		var errs []error
-		for i, c := range participants {
-			r := results[i]
+		// Sequential adds in chunk order = ascending-ID order.
+		for i, c := range cohort[lo:hi] {
+			r := res[i]
+			// Drop the chunk's reference before the next chunk computes.
+			res[i] = callResult{}
 			s.met.faults.observe(r)
 			if r.err != nil {
+				// Under a policy the client is simply absent.
 				if s.cfg.FaultPolicy == nil {
 					errs = append(errs, fmt.Errorf("fl: round %d client %d: %w", t, c.ID, r.err))
-				} else {
-					absent++
 				}
 				continue
 			}
-			grads[c.ID] = r.grad
-			weights[c.ID] = c.Weight()
-		}
-		if len(errs) > 0 {
-			s.met.clientErrors.Add(int64(len(errs)))
-			return errors.Join(errs...)
-		}
-		if p := s.cfg.FaultPolicy; p != nil {
-			if need := p.QuorumCount(len(participants)); len(grads) < need {
-				s.met.faults.quorumShortfalls.Inc()
-				return fmt.Errorf("fl: round %d: %w: %d of %d scheduled clients responded, quorum %d",
-					t, ErrQuorumNotReached, len(grads), len(participants), need)
-			}
-			if absent > 0 {
-				s.met.faults.absentees.Add(int64(absent))
-				s.met.faults.degradedRounds.Inc()
+			if err := rs.Add(c.ID, r.grad, c.Weight()); err != nil {
+				rs.Abort()
+				return err
 			}
 		}
-		s.met.participants.Add(int64(len(grads)))
 	}
-
-	recordDur, aggDur, err := s.commitRound(t, grads, weights)
-	if err != nil {
-		return err
+	rs.computeDur = computeSpan.End()
+	if kernels {
+		im2colT, gemmT, col2imT := nn.KernelTimes()
+		s.met.im2col.Observe(im2colT - im2colBase)
+		s.met.gemm.Observe(gemmT - gemmBase)
+		s.met.col2im.Observe(col2imT - col2imBase)
 	}
-	total := roundSpan.End()
-	if s.cfg.Telemetry.Observing() {
-		s.cfg.Telemetry.Emit(telemetry.Event{
-			Scope: "fl", Name: "round", Round: t,
-			Fields: []telemetry.Field{
-				telemetry.F("participants", float64(len(participants))),
-				telemetry.F("responders", float64(len(grads))),
-				telemetry.F("absent", float64(absent)),
-				telemetry.D("compute", computeDur),
-				telemetry.D("record", recordDur),
-				telemetry.D("aggregate", aggDur),
-				telemetry.D("total", total),
-			},
-		})
+	if len(errs) > 0 {
+		rs.Abort()
+		s.met.clientErrors.Add(int64(len(errs)))
+		return errors.Join(errs...)
 	}
-	if s.OnRound != nil {
-		s.OnRound(t, tensor.CloneVec(s.params))
-	}
-	return nil
+	rs.inProcess, rs.roundSpan = true, roundSpan
+	return s.SubmitRoundStream(rs, len(cohort))
 }
 
-// commitRound is the engine's single commit path: it records round t
-// with every configured recorder, aggregates the uploads (sorted-ID
-// into path when available, so every result bit matches Aggregate),
-// applies eq. 2 and advances the round clock. Both the in-process
-// round loop (RunRoundContext) and the networked coordinator
-// (SubmitRound) funnel through it, which is what makes an HTTP-served
-// round bit-identical to a simulated one given the same uploads.
-func (s *Simulation) commitRound(t int, grads map[history.ClientID][]float64, weights map[history.ClientID]float64) (recordDur, aggDur time.Duration, err error) {
-	recordSpan := s.met.record.Start()
-	if s.cfg.Store != nil {
-		if err := s.cfg.Store.RecordRound(t, s.params, grads, weights); err != nil {
-			return 0, 0, fmt.Errorf("fl: record round %d: %w", t, err)
+// cohort draws round t's participants: the schedule-eligible clients,
+// thinned by Config.Sampler or Config.SampleFraction, in ascending ID
+// order — independent of draw order, so the order uploads enter the
+// round is fixed. The result aliases the engine's scratch and is valid
+// until the next call.
+func (s *Simulation) cohort(t int) []*Client {
+	s.eligBuf = s.eligBuf[:0]
+	for _, c := range s.clients {
+		if s.cfg.Schedule.Participates(c.ID, t) {
+			s.eligBuf = append(s.eligBuf, c)
 		}
 	}
-	for i, rec := range s.cfg.Recorders {
-		if err := rec.RecordRound(t, s.params, grads, weights); err != nil {
-			return 0, 0, fmt.Errorf("fl: recorder %d round %d: %w", i, t, err)
+	cohort := s.eligBuf
+	if sm := s.cfg.Sampler; sm != nil && len(cohort) > 0 {
+		s.cohortBuf = s.cohortBuf[:0]
+		for _, ix := range sm.Cohort(t, len(cohort)) {
+			s.cohortBuf = append(s.cohortBuf, cohort[ix])
 		}
-	}
-	recordDur = recordSpan.End()
-
-	if len(grads) > 0 {
-		aggSpan := s.met.aggregate.Start()
-		if into, ok := s.cfg.Aggregator.(IntoAggregator); ok {
-			// Sorted-ID into path: same summation order as Aggregate
-			// (which also sorts), without the per-round result and
-			// id-slice allocations.
-			s.aggIDs = s.aggIDs[:0]
-			for id := range grads {
-				s.aggIDs = append(s.aggIDs, id)
-			}
-			slices.Sort(s.aggIDs)
-			if s.aggOut == nil {
-				s.aggOut = make([]float64, len(s.params))
-			}
-			if err := into.AggregateInto(s.aggOut, s.aggIDs, grads, weights); err != nil {
-				return 0, 0, fmt.Errorf("fl: round %d: %w", t, err)
-			}
-			tensor.AxpyInPlace(s.params, -s.cfg.LearningRate, s.aggOut)
-		} else {
-			agg, err := s.cfg.Aggregator.Aggregate(grads, weights)
-			if err != nil {
-				return 0, 0, fmt.Errorf("fl: round %d: %w", t, err)
-			}
-			tensor.AxpyInPlace(s.params, -s.cfg.LearningRate, agg)
+		cohort = s.cohortBuf
+		s.met.stream.sampled.Add(int64(len(cohort)))
+	} else if f := s.cfg.SampleFraction; f > 0 && f < 1 && len(cohort) > 1 {
+		k := max(1, int(f*float64(len(cohort))))
+		r := rng.New(rng.Mix(s.cfg.Seed, 0x5a3d, uint64(t)))
+		s.cohortBuf = s.cohortBuf[:0]
+		for _, ix := range r.SampleWithoutReplacement(len(cohort), k) {
+			s.cohortBuf = append(s.cohortBuf, cohort[ix])
 		}
-		aggDur = aggSpan.End()
+		cohort = s.cohortBuf
 	}
-	s.round++
-	s.met.rounds.Inc()
-	return recordDur, aggDur, nil
+	slices.SortFunc(cohort, func(a, b *Client) int { return cmp.Compare(a.ID, b.ID) })
+	return cohort
 }
 
 // SubmitRound commits the current round from externally computed
-// uploads — the entry point a networked coordinator uses to drive the
-// deterministic engine with gradients that arrived over a transport
-// instead of being computed in-process. grads and weights hold the
+// uploads held in maps: it opens the round, adds the uploads in
+// ascending-ID order and commits (SubmitRoundStream) — the order the
+// in-process loop uses, so a transport that delivers the same uploads
+// produces the same model bits. grads and weights hold the
 // responders' uploads; scheduled is the number of clients that were
-// expected this round (the quorum denominator — absentees are
-// scheduled − len(grads)). The commit path is byte-for-byte the one
-// RunRound uses (same recorders, same sorted-ID aggregation order,
-// same eq. 2 update), so a transport that delivers the same uploads
-// produces the same model bits.
-//
-// Rules enforced before committing:
-//
-//   - every upload must come from a registered client
-//     (ErrUnknownClient) and match the model dimension;
-//   - with a FaultPolicy, at least QuorumCount(scheduled) responders
-//     are required, otherwise the round fails with
-//     ErrQuorumNotReached and the clock does not advance.
-//
-// An empty round (no scheduled clients) records an empty history entry
-// and advances the clock, exactly like an in-process round in which no
-// client participates. Config.SampleFraction does not apply: the
-// caller decides who was scheduled.
+// expected this round. Every upload needs a weight, and RoundStream.Add
+// and SubmitRoundStream enforce the rest: registered clients, the
+// model dimension, finite non-negative weights, the quorum. A refused
+// upload or a failed commit leaves history and clock untouched.
+// Config.Sampler and Config.SampleFraction do not apply: the caller
+// decides who was scheduled.
 func (s *Simulation) SubmitRound(grads map[history.ClientID][]float64, weights map[history.ClientID]float64, scheduled int) error {
-	t := s.round
-	if scheduled < len(grads) {
-		return fmt.Errorf("fl: round %d: %d uploads exceed %d scheduled clients", t, len(grads), scheduled)
-	}
-	for id, g := range grads {
-		if !s.knownClient(id) {
-			return fmt.Errorf("fl: round %d: upload from client %d: %w", t, id, ErrUnknownClient)
-		}
-		if len(g) != len(s.params) {
-			return fmt.Errorf("fl: round %d: client %d upload dimension %d, want %d", t, id, len(g), len(s.params))
-		}
-		if _, ok := weights[id]; !ok {
-			return fmt.Errorf("fl: round %d: client %d upload has no weight", t, id)
-		}
-	}
-	absent := scheduled - len(grads)
-	if p := s.cfg.FaultPolicy; p != nil && scheduled > 0 {
-		if need := p.QuorumCount(scheduled); len(grads) < need {
-			s.met.faults.quorumShortfalls.Inc()
-			return fmt.Errorf("fl: round %d: %w: %d of %d scheduled clients responded, quorum %d",
-				t, ErrQuorumNotReached, len(grads), scheduled, need)
-		}
-		if absent > 0 {
-			s.met.faults.absentees.Add(int64(absent))
-			s.met.faults.degradedRounds.Inc()
-		}
-	}
-	if len(grads) > 0 {
-		s.met.participants.Add(int64(len(grads)))
-	}
-	recordDur, aggDur, err := s.commitRound(t, grads, weights)
+	rs, err := s.NewRoundStream()
 	if err != nil {
 		return err
 	}
-	if s.cfg.Telemetry.Observing() {
-		s.cfg.Telemetry.Emit(telemetry.Event{
-			Scope: "fl", Name: "round", Round: t,
-			Fields: []telemetry.Field{
-				telemetry.F("participants", float64(scheduled)),
-				telemetry.F("responders", float64(len(grads))),
-				telemetry.F("absent", float64(absent)),
-				telemetry.D("record", recordDur),
-				telemetry.D("aggregate", aggDur),
-			},
-		})
+	for _, id := range sortedIDs(grads) {
+		w, ok := weights[id]
+		if !ok {
+			rs.Abort()
+			return fmt.Errorf("fl: round %d: client %d upload has no weight", rs.t, id)
+		}
+		if err := rs.Add(id, grads[id], w); err != nil {
+			rs.Abort()
+			return err
+		}
 	}
-	if s.OnRound != nil {
-		s.OnRound(t, tensor.CloneVec(s.params))
-	}
-	return nil
-}
-
-// knownClient reports whether id belongs to a registered client.
-func (s *Simulation) knownClient(id history.ClientID) bool {
-	return s.known[id]
+	return s.SubmitRoundStream(rs, scheduled)
 }
 
 // SkipRound records the current round as empty — model unchanged, no

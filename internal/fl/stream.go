@@ -3,6 +3,7 @@ package fl
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,52 +15,131 @@ import (
 // online. The robust aggregators (Median, TrimmedMean, Krum,
 // SignAggregator) inspect the whole cohort's uploads jointly — a
 // median needs every value of a coordinate, Krum needs pairwise
-// distances — so they fundamentally require the barrier path's
-// per-client buffering. Selecting Config.Streaming with one of them
+// distances — so they fundamentally require the buffering aggregator's
+// per-client retention. Selecting Config.Streaming with one of them
 // fails fast at NewSimulation with this sentinel instead of silently
 // buffering a million gradients.
 var ErrNotStreamable = errors.New("fl: aggregator cannot stream")
 
 // ErrDuplicateUpload marks a second upload from the same client inside
-// one streamed round. The barrier path detects duplicates through its
-// per-client map; the streaming path has no such map, so the round
-// stream tracks responders in a bitmap and surfaces repeats through
-// this sentinel.
+// one round: RoundStream tracks responders in a bitmap and surfaces
+// repeats through this sentinel.
 var ErrDuplicateUpload = errors.New("fl: duplicate upload")
 
-// StreamAggregator folds client uploads into bounded accumulator
-// state the moment they arrive, instead of retaining every gradient
-// until a barrier. Add never keeps a reference to grad — callers reuse
-// the buffer for the next upload — so a round's aggregation memory is
-// the accumulators, not O(cohort × dim).
+// StreamAggregator receives a round's uploads one at a time, as they
+// arrive, and reduces them at Resolve. The engine has two. The sharded
+// implementation (ShardedFedAvg, under Config.Streaming) folds each
+// upload into bounded accumulator state and never keeps a reference to
+// grad — callers reuse the buffer for the next upload — so a round's
+// aggregation memory is the accumulators, not O(cohort × dim). The
+// buffering implementation (cohortBuffer, otherwise) keeps every
+// upload until Resolve runs the configured rule over the whole cohort.
 //
-// Determinism contract: the resolved result is a pure function of the
-// per-shard fold sequences. Shard assignment is ShardOf (a fixed hash
-// of the ClientID), so for a given (shard count, cohort) every client
-// lands in the same shard on every run; any two arrival orders that
-// agree on the relative order of clients *within* each shard produce
-// bit-identical results, and Resolve reduces the shards in fixed index
-// order. Drivers that fold in ascending client order (the in-process
-// round loop, the scale benchmark) are therefore bit-reproducible
-// run to run; concurrent folding (the networked coordinator) is
-// deterministic given per-shard arrival order. With one shard and
-// ascending-ID folds the result is bit-identical to
-// FedAvg.AggregateInto's sorted sequential sum.
+// Determinism contract of the sharded implementation: the resolved
+// result is a pure function of the per-shard fold sequences. Shard
+// assignment is ShardOf (a fixed hash of the ClientID), so for a given
+// (shard count, cohort) every client lands in the same shard on every
+// run; any two arrival orders that agree on the relative order of
+// clients *within* each shard produce bit-identical results, and
+// Resolve reduces the shards in fixed index order. Drivers that fold
+// in ascending client order (the in-process round loop, the scale
+// benchmark) are therefore bit-reproducible run to run; concurrent
+// folding (the networked coordinator) is deterministic given per-shard
+// arrival order. With one shard and ascending-ID folds the result is
+// bit-identical to FedAvg.AggregateInto's sorted sequential sum — that
+// is, to the buffering implementation, whose result does not depend on
+// arrival order at all.
 type StreamAggregator interface {
-	// Add folds one upload. Safe for concurrent use.
+	// Add takes one upload. Safe for concurrent use.
 	Add(id history.ClientID, grad []float64, weight float64) error
 	// Resolve writes the aggregate into dst (length dim) with a
 	// fixed-order reduction over the accumulators. It must not be
 	// called concurrently with Add; it does not reset the stream.
 	Resolve(dst []float64) error
-	// Folded returns the number of uploads folded since the last Reset.
+	// Folded returns the number of uploads taken since the last Reset.
 	Folded() int
-	// Reset clears the accumulators for the next round, keeping their
-	// memory.
+	// Reset discards the round's uploads, ready for the next round.
 	Reset()
-	// Bytes reports the accumulators' resident size — the quantity the
-	// scale benchmark tracks as "aggregation memory".
+	// Bytes reports the resident size of the aggregation state — the
+	// quantity the scale benchmark tracks as "aggregation memory".
 	Bytes() int
+}
+
+// cohortBuffer is the barrier: the StreamAggregator of every rule
+// that is not streamed. Add keeps the upload (the gradient itself, not
+// a copy — the caller hands the buffer over until the next Reset), and
+// Resolve runs the rule over the whole cohort in ascending-ID order,
+// so every rule sees exactly the maps it would have been handed by a
+// caller that collected the round itself, and the result does not
+// depend on arrival order.
+type cohortBuffer struct {
+	rule Aggregator
+
+	mu      sync.Mutex
+	ids     []history.ClientID
+	grads   map[history.ClientID][]float64
+	weights map[history.ClientID]float64
+}
+
+var _ StreamAggregator = (*cohortBuffer)(nil)
+
+// Add implements StreamAggregator.
+func (b *cohortBuffer) Add(id history.ClientID, grad []float64, weight float64) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.grads == nil {
+		b.grads = make(map[history.ClientID][]float64)
+		b.weights = make(map[history.ClientID]float64)
+	}
+	b.ids = append(b.ids, id)
+	b.grads[id] = grad
+	b.weights[id] = weight
+	return nil
+}
+
+// Resolve implements StreamAggregator: the sorted-ID into path when the
+// rule has one (same summation order as Aggregate, which also sorts,
+// without the per-round result allocation), Aggregate otherwise.
+func (b *cohortBuffer) Resolve(dst []float64) error {
+	if into, ok := b.rule.(IntoAggregator); ok {
+		slices.Sort(b.ids)
+		return into.AggregateInto(dst, b.ids, b.grads, b.weights)
+	}
+	agg, err := b.rule.Aggregate(b.grads, b.weights)
+	if err != nil {
+		return err
+	}
+	if len(agg) != len(dst) {
+		return fmt.Errorf("fl: %s aggregate has %d params, want %d", b.rule.Name(), len(agg), len(dst))
+	}
+	copy(dst, agg)
+	return nil
+}
+
+// Folded implements StreamAggregator.
+func (b *cohortBuffer) Folded() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.ids)
+}
+
+// Reset implements StreamAggregator. The maps are dropped, not
+// cleared: a Recorder may have kept the ones it was handed.
+func (b *cohortBuffer) Reset() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.ids, b.grads, b.weights = b.ids[:0], nil, nil
+}
+
+// Bytes implements StreamAggregator: the retained gradients.
+func (b *cohortBuffer) Bytes() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, g := range b.grads {
+		n += 8 * len(g)
+	}
+	return n
 }
 
 // StreamableAggregator is the optional Aggregator extension that
@@ -112,7 +192,7 @@ type shardAcc struct {
 // P·dim·8 bytes no matter how many clients fold in. With P = 1 and
 // ascending-ID folds it reproduces FedAvg.AggregateInto bit for bit
 // (same per-element fused order, same single normalisation at the
-// end); with P > 1 results differ from the barrier path only by
+// end); with P > 1 results differ from the buffered sum only by
 // float-addition reassociation (≤ 1e-12 relative in tests) and are
 // bit-identical across runs for fixed per-shard fold orders.
 type ShardedFedAvg struct {
@@ -160,7 +240,7 @@ func (a *ShardedFedAvg) Add(id history.ClientID, grad []float64, weight float64)
 	sh.mu.Lock()
 	// The per-element fold matches AggregateInto's inner loop
 	// (dst[i] += w*v) so single-shard ascending-ID streams are
-	// bit-identical to the barrier path.
+	// bit-identical to the buffering aggregator.
 	sum := sh.sum
 	for i, v := range grad {
 		sum[i] += weight * v
@@ -186,7 +266,7 @@ type treePartial struct {
 // Resolve implements StreamAggregator: a fixed-shape pairwise tree
 // reduction over the shard index — shards combine as
 // ((s0+s1)+(s2+s3))+… — followed by one normalisation by the total
-// weight, the same single division the barrier path applies. The tree
+// weight, the same single division FedAvg.AggregateInto applies. The tree
 // shape depends only on P, never on arrival order or on which shards
 // happen to be empty, so the resolved bits are stable for a given
 // (P, per-shard fold sequences). The shard accumulators are read, not

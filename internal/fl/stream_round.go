@@ -1,249 +1,32 @@
 package fl
 
 import (
-	"cmp"
-	"context"
-	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"sync"
 	"time"
 
 	"fuiov/internal/history"
-	"fuiov/internal/nn"
-	"fuiov/internal/rng"
 	"fuiov/internal/sign"
 	"fuiov/internal/telemetry"
 	"fuiov/internal/tensor"
 )
 
-// runRoundStreaming is RunRoundContext's streaming path: the cohort is
-// drawn (Sampler or SampleFraction), sorted by client ID, and computed
-// in chunks — gradients within a chunk run in parallel, then fold
-// sequentially in ascending-ID order into the shard accumulators. Live
-// gradient memory is O(chunk × dim) and aggregation memory is
-// O(shards × dim), independent of the cohort size; the fixed fold
-// order makes the committed update bit-reproducible run to run
-// (DESIGN.md §15). A configured history store receives each upload as
-// its 2-bit direction, compressed at fold time.
-func (s *Simulation) runRoundStreaming(ctx context.Context) error {
-	if s.liveStream != nil && !s.liveStream.closed {
-		return fmt.Errorf("fl: round %d: a round stream is open; commit or abort it first", s.round)
-	}
-	roundSpan := s.met.round.Start()
-	t := s.round
-	s.eligBuf = s.eligBuf[:0]
-	for _, c := range s.clients {
-		if s.cfg.Schedule.Participates(c.ID, t) {
-			s.eligBuf = append(s.eligBuf, c)
-		}
-	}
-	cohort := s.eligBuf
-	if sm := s.cfg.Sampler; sm != nil && len(cohort) > 0 {
-		idxs := sm.Cohort(t, len(cohort))
-		s.cohortBuf = s.cohortBuf[:0]
-		for _, ix := range idxs {
-			s.cohortBuf = append(s.cohortBuf, cohort[ix])
-		}
-		cohort = s.cohortBuf
-		s.met.stream.sampled.Add(int64(len(cohort)))
-	} else if f := s.cfg.SampleFraction; f > 0 && f < 1 && len(cohort) > 1 {
-		k := int(f * float64(len(cohort)))
-		if k < 1 {
-			k = 1
-		}
-		r := rng.New(rng.Mix(s.cfg.Seed, 0x5a3d, uint64(t)))
-		chosen := r.SampleWithoutReplacement(len(cohort), k)
-		s.cohortBuf = s.cohortBuf[:0]
-		for _, ix := range chosen {
-			s.cohortBuf = append(s.cohortBuf, cohort[ix])
-		}
-		cohort = s.cohortBuf
-	}
-	// Deterministic fold order: ascending client ID, independent of
-	// draw order and goroutine completion order.
-	slices.SortFunc(cohort, func(a, b *Client) int { return cmp.Compare(a.ID, b.ID) })
-
-	s.respBits.Reset()
-	var dirs map[history.ClientID]*sign.Direction
-	var weights map[history.ClientID]float64
-	if s.cfg.Store != nil {
-		dirs = make(map[history.ClientID]*sign.Direction, len(cohort))
-		weights = make(map[history.ClientID]float64, len(cohort))
-	}
-	s.stream.Reset()
-
-	absent := 0
-	var errs []error
-	var computeDur time.Duration
-	if len(cohort) > 0 {
-		foldSpan := s.met.stream.fold.Start()
-		kernels := nn.KernelTimingEnabled()
-		var im2colBase, gemmBase, col2imBase time.Duration
-		if kernels {
-			im2colBase, gemmBase, col2imBase = nn.KernelTimes()
-		}
-		// Chunk size bounds the live gradient buffers: a small multiple
-		// of the worker count keeps every worker busy while capping
-		// retained memory at O(chunk × dim).
-		chunk := s.cfg.Parallelism * 2
-		if cap(s.chunkRes) < chunk {
-			s.chunkRes = make([]callResult, chunk)
-		}
-		sem := make(chan struct{}, s.cfg.Parallelism)
-		for lo := 0; lo < len(cohort); lo += chunk {
-			hi := min(lo+chunk, len(cohort))
-			res := s.chunkRes[:hi-lo]
-			var wg sync.WaitGroup
-			for i, c := range cohort[lo:hi] {
-				sem <- struct{}{}
-				wg.Add(1)
-				go func(i int, c *Client) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					res[i] = callWithFaults(ctx, s.cfg.Faults, s.cfg.FaultPolicy,
-						s.cfg.Seed, c.ID, t, func() ([]float64, error) {
-							return c.ComputeGradient(s.template, s.params, s.cfg.Seed, t)
-						})
-				}(i, c)
-			}
-			wg.Wait()
-			if err := ctx.Err(); err != nil {
-				s.stream.Reset()
-				return err
-			}
-			// Sequential folds in chunk order = ascending-ID order.
-			for i, c := range cohort[lo:hi] {
-				r := res[i]
-				s.met.faults.observe(r)
-				if r.err != nil {
-					if s.cfg.FaultPolicy == nil {
-						errs = append(errs, fmt.Errorf("fl: round %d client %d: %w", t, c.ID, r.err))
-					} else {
-						absent++
-					}
-					continue
-				}
-				w := c.Weight()
-				if err := s.stream.Add(c.ID, r.grad, w); err != nil {
-					s.stream.Reset()
-					return fmt.Errorf("fl: round %d: %w", t, err)
-				}
-				s.respBits.Set(int(c.ID))
-				if dirs != nil {
-					d, err := sign.Compress(r.grad, s.cfg.Store.Delta())
-					if err != nil {
-						s.stream.Reset()
-						return fmt.Errorf("fl: round %d compress client %d: %w", t, c.ID, err)
-					}
-					dirs[c.ID] = d
-					weights[c.ID] = w
-				}
-				// Release the gradient buffer before the next chunk.
-				res[i] = callResult{}
-			}
-		}
-		computeDur = foldSpan.End()
-		if kernels {
-			im2colT, gemmT, col2imT := nn.KernelTimes()
-			s.met.im2col.Observe(im2colT - im2colBase)
-			s.met.gemm.Observe(gemmT - gemmBase)
-			s.met.col2im.Observe(col2imT - col2imBase)
-		}
-	}
-	if len(errs) > 0 {
-		s.stream.Reset()
-		s.met.clientErrors.Add(int64(len(errs)))
-		return errors.Join(errs...)
-	}
-	folded := s.stream.Folded()
-	s.met.stream.folds.Add(int64(folded))
-	if p := s.cfg.FaultPolicy; p != nil && len(cohort) > 0 {
-		if need := p.QuorumCount(len(cohort)); folded < need {
-			s.met.faults.quorumShortfalls.Inc()
-			s.stream.Reset()
-			return fmt.Errorf("fl: round %d: %w: %d of %d scheduled clients responded, quorum %d",
-				t, ErrQuorumNotReached, folded, len(cohort), need)
-		}
-		if absent > 0 {
-			s.met.faults.absentees.Add(int64(absent))
-			s.met.stream.absentees.Add(int64(absent))
-			s.met.faults.degradedRounds.Inc()
-		}
-	}
-	if folded > 0 {
-		s.met.participants.Add(int64(folded))
-	}
-	recordDur, aggDur, err := s.commitStreamed(t, dirs, weights)
-	if err != nil {
-		s.stream.Reset()
-		return err
-	}
-	total := roundSpan.End()
-	if s.cfg.Telemetry.Observing() {
-		s.cfg.Telemetry.Emit(telemetry.Event{
-			Scope: "fl", Name: "round", Round: t,
-			Fields: []telemetry.Field{
-				telemetry.F("participants", float64(len(cohort))),
-				telemetry.F("responders", float64(folded)),
-				telemetry.F("absent", float64(absent)),
-				telemetry.F("shards", float64(s.cfg.StreamShards)),
-				telemetry.D("compute", computeDur),
-				telemetry.D("record", recordDur),
-				telemetry.D("aggregate", aggDur),
-				telemetry.D("total", total),
-			},
-		})
-	}
-	if s.OnRound != nil {
-		s.OnRound(t, tensor.CloneVec(s.params))
-	}
-	return nil
-}
-
-// commitStreamed is commitRound for the streaming path: the round's
-// uploads are already folded into the shard accumulators and (when a
-// store is configured) compressed to their directions, so the commit
-// records through Store.RecordRoundDirs, resolves the stream with the
-// fixed-order tree reduction and applies eq. 2. The stream is reset
-// afterwards, ready for the next round. An empty round (nothing
-// folded) records an empty history entry and advances the clock,
-// exactly like the barrier path.
-func (s *Simulation) commitStreamed(t int, dirs map[history.ClientID]*sign.Direction, weights map[history.ClientID]float64) (recordDur, aggDur time.Duration, err error) {
-	recordSpan := s.met.record.Start()
-	if s.cfg.Store != nil {
-		if err := s.cfg.Store.RecordRoundDirs(t, s.params, dirs, weights); err != nil {
-			return 0, 0, fmt.Errorf("fl: record round %d: %w", t, err)
-		}
-	}
-	recordDur = recordSpan.End()
-
-	if s.stream.Folded() > 0 {
-		aggSpan := s.met.aggregate.Start()
-		if s.aggOut == nil {
-			s.aggOut = make([]float64, len(s.params))
-		}
-		if err := s.stream.Resolve(s.aggOut); err != nil {
-			return 0, 0, fmt.Errorf("fl: round %d: %w", t, err)
-		}
-		tensor.AxpyInPlace(s.params, -s.cfg.LearningRate, s.aggOut)
-		aggDur = aggSpan.End()
-		s.met.stream.resolve.Observe(aggDur)
-	}
-	s.stream.Reset()
-	s.round++
-	s.met.rounds.Inc()
-	return recordDur, aggDur, nil
-}
-
-// RoundStream is the fold-on-arrival handle a networked coordinator
-// drives when the engine runs in streaming mode: each accepted upload
-// folds into the simulation's shard accumulators the moment it
-// arrives — the collection window buffers nothing — and
-// SubmitRoundStream commits the round through the same record/resolve
-// path as the in-process loop. Obtain one per round from
-// NewRoundStream; Add is safe for concurrent use. The committed bits
-// are deterministic given each shard's arrival order (DESIGN.md §15).
+// RoundStream is one open round of the engine: uploads enter through
+// Add as they are computed or arrive, and SubmitRoundStream commits
+// them. Every round goes through one — the in-process loop
+// (RunRoundContext), the map-shaped SubmitRound and the networked
+// coordinator differ only in where their uploads come from. Add hands
+// each upload to the round's StreamAggregator: ShardedFedAvg under
+// Config.Streaming, which folds it and keeps nothing, otherwise the
+// buffering aggregator, which keeps the gradient until the rule runs
+// at commit. Either way the upload is compressed to its 2-bit
+// direction on arrival when a history store is configured, so the
+// commit itself never touches the codec. Obtain one per round from
+// NewRoundStream; Add is safe for concurrent use. Under Streaming the
+// committed bits are deterministic given each shard's arrival order;
+// without it they do not depend on arrival order at all
+// (DESIGN.md §13).
 type RoundStream struct {
 	sim *Simulation
 	t   int
@@ -253,24 +36,24 @@ type RoundStream struct {
 	dirs    map[history.ClientID]*sign.Direction
 	weights map[history.ClientID]float64
 	closed  bool
+
+	// The in-process loop's timings. RunRoundContext sets them before
+	// it commits, and the round event then carries compute and total;
+	// an externally driven round has neither.
+	inProcess  bool
+	roundSpan  telemetry.Span
+	computeDur time.Duration
 }
 
-// NewRoundStream opens the fold-on-arrival stream for the current
-// round. It requires Config.Streaming, and only one stream may be
-// open at a time: committing (SubmitRoundStream) or Abort closes it.
+// NewRoundStream opens the current round. Only one round may be open
+// at a time: committing (SubmitRoundStream) or Abort closes it.
 func (s *Simulation) NewRoundStream() (*RoundStream, error) {
-	if !s.cfg.Streaming {
-		return nil, fmt.Errorf("fl: NewRoundStream requires Config.Streaming")
-	}
 	if s.liveStream != nil && !s.liveStream.closed {
 		return nil, fmt.Errorf("fl: round %d stream already open", s.liveStream.t)
 	}
 	s.stream.Reset()
-	rs := &RoundStream{
-		sim:  s,
-		t:    s.round,
-		resp: history.NewBitmap(int(s.maxID) + 1),
-	}
+	s.respBits.Reset()
+	rs := &RoundStream{sim: s, t: s.round, resp: s.respBits}
 	if s.cfg.Store != nil {
 		rs.dirs = make(map[history.ClientID]*sign.Direction)
 		rs.weights = make(map[history.ClientID]float64)
@@ -282,24 +65,26 @@ func (s *Simulation) NewRoundStream() (*RoundStream, error) {
 // Round returns the round index this stream collects.
 func (rs *RoundStream) Round() int { return rs.t }
 
-// Folded returns the number of uploads folded so far.
+// Folded returns the number of uploads accepted so far.
 func (rs *RoundStream) Folded() int { return rs.sim.stream.Folded() }
 
-// Add validates and folds one upload: unknown clients fail with
-// ErrUnknownClient, repeats with ErrDuplicateUpload (tracked in a
-// responder bitmap, one bit per client). The gradient buffer is never
-// retained — when a history store is configured it is compressed to
-// its 2-bit direction here, at fold time.
+// Add validates one upload and hands it to the round's aggregator:
+// unknown clients fail with ErrUnknownClient, repeats with
+// ErrDuplicateUpload (a responder bitmap, one bit per client), and a
+// weight that is NaN, infinite or negative is refused — one such
+// weight would otherwise turn the whole aggregate to NaN or flip its
+// sign. Under Config.Streaming grad is not retained and the caller may
+// reuse it; otherwise the round keeps it until it commits or aborts.
 func (rs *RoundStream) Add(id history.ClientID, grad []float64, weight float64) error {
 	s := rs.sim
-	if !s.knownClient(id) {
+	if !s.known[id] {
 		return fmt.Errorf("fl: round %d: upload from client %d: %w", rs.t, id, ErrUnknownClient)
 	}
 	if len(grad) != len(s.params) {
 		return fmt.Errorf("fl: round %d: client %d upload dimension %d, want %d", rs.t, id, len(grad), len(s.params))
 	}
-	if weight < 0 {
-		return fmt.Errorf("fl: round %d: client %d has negative weight %v", rs.t, id, weight)
+	if math.IsNaN(weight) || math.IsInf(weight, 0) || weight < 0 {
+		return fmt.Errorf("fl: round %d: client %d weight %v is not finite and non-negative", rs.t, id, weight)
 	}
 	rs.mu.Lock()
 	if rs.closed {
@@ -311,14 +96,16 @@ func (rs *RoundStream) Add(id history.ClientID, grad []float64, weight float64) 
 		return fmt.Errorf("fl: round %d client %d: %w", rs.t, id, ErrDuplicateUpload)
 	}
 	rs.mu.Unlock()
-	// Compress before folding so a codec failure leaves the
-	// accumulators untouched; fold outside rs.mu so concurrent uploads
-	// to different shards proceed in parallel (ShardedFedAvg locks per
-	// shard).
+	// Compress before the aggregator sees the upload so a codec failure
+	// leaves it untouched, and both outside rs.mu so concurrent uploads
+	// proceed in parallel (ShardedFedAvg locks per shard).
 	var d *sign.Direction
 	if rs.dirs != nil {
+		span := s.met.compress.Start()
 		var err error
-		if d, err = sign.Compress(grad, s.cfg.Store.Delta()); err != nil {
+		d, err = sign.Compress(grad, s.cfg.Store.Delta())
+		span.End()
+		if err != nil {
 			return fmt.Errorf("fl: round %d compress client %d: %w", rs.t, id, err)
 		}
 	}
@@ -338,9 +125,9 @@ func (rs *RoundStream) Add(id history.ClientID, grad []float64, weight float64) 
 	return nil
 }
 
-// Abort closes the stream and discards its folds without committing —
-// the coordinator's path when a collection window fails below quorum
-// and the round will be skipped or re-collected.
+// Abort closes the stream and discards its uploads without committing
+// — the path of a round that was cancelled, or of a collection window
+// torn down with its coordinator.
 func (rs *RoundStream) Abort() {
 	rs.mu.Lock()
 	closed := rs.closed
@@ -351,12 +138,28 @@ func (rs *RoundStream) Abort() {
 	}
 }
 
-// SubmitRoundStream commits a collected round stream: the streaming
-// counterpart of SubmitRound. scheduled is the number of clients the
-// coordinator expected this round (the quorum denominator — absentees
-// are scheduled − Folded(), tracked by count, never by map). The
-// stream is closed whether or not the commit succeeds; on a quorum
-// shortfall the folds are discarded and the clock does not advance.
+// SubmitRoundStream commits a collected round — the engine's only
+// commit. scheduled is the number of clients that were expected this
+// round (the quorum denominator — absentees are scheduled − Folded(),
+// tracked by count, never by map). In order:
+//
+//   - quorum: with a FaultPolicy, at least QuorumCount(scheduled)
+//     uploads are required, otherwise ErrQuorumNotReached;
+//   - resolve: the aggregator reduces the round's uploads;
+//   - record: the store receives the packed directions
+//     (Store.RecordRoundDirs), full-gradient Recorders the buffered
+//     cohort;
+//   - eq. 2, the round clock, one round event, OnRound.
+//
+// Resolve precedes record because it is the step an upload can still
+// fail — validation cannot see that every weight of a round is zero —
+// and a round whose aggregate does not exist must not enter the
+// history: a store one round ahead of the clock rejects every later
+// round as out of order. A failed commit therefore leaves store,
+// recorders, model and clock untouched. The stream is closed and its
+// uploads discarded whether or not the commit succeeds. A round
+// nothing was added to records an empty history entry and advances the
+// clock with the model unchanged.
 func (s *Simulation) SubmitRoundStream(rs *RoundStream, scheduled int) error {
 	if rs == nil || rs.sim != s {
 		return fmt.Errorf("fl: foreign round stream")
@@ -368,50 +171,76 @@ func (s *Simulation) SubmitRoundStream(rs *RoundStream, scheduled int) error {
 	}
 	rs.closed = true
 	rs.mu.Unlock()
+	defer s.stream.Reset()
 	t := s.round
 	if rs.t != t {
-		s.stream.Reset()
 		return fmt.Errorf("fl: stream for round %d submitted at round %d", rs.t, t)
 	}
 	folded := s.stream.Folded()
 	if scheduled < folded {
-		s.stream.Reset()
 		return fmt.Errorf("fl: round %d: %d uploads exceed %d scheduled clients", t, folded, scheduled)
 	}
 	absent := scheduled - folded
-	if p := s.cfg.FaultPolicy; p != nil && scheduled > 0 {
-		if need := p.QuorumCount(scheduled); folded < need {
-			s.met.faults.quorumShortfalls.Inc()
-			s.stream.Reset()
-			return fmt.Errorf("fl: round %d: %w: %d of %d scheduled clients responded, quorum %d",
-				t, ErrQuorumNotReached, folded, scheduled, need)
+	if need := s.cfg.FaultPolicy.QuorumCount(scheduled); folded < need {
+		s.met.faults.quorumShortfalls.Inc()
+		return fmt.Errorf("fl: round %d: %w: %d of %d scheduled clients responded, quorum %d",
+			t, ErrQuorumNotReached, folded, scheduled, need)
+	}
+
+	var aggDur time.Duration
+	if folded > 0 {
+		aggSpan := s.met.aggregate.Start()
+		err := s.stream.Resolve(s.aggOut)
+		aggDur = aggSpan.End()
+		if err != nil {
+			return fmt.Errorf("fl: round %d: %w", t, err)
 		}
-		if absent > 0 {
-			s.met.faults.absentees.Add(int64(absent))
-			s.met.stream.absentees.Add(int64(absent))
-			s.met.faults.degradedRounds.Inc()
+		s.met.stream.resolve.Observe(aggDur)
+	}
+
+	recordSpan := s.met.record.Start()
+	if s.cfg.Store != nil {
+		if err := s.cfg.Store.RecordRoundDirs(t, s.params, rs.dirs, rs.weights); err != nil {
+			return fmt.Errorf("fl: record round %d: %w", t, err)
 		}
 	}
+	for i, rec := range s.cfg.Recorders {
+		// Recorders exist only beside the buffering aggregator
+		// (NewSimulation refuses them under Streaming), which still
+		// holds the cohort.
+		if err := rec.RecordRound(t, s.params, s.buffer.grads, s.buffer.weights); err != nil {
+			return fmt.Errorf("fl: recorder %d round %d: %w", i, t, err)
+		}
+	}
+	recordDur := recordSpan.End()
+
 	if folded > 0 {
+		tensor.AxpyInPlace(s.params, -s.cfg.LearningRate, s.aggOut)
 		s.met.participants.Add(int64(folded))
 	}
-	recordDur, aggDur, err := s.commitStreamed(t, rs.dirs, rs.weights)
-	if err != nil {
-		s.stream.Reset()
-		return err
+	s.round++
+	s.met.rounds.Inc()
+	if absent > 0 && s.cfg.FaultPolicy != nil {
+		s.met.faults.absentees.Add(int64(absent))
+		s.met.stream.absentees.Add(int64(absent))
+		s.met.faults.degradedRounds.Inc()
 	}
+	total := rs.roundSpan.End()
 	if s.cfg.Telemetry.Observing() {
-		s.cfg.Telemetry.Emit(telemetry.Event{
-			Scope: "fl", Name: "round", Round: t,
-			Fields: []telemetry.Field{
-				telemetry.F("participants", float64(scheduled)),
-				telemetry.F("responders", float64(folded)),
-				telemetry.F("absent", float64(absent)),
-				telemetry.F("shards", float64(s.cfg.StreamShards)),
-				telemetry.D("record", recordDur),
-				telemetry.D("aggregate", aggDur),
-			},
-		})
+		fields := []telemetry.Field{
+			telemetry.F("participants", float64(scheduled)),
+			telemetry.F("responders", float64(folded)),
+			telemetry.F("absent", float64(absent)),
+			telemetry.D("record", recordDur),
+			telemetry.D("aggregate", aggDur),
+		}
+		if s.cfg.Streaming {
+			fields = append(fields, telemetry.F("shards", float64(s.cfg.StreamShards)))
+		}
+		if rs.inProcess {
+			fields = append(fields, telemetry.D("compute", rs.computeDur), telemetry.D("total", total))
+		}
+		s.cfg.Telemetry.Emit(telemetry.Event{Scope: "fl", Name: "round", Round: t, Fields: fields})
 	}
 	if s.OnRound != nil {
 		s.OnRound(t, tensor.CloneVec(s.params))

@@ -294,15 +294,24 @@ func (recorderStub) RecordRound(int, []float64, map[history.ClientID][]float64, 
 
 // TestStreamingSimulationP1Bits runs the same federation through the
 // barrier path and the streaming path with one shard: the committed
-// parameters must agree bit for bit, round after round.
+// parameters must agree bit for bit, round after round — with the
+// whole fleet, and with a Sampler{K} cohort, which both modes must
+// draw (a recorded round then has exactly K participants).
 func TestStreamingSimulationP1Bits(t *testing.T) {
 	const rounds = 3
-	run := func(streaming bool, shards int) []float64 {
+	run := func(streaming bool, shards, k int) []float64 {
 		clients, _, net := buildFederation(t, 6, 600, 21)
 		cfg := Config{LearningRate: 0.2, Seed: 9, Parallelism: 3}
 		if streaming {
 			cfg.Streaming = true
 			cfg.StreamShards = shards
+		}
+		if k > 0 {
+			store, err := history.NewStore(net.NumParams(), 1e-6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Sampler, cfg.Store = &Sampler{K: k}, store
 		}
 		sim, err := NewSimulation(net, clients, cfg)
 		if err != nil {
@@ -311,23 +320,38 @@ func TestStreamingSimulationP1Bits(t *testing.T) {
 		if err := sim.Run(rounds); err != nil {
 			t.Fatal(err)
 		}
+		for r := 0; k > 0 && r < rounds; r++ {
+			ids, err := cfg.Store.Participants(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ids) != k {
+				t.Errorf("streaming=%v: round %d recorded %d participants, want the sampled %d", streaming, r, len(ids), k)
+			}
+		}
 		return sim.Params()
 	}
-	barrier := run(false, 0)
-	p1 := run(true, 1)
+	barrier := run(false, 0, 0)
+	p1 := run(true, 1, 0)
 	for j := range barrier {
 		if barrier[j] != p1[j] {
 			t.Fatalf("P=1 streaming deviates from barrier at parameter %d", j)
 		}
 	}
-	p4a := run(true, 4)
+	p4a := run(true, 4, 0)
 	if !tensor.Equal(p4a, barrier, 1e-9) {
 		t.Error("P=4 streaming deviates from barrier beyond tolerance")
 	}
-	p4b := run(true, 4)
+	p4b := run(true, 4, 0)
 	for j := range p4a {
 		if p4a[j] != p4b[j] {
 			t.Fatalf("P=4 streaming not bit-reproducible at parameter %d", j)
+		}
+	}
+	sampledBarrier, sampledP1 := run(false, 0, 4), run(true, 1, 4)
+	for j := range sampledBarrier {
+		if sampledBarrier[j] != sampledP1[j] {
+			t.Fatalf("sampled cohort: P=1 streaming deviates from barrier at parameter %d", j)
 		}
 	}
 }

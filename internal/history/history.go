@@ -220,7 +220,8 @@ func (s *Store) Rounds() int { return len(s.loadRecs()) }
 // RecordRound appends round t's state: the global model *before* the
 // round's update (the parameters clients trained on), the gradients
 // each participant uploaded, and their aggregation weights. Rounds
-// must be recorded densely: t must equal Rounds().
+// must be recorded densely: t must equal Rounds(). It is
+// RecordRoundDirs after compressing every gradient to its direction.
 //
 // Gradient compression runs before the write lock is taken, so
 // concurrent readers — including a recovery in flight — are never
@@ -228,66 +229,61 @@ func (s *Store) Rounds() int { return len(s.loadRecs()) }
 // update, the index publication and (when enabled) the spilling of
 // rounds that aged out of the in-RAM window.
 func (s *Store) RecordRound(t int, model []float64, grads map[ClientID][]float64, weights map[ClientID]float64) error {
-	if len(model) != s.dim {
-		return fmt.Errorf("history: model has %d params, store expects %d", len(model), s.dim)
-	}
 	met := s.metrics()
 	recordSpan := met.record.Start()
 	defer recordSpan.End()
 	if n := s.Rounds(); t != n {
 		// Fail fast before paying for compression; the authoritative
-		// check re-runs under the write lock below.
+		// check re-runs under the write lock.
 		return fmt.Errorf("history: round %d recorded out of order (next is %d)", t, n)
 	}
-
-	rec := &roundRecord{
-		dirs:    make(map[ClientID]*sign.Direction, len(grads)),
-		weights: make(map[ClientID]float64, len(grads)),
+	dirs, err := s.compressRound(grads, met)
+	if err != nil {
+		return err
 	}
-	rec.model.Store(&modelSlot{ram: append([]float64(nil), model...)})
-	var dirBytes int
+	return s.recordDirs(t, model, dirs, weights, met)
+}
+
+// compressRound packs a round's gradients to their 2-bit directions.
+func (s *Store) compressRound(grads map[ClientID][]float64, met *storeMetrics) (map[ClientID]*sign.Direction, error) {
 	compressSpan := met.compress.Start()
+	defer compressSpan.End()
+	dirs := make(map[ClientID]*sign.Direction, len(grads))
 	for id, g := range grads {
 		if len(g) != s.dim {
-			compressSpan.End()
-			return fmt.Errorf("history: client %d gradient has %d params, store expects %d", id, len(g), s.dim)
+			return nil, fmt.Errorf("history: client %d gradient has %d params, store expects %d", id, len(g), s.dim)
 		}
 		d, err := sign.Compress(g, s.delta)
 		if err != nil {
-			compressSpan.End()
-			return fmt.Errorf("history: compress client %d: %w", id, err)
+			return nil, fmt.Errorf("history: compress client %d: %w", id, err)
 		}
-		rec.dirs[id] = d
-		w, ok := weights[id]
-		if !ok {
-			w = 1
-		}
-		rec.weights[id] = w
-		dirBytes += d.StorageBytes()
+		dirs[id] = d
 	}
-	compressSpan.End()
-	met.compElems.Add(int64(len(grads) * s.dim))
-	return s.publishRound(t, rec, dirBytes, met)
+	return dirs, nil
 }
 
 // RecordRoundDirs is RecordRound for callers that already hold
-// compressed directions — the streaming aggregation path, which
-// compresses each upload the moment it is folded into its shard and
-// never materialises the dense per-client gradients RecordRound
-// expects. The stored state is identical to RecordRound's: the same
-// membership updates, byte accounting and spill behaviour apply.
-// Directions and the model must match the store's dimension; missing
-// weights default to 1. The store retains the passed directions (they
-// are immutable once recorded), so callers must not mutate them.
+// compressed directions — the round engine, which compresses each
+// upload the moment it arrives and need not keep the dense gradient
+// for the history's sake. The stored state is identical to
+// RecordRound's: the same membership updates, byte accounting and
+// spill behaviour apply. Directions and the model must match the
+// store's dimension; missing weights default to 1. The store retains
+// the passed directions (they are immutable once recorded), so callers
+// must not mutate them.
 func (s *Store) RecordRoundDirs(t int, model []float64, dirs map[ClientID]*sign.Direction, weights map[ClientID]float64) error {
-	if len(model) != s.dim {
-		return fmt.Errorf("history: model has %d params, store expects %d", len(model), s.dim)
-	}
 	met := s.metrics()
 	recordSpan := met.record.Start()
 	defer recordSpan.End()
-	if n := s.Rounds(); t != n {
-		return fmt.Errorf("history: round %d recorded out of order (next is %d)", t, n)
+	return s.recordDirs(t, model, dirs, weights, met)
+}
+
+// recordDirs builds round t's record from packed directions and
+// appends it under the write lock: membership updates, byte
+// accounting, index publication and spilling.
+func (s *Store) recordDirs(t int, model []float64, dirs map[ClientID]*sign.Direction, weights map[ClientID]float64, met *storeMetrics) error {
+	if len(model) != s.dim {
+		return fmt.Errorf("history: model has %d params, store expects %d", len(model), s.dim)
 	}
 	rec := &roundRecord{
 		dirs:    make(map[ClientID]*sign.Direction, len(dirs)),
@@ -310,18 +306,11 @@ func (s *Store) RecordRoundDirs(t int, model []float64, dirs map[ClientID]*sign.
 		rec.weights[id] = w
 		dirBytes += d.StorageBytes()
 	}
-	// The elements passed through the codec upstream (at fold time);
-	// account for them here so the compression telemetry matches the
-	// dense path round for round.
+	// Every recorded element passed through the codec, here or upstream
+	// at arrival time.
 	met.compElems.Add(int64(len(dirs) * s.dim))
-	return s.publishRound(t, rec, dirBytes, met)
-}
+	fullBytes := len(dirs) * 8 * s.dim
 
-// publishRound appends a fully built round record under the write
-// lock: membership updates, byte accounting, index publication and
-// spilling. Shared by RecordRound and RecordRoundDirs.
-func (s *Store) publishRound(t int, rec *roundRecord, dirBytes int, met *storeMetrics) error {
-	fullBytes := len(rec.dirs) * 8 * s.dim
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	recs := s.loadRecs()

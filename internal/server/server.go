@@ -3,10 +3,11 @@
 // loop. Vehicles (client agents, see internal/agent) fetch the global
 // model, compute gradients locally and upload them over HTTP; the
 // coordinator collects uploads in wall-clock windows, enforces the
-// fl.FaultPolicy quorum against real time, and commits every round
-// through fl.Simulation.SubmitRound — the deterministic engine's own
-// commit path — so an HTTP-served schedule produces bit-identical
-// models to the same schedule run in-process.
+// fl.FaultPolicy quorum against real time, and runs every round as an
+// fl.RoundStream — the round the deterministic engine's own loop runs,
+// each upload added as it arrives, one commit when the window resolves
+// — so an HTTP-served schedule produces bit-identical models to the
+// same schedule run in-process.
 //
 // The coordinator is deliberately a transport shim. It owns no
 // learning logic: aggregation order, the eq. 2 update, history
@@ -117,35 +118,23 @@ func newCoordMetrics(r *telemetry.Registry) coordMetrics {
 	}
 }
 
-// roundState is one round's wall-clock collection window. In barrier
-// mode uploads buffer in grads/weights until resolution; in streaming
-// mode (the engine's Config.Streaming) they fold into the engine's
-// shard accumulators through stream the moment they are accepted, and
-// only the responder count is tracked.
+// roundState is one round's wall-clock collection window. It buffers
+// nothing itself: each accepted upload goes straight into the engine's
+// open round (stream), and only the responder count is tracked.
 type roundState struct {
-	t         int
-	openedAt  time.Time
-	scheduled map[history.ClientID]bool
-	grads     map[history.ClientID][]float64
-	weights   map[history.ClientID]float64
-	stream    *fl.RoundStream
-	folded    int
-	timer     *time.Timer
-	resolved  bool
-	skipped   bool
-	err       error
+	t          int
+	openedAt   time.Time
+	scheduled  map[history.ClientID]bool
+	stream     *fl.RoundStream
+	responders int
+	timer      *time.Timer
+	resolved   bool
+	skipped    bool
+	err        error
 	// done is closed at resolution; blocked uploaders wake on it and
 	// read the fields above (written before the close, so the channel
 	// provides the happens-before edge).
 	done chan struct{}
-}
-
-// responders returns the window's accepted-upload count in either mode.
-func (rs *roundState) responders() int {
-	if rs.stream != nil {
-		return rs.folded
-	}
-	return len(rs.grads)
 }
 
 // Coordinator serves the RSU round protocol over HTTP. Create one
@@ -323,11 +312,9 @@ func (c *Coordinator) Close() error {
 			if rs.timer != nil {
 				rs.timer.Stop()
 			}
-			if rs.stream != nil {
-				// Discard the window's folds so the engine's stream is
-				// reusable if it outlives this coordinator.
-				rs.stream.Abort()
-			}
+			// Discard the window's uploads so the engine can open its
+			// next round if it outlives this coordinator.
+			rs.stream.Abort()
 			c.cur = nil
 			close(rs.done)
 		}
@@ -389,7 +376,7 @@ func (c *Coordinator) writeErr(w http.ResponseWriter, status int, code string, e
 
 // mapError translates engine/store sentinels to the protocol's status
 // codes and error code strings: quorum → 503, unknown client → 404,
-// deadline → 408, no history / no record → 404.
+// deadline → 408, no history / no record → 404, duplicate → 409.
 func mapError(err error) (int, string) {
 	switch {
 	case errors.Is(err, fl.ErrQuorumNotReached):
@@ -408,6 +395,8 @@ func mapError(err error) (int, string) {
 		return http.StatusNotFound, "unknown_request"
 	case errors.Is(err, ErrBadFrame):
 		return http.StatusBadRequest, "bad_frame"
+	case errors.Is(err, fl.ErrDuplicateUpload):
+		return http.StatusConflict, "duplicate_upload"
 	default:
 		return http.StatusInternalServerError, "internal"
 	}
@@ -446,21 +435,16 @@ func (c *Coordinator) ensureRound() (*roundState, error) {
 		t := c.cfg.Engine.Round()
 		scheduled := c.scheduledSet(t)
 		if len(scheduled) > 0 || fastForwarded >= emptyFastForward {
+			stream, err := c.cfg.Engine.NewRoundStream()
+			if err != nil {
+				return nil, err
+			}
 			rs := &roundState{
 				t:         t,
 				openedAt:  c.clock.Now(),
 				scheduled: scheduled,
+				stream:    stream,
 				done:      make(chan struct{}),
-			}
-			if c.streaming {
-				stream, err := c.cfg.Engine.NewRoundStream()
-				if err != nil {
-					return nil, err
-				}
-				rs.stream = stream
-			} else {
-				rs.grads = make(map[history.ClientID][]float64, len(scheduled))
-				rs.weights = make(map[history.ClientID]float64, len(scheduled))
 			}
 			if c.window > 0 {
 				rs.timer = time.AfterFunc(c.window, func() { c.expire(rs) })
@@ -489,11 +473,7 @@ func (c *Coordinator) resolve(rs *roundState, expired bool) {
 	if expired {
 		c.met.roundsExpired.Inc()
 	}
-	if rs.stream != nil {
-		rs.err = c.cfg.Engine.SubmitRoundStream(rs.stream, len(rs.scheduled))
-	} else {
-		rs.err = c.cfg.Engine.SubmitRound(rs.grads, rs.weights, len(rs.scheduled))
-	}
+	rs.err = c.cfg.Engine.SubmitRoundStream(rs.stream, len(rs.scheduled))
 	if rs.err != nil {
 		c.met.roundsFailed.Inc()
 		if c.cfg.SkipOnQuorumFailure && errors.Is(rs.err, fl.ErrQuorumNotReached) {
@@ -594,41 +574,24 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("client %d is not scheduled for round %d", up.Client, cur), cur)
 		return
 	}
-	if rs.stream != nil {
-		// Streaming mode: the upload folds into the engine's shard
-		// accumulators right now — the window buffers nothing. The
-		// stream's responder bitmap detects duplicates.
-		if err := rs.stream.Add(up.Client, up.Grad, up.Weight); err != nil {
-			cur := rs.t
-			c.mu.Unlock()
-			if errors.Is(err, fl.ErrDuplicateUpload) {
-				c.writeErr(w, http.StatusConflict, "duplicate_upload",
-					fmt.Errorf("client %d already uploaded for round %d", up.Client, cur), cur)
-				return
-			}
-			status, code := mapError(err)
-			c.writeErr(w, status, code, err, cur)
-			return
-		}
-		rs.folded++
-	} else {
-		if _, dup := rs.grads[up.Client]; dup {
-			cur := rs.t
-			c.mu.Unlock()
-			c.writeErr(w, http.StatusConflict, "duplicate_upload",
-				fmt.Errorf("client %d already uploaded for round %d", up.Client, cur), cur)
-			return
-		}
-		rs.grads[up.Client] = up.Grad
-		rs.weights[up.Client] = up.Weight
+	// The upload enters the engine's round right now — compressed for
+	// the history, then folded or buffered by the round's aggregator —
+	// and the round's responder bitmap detects duplicates.
+	if err := rs.stream.Add(up.Client, up.Grad, up.Weight); err != nil {
+		cur := rs.t
+		c.mu.Unlock()
+		status, code := mapError(err)
+		c.writeErr(w, status, code, err, cur)
+		return
 	}
+	rs.responders++
 	c.met.uploadBytes.Add(int64(up.PayloadBytes))
 	if up.Encoding == EncodingSign {
 		c.met.signUploads.Inc()
 	} else {
 		c.met.denseUploads.Inc()
 	}
-	if rs.responders() == len(rs.scheduled) {
+	if rs.responders == len(rs.scheduled) {
 		c.resolve(rs, false)
 	}
 	c.mu.Unlock()
@@ -659,9 +622,9 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(roundReply{
 		Round:      rs.t,
 		Committed:  true,
-		Responders: rs.responders(),
+		Responders: rs.responders,
 		Scheduled:  len(rs.scheduled),
-		Absent:     len(rs.scheduled) - rs.responders(),
+		Absent:     len(rs.scheduled) - rs.responders,
 		NextRound:  rs.t + 1,
 	})
 }
@@ -990,8 +953,8 @@ type statusReply struct {
 	// Dim is the model's parameter count (upload frames must match).
 	Dim int `json:"dim"`
 	// Streaming reports that uploads fold into shard accumulators on
-	// arrival instead of buffering in the window; Shards is the shard
-	// count P and Folded the open window's fold count (equal to
+	// arrival instead of being buffered until the commit; Shards is the
+	// shard count P and Folded the open window's fold count (equal to
 	// Responders — observable evidence that nothing is buffered).
 	Streaming bool `json:"streaming,omitempty"`
 	Shards    int  `json:"shards,omitempty"`
@@ -1043,14 +1006,9 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		reply.Quorum = p.Quorum
 	}
 	reply.WindowMillis = c.window.Milliseconds()
-	if c.streaming {
-		reply.Streaming = true
-		reply.Shards = c.cfg.Engine.Config().StreamShards
-	}
 	if rs != nil {
 		reply.Scheduled = len(rs.scheduled)
-		reply.Responders = rs.responders()
-		reply.Folded = rs.folded
+		reply.Responders = rs.responders
 		if c.window > 0 {
 			remaining := c.window - c.clock.Now().Sub(rs.openedAt)
 			if remaining < 0 {
@@ -1058,6 +1016,11 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 			}
 			reply.RemainingMillis = remaining.Milliseconds()
 		}
+	}
+	if c.streaming {
+		reply.Streaming = true
+		reply.Shards = c.cfg.Engine.Config().StreamShards
+		reply.Folded = reply.Responders
 	}
 	if store := c.cfg.Engine.Config().Store; store != nil {
 		rep := store.Storage()

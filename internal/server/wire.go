@@ -75,7 +75,7 @@ func ParseEncoding(s string) (Encoding, error) {
 }
 
 // ErrBadFrame marks a binary frame rejected by a reader: wrong magic,
-// impossible lengths, or a corrupt sign payload.
+// impossible lengths, an unusable weight, or a corrupt sign payload.
 var ErrBadFrame = errors.New("server: malformed wire frame")
 
 // uploadHeaderLen is the fixed prefix of an upload frame:
@@ -152,7 +152,9 @@ func WriteUpload(w io.Writer, client history.ClientID, round int, weight float64
 // ReadUpload decodes one gradient upload from r. dim is the model
 // dimension the server expects; a frame declaring any other length is
 // rejected before its payload is read, so a malicious or confused
-// client cannot make the server allocate unboundedly.
+// client cannot make the server allocate unboundedly. A frame whose
+// aggregation weight is NaN, infinite or negative is rejected the same
+// way: one such weight would poison the whole round's aggregate.
 func ReadUpload(r io.Reader, dim int) (*Upload, error) {
 	hdr := make([]byte, uploadHeaderLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -175,6 +177,9 @@ func ReadUpload(r io.Reader, dim int) (*Upload, error) {
 	}
 	if up.Round < 0 {
 		return nil, fmt.Errorf("%w: negative round", ErrBadFrame)
+	}
+	if math.IsNaN(up.Weight) || math.IsInf(up.Weight, 0) || up.Weight < 0 {
+		return nil, fmt.Errorf("%w: upload weight %v is not finite and non-negative", ErrBadFrame, up.Weight)
 	}
 
 	switch enc {

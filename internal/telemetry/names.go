@@ -5,13 +5,16 @@ package telemetry
 // observers can obtain the same live handles via Registry.Counter,
 // Registry.Gauge and Registry.Timer.
 const (
-	// fl.Simulation — one federated round (RunRound).
+	// fl.Simulation — one federated round. Every round is a RoundStream
+	// committed by SubmitRoundStream; round and compute are observed
+	// only by the in-process loop (RunRound), record and aggregate by
+	// every commit.
 	FLRound          = "fl.round"           // timer: whole round
-	FLRoundCompute   = "fl.round.compute"   // timer: parallel client gradient phase
-	FLRoundRecord    = "fl.round.record"    // timer: history + recorder phase
-	FLRoundAggregate = "fl.round.aggregate" // timer: aggregation + model update
+	FLRoundCompute   = "fl.round.compute"   // timer: client gradient phase (chunked compute + adds to the round)
+	FLRoundRecord    = "fl.round.record"    // timer: history (packed directions) + recorder phase of the commit
+	FLRoundAggregate = "fl.round.aggregate" // timer: the round aggregator's Resolve at commit
 	FLRounds         = "fl.rounds"          // counter: rounds executed
-	FLParticipants   = "fl.participants"    // counter: client-rounds computed
+	FLParticipants   = "fl.participants"    // counter: uploads in committed rounds
 	FLClientErrors   = "fl.client_errors"   // counter: failed client computations
 
 	// nn compute-kernel attribution. fl.NewSimulation enables the
@@ -22,17 +25,17 @@ const (
 	NNKernelGEMM   = "nn.kernel.gemm"   // timer: GEMM time per round
 	NNKernelCol2im = "nn.kernel.col2im" // timer: col2im time per round
 
-	// fl sharded streaming aggregation (fl.StreamAggregator /
-	// ShardedFedAvg; see DESIGN.md §15). Uploads fold into shard
-	// accumulators the moment they arrive, so these metrics describe
-	// the fold/resolve phases and the cohort-sampling bitmap
-	// accounting of million-client rounds.
-	FLStreamFold      = "fl.stream.fold"      // timer: fold phase (compute + shard folds) per round
-	FLStreamResolve   = "fl.stream.resolve"   // timer: tree reduction + model update per round
-	FLStreamFolds     = "fl.stream.folds"     // counter: uploads folded into shard accumulators
-	FLStreamSampled   = "fl.stream.sampled"   // counter: clients drawn into streamed cohorts
-	FLStreamAbsentees = "fl.stream.absentees" // counter: cohort members absent from streamed rounds (bitmap-tracked)
-	FLStreamShards    = "fl.stream.shards"    // gauge: shard count P of the active stream
+	// The round's fl.StreamAggregator — ShardedFedAvg under
+	// Config.Streaming, the buffering cohort otherwise (DESIGN.md §13,
+	// §15). Uploads enter it the moment they arrive (RoundStream.Add),
+	// so these metrics describe arrival, resolve and the
+	// cohort-sampling accounting in both modes.
+	FLStreamFold      = "fl.stream.fold"      // timer: StreamAggregator.Add per upload (a shard fold, or a buffered reference)
+	FLStreamResolve   = "fl.stream.resolve"   // timer: StreamAggregator.Resolve per round (tree reduction, or the buffered rule)
+	FLStreamFolds     = "fl.stream.folds"     // counter: uploads accepted into a round
+	FLStreamSampled   = "fl.stream.sampled"   // counter: clients drawn into Sampler cohorts
+	FLStreamAbsentees = "fl.stream.absentees" // counter: scheduled clients absent from a committed round (counted, never mapped)
+	FLStreamShards    = "fl.stream.shards"    // gauge: shard count P under Config.Streaming
 
 	// fl fault-tolerant execution layer (Simulation and RSASimulation
 	// under a FaultPolicy; see internal/faults).
@@ -52,8 +55,8 @@ const (
 	RSARounds         = "rsa.rounds"          // counter: rounds executed
 
 	// history.Store — round recording and storage accounting.
-	HistoryRecord          = "history.record"             // timer: whole RecordRound
-	HistoryCompress        = "history.compress"           // timer: direction compression only
+	HistoryRecord          = "history.record"             // timer: whole RecordRound / RecordRoundDirs
+	HistoryCompress        = "history.compress"           // timer: direction compression only — per upload on arrival (fl.RoundStream.Add), per call in Store.RecordRound
 	HistoryRounds          = "history.rounds"             // counter: rounds recorded
 	HistoryDirectionBytes  = "history.bytes.directions"   // counter: packed direction bytes stored
 	HistoryModelBytes      = "history.bytes.models"       // counter: model snapshot bytes stored
@@ -107,7 +110,7 @@ const (
 	// server — the networked RSU round coordinator (internal/server).
 	// Request counters/timers are per endpoint; the round metrics
 	// describe the wall-clock collection windows that feed
-	// fl.Simulation.SubmitRound.
+	// fl.RoundStream.
 	ServerRequests       = "server.requests"       // counter: HTTP requests served (all endpoints)
 	ServerRequestErrors  = "server.request_errors" // counter: requests answered with a 4xx/5xx status
 	ServerHTTPRound      = "server.http.round"     // timer: POST /v1/round request latency (includes barrier wait)

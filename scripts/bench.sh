@@ -7,7 +7,7 @@
 # (gomaxprocs is the -N suffix go test prints after the name, 1 when
 # there is none; run under GOMAXPROCS=1 for the single-core rows the
 # docs quote).
-# Usage: scripts/bench.sh [-smoke] [-sign] [-strategies] [-scale] [-unlearn] [-verify]
+# Usage: scripts/bench.sh [-smoke] [-sign] [-strategies] [-scale] [-verify]
 #   -smoke  run every benchmark for a single iteration and write the
 #           JSON to a temp file — a fast harness check for check.sh.
 #   -sign   run the sign-kernel + history-tier benchmarks instead and
@@ -21,11 +21,6 @@
 #           fl.ShardedFedAvg) and write BENCH_scale.json
 #           ({"experiment": "scale", "rows": [...]}). With -smoke the
 #           sweep shrinks to one 10k-client fleet.
-#   -unlearn  run the concurrent-unlearning service benchmark (training
-#           throughput while a recovery pass chases the live tip, and
-#           coalesced-vs-sequential latency for K queued requests) and
-#           write BENCH_unlearn.json ({"experiment": "unlearnq", ...}).
-#           With -smoke the fleet and history shrink to CI scale.
 #   -verify run the forgetting-verification harness (every registered
 #           strategy erases the malicious clients of a backdoored
 #           CI-scale deployment, scored by shadow-model MIA, backdoor
@@ -57,9 +52,6 @@ for arg in "$@"; do
 	-scale)
 		suite=scale
 		;;
-	-unlearn)
-		suite=unlearn
-		;;
 	-verify)
 		suite=verify
 		;;
@@ -76,27 +68,6 @@ done
 # The scale suite drives the streaming-aggregation sweep in
 # internal/experiments through cmd/fuiov; -smoke trims it to a single
 # 10k-client fleet with one round so check.sh can afford it.
-# The unlearn suite drives the concurrent-unlearning benchmark in
-# internal/experiments through cmd/fuiov; -smoke swaps in the CI-scale
-# configuration so check.sh can afford it.
-if [ "$suite" = unlearn ]; then
-	case "$out" in
-	BENCH_kernels.json) out=BENCH_unlearn.json ;;
-	esac
-	if [ "$benchtime" = 1x ]; then
-		go run ./cmd/fuiov -unlearnq-smoke -unlearnq-out "$out" unlearnq
-	else
-		go run ./cmd/fuiov -unlearnq-out "$out" unlearnq
-	fi
-	count=$(grep -c '"coalesced_sec"' "$out" || true)
-	if [ "$count" -eq 0 ]; then
-		echo "bench.sh: no unlearn results parsed" >&2
-		exit 1
-	fi
-	echo "bench.sh: wrote $count unlearn rows to $out"
-	exit 0
-fi
-
 # The verify suite drives the forgetting-verification harness in
 # internal/experiments through cmd/fuiov; -smoke trims it to the two
 # reference strategies with a small shadow population so check.sh can

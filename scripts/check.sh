@@ -91,11 +91,6 @@ scripts/bench.sh -smoke -strategies >/dev/null
 # the full fleet sizes.
 scripts/bench.sh -smoke -scale >/dev/null
 
-# Unlearn-harness smoke: the concurrent-unlearning benchmark at CI
-# scale (training-during-recovery throughput plus coalesced batches),
-# emitting a parseable BENCH_unlearn.json to a temp file.
-scripts/bench.sh -smoke -unlearn >/dev/null
-
 # Verify-harness smoke: the forgetting-verification suite at its CI
 # smoke size (two reference strategies, small shadow population),
 # emitting a parseable BENCH_verify.json to a temp file.
