@@ -115,8 +115,9 @@ type Config struct {
 	// Requires an Aggregator implementing StreamableAggregator — the
 	// robust rules need the whole cohort at once and fail fast with
 	// ErrNotStreamable — and cannot feed full-gradient Recorders. The
-	// history Store works in both modes: every upload is compressed to
-	// its 2-bit direction on arrival. With StreamShards == 1 and
+	// history Store works in both modes: every upload is recorded as
+	// its 2-bit direction, compressed on arrival unless it arrived as
+	// one. With StreamShards == 1 and
 	// ascending-ID arrival the committed update is bit-identical to the
 	// buffered one; with more shards it differs only by float-addition
 	// reassociation and is bit-reproducible run to run (DESIGN.md §15).
@@ -367,8 +368,8 @@ func NewSimulation(template *nn.Network, clients []*Client, cfg Config) (*Simula
 		if len(cfg.Recorders) > 0 {
 			// Full-gradient recorders would force the engine to retain
 			// every upload, defeating the flat-memory contract. The
-			// history Store still works: uploads are compressed to their
-			// 2-bit directions at fold time (RecordRoundDirs).
+			// history Store still works: it keeps only the uploads' 2-bit
+			// directions, in hand at fold time (RecordRoundDirs).
 			return nil, fmt.Errorf("fl: streaming cannot feed full-gradient Recorders (retention is O(cohort × dim))")
 		}
 		if cfg.StreamShards == 0 {

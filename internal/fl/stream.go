@@ -3,12 +3,14 @@ package fl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"fuiov/internal/history"
 	"fuiov/internal/rng"
+	"fuiov/internal/sign"
 )
 
 // ErrNotStreamable marks an aggregation rule that cannot fold uploads
@@ -230,20 +232,48 @@ func (a *ShardedFedAvg) Shards() int { return len(a.shards) }
 // Add folds w·grad into the client's shard. It is safe for concurrent
 // use (per-shard locking) and never retains grad.
 func (a *ShardedFedAvg) Add(id history.ClientID, grad []float64, weight float64) error {
-	if len(grad) != a.dim {
-		return fmt.Errorf("fl: client %d gradient has %d params, want %d", id, len(grad), a.dim)
+	return a.fold(id, grad, nil, 0, weight)
+}
+
+// AddDirection folds weight·scale·d into the client's shard straight
+// off the packed form, leaving the bits Add(id, d.Scaled(scale), weight)
+// would: weight·(scale·±1) and (weight·scale)·±1 are the same rounding
+// of the same product, and a zero slot adds a zero either way
+// (DESIGN.md §15). Only an overflowing weight·scale breaks that — ∞·0
+// is NaN where weight·(scale·0) is 0 — so that one case folds the
+// expansion instead.
+func (a *ShardedFedAvg) AddDirection(id history.ClientID, d *sign.Direction, scale, weight float64) error {
+	if math.IsInf(weight*scale, 0) {
+		return a.fold(id, d.Scaled(scale), nil, 0, weight)
+	}
+	return a.fold(id, nil, d, scale, weight)
+}
+
+// fold adds one upload — grad, or the packed (d, scale) when d is not
+// nil — to the client's shard under the shard's lock.
+func (a *ShardedFedAvg) fold(id history.ClientID, grad []float64, d *sign.Direction, scale, weight float64) error {
+	n := len(grad)
+	if d != nil {
+		n = d.Len()
+	}
+	if n != a.dim {
+		return fmt.Errorf("fl: client %d gradient has %d params, want %d", id, n, a.dim)
 	}
 	if weight < 0 {
 		return fmt.Errorf("fl: client %d has negative weight %v", id, weight)
 	}
 	sh := &a.shards[ShardOf(id, len(a.shards))]
 	sh.mu.Lock()
-	// The per-element fold matches AggregateInto's inner loop
-	// (dst[i] += w*v) so single-shard ascending-ID streams are
-	// bit-identical to the buffering aggregator.
-	sum := sh.sum
-	for i, v := range grad {
-		sum[i] += weight * v
+	if d != nil {
+		d.AccumulateInto(sh.sum, weight*scale)
+	} else {
+		// The per-element fold matches AggregateInto's inner loop
+		// (dst[i] += w*v) so single-shard ascending-ID streams are
+		// bit-identical to the buffering aggregator.
+		sum := sh.sum
+		for i, v := range grad {
+			sum[i] += weight * v
+		}
 	}
 	sh.weight += weight
 	sh.count++

@@ -13,20 +13,21 @@ import (
 )
 
 // RoundStream is one open round of the engine: uploads enter through
-// Add as they are computed or arrive, and SubmitRoundStream commits
-// them. Every round goes through one — the in-process loop
-// (RunRoundContext), the map-shaped SubmitRound and the networked
-// coordinator differ only in where their uploads come from. Add hands
-// each upload to the round's StreamAggregator: ShardedFedAvg under
-// Config.Streaming, which folds it and keeps nothing, otherwise the
-// buffering aggregator, which keeps the gradient until the rule runs
-// at commit. Either way the upload is compressed to its 2-bit
-// direction on arrival when a history store is configured, so the
-// commit itself never touches the codec. Obtain one per round from
-// NewRoundStream; Add is safe for concurrent use. Under Streaming the
-// committed bits are deterministic given each shard's arrival order;
-// without it they do not depend on arrival order at all
-// (DESIGN.md §13).
+// Add (or AddDirection, when they arrive already packed) as they are
+// computed or arrive, and SubmitRoundStream commits them. Every round
+// goes through one — the in-process loop (RunRoundContext), the
+// map-shaped SubmitRound and the networked coordinator differ only in
+// where their uploads come from. Add hands each upload to the round's
+// StreamAggregator: ShardedFedAvg under Config.Streaming, which folds
+// it and keeps nothing, otherwise the buffering aggregator, which keeps
+// the gradient until the rule runs at commit. Either way the upload's
+// 2-bit direction is in hand on arrival when a history store is
+// configured — compressed here, or the very payload a sign upload
+// carried — so the commit itself never touches the codec. Obtain one
+// per round from NewRoundStream; Add and AddDirection are safe for
+// concurrent use. Under Streaming the committed bits are deterministic
+// given each shard's arrival order; without it they do not depend on
+// arrival order at all (DESIGN.md §13).
 type RoundStream struct {
 	sim *Simulation
 	t   int
@@ -76,31 +77,84 @@ func (rs *RoundStream) Folded() int { return rs.sim.stream.Folded() }
 // sign. Under Config.Streaming grad is not retained and the caller may
 // reuse it; otherwise the round keeps it until it commits or aborts.
 func (rs *RoundStream) Add(id history.ClientID, grad []float64, weight float64) error {
+	if err := rs.admit(id, len(grad), weight); err != nil {
+		return err
+	}
+	return rs.take(id, grad, nil, 0, weight)
+}
+
+// AddDirection is Add for an upload that travelled as its 2-bit
+// direction and one magnitude — the gradient scale·d, never built here
+// unless someone needs it dense. Validation is Add's, plus a scale that
+// must be finite; the committed model and the recorded history are
+// bit-identical to Add(id, d.Scaled(scale), weight). Two things differ.
+// The round's history direction is d itself whenever scale > δ: every
+// non-zero element of scale·d then clears the store's threshold with
+// its sign intact and every zero stays zero, so compressing the
+// expansion would only re-derive d. (Any other scale expands and goes
+// down Add's path.) And an aggregator that can fold the packed form
+// (ShardedFedAvg) is handed it; the buffering one, whose rules need the
+// dense cohort, gets one expansion. The round keeps a reference to d:
+// the caller must not modify it afterwards.
+func (rs *RoundStream) AddDirection(id history.ClientID, d *sign.Direction, scale, weight float64) error {
+	if d == nil {
+		return fmt.Errorf("fl: round %d: client %d uploaded a nil direction", rs.t, id)
+	}
+	if math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("fl: round %d: client %d sign scale %v is not finite", rs.t, id, scale)
+	}
+	if err := rs.admit(id, d.Len(), weight); err != nil {
+		return err
+	}
+	if rs.dirs != nil && !(scale > rs.sim.cfg.Store.Delta()) {
+		return rs.take(id, d.Scaled(scale), nil, 0, weight)
+	}
+	return rs.take(id, nil, d, scale, weight)
+}
+
+// directionFolder is the StreamAggregator extension AddDirection looks
+// for: the aggregator folds weight·scale·d off the packed form, with
+// the bits Add(id, d.Scaled(scale), weight) would leave.
+type directionFolder interface {
+	AddDirection(id history.ClientID, d *sign.Direction, scale, weight float64) error
+}
+
+// admit is the prologue every upload passes, whatever form it arrived
+// in: a known client, the model's dimension, a usable weight, an open
+// round, and the client's first upload of it (its responder bit).
+func (rs *RoundStream) admit(id history.ClientID, n int, weight float64) error {
 	s := rs.sim
 	if !s.known[id] {
 		return fmt.Errorf("fl: round %d: upload from client %d: %w", rs.t, id, ErrUnknownClient)
 	}
-	if len(grad) != len(s.params) {
-		return fmt.Errorf("fl: round %d: client %d upload dimension %d, want %d", rs.t, id, len(grad), len(s.params))
+	if n != len(s.params) {
+		return fmt.Errorf("fl: round %d: client %d upload dimension %d, want %d", rs.t, id, n, len(s.params))
 	}
 	if math.IsNaN(weight) || math.IsInf(weight, 0) || weight < 0 {
 		return fmt.Errorf("fl: round %d: client %d weight %v is not finite and non-negative", rs.t, id, weight)
 	}
 	rs.mu.Lock()
+	defer rs.mu.Unlock()
 	if rs.closed {
-		rs.mu.Unlock()
 		return fmt.Errorf("fl: round %d stream is closed", rs.t)
 	}
 	if !rs.resp.Set(int(id)) {
-		rs.mu.Unlock()
 		return fmt.Errorf("fl: round %d client %d: %w", rs.t, id, ErrDuplicateUpload)
 	}
-	rs.mu.Unlock()
+	return nil
+}
+
+// take hands an admitted upload to the round's aggregator and keeps its
+// direction for the commit. The upload is either grad (d nil), whose
+// direction is derived here when a store wants one, or the packed
+// (d, scale), whose direction is d.
+func (rs *RoundStream) take(id history.ClientID, grad []float64, d *sign.Direction, scale, weight float64) error {
+	s := rs.sim
+	packed := d != nil
 	// Compress before the aggregator sees the upload so a codec failure
 	// leaves it untouched, and both outside rs.mu so concurrent uploads
 	// proceed in parallel (ShardedFedAvg locks per shard).
-	var d *sign.Direction
-	if rs.dirs != nil {
+	if !packed && rs.dirs != nil {
 		span := s.met.compress.Start()
 		var err error
 		d, err = sign.Compress(grad, s.cfg.Store.Delta())
@@ -110,13 +164,21 @@ func (rs *RoundStream) Add(id history.ClientID, grad []float64, weight float64) 
 		}
 	}
 	span := s.met.stream.fold.Start()
-	err := s.stream.Add(id, grad, weight)
+	var err error
+	if folder, ok := s.stream.(directionFolder); ok && packed {
+		err = folder.AddDirection(id, d, scale, weight)
+	} else {
+		if packed {
+			grad = d.Scaled(scale)
+		}
+		err = s.stream.Add(id, grad, weight)
+	}
 	span.End()
 	if err != nil {
 		return fmt.Errorf("fl: round %d: %w", rs.t, err)
 	}
 	s.met.stream.folds.Inc()
-	if d != nil {
+	if rs.dirs != nil {
 		rs.mu.Lock()
 		rs.dirs[id] = d
 		rs.weights[id] = weight

@@ -25,9 +25,13 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // ReadUpload must not panic, must fail only with ErrBadFrame, and must
 // be bounded by the server's own dimension — never by what the frame
 // claims: it reads at most one header plus one payload and allocates
-// about one dim-sized gradient (plus the dense reader's chunk buffer).
+// about one dim-sized gradient (the dense reader's chunk buffer is
+// pooled: the quietest of three runs never pays for it).
 // An accepted upload has the server's dimension, a non-negative round
-// and a finite, non-negative weight.
+// and a finite, non-negative weight; an accepted sign upload also
+// carries the direction it travelled as — dim elements, a finite scale
+// — and its Grad is that direction expanded and multiplied by the
+// scale, nothing else.
 func FuzzReadUpload(f *testing.F) {
 	const dim = 10 // not a multiple of 4: the sign payload has a tail byte
 	grad := make([]float64, dim)
@@ -86,6 +90,25 @@ func FuzzReadUpload(f *testing.F) {
 		}
 		if w := up.Weight; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
 			t.Fatalf("accepted weight %v", w)
+		}
+		if (up.Dir != nil) != (up.Encoding == EncodingSign) {
+			t.Fatalf("%v upload with Dir = %v", up.Encoding, up.Dir)
+		}
+		if up.Dir == nil {
+			return
+		}
+		if up.Dir.Len() != dim {
+			t.Fatalf("accepted sign upload with a %d-element direction", up.Dir.Len())
+		}
+		if math.IsNaN(up.Scale) || math.IsInf(up.Scale, 0) {
+			t.Fatalf("accepted sign scale %v", up.Scale)
+		}
+		want := up.Dir.Dense()
+		for i := range want {
+			want[i] *= up.Scale
+			if math.Float64bits(up.Grad[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("Grad[%d] = %v, want expand(Dir)·Scale = %v", i, up.Grad[i], want[i])
+			}
 		}
 	})
 }

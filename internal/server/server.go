@@ -522,7 +522,7 @@ type roundReply struct {
 // resolves (all scheduled uploads arrived, or the wall-clock window
 // expired and quorum was adjudicated).
 func (c *Coordinator) handleRound(w http.ResponseWriter, r *http.Request) {
-	up, err := ReadUpload(r.Body, c.dim)
+	up, err := readUpload(r.Body, c.dim)
 	if err != nil {
 		status, code := mapError(err)
 		c.writeErr(w, status, code, err, c.currentRound())
@@ -574,10 +574,17 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("client %d is not scheduled for round %d", up.Client, cur), cur)
 		return
 	}
-	// The upload enters the engine's round right now — compressed for
-	// the history, then folded or buffered by the round's aggregator —
-	// and the round's responder bitmap detects duplicates.
-	if err := rs.stream.Add(up.Client, up.Grad, up.Weight); err != nil {
+	// The upload enters the engine's round right now, in the form it
+	// travelled in — a dense gradient is compressed for the history, a
+	// sign payload is the history's direction already — then folded or
+	// buffered by the round's aggregator, and the round's responder
+	// bitmap detects duplicates.
+	if up.Dir != nil {
+		err = rs.stream.AddDirection(up.Client, up.Dir, up.Scale, up.Weight)
+	} else {
+		err = rs.stream.Add(up.Client, up.Grad, up.Weight)
+	}
+	if err != nil {
 		cur := rs.t
 		c.mu.Unlock()
 		status, code := mapError(err)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -587,33 +589,254 @@ func TestCoordinatorClose(t *testing.T) {
 	}
 }
 
+// signFrames builds the round-0 sign upload of every client — the
+// frame an agent configured with the same threshold and scale sends.
+func signFrames(t *testing.T, sim *fl.Simulation, clients []*fl.Client, delta, scale float64) [][]byte {
+	t.Helper()
+	params := sim.Params()
+	frames := make([][]byte, len(clients))
+	for i, cl := range clients {
+		g, err := cl.ComputeGradient(sim.Template().Clone(), params, loopSeed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := server.WriteUpload(&buf, cl.ID, 0, cl.Weight(), server.EncodingSign, g, delta, scale); err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = buf.Bytes()
+	}
+	return frames
+}
+
+// requireSignRoundMatchesDense is the sign path's bit-identity over
+// HTTP: the model served and the history recorded after the frames went
+// through POST /v1/round equal those of oracle, an untouched twin
+// engine, once it is fed each frame's dense reading
+// (ReadUpload(frame).Grad) in ascending client order.
+func requireSignRoundMatchesDense(t *testing.T, served, oracle *fl.Simulation, servedStore, oracleStore *history.Store, frames [][]byte) {
+	t.Helper()
+	rs, err := oracle.NewRoundStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range frames {
+		up, err := server.ReadUpload(bytes.NewReader(frame), oracle.Template().NumParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.Add(up.Client, up.Grad, up.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := oracle.SubmitRoundStream(rs, len(frames)); err != nil {
+		t.Fatal(err)
+	}
+	got, want := served.Params(), oracle.Params()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("served sign round deviates from the dense reading at param %d: %v vs %v", i, got[i], want[i])
+		}
+	}
+	var gb, wb bytes.Buffer
+	if err := servedStore.Save(&gb); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracleStore.Save(&wb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+		t.Fatal("served sign round recorded a different history than the dense reading")
+	}
+}
+
 // TestSignEncodedRound runs a full HTTP round with sign-compressed
-// uploads: lossy by design, but the round must commit and the upload
-// accounting must record the 2-bit payloads.
+// uploads: lossy by design, but the round must commit, the upload
+// accounting must record the 2-bit payloads, and — the packed path's
+// licence — the served model and recorded history must be bit-equal to
+// an in-process engine fed ReadUpload(frame).Grad. Once through the
+// barrier, with concurrent agents (the barrier does not care about
+// arrival order), and once streaming over one shard, with the frames
+// posted in ascending client order.
 func TestSignEncodedRound(t *testing.T) {
-	sim, clients, _ := loopFixture(t, 4, fl.AlwaysOn{}, nil)
-	reg := telemetry.New()
-	_, base := startCoordinator(t, server.Config{
-		Engine:    sim,
-		MaxRounds: 1,
-		Telemetry: reg,
-	})
-	runAgents(t, base, clients, sim.Template(), func(i int, cfg *agent.Config) {
-		cfg.Schedule = fl.AlwaysOn{}
-		cfg.Encoding = server.EncodingSign
-		cfg.Delta = 1e-9
-		cfg.Scale = 0.01
-	})
-	if sim.Round() != 1 {
-		t.Fatalf("sign round did not commit: engine at %d", sim.Round())
+	const n, delta, scale = 4, 1e-9, 0.01
+	check := func(t *testing.T, sim *fl.Simulation, reg *telemetry.Registry) {
+		t.Helper()
+		if sim.Round() != 1 {
+			t.Fatalf("sign round did not commit: engine at %d", sim.Round())
+		}
+		if got := reg.Counter(telemetry.ServerSignUploads).Value(); got != n {
+			t.Fatalf("sign uploads counted = %d, want %d", got, n)
+		}
+		dim := sim.Template().NumParams()
+		wantBytes := int64(n * (8 + (dim+3)/4))
+		if got := reg.Counter(telemetry.ServerUploadBytes).Value(); got != wantBytes {
+			t.Fatalf("upload bytes = %d, want %d (2 bits/element)", got, wantBytes)
+		}
 	}
-	if n := reg.Counter(telemetry.ServerSignUploads).Value(); n != 4 {
-		t.Fatalf("sign uploads counted = %d, want 4", n)
+
+	t.Run("barrier", func(t *testing.T) {
+		sim, clients, store := loopFixture(t, n, fl.AlwaysOn{}, nil)
+		oracle, _, oracleStore := loopFixture(t, n, fl.AlwaysOn{}, nil)
+		frames := signFrames(t, sim, clients, delta, scale)
+		reg := telemetry.New()
+		_, base := startCoordinator(t, server.Config{
+			Engine:    sim,
+			MaxRounds: 1,
+			Telemetry: reg,
+		})
+		runAgents(t, base, clients, sim.Template(), func(i int, cfg *agent.Config) {
+			cfg.Schedule = fl.AlwaysOn{}
+			cfg.Encoding = server.EncodingSign
+			cfg.Delta = delta
+			cfg.Scale = scale
+		})
+		check(t, sim, reg)
+		requireSignRoundMatchesDense(t, sim, oracle, store, oracleStore, frames)
+	})
+
+	t.Run("streaming", func(t *testing.T) {
+		sim, clients, store := streamFixture(t, n, 1, fl.AlwaysOn{})
+		oracle, _, oracleStore := streamFixture(t, n, 1, fl.AlwaysOn{})
+		frames := signFrames(t, sim, clients, delta, scale)
+		reg := telemetry.New()
+		_, base := startCoordinator(t, server.Config{
+			Engine:    sim,
+			MaxRounds: 1,
+			Telemetry: reg,
+		})
+		postInOrder(t, base, frames)
+		check(t, sim, reg)
+		requireSignRoundMatchesDense(t, sim, oracle, store, oracleStore, frames)
+	})
+}
+
+// postInOrder delivers upload frames strictly one after another: a
+// handler folds its upload on arrival and then blocks on the round, so
+// each post runs on its own goroutine and the next one waits until
+// /v1/status counts the previous upload as folded.
+func postInOrder(t *testing.T, base string, frames [][]byte) {
+	t.Helper()
+	folded := func() int {
+		resp, err := http.Get(base + "/v1/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			Folded int `json:"folded"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Folded
 	}
-	dim := sim.Template().NumParams()
-	wantBytes := int64(4 * (8 + (dim+3)/4))
-	if n := reg.Counter(telemetry.ServerUploadBytes).Value(); n != wantBytes {
-		t.Fatalf("upload bytes = %d, want %d (2 bits/element)", n, wantBytes)
+	var wg sync.WaitGroup
+	for i, frame := range frames {
+		wg.Add(1)
+		go func(body []byte) {
+			defer wg.Done()
+			resp, err := http.Post(base+"/v1/round", "application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("upload → %d", resp.StatusCode)
+			}
+		}(frame)
+		if want := i + 1; want < len(frames) {
+			deadline := time.Now().Add(5 * time.Second)
+			for folded() < want {
+				if time.Now().After(deadline) {
+					t.Fatalf("upload %d never folded", i)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	wg.Wait()
+}
+
+// TestSignUploadStaysPacked pins the memory shape of the sign path
+// under Streaming: serving N sign uploads through the coordinator's
+// handler allocates less than N × 8·dim/4 bytes in total — the payload
+// is a thirty-second of a dense vector and nothing dense is built
+// beside it, so one expansion per upload creeping back in (8·dim bytes
+// each) fails this by a factor of four.
+func TestSignUploadStaysPacked(t *testing.T) {
+	const dim, vehicles, rounds = 20001, 16, 4 // round 0 warms the engine's scratch up
+	net := nn.NewMLP(dim-1, 1)
+	net.Init(rng.New(loopSeed))
+	clients := make([]*fl.Client, vehicles)
+	for i := range clients {
+		clients[i] = &fl.Client{ID: history.ClientID(i)}
+	}
+	store, err := history.NewStore(dim, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := fl.NewSimulation(net, clients, fl.Config{
+		LearningRate: loopLR, Seed: loopSeed, Store: store, Streaming: true, StreamShards: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := server.New(server.Config{Engine: sim, MaxRounds: rounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	r := rng.New(loopSeed)
+	grad := make([]float64, dim)
+	frames := make([][][]byte, rounds)
+	for n := range frames {
+		frames[n] = make([][]byte, vehicles)
+		for i := range clients {
+			for j := range grad {
+				grad[j] = r.Normal()
+			}
+			var buf bytes.Buffer
+			if err := server.WriteUpload(&buf, history.ClientID(i), n, 1+float64(i%3), server.EncodingSign, grad, 0.5, 0.01); err != nil {
+				t.Fatal(err)
+			}
+			frames[n][i] = buf.Bytes()
+		}
+	}
+	serveRound := func(n int) {
+		var wg sync.WaitGroup
+		for _, frame := range frames[n] {
+			wg.Add(1)
+			go func(frame []byte) {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				coord.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/round", bytes.NewReader(frame)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("round %d upload → %d %s", n, rec.Code, rec.Body)
+				}
+			}(frame)
+		}
+		wg.Wait()
+	}
+
+	serveRound(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := 1; n < rounds; n++ {
+		serveRound(n)
+	}
+	runtime.ReadMemStats(&after)
+	if sim.Round() != rounds || store.Rounds() != rounds {
+		t.Fatalf("engine at round %d, store at %d, want %d", sim.Round(), store.Rounds(), rounds)
+	}
+	const uploads = vehicles * (rounds - 1)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(uploads*8*dim/4); got >= bound {
+		t.Fatalf("serving %d sign uploads of dim %d allocated %d bytes (%d per upload), want under %d (%d per upload)",
+			uploads, dim, got, got/uploads, bound, bound/uploads)
+	} else {
+		t.Logf("%d bytes per upload against a bound of %d; a dense vector is %d", got/uploads, bound/uploads, 8*dim)
 	}
 }
 

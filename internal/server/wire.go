@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"fuiov/internal/history"
 	"fuiov/internal/sign"
@@ -75,13 +76,18 @@ func ParseEncoding(s string) (Encoding, error) {
 }
 
 // ErrBadFrame marks a binary frame rejected by a reader: wrong magic,
-// impossible lengths, an unusable weight, or a corrupt sign payload.
+// impossible lengths, an unusable weight or sign scale, or a corrupt
+// sign payload.
 var ErrBadFrame = errors.New("server: malformed wire frame")
 
 // uploadHeaderLen is the fixed prefix of an upload frame:
 // magic(4) + encoding(1) + client(8) + round(8) + weight(8) +
 // scale(8) + dim(8).
 const uploadHeaderLen = 4 + 1 + 8 + 8 + 8 + 8 + 8
+
+// signLenPrefix is the element count sign.Direction.Encode writes ahead
+// of the packed payload (8 bytes, little-endian).
+const signLenPrefix = 8
 
 // modelHeaderLen is the fixed prefix of a model frame:
 // magic(4) + round(8) + dim(8).
@@ -102,8 +108,14 @@ type Upload struct {
 	// Encoding records how the gradient travelled.
 	Encoding Encoding
 	// Grad is the dense gradient. For EncodingSign it is the decoded
-	// sign(g)·scale vector.
+	// sign(g)·scale vector, Dir.Scaled(Scale).
 	Grad []float64
+	// Dir and Scale are a sign upload as it travelled: the packed 2-bit
+	// direction, which owns the payload bytes read off the wire, and the
+	// finite magnitude every non-zero element stands for. Dir is nil on
+	// a dense upload.
+	Dir   *sign.Direction
+	Scale float64
 	// PayloadBytes is the on-wire payload size (telemetry).
 	PayloadBytes int
 }
@@ -154,9 +166,27 @@ func WriteUpload(w io.Writer, client history.ClientID, round int, weight float64
 // rejected before its payload is read, so a malicious or confused
 // client cannot make the server allocate unboundedly. A frame whose
 // aggregation weight is NaN, infinite or negative is rejected the same
-// way: one such weight would poison the whole round's aggregate.
+// way, and so is a sign frame whose scale is NaN or infinite: one such
+// value would poison the whole round's aggregate.
 func ReadUpload(r io.Reader, dim int) (*Upload, error) {
-	hdr := make([]byte, uploadHeaderLen)
+	up, err := readUpload(r, dim)
+	if err != nil {
+		return nil, err
+	}
+	if up.Dir != nil {
+		up.Grad = up.Dir.Scaled(up.Scale)
+	}
+	return up, nil
+}
+
+// readUpload is ReadUpload stopping at what travelled: a sign upload
+// comes back as (Dir, Scale) with Grad nil — the payload is read
+// straight into the direction's own storage and validated in place,
+// and nothing dim×8 bytes large is built. The round handler folds that
+// form as it is (fl.RoundStream.AddDirection).
+func readUpload(r io.Reader, dim int) (*Upload, error) {
+	// Room for a sign payload's own length prefix behind the header.
+	hdr := make([]byte, uploadHeaderLen, uploadHeaderLen+signLenPrefix)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("%w: short upload header: %v", ErrBadFrame, err)
 	}
@@ -190,26 +220,26 @@ func ReadUpload(r io.Reader, dim int) (*Upload, error) {
 		}
 		up.PayloadBytes = 8 * dim
 	case EncodingSign:
-		packed := 8 + (dim+3)/4 // Encode's length header + 2 bits/elem
-		buf := make([]byte, packed)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if math.IsNaN(scale) || math.IsInf(scale, 0) {
+			return nil, fmt.Errorf("%w: sign scale %v is not finite", ErrBadFrame, scale)
+		}
+		prefix := hdr[uploadHeaderLen : uploadHeaderLen+signLenPrefix]
+		if _, err := io.ReadFull(r, prefix); err != nil {
 			return nil, fmt.Errorf("%w: short sign payload: %v", ErrBadFrame, err)
 		}
-		d, err := sign.Decode(buf)
+		if pn := binary.LittleEndian.Uint64(prefix); pn != uint64(dim) {
+			return nil, fmt.Errorf("%w: sign payload length %d, want %d", ErrBadFrame, pn, dim)
+		}
+		packed := make([]byte, sign.PackedLen(dim))
+		if _, err := io.ReadFull(r, packed); err != nil {
+			return nil, fmt.Errorf("%w: short sign payload: %v", ErrBadFrame, err)
+		}
+		d, err := sign.FromPacked(dim, packed)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
-		if d.Len() != dim {
-			return nil, fmt.Errorf("%w: sign payload length %d, want %d", ErrBadFrame, d.Len(), dim)
-		}
-		up.Grad = make([]float64, dim)
-		d.DenseInto(up.Grad)
-		if scale != 1 {
-			for i := range up.Grad {
-				up.Grad[i] *= scale
-			}
-		}
-		up.PayloadBytes = packed
+		up.Dir, up.Scale = d, scale
+		up.PayloadBytes = signLenPrefix + len(packed)
 	default:
 		return nil, fmt.Errorf("%w: unknown encoding %d", ErrBadFrame, byte(enc))
 	}
@@ -294,10 +324,16 @@ func parseModelHeader(hdr []byte) (round int, n uint64, err error) {
 	return round, n, nil
 }
 
+// chunkPool holds the chunkElems-sized staging buffers writeFloats and
+// readFloats move payload through, so a dense upload, model fetch or
+// model write does not allocate one of its own.
+var chunkPool = sync.Pool{New: func() any { return new([8 * chunkElems]byte) }}
+
 // writeFloats streams v as little-endian float64s in chunkElems-sized
 // chunks, so neither side ever materialises the whole payload twice.
 func writeFloats(w io.Writer, v []float64) error {
-	buf := make([]byte, 8*min(len(v), chunkElems))
+	buf := chunkPool.Get().(*[8 * chunkElems]byte)
+	defer chunkPool.Put(buf)
 	for len(v) > 0 {
 		n := min(len(v), chunkElems)
 		for i, x := range v[:n] {
@@ -313,7 +349,8 @@ func writeFloats(w io.Writer, v []float64) error {
 
 // readFloats fills dst from r, chunk by chunk.
 func readFloats(r io.Reader, dst []float64) error {
-	buf := make([]byte, 8*min(len(dst), chunkElems))
+	buf := chunkPool.Get().(*[8 * chunkElems]byte)
+	defer chunkPool.Put(buf)
 	for len(dst) > 0 {
 		n := min(len(dst), chunkElems)
 		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {

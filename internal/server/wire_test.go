@@ -60,6 +60,52 @@ func TestSignUploadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSignUploadStopsAtDirection checks the two readers of a sign
+// frame against each other: readUpload stops at what travelled — the
+// packed direction and the scale, no dense vector — and ReadUpload is
+// that plus the expansion. A scale that is not finite is refused before
+// the payload is read, on a sign frame only: a dense frame's scale
+// field means nothing and keeps being ignored.
+func TestSignUploadStopsAtDirection(t *testing.T) {
+	grad := []float64{0.5, -2, 1e-9, 0, 3, -1e-9}
+	const delta, scale = 1e-6, 0.25
+	frame := func(enc Encoding, scale float64) []byte {
+		var buf bytes.Buffer
+		if err := WriteUpload(&buf, 3, 0, 10, enc, grad, delta, scale); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	up, err := readUpload(bytes.NewReader(frame(EncodingSign, scale)), len(grad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.Grad != nil || up.Dir == nil || up.Dir.Len() != len(grad) || up.Scale != scale {
+		t.Fatalf("readUpload → Grad %v, Dir %v, Scale %v; want the packed direction and scale only", up.Grad, up.Dir, up.Scale)
+	}
+	for i, want := range []float64{1, -1, 0, 0, 1, 0} {
+		if got := up.Dir.At(i); got != want {
+			t.Fatalf("direction element %d = %v, want %v", i, got, want)
+		}
+	}
+	if got, want := up.PayloadBytes, 8+(len(grad)+3)/4; got != want {
+		t.Fatalf("payload accounting = %d, want %d", got, want)
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cr := &countingReader{r: bytes.NewReader(frame(EncodingSign, bad))}
+		if _, err := ReadUpload(cr, len(grad)); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("sign scale %v: err = %v, want ErrBadFrame", bad, err)
+		}
+		if cr.n != uploadHeaderLen {
+			t.Errorf("sign scale %v: read %d bytes, want the %d-byte header only", bad, cr.n, uploadHeaderLen)
+		}
+		if _, err := ReadUpload(bytes.NewReader(frame(EncodingDense, bad)), len(grad)); err != nil {
+			t.Errorf("dense frame with scale %v: %v", bad, err)
+		}
+	}
+}
+
 // TestReadUploadRejects enumerates the malformed frames a reader must
 // refuse with ErrBadFrame.
 func TestReadUploadRejects(t *testing.T) {

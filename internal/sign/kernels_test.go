@@ -113,6 +113,34 @@ func TestAccumulateInto(t *testing.T) {
 	}
 }
 
+// TestScaledMatchesDenseTimesScale checks Scaled against the
+// composition it stands for — expand, then multiply every element by
+// the scale — bit for bit at every tail length, zero slots' signed
+// zeros included.
+func TestScaledMatchesDenseTimesScale(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 4, 5, 1003} {
+		d, err := Compress(randGrad(uint64(n)+9, n), 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []float64{1, 0.25, -3, 0, 1e-7} {
+			want := d.Dense()
+			for i := range want {
+				want[i] *= scale
+			}
+			got := d.Scaled(scale)
+			if len(got) != n {
+				t.Fatalf("n=%d: Scaled has %d elements", n, len(got))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d scale=%v element %d: %v, want %v", n, scale, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestAccumulateIntoAllocs pins the saxpy at zero allocations — the
 // recovery hot loop depends on it (checked by scripts/check.sh).
 func TestAccumulateIntoAllocs(t *testing.T) {

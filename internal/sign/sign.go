@@ -11,8 +11,8 @@
 //
 // The codec operates on whole bytes, not elements: compression emits
 // one packed byte per four inputs through a branch-free encoder, and
-// every decode-side path (DenseInto, AccumulateInto, CountNonZero,
-// Decode validation) walks a 256-entry lookup table that resolves four
+// every decode-side path (DenseInto, Scaled, AccumulateInto,
+// CountNonZero, FromPacked validation) walks a 256-entry lookup table that resolves four
 // elements per step without per-element branches. The recovery hot
 // loop (lbfgs.EstimateInto, driven by internal/unlearn) reads
 // directions four elements at a time through Quad, inside its own
@@ -116,7 +116,7 @@ func CompressInto(d *Direction, g []float64, delta float64) error {
 	if delta < 0 {
 		return fmt.Errorf("sign: negative threshold %v", delta)
 	}
-	want := (len(g) + 3) / 4
+	want := PackedLen(len(g))
 	if cap(d.packed) < want {
 		d.packed = make([]byte, want)
 	} else {
@@ -176,6 +176,27 @@ func (d *Direction) DenseInto(dst []float64) {
 	}
 }
 
+// Scaled expands the direction to scale·{-1, 0, +1}: the dense vector a
+// sign upload (direction, scale) stands for, and the one definition of
+// it — the wire reader's Upload.Grad and the round engine's fallback
+// for an aggregator that cannot fold packed both call this.
+func (d *Direction) Scaled(scale float64) []float64 {
+	out := make([]float64, d.n)
+	full := d.n / 4
+	for o := 0; o < full; o++ {
+		lut := &denseLUT[d.packed[o]]
+		j := o * 4
+		out[j] = scale * lut[0]
+		out[j+1] = scale * lut[1]
+		out[j+2] = scale * lut[2]
+		out[j+3] = scale * lut[3]
+	}
+	for i := full * 4; i < d.n; i++ {
+		out[i] = scale * denseLUT[d.packed[i/4]][i%4]
+	}
+	return out
+}
+
 // AccumulateInto adds w times the direction to dst (length Len): a
 // fused weighted ±1 saxpy straight off the packed representation, for
 // callers that add a direction to a finished vector without
@@ -222,33 +243,52 @@ func (d *Direction) Encode() []byte {
 	return out
 }
 
-// Decode parses a buffer produced by Encode. Validation is whole-byte:
-// a 256-entry table flags the unused 0b11 code four slots at a time,
-// and the final byte's padding slots must decode to zero.
+// Decode parses a buffer produced by Encode: the length header, then
+// FromPacked over the payload, copied once it is known to be valid so
+// the direction never aliases buf.
 func Decode(buf []byte) (*Direction, error) {
 	if len(buf) < 8 {
 		return nil, ErrCorrupt
 	}
-	n := int(binary.LittleEndian.Uint64(buf))
-	want := (n + 3) / 4
-	if n < 0 || len(buf)-8 != want {
+	n := binary.LittleEndian.Uint64(buf)
+	if n > uint64(4*(len(buf)-8)) { // also keeps int(n) in range
 		return nil, ErrCorrupt
 	}
-	d := &Direction{n: n, packed: make([]byte, want)}
-	copy(d.packed, buf[8:])
-	for _, b := range d.packed {
+	d, err := FromPacked(int(n), buf[8:])
+	if err != nil {
+		return nil, err
+	}
+	d.packed = append([]byte(nil), d.packed...)
+	return d, nil
+}
+
+// FromPacked builds the n-element direction whose 2-bit payload is
+// packed, taking ownership of the slice: the direction aliases it, so
+// the caller must not write to it afterwards. It is the constructor for
+// a reader that received the payload straight into its final storage
+// (the RSU's upload handler). Validation is whole-byte and in place: a
+// 256-entry table flags the unused 0b11 code four slots at a time, and
+// the final byte's padding slots must decode to zero.
+func FromPacked(n int, packed []byte) (*Direction, error) {
+	if n < 0 || len(packed) != PackedLen(n) {
+		return nil, ErrCorrupt
+	}
+	for _, b := range packed {
 		if invalidLUT[b] {
 			return nil, ErrCorrupt
 		}
 	}
 	if tail := n % 4; tail != 0 {
 		// Slots tail..3 of the final byte are padding and must be zero.
-		if d.packed[want-1]>>uint(2*tail) != 0 {
+		if packed[len(packed)-1]>>uint(2*tail) != 0 {
 			return nil, ErrCorrupt
 		}
 	}
-	return d, nil
+	return &Direction{n: n, packed: packed}, nil
 }
+
+// PackedLen is the payload size in bytes of an n-element direction.
+func PackedLen(n int) int { return (n + 3) / 4 }
 
 // CountNonZero returns the number of ±1 elements — a measure of how
 // much update information survives a given δ (used by the Figure 3

@@ -1,6 +1,7 @@
 package sign
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -119,6 +120,48 @@ func TestDecodeCorrupt(t *testing.T) {
 	enc2[8] |= codePos << 2 // slot 1 should be empty
 	if _, err := Decode(enc2); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("dirty padding: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestFromPackedTakesOwnership: the constructor validates in place and
+// the direction aliases the slice it was given — no copy — while Decode
+// keeps copying, so its result never aliases the caller's buffer.
+func TestFromPackedTakesOwnership(t *testing.T) {
+	src, _ := Compress([]float64{1, -1, 0, 1, -1}, 0)
+	enc := src.Encode()
+	packed := append([]byte(nil), enc[8:]...)
+	d, err := FromPacked(src.Len(), packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(d.Encode(), enc) {
+		t.Fatalf("FromPacked re-encodes to %x, want %x", d.Encode(), enc)
+	}
+	packed[0] = codeNeg // element 0: +1 → −1, visible through the alias
+	if got := d.At(0); got != -1 {
+		t.Errorf("direction does not alias its payload: element 0 = %v after the write", got)
+	}
+	dec, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc[8] = codeNeg
+	if got := dec.At(0); got != 1 {
+		t.Errorf("Decode aliases its input: element 0 = %v after the write", got)
+	}
+	for name, c := range map[string]struct {
+		n      int
+		packed []byte
+	}{
+		"negative length": {-1, nil},
+		"short payload":   {5, []byte{0}},
+		"long payload":    {4, []byte{0, 0}},
+		"reserved code":   {4, []byte{0b11 << 2}},
+		"dirty padding":   {1, []byte{codePos << 2}},
+	} {
+		if _, err := FromPacked(c.n, c.packed); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

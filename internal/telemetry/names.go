@@ -30,7 +30,7 @@ const (
 	// §15). Uploads enter it the moment they arrive (RoundStream.Add),
 	// so these metrics describe arrival, resolve and the
 	// cohort-sampling accounting in both modes.
-	FLStreamFold      = "fl.stream.fold"      // timer: StreamAggregator.Add per upload (a shard fold, or a buffered reference)
+	FLStreamFold      = "fl.stream.fold"      // timer: the aggregator's take of one upload (a shard fold — dense or straight off the packed direction — or a buffered reference, with the one expansion a packed upload needs there)
 	FLStreamResolve   = "fl.stream.resolve"   // timer: StreamAggregator.Resolve per round (tree reduction, or the buffered rule)
 	FLStreamFolds     = "fl.stream.folds"     // counter: uploads accepted into a round
 	FLStreamSampled   = "fl.stream.sampled"   // counter: clients drawn into Sampler cohorts
@@ -56,13 +56,13 @@ const (
 
 	// history.Store — round recording and storage accounting.
 	HistoryRecord          = "history.record"             // timer: whole RecordRound / RecordRoundDirs
-	HistoryCompress        = "history.compress"           // timer: direction compression only — per upload on arrival (fl.RoundStream.Add), per call in Store.RecordRound
+	HistoryCompress        = "history.compress"           // timer: direction compression only — per upload on arrival (fl.RoundStream.Add), per call in Store.RecordRound; none for an upload that arrived packed (RoundStream.AddDirection with scale > δ: nothing is compressed)
 	HistoryRounds          = "history.rounds"             // counter: rounds recorded
 	HistoryDirectionBytes  = "history.bytes.directions"   // counter: packed direction bytes stored
 	HistoryModelBytes      = "history.bytes.models"       // counter: model snapshot bytes stored
 	HistoryFullEquivBytes  = "history.bytes.full_equiv"   // counter: float64-equivalent gradient bytes
 	HistorySaving          = "history.compression_saving" // gauge: 1 − directions/full_equiv
-	HistoryCompressedElems = "history.compress.elements"  // counter: gradient elements through the codec
+	HistoryCompressedElems = "history.compress.elements"  // counter: recorded elements that passed through the codec, here or upstream (a sign upload was compressed by its vehicle)
 	HistorySpilledRounds   = "history.spill.rounds"       // counter: snapshots moved to the spill file
 	HistorySpilledBytes    = "history.spill.bytes"        // counter: snapshot bytes moved to the spill file
 	HistorySpillHits       = "history.spill.cache_hits"   // counter: spilled reads served from the hot cache
