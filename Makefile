@@ -27,10 +27,10 @@ fmt:
 
 # Fault-tolerance suite under the race detector: injected faults,
 # retry/deadline/quorum handling and context cancellation across the
-# round engine, unlearner and baselines.
+# round engine, unlearner and baseline strategies.
 test-faults:
 	$(GO) test -race -run 'Fault|Quorum|Corrupt|Cancel|Bootstrap|Legacy|Sentinel' \
-		./internal/faults/ ./internal/fl/ ./internal/unlearn/ ./internal/baselines/ ./internal/iov/ .
+		./internal/faults/ ./internal/fl/ ./internal/unlearn/ ./internal/unlearn/strategy/ ./internal/iov/ .
 
 # check is the tier-1 verification path: formatting, static analysis,
 # build and the full test suite.

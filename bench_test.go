@@ -19,6 +19,7 @@ package fuiov_test
 // round) follow the experiment benchmarks.
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -46,7 +47,7 @@ func benchScale() experiments.Scale {
 // FedRecover, FedRecovery and Ours on both datasets).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(benchScale(), benchSeed)
+		rows, err := experiments.Table1(context.Background(), benchScale(), benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func BenchmarkTable1(b *testing.B) {
 // unlearning, after forgetting, after recovery).
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure1(benchScale(), benchSeed)
+		rows, err := experiments.Figure1(context.Background(), benchScale(), benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func BenchmarkFigure1(b *testing.B) {
 // BenchmarkFigure2 regenerates Fig. 2 (accuracy vs clip threshold L).
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Figure2(benchScale(), benchSeed, nil)
+		points, err := experiments.Figure2(context.Background(), benchScale(), benchSeed, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func BenchmarkFigure2(b *testing.B) {
 // threshold δ).
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Figure3(benchScale(), benchSeed, nil)
+		points, err := experiments.Figure3(context.Background(), benchScale(), benchSeed, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func BenchmarkFigure3(b *testing.B) {
 // BenchmarkStorage regenerates the §I/§VI storage-savings claim.
 func BenchmarkStorage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Storage(benchScale(), benchSeed)
+		rows, err := experiments.Storage(context.Background(), benchScale(), benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func BenchmarkStorage(b *testing.B) {
 // storage per method.
 func BenchmarkCostTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.CostTable(benchScale(), benchSeed)
+		rows, err := experiments.CostTable(context.Background(), benchScale(), benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +132,7 @@ func BenchmarkCostTable(b *testing.B) {
 // BenchmarkAblationClipping regenerates ablation A1 (clipping mode).
 func BenchmarkAblationClipping(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationClipping(benchScale(), benchSeed)
+		rows, err := experiments.AblationClipping(context.Background(), benchScale(), benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func BenchmarkAblationClipping(b *testing.B) {
 // period).
 func BenchmarkAblationRefresh(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationRefresh(benchScale(), benchSeed, nil)
+		rows, err := experiments.AblationRefresh(context.Background(), benchScale(), benchSeed, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,7 +160,7 @@ func BenchmarkAblationRefresh(b *testing.B) {
 // L-BFGS bootstrap).
 func BenchmarkAblationBootstrap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationBootstrap(benchScale(), benchSeed)
+		rows, err := experiments.AblationBootstrap(context.Background(), benchScale(), benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +174,7 @@ func BenchmarkAblationBootstrap(b *testing.B) {
 // client data).
 func BenchmarkAblationHeterogeneity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationHeterogeneity(benchScale(), benchSeed, nil)
+		rows, err := experiments.AblationHeterogeneity(context.Background(), benchScale(), benchSeed, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -289,7 +290,7 @@ func BenchmarkFederatedRound(b *testing.B) {
 	sim, _ := benchFederation(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sim.RunRound(); err != nil {
+		if err := sim.RunRoundContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,7 +300,7 @@ func BenchmarkFederatedRound(b *testing.B) {
 // 30-round history (10 clients, CNN).
 func BenchmarkUnlearn(b *testing.B) {
 	sim, store := benchFederation(b)
-	if err := sim.Run(30); err != nil {
+	if err := sim.RunContext(context.Background(), 30); err != nil {
 		b.Fatal(err)
 	}
 	u, err := unlearn.New(store, unlearn.Config{LearningRate: 0.05, ClipThreshold: 0.05})
@@ -308,7 +309,7 @@ func BenchmarkUnlearn(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := u.Unlearn(3); err != nil {
+		if _, err := u.UnlearnContext(context.Background(), 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -321,7 +322,7 @@ func BenchmarkUnlearn(b *testing.B) {
 // client-round count logged below.
 func BenchmarkRecoveryRound(b *testing.B) {
 	sim, store := benchFederation(b)
-	if err := sim.Run(30); err != nil {
+	if err := sim.RunContext(context.Background(), 30); err != nil {
 		b.Fatal(err)
 	}
 	u, err := unlearn.New(store, unlearn.Config{LearningRate: 0.05, ClipThreshold: 0.05})
@@ -332,7 +333,7 @@ func BenchmarkRecoveryRound(b *testing.B) {
 	b.ResetTimer()
 	var rounds int
 	for i := 0; i < b.N; i++ {
-		res, err := u.Unlearn(3)
+		res, err := u.UnlearnContext(context.Background(), 3)
 		if err != nil {
 			b.Fatal(err)
 		}

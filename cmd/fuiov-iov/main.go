@@ -174,7 +174,7 @@ func run(args []string) error {
 	// and pick the fleet back up at the next sampling instead.
 	skipped := 0
 	for r := 0; r < *rounds; r++ {
-		err := sim.RunRound()
+		err := sim.RunRoundContext(context.Background())
 		if err == nil {
 			continue
 		}

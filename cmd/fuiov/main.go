@@ -69,7 +69,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"fuiov/internal/experiments"
@@ -85,6 +87,9 @@ func main() {
 }
 
 func run(args []string) error {
+	// Ctrl-C stops the experiment at its next round boundary.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	fs := flag.NewFlagSet("fuiov", flag.ContinueOnError)
 	scaleName := fs.String("scale", "ci", `experiment scale: "paper" or "ci"`)
 	seed := fs.Uint64("seed", 42, "root random seed")
@@ -161,7 +166,7 @@ func run(args []string) error {
 	opts.vopts = verifyOpts{out: *verifyOut, shadows: *verifyShadows, relearnCap: *verifyRelearnCap}
 	for _, name := range experimentsToRun {
 		start := time.Now()
-		out, err := runOne(name, scale, *seed, opts)
+		out, err := runOne(ctx, name, scale, *seed, opts)
 		if err != nil {
 			return err
 		}
@@ -226,8 +231,8 @@ func (o verifyOpts) config() verify.Config {
 
 // runVerify runs the forgetting-verification harness and writes the
 // JSON artefact alongside the stdout table.
-func runVerify(scale experiments.Scale, seed uint64, names []string, opts verifyOpts) (string, error) {
-	rows, err := experiments.VerifyStrategies(context.Background(), scale, seed, names, opts.config())
+func runVerify(ctx context.Context, scale experiments.Scale, seed uint64, names []string, opts verifyOpts) (string, error) {
+	rows, err := experiments.VerifyStrategies(ctx, scale, seed, names, opts.config())
 	if err != nil {
 		return "", err
 	}
@@ -308,13 +313,13 @@ func splitNames(s string) []string {
 
 // runStrategies runs the comparative harness and writes the JSON
 // benchmark artefact alongside the stdout table.
-func runStrategies(scale experiments.Scale, seed uint64, opts strategyOpts) (string, error) {
+func runStrategies(ctx context.Context, scale experiments.Scale, seed uint64, opts strategyOpts) (string, error) {
 	var vcfg *verify.Config
 	if opts.verify {
 		cfg := opts.vopts.config()
 		vcfg = &cfg
 	}
-	rows, err := experiments.CompareStrategiesVerified(scale, seed, opts.names, vcfg)
+	rows, err := experiments.CompareStrategiesVerified(ctx, scale, seed, opts.names, vcfg)
 	if err != nil {
 		return "", err
 	}
@@ -335,22 +340,22 @@ func runStrategies(scale experiments.Scale, seed uint64, opts strategyOpts) (str
 	return experiments.FormatStrategies(rows), nil
 }
 
-func runOne(name string, scale experiments.Scale, seed uint64, opts strategyOpts) (string, error) {
+func runOne(ctx context.Context, name string, scale experiments.Scale, seed uint64, opts strategyOpts) (string, error) {
 	switch name {
 	case "table1":
-		rows, err := experiments.Table1(scale, seed)
+		rows, err := experiments.Table1(ctx, scale, seed)
 		if err != nil {
 			return "", err
 		}
 		return experiments.FormatTable1(rows), nil
 	case "fig1":
-		rows, err := experiments.Figure1(scale, seed)
+		rows, err := experiments.Figure1(ctx, scale, seed)
 		if err != nil {
 			return "", err
 		}
 		return experiments.FormatFigure1(rows), nil
 	case "fig2":
-		points, err := experiments.Figure2(scale, seed, nil)
+		points, err := experiments.Figure2(ctx, scale, seed, nil)
 		if err != nil {
 			return "", err
 		}
@@ -358,38 +363,38 @@ func runOne(name string, scale experiments.Scale, seed uint64, opts strategyOpts
 			fmt.Sprintf("Fig. 2 — accuracy vs clip threshold L (δ=%.0e)", scale.Delta),
 			"L", points), nil
 	case "fig3":
-		points, err := experiments.Figure3(scale, seed, nil)
+		points, err := experiments.Figure3(ctx, scale, seed, nil)
 		if err != nil {
 			return "", err
 		}
 		return experiments.FormatSweep(
 			"Fig. 3 — accuracy vs direction threshold δ (L at Table-I setting)", "delta", points), nil
 	case "storage":
-		rows, err := experiments.Storage(scale, seed)
+		rows, err := experiments.Storage(ctx, scale, seed)
 		if err != nil {
 			return "", err
 		}
 		return experiments.FormatStorage(rows), nil
 	case "cost":
-		rows, err := experiments.CostTable(scale, seed)
+		rows, err := experiments.CostTable(ctx, scale, seed)
 		if err != nil {
 			return "", err
 		}
 		return experiments.FormatCost(rows), nil
 	case "ablate":
-		clip, err := experiments.AblationClipping(scale, seed)
+		clip, err := experiments.AblationClipping(ctx, scale, seed)
 		if err != nil {
 			return "", err
 		}
-		refresh, err := experiments.AblationRefresh(scale, seed, nil)
+		refresh, err := experiments.AblationRefresh(ctx, scale, seed, nil)
 		if err != nil {
 			return "", err
 		}
-		boot, err := experiments.AblationBootstrap(scale, seed)
+		boot, err := experiments.AblationBootstrap(ctx, scale, seed)
 		if err != nil {
 			return "", err
 		}
-		hetero, err := experiments.AblationHeterogeneity(scale, seed, nil)
+		hetero, err := experiments.AblationHeterogeneity(ctx, scale, seed, nil)
 		if err != nil {
 			return "", err
 		}
@@ -398,11 +403,11 @@ func runOne(name string, scale experiments.Scale, seed uint64, opts strategyOpts
 			experiments.FormatAblation("A3 — L-BFGS bootstrap", boot) + "\n" +
 			experiments.FormatAblation("A4 — client heterogeneity", hetero), nil
 	case "strategies":
-		return runStrategies(scale, seed, opts)
+		return runStrategies(ctx, scale, seed, opts)
 	case "scale":
 		return runScale(opts.scale)
 	case "verify":
-		return runVerify(scale, seed, opts.names, opts.vopts)
+		return runVerify(ctx, scale, seed, opts.names, opts.vopts)
 	default:
 		return "", fmt.Errorf("unknown experiment %q (want table1|fig1|fig2|fig3|storage|cost|ablate|strategies|scale|verify|all)", name)
 	}

@@ -45,10 +45,10 @@
 //	sim, _ := fuiov.NewSimulation(model, clients, fuiov.SimConfig{
 //		LearningRate: 0.03, Seed: seed, Store: store,
 //	})
-//	_ = sim.Run(100)
+//	_ = sim.RunContext(ctx, 100)
 //
 //	u, _ := fuiov.NewUnlearner(store, fuiov.UnlearnConfig{LearningRate: 0.03})
-//	res, _ := u.Unlearn(3) // erase vehicle 3
+//	res, _ := u.UnlearnContext(ctx, 3) // erase vehicle 3
 //	// res.Params is the recovered global model.
 //
 // # Observability

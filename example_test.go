@@ -42,7 +42,7 @@ func Example() {
 		fmt.Println("simulation:", err)
 		return
 	}
-	if err := sim.Run(20); err != nil {
+	if err := sim.RunContext(context.Background(), 20); err != nil {
 		fmt.Println("train:", err)
 		return
 	}
@@ -54,7 +54,7 @@ func Example() {
 		fmt.Println("unlearner:", err)
 		return
 	}
-	res, err := u.Unlearn(3)
+	res, err := u.UnlearnContext(context.Background(), 3)
 	if err != nil {
 		fmt.Println("unlearn:", err)
 		return

@@ -68,7 +68,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		return err
 	}
 
@@ -103,7 +103,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := u.Unlearn(forgotten...)
+	res, err := u.UnlearnContext(context.Background(), forgotten...)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -69,7 +70,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		return err
 	}
 	store.NoteLeave(latecomer, 100)
@@ -93,7 +94,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := u.Unlearn(latecomer)
+	res, err := u.UnlearnContext(context.Background(), latecomer)
 	if err != nil {
 		return err
 	}

@@ -89,7 +89,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		return err
 	}
 	fmt.Printf("trained %d rounds under 30%% crash faults: accuracy %.3f\n",
@@ -119,7 +119,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	err = sim2.RunRound()
+	err = sim2.RunRoundContext(context.Background())
 	fmt.Printf("\nquorum 100%%: errors.Is(err, ErrQuorumNotReached) = %v (round clock still %d)\n",
 		errors.Is(err, fuiov.ErrQuorumNotReached), sim2.Round())
 

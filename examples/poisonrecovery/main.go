@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,7 +67,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		return err
 	}
 
@@ -84,7 +85,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := u.Unlearn(attackers...)
+	res, err := u.UnlearnContext(context.Background(), attackers...)
 	if err != nil {
 		return err
 	}

@@ -59,7 +59,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		return err
 	}
 	accTrained := fuiov.AccuracyAt(model.Clone(), sim.Params(), test)
@@ -74,7 +74,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := u.Unlearn(3)
+	res, err := u.UnlearnContext(context.Background(), 3)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -59,7 +60,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		return err
 	}
 
@@ -93,7 +94,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := u.Unlearn(4)
+	res, err := u.UnlearnContext(context.Background(), 4)
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -62,7 +63,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		return err
 	}
 	fmt.Printf("trained %d rounds, accuracy %.3f\n",
@@ -95,7 +96,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := u.Unlearn(3)
+	res, err := u.UnlearnContext(context.Background(), 3)
 	if err != nil {
 		return err
 	}

@@ -66,7 +66,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		return err
 	}
 	before := sim.Params()

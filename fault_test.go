@@ -68,7 +68,7 @@ func TestFaultTolerantPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- sim.Run(rounds) }()
+	go func() { done <- sim.RunContext(context.Background(), rounds) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -131,7 +131,7 @@ func TestFacadeSentinelsAndContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunRound(); !errors.Is(err, fuiov.ErrQuorumNotReached) {
+	if err := sim.RunRoundContext(context.Background()); !errors.Is(err, fuiov.ErrQuorumNotReached) {
 		t.Fatalf("err = %v, want ErrQuorumNotReached", err)
 	}
 
@@ -155,7 +155,7 @@ func TestFacadeSentinelsAndContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.Unlearn(0); !errors.Is(err, fuiov.ErrNoHistory) {
+	if _, err := u.UnlearnContext(context.Background(), 0); !errors.Is(err, fuiov.ErrNoHistory) {
 		t.Fatalf("empty store err = %v, want ErrNoHistory", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"fuiov/internal/agent"
 	"fuiov/internal/attack"
-	"fuiov/internal/baselines"
 	"fuiov/internal/dataset"
 	"fuiov/internal/detect"
 	"fuiov/internal/faults"
@@ -323,8 +322,8 @@ func NewUnlearner(store *Store, cfg UnlearnConfig) (*Unlearner, error) {
 // UnlearnCommitPass is an in-progress unlearning pass that rewrites
 // the history into a fresh store incrementally while the original
 // keeps recording rounds; see Unlearner.BeginCommit. Its committed
-// result is bit-identical to a stop-the-world UnlearnAndCommit over
-// the final history.
+// result is bit-identical to a stop-the-world UnlearnAndCommitContext
+// over the final history.
 type UnlearnCommitPass = unlearn.CommitPass
 
 // UnlearnQueue serialises asynchronous unlearning requests behind a
@@ -512,27 +511,15 @@ func FlipSuccessRate(net *Network, test *Dataset, source, target int) float64 {
 	return attack.FlipSuccessRate(net, test, source, target)
 }
 
-// ---- Baselines ----
+// ---- Full-gradient history tier ----
 
 // FullHistory records complete float64 gradients (the storage regime
-// of FedRecover/FedRecovery).
-type FullHistory = baselines.FullHistory
-
-// RetrainConfig parameterises the train-from-scratch baseline.
-type RetrainConfig = baselines.RetrainConfig
-
-// FedRecoverConfig parameterises the FedRecover baseline.
-type FedRecoverConfig = baselines.FedRecoverConfig
-
-// FedRecoveryConfig parameterises the FedRecovery baseline.
-type FedRecoveryConfig = baselines.FedRecoveryConfig
+// of FedRecover, FedRecovery and FedEraser — StrategyNeeds'
+// NeedsFullHistory).
+type FullHistory = strategy.FullHistory
 
 // NewFullHistory creates a full-gradient recorder.
-func NewFullHistory(dim int) (*FullHistory, error) { return baselines.NewFullHistory(dim) }
-
-// FedRecoverResult carries FedRecover's recovered model and its
-// client-side cost tallies (exact calls, retries, offline fallbacks).
-type FedRecoverResult = baselines.FedRecoverResult
+func NewFullHistory(dim int) (*FullHistory, error) { return strategy.NewFullHistory(dim) }
 
 // ---- Detection ----
 

@@ -1,6 +1,7 @@
 package fuiov_test
 
 import (
+	"context"
 	"testing"
 
 	"fuiov"
@@ -40,7 +41,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(60); err != nil {
+	if err := sim.RunContext(context.Background(), 60); err != nil {
 		t.Fatal(err)
 	}
 
@@ -51,7 +52,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(3)
+	res, err := u.UnlearnContext(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestPublicAPIRSAAndDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rsa.Run(30); err != nil {
+	if err := rsa.RunContext(context.Background(), 30); err != nil {
 		t.Fatal(err)
 	}
 	if acc := fuiov.Accuracy(rsa.ServerModel(), test); acc <= 0 {
@@ -139,7 +140,7 @@ func TestPublicAPIRSAAndDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(5); err != nil {
+	if err := sim.RunContext(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	if len(det.Scores()) != 5 {
@@ -180,7 +181,7 @@ func TestPublicAPICommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(15); err != nil {
+	if err := sim.RunContext(context.Background(), 15); err != nil {
 		t.Fatal(err)
 	}
 	u, err := fuiov.NewUnlearner(store, fuiov.UnlearnConfig{
@@ -189,7 +190,7 @@ func TestPublicAPICommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rewritten, err := u.UnlearnAndCommit(2)
+	_, rewritten, err := u.UnlearnAndCommitContext(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,52 @@ import (
 	"fuiov/internal/rng"
 )
 
+// successRateNaive is the original per-sample-allocation loop,
+// retained as the reference implementation SuccessRate is checked
+// against by TestSuccessRateBitIdentical.
+func (a *Backdoor) successRateNaive(net *nn.Network, test *dataset.Dataset) float64 {
+	var triggered, hits int
+	for i := range test.X {
+		if test.Y[i] == a.TargetClass {
+			continue
+		}
+		x := make([]float64, len(test.X[i]))
+		copy(x, test.X[i])
+		a.Stamp(x, test.Dims)
+		b := nn.NewBatch(1, test.Dims)
+		copy(b.Sample(0), x)
+		if net.Predict(b)[0] == a.TargetClass {
+			hits++
+		}
+		triggered++
+	}
+	if triggered == 0 {
+		return 0
+	}
+	return float64(hits) / float64(triggered)
+}
+
+// flipSuccessRateNaive is the original per-sample-allocation loop,
+// retained as the reference FlipSuccessRate is checked against.
+func flipSuccessRateNaive(net *nn.Network, test *dataset.Dataset, source, target int) float64 {
+	var total, hits int
+	for i := range test.X {
+		if test.Y[i] != source {
+			continue
+		}
+		b := nn.NewBatch(1, test.Dims)
+		copy(b.Sample(0), test.X[i])
+		if net.Predict(b)[0] == target {
+			hits++
+		}
+		total++
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(hits) / float64(total)
+}
+
 // trainedDigitsNet returns a lightly trained MLP so success-rate tests
 // exercise non-trivial decision boundaries deterministically.
 func trainedDigitsNet(t *testing.T, d *dataset.Dataset, seed uint64) *nn.Network {

@@ -20,7 +20,7 @@
 //	fl.Config{Recorders: []fl.Recorder{store, det}}
 //	...
 //	suspects := det.Suspects()
-//	unlearner.Unlearn(suspects...)
+//	unlearner.UnlearnContext(ctx, suspects...)
 package detect
 
 import (

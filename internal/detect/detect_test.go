@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"testing"
 
 	"fuiov/internal/attack"
@@ -41,7 +42,7 @@ func runFederation(t *testing.T, attacks map[int]attack.GradientAttack, poison m
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		t.Fatal(err)
 	}
 }

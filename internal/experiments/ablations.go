@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -17,31 +18,21 @@ type AblationRow struct {
 // AblationClipping (DESIGN.md A1) compares the paper's elementwise
 // clipping against norm clipping and no clipping at all, holding
 // everything else at Table-I settings.
-func AblationClipping(scale Scale, seed uint64) ([]AblationRow, error) {
+func AblationClipping(ctx context.Context, scale Scale, seed uint64) ([]AblationRow, error) {
 	dep, err := NewDeployment(Digits, NoAttack, scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	if err := dep.Train(); err != nil {
+	if err := dep.Train(ctx); err != nil {
 		return nil, err
 	}
-	forgotten := dep.Forgotten()
 	eval := dep.Template.Clone()
 	modes := []unlearn.ClipMode{unlearn.ClipElementwise, unlearn.ClipNorm, unlearn.ClipOff}
 	rows := make([]AblationRow, 0, len(modes))
 	for _, mode := range modes {
-		u, err := unlearn.New(dep.Store, unlearn.Config{
-			PairSize:      scale.PairSize,
-			ClipThreshold: scale.ClipThreshold,
-			ClipMode:      mode,
-			RefreshEvery:  scale.RefreshEvery,
-			LearningRate:  scale.LearningRate,
-			Telemetry:     scale.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := u.Unlearn(forgotten...)
+		cfg := dep.unlearnConfig()
+		cfg.ClipMode = mode
+		res, err := dep.ours(ctx, dep.Store, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation clip %s: %w", mode, err)
 		}
@@ -58,7 +49,7 @@ var DefaultRefreshPeriods = []int{0, 5, 21, 50}
 
 // AblationRefresh (DESIGN.md A2) varies the vector-pair refresh
 // period, including disabling refresh entirely.
-func AblationRefresh(scale Scale, seed uint64, periods []int) ([]AblationRow, error) {
+func AblationRefresh(ctx context.Context, scale Scale, seed uint64, periods []int) ([]AblationRow, error) {
 	if len(periods) == 0 {
 		periods = DefaultRefreshPeriods
 	}
@@ -66,30 +57,20 @@ func AblationRefresh(scale Scale, seed uint64, periods []int) ([]AblationRow, er
 	if err != nil {
 		return nil, err
 	}
-	if err := dep.Train(); err != nil {
+	if err := dep.Train(ctx); err != nil {
 		return nil, err
 	}
-	forgotten := dep.Forgotten()
 	eval := dep.Template.Clone()
 	rows := make([]AblationRow, 0, len(periods))
 	for _, period := range periods {
-		cfg := unlearn.Config{
-			PairSize:      scale.PairSize,
-			ClipThreshold: scale.ClipThreshold,
-			RefreshEvery:  period,
-			LearningRate:  scale.LearningRate,
-			Telemetry:     scale.Telemetry,
-		}
+		cfg := dep.unlearnConfig()
+		cfg.RefreshEvery = period
 		if period == 0 {
 			// Config treats 0 as "use default", so express "off" as a
 			// period beyond the horizon.
 			cfg.RefreshEvery = scale.Rounds + 1
 		}
-		u, err := unlearn.New(dep.Store, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := u.Unlearn(forgotten...)
+		res, err := dep.ours(ctx, dep.Store, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation refresh %d: %w", period, err)
 		}
@@ -108,30 +89,20 @@ func AblationRefresh(scale Scale, seed uint64, periods []int) ([]AblationRow, er
 // AblationBootstrap (DESIGN.md A3) compares seeding L-BFGS pairs from
 // pre-join history (the paper's innovation enabling offline clients)
 // against starting cold.
-func AblationBootstrap(scale Scale, seed uint64) ([]AblationRow, error) {
+func AblationBootstrap(ctx context.Context, scale Scale, seed uint64) ([]AblationRow, error) {
 	dep, err := NewDeployment(Digits, NoAttack, scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	if err := dep.Train(); err != nil {
+	if err := dep.Train(ctx); err != nil {
 		return nil, err
 	}
-	forgotten := dep.Forgotten()
 	eval := dep.Template.Clone()
 	rows := make([]AblationRow, 0, 2)
 	for _, disable := range []bool{false, true} {
-		u, err := unlearn.New(dep.Store, unlearn.Config{
-			PairSize:         scale.PairSize,
-			ClipThreshold:    scale.ClipThreshold,
-			RefreshEvery:     scale.RefreshEvery,
-			LearningRate:     scale.LearningRate,
-			DisableBootstrap: disable,
-			Telemetry:        scale.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := u.Unlearn(forgotten...)
+		cfg := dep.unlearnConfig()
+		cfg.DisableBootstrap = disable
+		res, err := dep.ours(ctx, dep.Store, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation bootstrap=%v: %w", !disable, err)
 		}
@@ -155,7 +126,7 @@ var DefaultHeterogeneity = []float64{0, 10, 1, 0.3}
 // under non-IID client data: shards drawn from Dirichlet(alpha) label
 // distributions, the realistic IoV regime where each vehicle sees a
 // biased slice of traffic. Each alpha requires its own training run.
-func AblationHeterogeneity(scale Scale, seed uint64, alphas []float64) ([]AblationRow, error) {
+func AblationHeterogeneity(ctx context.Context, scale Scale, seed uint64, alphas []float64) ([]AblationRow, error) {
 	if len(alphas) == 0 {
 		alphas = DefaultHeterogeneity
 	}
@@ -167,20 +138,10 @@ func AblationHeterogeneity(scale Scale, seed uint64, alphas []float64) ([]Ablati
 		if err != nil {
 			return nil, err
 		}
-		if err := dep.Train(); err != nil {
+		if err := dep.Train(ctx); err != nil {
 			return nil, fmt.Errorf("experiments: ablation heterogeneity α=%v: %w", alpha, err)
 		}
-		u, err := unlearn.New(dep.Store, unlearn.Config{
-			PairSize:      s.PairSize,
-			ClipThreshold: s.ClipThreshold,
-			RefreshEvery:  s.RefreshEvery,
-			LearningRate:  s.LearningRate,
-			Telemetry:     s.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := u.Unlearn(dep.Forgotten()...)
+		res, err := dep.ours(ctx, dep.Store, dep.unlearnConfig())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation heterogeneity α=%v: %w", alpha, err)
 		}

@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"fuiov/internal/baselines"
-	"fuiov/internal/history"
+	"fuiov/internal/unlearn/strategy"
 )
 
 // CostRow quantifies what one unlearning method costs beyond the
@@ -30,37 +30,25 @@ type CostRow struct {
 // CostTable trains one deployment and derives each method's recovery
 // cost. Retraining and FedRecover require online vehicles; FedRecovery
 // and Ours do not, but FedRecovery still needs full gradients stored.
-func CostTable(scale Scale, seed uint64) ([]CostRow, error) {
+func CostTable(ctx context.Context, scale Scale, seed uint64) ([]CostRow, error) {
 	dep, err := NewDeployment(Digits, NoAttack, scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	if err := dep.Train(); err != nil {
+	if err := dep.Train(ctx); err != nil {
 		return nil, err
-	}
-	forgotten := dep.Forgotten()
-	excluded := make(map[history.ClientID]bool, len(forgotten))
-	for _, id := range forgotten {
-		excluded[id] = true
 	}
 	dim := dep.Template.NumParams()
 	perCall := 2 * 8 * dim // model down + gradient up
-	remaining := len(dep.Clients) - len(forgotten)
+	remaining := len(dep.Clients) - len(dep.Forgotten())
 
 	fullBytes := dep.Full.StorageBytes()
 	dirBytes := dep.Store.Storage().DirectionBytes
 
 	// FedRecover's exact-call count comes from actually running it.
-	fr, err := baselines.FedRecover(dep.Full, dep.Template, dep.Clients, forgotten, baselines.FedRecoverConfig{
-		LearningRate: scale.LRFor(Digits),
-		PairSize:     scale.PairSize,
-		WarmupRounds: 2,
-		CorrectEvery: 20,
-		Seed:         seed,
-		Telemetry:    scale.Telemetry,
-	})
+	fr, err := strategy.Unlearn(ctx, "fedrecover", dep.request())
 	if err != nil {
-		return nil, fmt.Errorf("experiments: cost fedrecover: %w", err)
+		return nil, fmt.Errorf("experiments: cost: %w", err)
 	}
 
 	retrainCalls := scale.Rounds * remaining
@@ -73,8 +61,8 @@ func CostTable(scale Scale, seed uint64) ([]CostRow, error) {
 		},
 		{
 			Method:                 "FedRecover",
-			ClientGradComputations: fr.ExactGradientCalls,
-			ClientCommBytes:        fr.ExactGradientCalls * perCall,
+			ClientGradComputations: fr.ClientWork,
+			ClientCommBytes:        fr.ClientWork * perCall,
 			ServerGradStorageBytes: fullBytes,
 		},
 		{

@@ -7,10 +7,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"fuiov/internal/attack"
-	"fuiov/internal/baselines"
 	"fuiov/internal/dataset"
 	"fuiov/internal/faults"
 	"fuiov/internal/fl"
@@ -18,6 +18,8 @@ import (
 	"fuiov/internal/nn"
 	"fuiov/internal/rng"
 	"fuiov/internal/telemetry"
+	"fuiov/internal/unlearn"
+	"fuiov/internal/unlearn/strategy"
 )
 
 // DatasetKind selects the synthetic task.
@@ -243,7 +245,7 @@ type Deployment struct {
 	Clients   []*fl.Client
 	Template  *nn.Network
 	Store     *history.Store
-	Full      *baselines.FullHistory
+	Full      *strategy.FullHistory
 	Sim       *fl.Simulation
 	Scale     Scale
 	Seed      uint64
@@ -357,7 +359,7 @@ func NewDeployment(kind DatasetKind, atk AttackKind, scale Scale, seed uint64) (
 		return nil, err
 	}
 	d.Store.SetTelemetry(scale.Telemetry)
-	d.Full, err = baselines.NewFullHistory(d.Template.NumParams())
+	d.Full, err = strategy.NewFullHistory(d.Template.NumParams())
 	if err != nil {
 		return nil, err
 	}
@@ -398,15 +400,62 @@ func (d *Deployment) Forgotten() []history.ClientID {
 	return []history.ClientID{history.ClientID(d.forgottenBenignIndex())}
 }
 
-// Train runs the full horizon.
-func (d *Deployment) Train() error {
-	return d.Sim.Run(d.Scale.Rounds)
+// Train runs the full horizon, stopping at a round boundary with the
+// context's error if ctx is cancelled.
+func (d *Deployment) Train(ctx context.Context) error {
+	return d.Sim.RunContext(ctx, d.Scale.Rounds)
+}
+
+// request is the trained deployment's unlearning request: forget
+// Forgotten() with the scale's hyperparameters, every history tier and
+// the live fleet on offer. Table I, the cost table and the strategy and
+// verification harnesses all hand this one value to strategy.Unlearn,
+// so their numbers come from the same call path.
+func (d *Deployment) request() strategy.Request {
+	return strategy.Request{
+		Forgotten:    d.Forgotten(),
+		Store:        d.Store,
+		Full:         d.Full,
+		Template:     d.Template,
+		Clients:      d.Clients,
+		FinalParams:  d.Sim.Params(),
+		LearningRate: d.Scale.LRFor(d.Kind),
+		Rounds:       d.Scale.Rounds,
+		Seed:         d.Seed,
+		Parallelism:  d.Scale.Parallelism,
+		Noise:        d.Scale.FedRecoveryNoise,
+		Unlearn:      d.unlearnConfig(),
+		Telemetry:    d.Scale.Telemetry,
+	}
+}
+
+// unlearnConfig is the paper scheme's configuration at the deployment's
+// scale — the "Ours" of every table; sweeps and ablations vary one
+// field of it.
+func (d *Deployment) unlearnConfig() unlearn.Config {
+	return unlearn.Config{
+		PairSize:      d.Scale.PairSize,
+		ClipThreshold: d.Scale.ClipThreshold,
+		RefreshEvery:  d.Scale.RefreshEvery,
+		LearningRate:  d.Scale.LRFor(d.Kind),
+		Telemetry:     d.Scale.Telemetry,
+	}
+}
+
+// ours erases Forgotten() with the paper scheme under cfg, reading
+// store: the deployment's own, or one rebuilt from it at another δ.
+func (d *Deployment) ours(ctx context.Context, store history.Reader, cfg unlearn.Config) (*unlearn.Result, error) {
+	u, err := unlearn.New(store, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return u.UnlearnContext(ctx, d.Forgotten()...)
 }
 
 // StoreFromFull re-compresses the full-gradient history into a fresh
 // direction store at an arbitrary δ — how the Figure 3 sweep explores
 // thresholds without retraining.
-func StoreFromFull(full *baselines.FullHistory, delta float64) (*history.Store, error) {
+func StoreFromFull(full *strategy.FullHistory, delta float64) (*history.Store, error) {
 	st, err := history.NewStore(full.Dim(), delta)
 	if err != nil {
 		return nil, err

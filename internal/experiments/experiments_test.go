@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -68,7 +69,7 @@ func TestDeploymentConstruction(t *testing.T) {
 }
 
 func TestTable1CIScale(t *testing.T) {
-	rows, err := Table1(CIScale(), 42)
+	rows, err := Table1(context.Background(), CIScale(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestTable1CIScale(t *testing.T) {
 }
 
 func TestFigure1CIScale(t *testing.T) {
-	rows, err := Figure1(CIScale(), 43)
+	rows, err := Figure1(context.Background(), CIScale(), 43)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestFigure1CIScale(t *testing.T) {
 }
 
 func TestFigure2CIScale(t *testing.T) {
-	points, err := Figure2(CIScale(), 44, []float64{0.01, 1, 10})
+	points, err := Figure2(context.Background(), CIScale(), 44, []float64{0.01, 1, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestFigure2CIScale(t *testing.T) {
 }
 
 func TestFigure3CIScale(t *testing.T) {
-	points, err := Figure3(CIScale(), 45, []float64{1e-8, 1e-4, 1e-1})
+	points, err := Figure3(context.Background(), CIScale(), 45, []float64{1e-8, 1e-4, 1e-1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestFigure3CIScale(t *testing.T) {
 }
 
 func TestStorageCIScale(t *testing.T) {
-	rows, err := Storage(CIScale(), 46)
+	rows, err := Storage(context.Background(), CIScale(), 46)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestStorageCIScale(t *testing.T) {
 
 func TestAblationsCIScale(t *testing.T) {
 	scale := CIScale()
-	clip, err := AblationClipping(scale, 47)
+	clip, err := AblationClipping(context.Background(), scale, 47)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestAblationsCIScale(t *testing.T) {
 		t.Logf("clip %-12s acc=%.3f", r.Setting, r.Accuracy)
 	}
 
-	refresh, err := AblationRefresh(scale, 47, []int{0, 7})
+	refresh, err := AblationRefresh(context.Background(), scale, 47, []int{0, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestAblationsCIScale(t *testing.T) {
 		t.Logf("refresh %-10s acc=%.3f", r.Setting, r.Accuracy)
 	}
 
-	boot, err := AblationBootstrap(scale, 47)
+	boot, err := AblationBootstrap(context.Background(), scale, 47)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestAblationsCIScale(t *testing.T) {
 		t.Error("FormatAblation malformed")
 	}
 
-	hetero, err := AblationHeterogeneity(scale, 47, []float64{0, 0.5})
+	hetero, err := AblationHeterogeneity(context.Background(), scale, 47, []float64{0, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestStoreFromFullMatchesDirectStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dep.Train(); err != nil {
+	if err := dep.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	rebuilt, err := StoreFromFull(dep.Full, dep.Store.Delta())
@@ -304,7 +305,7 @@ func TestStoreFromFullMatchesDirectStore(t *testing.T) {
 }
 
 func TestCostTableCIScale(t *testing.T) {
-	rows, err := CostTable(CIScale(), 49)
+	rows, err := CostTable(context.Background(), CIScale(), 49)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"fuiov/internal/attack"
 	"fuiov/internal/metrics"
-	"fuiov/internal/unlearn"
 )
 
 // Figure1Row is one attack's trajectory through the unlearning
@@ -27,10 +27,10 @@ type Figure1Row struct {
 // backdoor attack from round F; the server unlearns them. Expected
 // shape: high ASR before, near-zero after forgetting, and no
 // resurgence after recovery.
-func Figure1(scale Scale, seed uint64) ([]Figure1Row, error) {
+func Figure1(ctx context.Context, scale Scale, seed uint64) ([]Figure1Row, error) {
 	rows := make([]Figure1Row, 0, 2)
 	for _, atk := range []AttackKind{LabelFlipAttack, BackdoorAttack} {
-		row, err := figure1Row(atk, scale, seed)
+		row, err := figure1Row(ctx, atk, scale, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure1 %s: %w", atk, err)
 		}
@@ -39,12 +39,12 @@ func Figure1(scale Scale, seed uint64) ([]Figure1Row, error) {
 	return rows, nil
 }
 
-func figure1Row(atk AttackKind, scale Scale, seed uint64) (Figure1Row, error) {
+func figure1Row(ctx context.Context, atk AttackKind, scale Scale, seed uint64) (Figure1Row, error) {
 	dep, err := NewDeployment(Digits, atk, scale, seed)
 	if err != nil {
 		return Figure1Row{}, err
 	}
-	if err := dep.Train(); err != nil {
+	if err := dep.Train(ctx); err != nil {
 		return Figure1Row{}, err
 	}
 	row := Figure1Row{Attack: atk.String()}
@@ -63,17 +63,7 @@ func figure1Row(atk AttackKind, scale Scale, seed uint64) (Figure1Row, error) {
 	row.BeforeUnlearning = asr(final)
 	row.AccBefore = metrics.AccuracyAt(eval, final, dep.Test)
 
-	u, err := unlearn.New(dep.Store, unlearn.Config{
-		PairSize:      scale.PairSize,
-		ClipThreshold: scale.ClipThreshold,
-		RefreshEvery:  scale.RefreshEvery,
-		LearningRate:  scale.LearningRate,
-		Telemetry:     scale.Telemetry,
-	})
-	if err != nil {
-		return Figure1Row{}, err
-	}
-	res, err := u.Unlearn(dep.Forgotten()...)
+	res, err := dep.ours(ctx, dep.Store, dep.unlearnConfig())
 	if err != nil {
 		return Figure1Row{}, err
 	}

@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"fuiov/internal/metrics"
-	"fuiov/internal/unlearn"
 )
 
 // SweepPoint is one (hyperparameter value, recovered accuracy) pair of
@@ -30,7 +30,7 @@ var DefaultDeltaValues = []float64{1e-6, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1}
 // threshold L varies, with δ fixed. The deployment is trained once;
 // only the recovery is repeated. Expected shape: an inverted U — small
 // L throttles recovery steps, large L amplifies estimation error.
-func Figure2(scale Scale, seed uint64, ls []float64) ([]SweepPoint, error) {
+func Figure2(ctx context.Context, scale Scale, seed uint64, ls []float64) ([]SweepPoint, error) {
 	if len(ls) == 0 {
 		ls = DefaultLValues
 	}
@@ -38,24 +38,15 @@ func Figure2(scale Scale, seed uint64, ls []float64) ([]SweepPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := dep.Train(); err != nil {
+	if err := dep.Train(ctx); err != nil {
 		return nil, err
 	}
-	forgotten := dep.Forgotten()
 	eval := dep.Template.Clone()
 	points := make([]SweepPoint, 0, len(ls))
 	for _, l := range ls {
-		u, err := unlearn.New(dep.Store, unlearn.Config{
-			PairSize:      scale.PairSize,
-			ClipThreshold: l,
-			RefreshEvery:  scale.RefreshEvery,
-			LearningRate:  scale.LearningRate,
-			Telemetry:     scale.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := u.Unlearn(forgotten...)
+		cfg := dep.unlearnConfig()
+		cfg.ClipThreshold = l
+		res, err := dep.ours(ctx, dep.Store, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure2 L=%v: %w", l, err)
 		}
@@ -72,7 +63,7 @@ func Figure2(scale Scale, seed uint64, ls []float64) ([]SweepPoint, error) {
 // gradients recorded; each δ re-compresses that history into a fresh
 // direction store. Expected shape: flat/high for small δ, declining as
 // δ grows and more gradient information is zeroed out.
-func Figure3(scale Scale, seed uint64, deltas []float64) ([]SweepPoint, error) {
+func Figure3(ctx context.Context, scale Scale, seed uint64, deltas []float64) ([]SweepPoint, error) {
 	if len(deltas) == 0 {
 		deltas = DefaultDeltaValues
 	}
@@ -80,10 +71,9 @@ func Figure3(scale Scale, seed uint64, deltas []float64) ([]SweepPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := dep.Train(); err != nil {
+	if err := dep.Train(ctx); err != nil {
 		return nil, err
 	}
-	forgotten := dep.Forgotten()
 	eval := dep.Template.Clone()
 	points := make([]SweepPoint, 0, len(deltas))
 	for _, delta := range deltas {
@@ -93,17 +83,7 @@ func Figure3(scale Scale, seed uint64, deltas []float64) ([]SweepPoint, error) {
 		}
 		// Leave records must be replayed onto the rebuilt store so
 		// membership matches the original (none in this scenario).
-		u, err := unlearn.New(store, unlearn.Config{
-			PairSize:      scale.PairSize,
-			ClipThreshold: scale.ClipThreshold,
-			RefreshEvery:  scale.RefreshEvery,
-			LearningRate:  scale.LearningRate,
-			Telemetry:     scale.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := u.Unlearn(forgotten...)
+		res, err := dep.ours(ctx, store, dep.unlearnConfig())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure3 δ=%v: %w", delta, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -30,14 +31,14 @@ type StorageRow struct {
 
 // Storage trains one deployment per dataset and reports the measured
 // gradient-storage savings of direction encoding.
-func Storage(scale Scale, seed uint64) ([]StorageRow, error) {
+func Storage(ctx context.Context, scale Scale, seed uint64) ([]StorageRow, error) {
 	rows := make([]StorageRow, 0, 2)
 	for _, kind := range []DatasetKind{Digits, Traffic} {
 		dep, err := NewDeployment(kind, NoAttack, scale, seed)
 		if err != nil {
 			return nil, err
 		}
-		if err := dep.Train(); err != nil {
+		if err := dep.Train(ctx); err != nil {
 			return nil, fmt.Errorf("experiments: storage %s: %w", kind, err)
 		}
 		rep := dep.Store.Storage()

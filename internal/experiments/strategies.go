@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"fuiov/internal/metrics"
-	"fuiov/internal/unlearn"
 	"fuiov/internal/unlearn/strategy"
 	"fuiov/internal/verify"
 )
@@ -56,8 +55,8 @@ type StrategyRow struct {
 // which the Request contract demands. Forgetting verification is
 // skipped: every row's Forgetting is nil (omitted from JSON, not
 // zeroed); use CompareStrategiesVerified to fill it.
-func CompareStrategies(scale Scale, seed uint64, names []string) ([]StrategyRow, error) {
-	return CompareStrategiesVerified(scale, seed, names, nil)
+func CompareStrategies(ctx context.Context, scale Scale, seed uint64, names []string) ([]StrategyRow, error) {
+	return CompareStrategiesVerified(ctx, scale, seed, names, nil)
 }
 
 // CompareStrategiesVerified is CompareStrategies plus forgetting
@@ -66,7 +65,7 @@ func CompareStrategies(scale Scale, seed uint64, names []string) ([]StrategyRow,
 // scores every strategy's unlearned model, filling each row's
 // Forgetting block. A nil vcfg skips verification exactly like
 // CompareStrategies.
-func CompareStrategiesVerified(scale Scale, seed uint64, names []string, vcfg *verify.Config) ([]StrategyRow, error) {
+func CompareStrategiesVerified(ctx context.Context, scale Scale, seed uint64, names []string, vcfg *verify.Config) ([]StrategyRow, error) {
 	if len(names) == 0 {
 		names = strategy.Names()
 	}
@@ -74,40 +73,19 @@ func CompareStrategiesVerified(scale Scale, seed uint64, names []string, vcfg *v
 	if err != nil {
 		return nil, err
 	}
-	if err := dep.Train(); err != nil {
+	if err := dep.Train(ctx); err != nil {
 		return nil, err
 	}
-	lr := scale.LRFor(Digits)
-	req := strategy.Request{
-		Forgotten:    dep.Forgotten(),
-		Store:        dep.Store,
-		Full:         dep.Full,
-		Template:     dep.Template,
-		Clients:      dep.Clients,
-		FinalParams:  dep.Sim.Params(),
-		LearningRate: lr,
-		Rounds:       scale.Rounds,
-		Seed:         seed,
-		Parallelism:  scale.Parallelism,
-		Noise:        scale.FedRecoveryNoise,
-		Unlearn: unlearn.Config{
-			PairSize:      scale.PairSize,
-			ClipThreshold: scale.ClipThreshold,
-			RefreshEvery:  scale.RefreshEvery,
-			LearningRate:  lr,
-			Telemetry:     scale.Telemetry,
-		},
-		Telemetry: scale.Telemetry,
-	}
+	req := dep.request()
 	var suite *verify.Suite
 	if vcfg != nil {
-		suite, err = verify.NewSuite(context.Background(), verify.Target{
+		suite, err = verify.NewSuite(ctx, verify.Target{
 			Template:     dep.Template,
 			Clients:      dep.Clients,
 			Forgotten:    dep.Forgotten(),
 			Test:         dep.Test,
 			Before:       req.FinalParams,
-			LearningRate: lr,
+			LearningRate: req.LearningRate,
 			Seed:         seed,
 			Backdoor:     dep.Backdoor,
 		}, *vcfg)
@@ -119,7 +97,7 @@ func CompareStrategiesVerified(scale Scale, seed uint64, names []string, vcfg *v
 	rows := make([]StrategyRow, 0, len(names))
 	for _, name := range names {
 		start := time.Now()
-		res, err := strategy.Unlearn(context.Background(), name, req)
+		res, err := strategy.Unlearn(ctx, name, req)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: strategy %s: %w", name, err)
 		}
@@ -137,7 +115,7 @@ func CompareStrategiesVerified(scale Scale, seed uint64, names []string, vcfg *v
 			WallMillis: float64(time.Since(start).Microseconds()) / 1000,
 		}
 		if suite != nil {
-			sc, err := suite.Score(context.Background(), res.Params)
+			sc, err := suite.Score(ctx, res.Params)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: verify %s: %w", name, err)
 			}

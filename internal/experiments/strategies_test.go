@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // TestCompareStrategiesCIScale runs the comparative harness at CI
 // scale over every registered strategy and sanity-checks the rows.
 func TestCompareStrategiesCIScale(t *testing.T) {
-	rows, err := CompareStrategies(CIScale(), 47, nil)
+	rows, err := CompareStrategies(context.Background(), CIScale(), 47, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +77,40 @@ func TestCompareStrategiesCIScale(t *testing.T) {
 // TestCompareStrategiesFilter checks name filtering and unknown-name
 // rejection.
 func TestCompareStrategiesFilter(t *testing.T) {
-	rows, err := CompareStrategies(CIScale(), 47, []string{"not"})
+	rows, err := CompareStrategies(context.Background(), CIScale(), 47, []string{"not"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 1 || rows[0].Strategy != "not" {
 		t.Fatalf("filtered rows = %+v", rows)
 	}
-	if _, err := CompareStrategies(CIScale(), 47, []string{"bogus"}); err == nil {
+	if _, err := CompareStrategies(context.Background(), CIScale(), 47, []string{"bogus"}); err == nil {
 		t.Fatal("unknown strategy name accepted")
+	}
+}
+
+// TestTable1MatchesStrategies: Table I is the strategy registry under
+// another layout. Each of a row's four accuracies equals, exactly, what
+// the comparison harness — strategy.Unlearn called by that column's
+// name on a separately built deployment of the same seed — reports,
+// the number BENCH_strategies.json records. (Every strategy's
+// parameters are bit-equal run to run: TestStrategyDeterminism.)
+func TestTable1MatchesStrategies(t *testing.T) {
+	ctx := context.Background()
+	const seed = 47
+	row, err := table1Row(ctx, Digits, CIScale(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"retrain", "fedrecover", "fedrecovery", "paper"}
+	table := []float64{row.Retraining, row.FedRecover, row.FedRecovery, row.Ours}
+	harness, err := CompareStrategies(ctx, CIScale(), seed, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		if harness[i].Strategy != name || harness[i].Accuracy != table[i] {
+			t.Errorf("%s: Table I says %v, the strategies harness row is %+v", name, table[i], harness[i])
+		}
 	}
 }

@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"fuiov/internal/baselines"
 	"fuiov/internal/metrics"
-	"fuiov/internal/unlearn"
+	"fuiov/internal/unlearn/strategy"
 )
 
 // Table1Row is one row of the paper's Table I: the post-recovery
@@ -23,10 +23,10 @@ type Table1Row struct {
 // requests erasure; each method unlearns it and the recovered model is
 // evaluated on the test set. Expected shape (paper): Retraining ≥
 // FedRecover ≥ Ours ≥ FedRecovery.
-func Table1(scale Scale, seed uint64) ([]Table1Row, error) {
+func Table1(ctx context.Context, scale Scale, seed uint64) ([]Table1Row, error) {
 	rows := make([]Table1Row, 0, 2)
 	for _, kind := range []DatasetKind{Digits, Traffic} {
-		row, err := table1Row(kind, scale, seed)
+		row, err := table1Row(ctx, kind, scale, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table1 %s: %w", kind, err)
 		}
@@ -35,69 +35,32 @@ func Table1(scale Scale, seed uint64) ([]Table1Row, error) {
 	return rows, nil
 }
 
-func table1Row(kind DatasetKind, scale Scale, seed uint64) (Table1Row, error) {
+func table1Row(ctx context.Context, kind DatasetKind, scale Scale, seed uint64) (Table1Row, error) {
 	dep, err := NewDeployment(kind, NoAttack, scale, seed)
 	if err != nil {
 		return Table1Row{}, err
 	}
-	if err := dep.Train(); err != nil {
+	if err := dep.Train(ctx); err != nil {
 		return Table1Row{}, err
 	}
-	forgotten := dep.Forgotten()
+	req := dep.request()
 	eval := dep.Template.Clone()
 	row := Table1Row{Dataset: kind.String()}
-
-	retr, err := baselines.Retrain(dep.Template, dep.Clients, forgotten, baselines.RetrainConfig{
-		LearningRate: scale.LRFor(kind),
-		Rounds:       scale.Rounds,
-		Seed:         seed,
-		Parallelism:  scale.Parallelism,
-		Telemetry:    scale.Telemetry,
-	})
-	if err != nil {
-		return Table1Row{}, fmt.Errorf("retrain: %w", err)
+	for _, col := range []struct {
+		name     string
+		accuracy *float64
+	}{
+		{"retrain", &row.Retraining},
+		{"fedrecover", &row.FedRecover},
+		{"fedrecovery", &row.FedRecovery},
+		{"paper", &row.Ours},
+	} {
+		res, err := strategy.Unlearn(ctx, col.name, req)
+		if err != nil {
+			return Table1Row{}, err
+		}
+		*col.accuracy = metrics.AccuracyAt(eval, res.Params, dep.Test)
 	}
-	row.Retraining = metrics.AccuracyAt(eval, retr, dep.Test)
-
-	fr, err := baselines.FedRecover(dep.Full, dep.Template, dep.Clients, forgotten, baselines.FedRecoverConfig{
-		LearningRate: scale.LRFor(kind),
-		PairSize:     scale.PairSize,
-		WarmupRounds: 2,
-		CorrectEvery: 20, // paper: real gradients every 20 rounds
-		Seed:         seed,
-		Telemetry:    scale.Telemetry,
-	})
-	if err != nil {
-		return Table1Row{}, fmt.Errorf("fedrecover: %w", err)
-	}
-	row.FedRecover = metrics.AccuracyAt(eval, fr.Params, dep.Test)
-
-	fry, err := baselines.FedRecovery(dep.Full, dep.Sim.Params(), forgotten, baselines.FedRecoveryConfig{
-		LearningRate: scale.LRFor(kind),
-		NoiseStdDev:  scale.FedRecoveryNoise,
-		Seed:         seed,
-		Telemetry:    scale.Telemetry,
-	})
-	if err != nil {
-		return Table1Row{}, fmt.Errorf("fedrecovery: %w", err)
-	}
-	row.FedRecovery = metrics.AccuracyAt(eval, fry, dep.Test)
-
-	u, err := unlearn.New(dep.Store, unlearn.Config{
-		PairSize:      scale.PairSize,
-		ClipThreshold: scale.ClipThreshold,
-		RefreshEvery:  scale.RefreshEvery,
-		LearningRate:  scale.LRFor(kind),
-		Telemetry:     scale.Telemetry,
-	})
-	if err != nil {
-		return Table1Row{}, err
-	}
-	res, err := u.Unlearn(forgotten...)
-	if err != nil {
-		return Table1Row{}, fmt.Errorf("ours: %w", err)
-	}
-	row.Ours = metrics.AccuracyAt(eval, res.Params, dep.Test)
 	return row, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"fuiov/internal/metrics"
-	"fuiov/internal/unlearn"
 	"fuiov/internal/unlearn/strategy"
 	"fuiov/internal/verify"
 )
@@ -42,31 +41,10 @@ func VerifyStrategies(ctx context.Context, scale Scale, seed uint64, names []str
 	if err != nil {
 		return nil, err
 	}
-	if err := dep.Train(); err != nil {
+	if err := dep.Train(ctx); err != nil {
 		return nil, err
 	}
-	lr := scale.LRFor(Digits)
-	req := strategy.Request{
-		Forgotten:    dep.Forgotten(),
-		Store:        dep.Store,
-		Full:         dep.Full,
-		Template:     dep.Template,
-		Clients:      dep.Clients,
-		FinalParams:  dep.Sim.Params(),
-		LearningRate: lr,
-		Rounds:       scale.Rounds,
-		Seed:         seed,
-		Parallelism:  scale.Parallelism,
-		Noise:        scale.FedRecoveryNoise,
-		Unlearn: unlearn.Config{
-			PairSize:      scale.PairSize,
-			ClipThreshold: scale.ClipThreshold,
-			RefreshEvery:  scale.RefreshEvery,
-			LearningRate:  lr,
-			Telemetry:     scale.Telemetry,
-		},
-		Telemetry: scale.Telemetry,
-	}
+	req := dep.request()
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = scale.Telemetry
 	}
@@ -76,7 +54,7 @@ func VerifyStrategies(ctx context.Context, scale Scale, seed uint64, names []str
 		Forgotten:    dep.Forgotten(),
 		Test:         dep.Test,
 		Before:       req.FinalParams,
-		LearningRate: lr,
+		LearningRate: req.LearningRate,
 		Seed:         seed,
 		Backdoor:     dep.Backdoor,
 	}, cfg)

@@ -225,7 +225,7 @@ func TestStrategyRowForgettingOmitted(t *testing.T) {
 func TestCompareStrategiesVerified(t *testing.T) {
 	cfg := smokeVerifyConfig()
 	cfg.SkipRelearn = true
-	rows, err := CompareStrategiesVerified(CIScale(), 47, []string{"paper"}, &cfg)
+	rows, err := CompareStrategiesVerified(context.Background(), CIScale(), 47, []string{"paper"}, &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestCompareStrategiesVerified(t *testing.T) {
 	if rows[0].Forgetting.RelearnRounds != -1 {
 		t.Errorf("SkipRelearn leaked a relearn round count: %d", rows[0].Forgetting.RelearnRounds)
 	}
-	plain, err := CompareStrategies(CIScale(), 47, []string{"paper"})
+	plain, err := CompareStrategies(context.Background(), CIScale(), 47, []string{"paper"})
 	if err != nil {
 		t.Fatal(err)
 	}

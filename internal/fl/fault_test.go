@@ -3,6 +3,7 @@ package fl
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,7 +37,7 @@ func TestRunUnderCrashFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rounds = 80
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		t.Fatalf("Run under 30%% crashes: %v", err)
 	}
 	if sim.Round() != rounds {
@@ -109,7 +110,7 @@ func TestFaultDeterminismAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(25); err != nil {
+		if err := sim.RunContext(context.Background(), 25); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Params()
@@ -146,7 +147,7 @@ func TestQuorumShortfall(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := net.ParamVector()
-	err = sim.RunRound()
+	err = sim.RunRoundContext(context.Background())
 	if !errors.Is(err, ErrQuorumNotReached) {
 		t.Fatalf("err = %v, want ErrQuorumNotReached", err)
 	}
@@ -192,7 +193,7 @@ func TestSkipRoundAfterQuorumShortfall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunRound(); !errors.Is(err, ErrQuorumNotReached) {
+	if err := sim.RunRoundContext(context.Background()); !errors.Is(err, ErrQuorumNotReached) {
 		t.Fatalf("round 0 err = %v, want ErrQuorumNotReached", err)
 	}
 	before := sim.Params()
@@ -215,7 +216,7 @@ func TestSkipRoundAfterQuorumShortfall(t *testing.T) {
 	if len(ps) != 0 {
 		t.Fatalf("skipped round recorded %d participants, want 0", len(ps))
 	}
-	if err := sim.RunRound(); err != nil {
+	if err := sim.RunRoundContext(context.Background()); err != nil {
 		t.Fatalf("round 1 after skip: %v", err)
 	}
 	if store.Rounds() != 2 {
@@ -251,7 +252,7 @@ func TestCorruptUploadRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(10); err != nil {
+	if err := sim.RunContext(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
 	if !faults.Valid(sim.Params()) {
@@ -268,21 +269,53 @@ func TestCorruptUploadRejected(t *testing.T) {
 	}
 }
 
-// TestLegacyStrictSemantics: without a policy the engine keeps the
-// seed's strict behaviour — a crash aborts the round with a wrapped
-// sentinel, and corruption flows unvalidated into the model (the
-// unprotected baseline the fault layer exists to fix).
+// TestLegacyStrictSemantics: without a policy both engines are strict —
+// crashes abort the round with every failing client named under the
+// wrapped sentinel and counted in fl.client_errors, and corruption
+// flows unvalidated into the model (the unprotected baseline the fault
+// layer exists to fix).
 func TestLegacyStrictSemantics(t *testing.T) {
-	clients, _, net := buildFederation(t, 3, 200, 9)
 	crash := faults.Func(func(id history.ClientID, _, _ int) faults.Outcome {
-		return faults.Outcome{Crash: id == 1}
+		return faults.Outcome{Crash: id != 0}
 	})
-	sim, err := NewSimulation(net, clients, Config{LearningRate: 0.1, Seed: 9, Faults: crash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.RunRound(); !errors.Is(err, ErrClientCrash) {
-		t.Fatalf("strict crash err = %v, want ErrClientCrash", err)
+	for _, engine := range []string{"fedavg", "rsa"} {
+		clients, _, net := buildFederation(t, 3, 200, 9)
+		reg := telemetry.New()
+		var runRound func(context.Context) error
+		var round func() int
+		if engine == "rsa" {
+			sim, err := NewRSASimulation(net, clients, RSAConfig{
+				LearningRate: 0.1, Lambda: 0.01, Seed: 9, Faults: crash, Telemetry: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runRound, round = sim.RunRoundContext, sim.Round
+		} else {
+			sim, err := NewSimulation(net, clients, Config{LearningRate: 0.1, Seed: 9, Faults: crash, Telemetry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runRound, round = sim.RunRoundContext, sim.Round
+		}
+		err := runRound(context.Background())
+		if !errors.Is(err, ErrClientCrash) {
+			t.Fatalf("%s: strict crash err = %v, want ErrClientCrash", engine, err)
+		}
+		for _, want := range []string{"client 1", "client 2"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %s", engine, err, want)
+			}
+		}
+		if strings.Contains(err.Error(), "client 0") {
+			t.Errorf("%s: error %q names the healthy client", engine, err)
+		}
+		if got := reg.Counter(telemetry.FLClientErrors).Value(); got != 2 {
+			t.Errorf("%s: %s = %d, want 2", engine, telemetry.FLClientErrors, got)
+		}
+		if round() != 0 {
+			t.Errorf("%s: failed round advanced the clock to %d", engine, round())
+		}
 	}
 
 	clients2, _, net2 := buildFederation(t, 3, 200, 9)
@@ -293,7 +326,7 @@ func TestLegacyStrictSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim2.RunRound(); err != nil {
+	if err := sim2.RunRoundContext(context.Background()); err != nil {
 		t.Fatalf("strict mode rejected a corrupt upload: %v", err)
 	}
 	if faults.Valid(sim2.Params()) {
@@ -366,7 +399,7 @@ func TestRSAFaultTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(12); err != nil {
+	if err := sim.RunContext(context.Background(), 12); err != nil {
 		t.Fatalf("RSA under faults: %v", err)
 	}
 	if sim.Round() != 12 {
@@ -387,7 +420,7 @@ func TestRSAFaultTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := strict.RunRound(); !errors.Is(err, ErrClientCrash) {
+	if err := strict.RunRoundContext(context.Background()); !errors.Is(err, ErrClientCrash) {
 		t.Fatalf("strict RSA err = %v, want ErrClientCrash", err)
 	}
 }
@@ -408,7 +441,7 @@ func TestRSADeterminismUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(10); err != nil {
+		if err := sim.RunContext(context.Background(), 10); err != nil {
 			t.Fatal(err)
 		}
 		return sim.ServerParams()

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -129,7 +130,7 @@ func TestTrainingImprovesAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := metrics.Accuracy(sim.GlobalModel(), test)
-	if err := sim.Run(40); err != nil {
+	if err := sim.RunContext(context.Background(), 40); err != nil {
 		t.Fatal(err)
 	}
 	after := metrics.Accuracy(sim.GlobalModel(), test)
@@ -150,7 +151,7 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(10); err != nil {
+		if err := sim.RunContext(context.Background(), 10); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Params()
@@ -177,7 +178,7 @@ func TestHistoryRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	w0 := sim.Params()
-	if err := sim.Run(5); err != nil {
+	if err := sim.RunContext(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	if store.Rounds() != 5 {
@@ -256,7 +257,7 @@ func TestDynamicMembershipRecordsJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(6); err != nil {
+	if err := sim.RunContext(context.Background(), 6); err != nil {
 		t.Fatal(err)
 	}
 	join, err := store.JoinRound(1)
@@ -288,7 +289,7 @@ func TestEmptyRoundAdvancesClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sim.Params()
-	if err := sim.Run(3); err != nil {
+	if err := sim.RunContext(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
 	if sim.Round() != 3 {
@@ -312,7 +313,7 @@ func TestGradAttackApplied(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(10); err != nil {
+		if err := sim.RunContext(context.Background(), 10); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Params()
@@ -362,7 +363,7 @@ func TestOnRoundCallback(t *testing.T) {
 			panic("bad params in callback")
 		}
 	}
-	if err := sim.Run(4); err != nil {
+	if err := sim.RunContext(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
 	if len(rounds) != 4 || rounds[0] != 0 || rounds[3] != 3 {
@@ -426,7 +427,7 @@ func TestSampleFractionSelectsSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(10); err != nil {
+	if err := sim.RunContext(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
 	sawDifferentSets := false
@@ -475,7 +476,7 @@ func TestSampleFractionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(1); err != nil {
+	if err := sim.RunContext(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	p, err := sim.cfg.Store.Participants(0)

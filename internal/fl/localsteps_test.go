@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"testing"
 
 	"fuiov/internal/history"
@@ -83,7 +84,7 @@ func TestLocalStepsAccelerateTraining(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(20); err != nil {
+		if err := sim.RunContext(context.Background(), 20); err != nil {
 			t.Fatal(err)
 		}
 		return metrics.Accuracy(sim.GlobalModel(), test)
@@ -114,7 +115,7 @@ func TestLocalStepsComposeWithUnlearningHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(10); err != nil {
+	if err := sim.RunContext(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
 	if store.Rounds() != 10 {

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestConcurrentRoundsAndStoreReads(t *testing.T) {
 			}
 		}()
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		t.Fatal(err)
 	}
 	close(done)
@@ -135,7 +136,7 @@ func TestConcurrentRoundsWithSpillingStore(t *testing.T) {
 			}
 		}()
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		t.Fatal(err)
 	}
 	close(done)

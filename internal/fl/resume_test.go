@@ -2,6 +2,7 @@ package fl
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -46,7 +47,7 @@ func TestStartRoundResumeBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := sim.RunRound(); err != nil {
+			if err := sim.RunRoundContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -159,7 +160,7 @@ func TestRobustAggregationUnderAttack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(60); err != nil {
+		if err := sim.RunContext(context.Background(), 60); err != nil {
 			t.Fatal(err)
 		}
 		return metrics.Accuracy(sim.GlobalModel(), test)
@@ -184,7 +185,7 @@ func TestSignAggregatorTrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := metrics.Accuracy(sim.GlobalModel(), test)
-	if err := sim.Run(80); err != nil {
+	if err := sim.RunContext(context.Background(), 80); err != nil {
 		t.Fatal(err)
 	}
 	after := metrics.Accuracy(sim.GlobalModel(), test)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"fuiov/internal/faults"
 	"fuiov/internal/history"
@@ -52,8 +51,7 @@ type RSAConfig struct {
 	// clients keep their previous personal model for the round, the
 	// server's sign consensus (eq. 3) sums only over this round's
 	// responders, and the round commits as long as the quorum holds.
-	// When nil any client failure aborts the round (strict legacy
-	// behaviour).
+	// When nil any client failure aborts the round.
 	FaultPolicy *FaultPolicy
 }
 
@@ -99,6 +97,7 @@ type RSASimulation struct {
 	clients  []*Client
 	round    int
 	met      rsaMetrics
+	fan      fanOut
 }
 
 // NewRSASimulation initialises server and client models from the
@@ -127,13 +126,22 @@ func NewRSASimulation(template *nn.Network, clients []*Client, cfg RSAConfig) (*
 		}
 		locals[c.ID] = tensor.CloneVec(init)
 	}
+	met := newRSAMetrics(cfg.Telemetry)
 	return &RSASimulation{
 		cfg:      cfg,
 		template: template,
 		server:   tensor.CloneVec(init),
 		locals:   locals,
 		clients:  clients,
-		met:      newRSAMetrics(cfg.Telemetry),
+		met:      met,
+		fan: fanOut{
+			sem:    make(chan struct{}, cfg.Parallelism),
+			faults: cfg.Faults,
+			policy: cfg.FaultPolicy,
+			seed:   cfg.Seed,
+			met:    met.faults,
+			scope:  "rsa round",
+		},
 	}, nil
 }
 
@@ -152,81 +160,50 @@ func (s *RSASimulation) LocalParams(id history.ClientID) ([]float64, error) {
 	return tensor.CloneVec(m), nil
 }
 
-// RunRound executes one synchronous RSA round: clients take a local
-// step (eq. 4) against the current server model, then the server
+// RunRoundContext executes one synchronous RSA round: clients take a
+// local step (eq. 4) against the current server model, then the server
 // aggregates sign consensus (eq. 3). Failure handling follows
-// RSAConfig.FaultPolicy: strict abort without one, retry + quorum
-// degradation with one (absent clients keep their personal model and
-// are left out of the round's consensus sum).
-func (s *RSASimulation) RunRound() error { return s.RunRoundContext(context.Background()) }
-
-// RunRoundContext is RunRound honouring context cancellation: the
-// round is abandoned — no model moves, the clock does not advance —
-// and the context's error returned if ctx is cancelled before the
-// round commits.
+// RSAConfig.FaultPolicy: strict abort without one, naming every failing
+// client; retry + quorum degradation with one (absent clients keep
+// their personal model and are left out of the round's consensus sum).
+// If ctx is cancelled before the round commits, the round is abandoned
+// — no model moves, the clock does not advance — and the context's
+// error returned.
 func (s *RSASimulation) RunRoundContext(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	roundSpan := s.met.round.Start()
 	t := s.round
-	type result struct {
-		id   history.ClientID
-		next []float64
-		call callResult
-	}
 	localSpan := s.met.local.Start()
-	results := make([]result, len(s.clients))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, s.cfg.Parallelism)
-	for i, c := range s.clients {
-		// Acquire before spawning so at most Parallelism goroutines
-		// ever exist (see Simulation.RunRound).
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			local := s.locals[c.ID]
-			call := callWithFaults(ctx, s.cfg.Faults, s.cfg.FaultPolicy,
-				s.cfg.Seed, c.ID, t, func() ([]float64, error) {
-					return c.ComputeGradient(s.template, local, s.cfg.Seed, t)
-				})
-			res := result{id: c.ID, call: call}
-			if call.err == nil {
-				next := tensor.CloneVec(local)
-				for j := range next {
-					step := call.grad[j] + s.cfg.Lambda*signOf(local[j]-s.server[j])
-					next[j] -= s.cfg.LearningRate * step
-				}
-				res.next = next
-			}
-			results[i] = res
-		}(i, c)
-	}
-	wg.Wait()
-	localDur := localSpan.End()
-	if err := ctx.Err(); err != nil {
+	res := make([]callResult, len(s.clients))
+	err := s.fan.call(ctx, t, s.clients, res, func(c *Client) ([]float64, error) {
+		return c.ComputeGradient(s.template, s.locals[c.ID], s.cfg.Seed, t)
+	})
+	if err != nil {
 		return err
 	}
-	responders := make([]result, 0, len(results))
-	absent := 0
-	for _, r := range results {
-		s.met.faults.observe(r.call)
-		if r.call.err != nil {
-			if s.cfg.FaultPolicy == nil {
-				return fmt.Errorf("fl: rsa round %d client %d: %w", t, r.id, r.call.err)
-			}
-			absent++
+	// Eq. 4, written over each responder's gradient: its next personal
+	// model, held back until the server has stepped.
+	responders := 0
+	for i, c := range s.clients {
+		if res[i].err != nil {
 			continue
 		}
-		responders = append(responders, r)
+		responders++
+		local, g := s.locals[c.ID], res[i].grad
+		for j := range g {
+			step := g[j] + s.cfg.Lambda*signOf(local[j]-s.server[j])
+			g[j] = local[j] - s.cfg.LearningRate*step
+		}
 	}
+	localDur := localSpan.End()
+	absent := len(s.clients) - responders
 	if p := s.cfg.FaultPolicy; p != nil {
-		if need := p.QuorumCount(len(s.clients)); len(responders) < need {
+		if need := p.QuorumCount(len(s.clients)); responders < need {
 			s.met.faults.quorumShortfalls.Inc()
 			return fmt.Errorf("fl: rsa round %d: %w: %d of %d clients responded, quorum %d",
-				t, ErrQuorumNotReached, len(responders), len(s.clients), need)
+				t, ErrQuorumNotReached, responders, len(s.clients), need)
 		}
 		if absent > 0 {
 			s.met.faults.absentees.Add(int64(absent))
@@ -240,27 +217,23 @@ func (s *RSASimulation) RunRoundContext(ctx context.Context) error {
 	// influence bound of ±λη per responder intact.
 	consensusSpan := s.met.consensus.Start()
 	update := make([]float64, len(s.server))
-	if s.cfg.FaultPolicy == nil {
-		for _, c := range s.clients {
-			local := s.locals[c.ID]
-			for j := range update {
-				update[j] += signOf(s.server[j] - local[j])
-			}
+	for i, c := range s.clients {
+		if res[i].err != nil {
+			continue
 		}
-	} else {
-		for _, r := range responders {
-			local := s.locals[r.id]
-			for j := range update {
-				update[j] += signOf(s.server[j] - local[j])
-			}
+		local := s.locals[c.ID]
+		for j := range update {
+			update[j] += signOf(s.server[j] - local[j])
 		}
 	}
 	for j := range s.server {
 		s.server[j] -= s.cfg.LearningRate * (s.cfg.Rho*s.server[j] + s.cfg.Lambda*update[j])
 	}
 	// Commit client updates (absent clients keep their stale model).
-	for _, r := range responders {
-		s.locals[r.id] = r.next
+	for i, c := range s.clients {
+		if res[i].err == nil {
+			s.locals[c.ID] = res[i].grad
+		}
 	}
 	consensusDur := consensusSpan.End()
 	s.round++
@@ -271,7 +244,7 @@ func (s *RSASimulation) RunRoundContext(ctx context.Context) error {
 			Scope: "rsa", Name: "round", Round: t,
 			Fields: []telemetry.Field{
 				telemetry.F("clients", float64(len(s.clients))),
-				telemetry.F("responders", float64(len(responders))),
+				telemetry.F("responders", float64(responders)),
 				telemetry.F("absent", float64(absent)),
 				telemetry.D("local", localDur),
 				telemetry.D("consensus", consensusDur),
@@ -290,11 +263,6 @@ func (s *RSASimulation) SkipRound() {
 	s.round++
 	s.met.rounds.Inc()
 	s.met.faults.skippedRounds.Inc()
-}
-
-// Run executes the given number of rounds.
-func (s *RSASimulation) Run(rounds int) error {
-	return s.RunContext(context.Background(), rounds)
 }
 
 // RunContext executes the given number of rounds, stopping early with

@@ -1,9 +1,14 @@
 package fl
 
 import (
+	"context"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"fuiov/internal/attack"
+	"fuiov/internal/faults"
+	"fuiov/internal/history"
 	"fuiov/internal/metrics"
 	"fuiov/internal/tensor"
 )
@@ -44,7 +49,7 @@ func TestRSATrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := metrics.Accuracy(sim.ServerModel(), test)
-	if err := sim.Run(120); err != nil {
+	if err := sim.RunContext(context.Background(), 120); err != nil {
 		t.Fatal(err)
 	}
 	after := metrics.Accuracy(sim.ServerModel(), test)
@@ -65,7 +70,7 @@ func TestRSALocalModelsTrackServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(100); err != nil {
+	if err := sim.RunContext(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	server := sim.ServerParams()
@@ -100,7 +105,7 @@ func TestRSABoundedByzantineInfluence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(30); err != nil {
+		if err := sim.RunContext(context.Background(), 30); err != nil {
 			t.Fatal(err)
 		}
 		return sim.ServerParams()
@@ -126,7 +131,7 @@ func TestRSABoundedByzantineInfluence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(30); err != nil {
+		if err := sim.RunContext(context.Background(), 30); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Params()
@@ -147,7 +152,7 @@ func TestRSADeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(10); err != nil {
+		if err := sim.RunContext(context.Background(), 10); err != nil {
 			t.Fatal(err)
 		}
 		return sim.ServerParams()
@@ -171,11 +176,68 @@ func TestRSARegularizerPullsToZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	norm0 := tensor.Norm2(sim.ServerParams())
-	if err := sim.Run(50); err != nil {
+	if err := sim.RunContext(context.Background(), 50); err != nil {
 		t.Fatal(err)
 	}
 	norm1 := tensor.Norm2(sim.ServerParams())
 	if norm1 >= norm0 {
 		t.Errorf("rho regulariser did not shrink server: %.4f -> %.4f", norm0, norm1)
+	}
+}
+
+// TestRSAParamsPinned pins the server and personal models of three
+// short RSA runs — fault-free, degraded under a policy, and strict with
+// corrupt uploads flowing in unvalidated — to checksums taken before
+// the client fan-out moved into the helper Simulation shares.
+func TestRSAParamsPinned(t *testing.T) {
+	corrupt := faults.Func(func(id history.ClientID, round, _ int) faults.Outcome {
+		return faults.Outcome{Corrupt: id == 2 && round == 3}
+	})
+	for _, tc := range []struct {
+		name string
+		cfg  RSAConfig
+		want uint64
+	}{
+		{"clean", RSAConfig{Rho: 0.01}, 0xc353074833ff94f5},
+		{"policy", RSAConfig{
+			Faults:      faults.NewPlan(46, faults.Spec{CrashProb: 0.3, CorruptProb: 0.1}),
+			FaultPolicy: &FaultPolicy{MaxRetries: 1, Quorum: 0.25},
+		}, 0x636dc09f78bc1fa6},
+		{"strict-corrupt", RSAConfig{Faults: corrupt}, 0xf282b6ddf48e41d9},
+	} {
+		for _, par := range []int{1, 3} {
+			clients, _, net := buildFederation(t, 5, 400, 46)
+			cfg := tc.cfg
+			cfg.LearningRate, cfg.Lambda, cfg.Seed, cfg.Parallelism = 0.02, 0.3, 46, par
+			sim, err := NewRSASimulation(net, clients, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.RunContext(context.Background(), 8); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			h := fnv.New64a()
+			hash := func(v []float64) {
+				var b [8]byte
+				for _, x := range v {
+					u := math.Float64bits(x)
+					for i := range b {
+						b[i] = byte(u >> (8 * i))
+					}
+					h.Write(b[:])
+				}
+			}
+			hash(sim.ServerParams())
+			for _, c := range clients {
+				local, err := sim.LocalParams(c.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hash(local)
+			}
+			if got := h.Sum64(); got != tc.want {
+				t.Errorf("%s P=%d: params checksum %#x, want %#x", tc.name, par, got, tc.want)
+			}
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"fuiov/internal/faults"
@@ -128,12 +127,12 @@ type Config struct {
 	// StartRound sets the round clock's initial value, letting a
 	// simulation resume a history reloaded mid-run (history.Load):
 	// set it to the loaded store's Rounds(), seed the template with the
-	// saved global parameters, and the next RunRound continues the
-	// original trajectory bit-identically. 0 (the default) starts a
+	// saved global parameters, and the next RunRoundContext continues
+	// the original trajectory bit-identically. 0 (the default) starts a
 	// fresh run.
 	StartRound int
 	// Telemetry, when non-nil, receives per-phase timings, counters
-	// and one round event per RunRound (see internal/telemetry
+	// and one round event per round (see internal/telemetry
 	// names.go for the metric names). Nil disables instrumentation at
 	// ~zero cost.
 	Telemetry *telemetry.Registry
@@ -166,7 +165,6 @@ type simMetrics struct {
 	col2im       *telemetry.Timer
 	rounds       *telemetry.Counter
 	participants *telemetry.Counter
-	clientErrors *telemetry.Counter
 	faults       faultMetrics
 	stream       streamMetrics
 }
@@ -196,6 +194,7 @@ func newStreamMetrics(r *telemetry.Registry) streamMetrics {
 // faultMetrics are the fault-tolerance counters shared by Simulation
 // and RSASimulation (nil/no-op when telemetry is disabled).
 type faultMetrics struct {
+	clientErrors     *telemetry.Counter
 	retries          *telemetry.Counter
 	timeouts         *telemetry.Counter
 	crashes          *telemetry.Counter
@@ -208,6 +207,7 @@ type faultMetrics struct {
 
 func newFaultMetrics(r *telemetry.Registry) faultMetrics {
 	return faultMetrics{
+		clientErrors:     r.Counter(telemetry.FLClientErrors),
 		retries:          r.Counter(telemetry.FLRetries),
 		timeouts:         r.Counter(telemetry.FLTimeouts),
 		crashes:          r.Counter(telemetry.FLCrashes),
@@ -239,7 +239,6 @@ func newSimMetrics(r *telemetry.Registry) simMetrics {
 		col2im:       r.Timer(telemetry.NNKernelCol2im),
 		rounds:       r.Counter(telemetry.FLRounds),
 		participants: r.Counter(telemetry.FLParticipants),
-		clientErrors: r.Counter(telemetry.FLClientErrors),
 		faults:       newFaultMetrics(r),
 		stream:       newStreamMetrics(r),
 	}
@@ -254,6 +253,7 @@ type Simulation struct {
 	clients  []*Client
 	round    int
 	met      simMetrics
+	fan      fanOut
 
 	// known is the registered-client set (O(1) upload validation in
 	// RoundStream.Add).
@@ -345,7 +345,7 @@ func NewSimulation(template *nn.Network, clients []*Client, cfg Config) (*Simula
 		return nil, fmt.Errorf("fl: StreamShards set without Streaming")
 	}
 	if cfg.Telemetry != nil {
-		// Turn on the process-wide kernel clocks so RunRound can
+		// Turn on the process-wide kernel clocks so RunRoundContext can
 		// attribute compute time to im2col/GEMM/col2im.
 		nn.EnableKernelTiming(true)
 	}
@@ -357,6 +357,14 @@ func NewSimulation(template *nn.Network, clients []*Client, cfg Config) (*Simula
 		known:    known,
 		round:    cfg.StartRound,
 		met:      newSimMetrics(cfg.Telemetry),
+	}
+	s.fan = fanOut{
+		sem:    make(chan struct{}, cfg.Parallelism),
+		faults: cfg.Faults,
+		policy: cfg.FaultPolicy,
+		seed:   cfg.Seed,
+		met:    s.met.faults,
+		scope:  "round",
 	}
 	s.respBits = history.NewBitmap(int(maxID) + 1)
 	s.aggOut = make([]float64, len(s.params))
@@ -437,10 +445,13 @@ func (s *Simulation) Config() Config { return s.cfg }
 // Template returns the architecture template (parameters unspecified).
 func (s *Simulation) Template() *nn.Network { return s.template }
 
-// RunRound executes one synchronous round: the cohort's clients
+// RunRoundContext executes one synchronous round: the cohort's clients
 // compute gradients at the current parameters, the server aggregates
 // and applies eq. 2, and the round is recorded in the history store.
 // A round with no participants advances the clock without an update.
+// If ctx is cancelled before the round commits, the round is abandoned
+// — nothing recorded, the clock not advanced — and the context's error
+// returned.
 //
 // Failure handling depends on Config.FaultPolicy. Without one the
 // engine is strict: if any clients fail, the round is abandoned and
@@ -450,12 +461,6 @@ func (s *Simulation) Template() *nn.Network { return s.template }
 // non-participants) and commits as long as the quorum holds; below
 // quorum it returns an error wrapping ErrQuorumNotReached and the
 // clock does not advance.
-func (s *Simulation) RunRound() error { return s.RunRoundContext(context.Background()) }
-
-// RunRoundContext is RunRound honouring context cancellation: the
-// round is abandoned — nothing recorded, the clock not advanced — and
-// the context's error returned if ctx is cancelled before the round
-// commits.
 //
 // The round is a RoundStream like any other: the cohort is computed in
 // chunks — gradients within a chunk run in parallel, then enter the
@@ -476,12 +481,15 @@ func (s *Simulation) RunRoundContext(ctx context.Context) error {
 	t := rs.t
 	cohort := s.cohort(t)
 
-	var errs []error
+	var failed []error
 	computeSpan := s.met.compute.Start()
 	kernels := nn.KernelTimingEnabled()
 	var im2colBase, gemmBase, col2imBase time.Duration
 	if kernels {
 		im2colBase, gemmBase, col2imBase = nn.KernelTimes()
+	}
+	gradient := func(c *Client) ([]float64, error) {
+		return c.ComputeGradient(s.template, s.params, s.cfg.Seed, t)
 	}
 	// Chunk size bounds the live gradient buffers: a small multiple of
 	// the worker count keeps every worker busy while capping what a
@@ -490,41 +498,25 @@ func (s *Simulation) RunRoundContext(ctx context.Context) error {
 	if cap(s.chunkRes) < chunk {
 		s.chunkRes = make([]callResult, chunk)
 	}
-	sem := make(chan struct{}, s.cfg.Parallelism)
 	for lo := 0; lo < len(cohort); lo += chunk {
-		hi := min(lo+chunk, len(cohort))
-		res := s.chunkRes[:hi-lo]
-		var wg sync.WaitGroup
-		for i, c := range cohort[lo:hi] {
-			// Acquire before spawning so at most Parallelism goroutines
-			// (and their gradient buffers) ever exist.
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(i int, c *Client) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				res[i] = callWithFaults(ctx, s.cfg.Faults, s.cfg.FaultPolicy,
-					s.cfg.Seed, c.ID, t, func() ([]float64, error) {
-						return c.ComputeGradient(s.template, s.params, s.cfg.Seed, t)
-					})
-			}(i, c)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
+		part := cohort[lo:min(lo+chunk, len(cohort))]
+		res := s.chunkRes[:len(part)]
+		err := s.fan.call(ctx, t, part, res, gradient)
+		if cerr := ctx.Err(); cerr != nil {
 			rs.Abort()
-			return err
+			return cerr
+		}
+		if err != nil {
+			// Strict mode: the round is lost, but the remaining chunks
+			// still run so the error names every failing client.
+			failed = append(failed, err)
 		}
 		// Sequential adds in chunk order = ascending-ID order.
-		for i, c := range cohort[lo:hi] {
+		for i, c := range part {
 			r := res[i]
 			// Drop the chunk's reference before the next chunk computes.
 			res[i] = callResult{}
-			s.met.faults.observe(r)
 			if r.err != nil {
-				// Under a policy the client is simply absent.
-				if s.cfg.FaultPolicy == nil {
-					errs = append(errs, fmt.Errorf("fl: round %d client %d: %w", t, c.ID, r.err))
-				}
 				continue
 			}
 			if err := rs.Add(c.ID, r.grad, c.Weight()); err != nil {
@@ -540,10 +532,9 @@ func (s *Simulation) RunRoundContext(ctx context.Context) error {
 		s.met.gemm.Observe(gemmT - gemmBase)
 		s.met.col2im.Observe(col2imT - col2imBase)
 	}
-	if len(errs) > 0 {
+	if len(failed) > 0 {
 		rs.Abort()
-		s.met.clientErrors.Add(int64(len(errs)))
-		return errors.Join(errs...)
+		return errors.Join(failed...)
 	}
 	rs.inProcess, rs.roundSpan = true, roundSpan
 	return s.SubmitRoundStream(rs, len(cohort))
@@ -637,11 +628,6 @@ func (s *Simulation) SkipRound() error {
 	s.met.rounds.Inc()
 	s.met.faults.skippedRounds.Inc()
 	return nil
-}
-
-// Run executes the given number of rounds.
-func (s *Simulation) Run(rounds int) error {
-	return s.RunContext(context.Background(), rounds)
 }
 
 // RunContext executes the given number of rounds, stopping early with

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -317,7 +318,7 @@ func TestStreamingSimulationP1Bits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(rounds); err != nil {
+		if err := sim.RunContext(context.Background(), rounds); err != nil {
 			t.Fatal(err)
 		}
 		for r := 0; k > 0 && r < rounds; r++ {
@@ -371,7 +372,7 @@ func TestStreamingSimulationStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(2); err != nil {
+	if err := sim.RunContext(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	if store.Rounds() != 2 {
@@ -395,7 +396,7 @@ func TestRoundStreamDriver(t *testing.T) {
 	}
 
 	inProc, _ := build()
-	if err := inProc.RunRound(); err != nil {
+	if err := inProc.RunRoundContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -504,7 +505,7 @@ func TestStreamingSampledRound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(2); err != nil {
+		if err := sim.RunContext(context.Background(), 2); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Params()

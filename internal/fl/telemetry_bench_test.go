@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"testing"
 
 	"fuiov/internal/dataset"
@@ -53,7 +54,7 @@ func BenchmarkSimulationRoundTelemetry(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sim.RunRound(); err != nil {
+			if err := sim.RunRoundContext(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -63,7 +64,7 @@ func BenchmarkSimulationRoundTelemetry(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sim.RunRound(); err != nil {
+			if err := sim.RunRoundContext(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -75,7 +76,7 @@ func BenchmarkSimulationRoundTelemetry(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sim.RunRound(); err != nil {
+			if err := sim.RunRoundContext(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}

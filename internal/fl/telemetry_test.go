@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestRunRoundCollectsAllClientErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sim.RunRound()
+	err = sim.RunRoundContext(context.Background())
 	if err == nil {
 		t.Fatal("round with failing clients must error")
 	}
@@ -60,7 +61,7 @@ func TestSimulationTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rounds = 4
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,7 +115,7 @@ func TestSimulationTelemetryErrorsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunRound(); err == nil {
+	if err := sim.RunRoundContext(context.Background()); err == nil {
 		t.Fatal("expected round error")
 	}
 	if got := reg.Counter(telemetry.FLClientErrors).Value(); got != 1 {
@@ -133,7 +134,7 @@ func TestRSATelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rounds = 3
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter(telemetry.RSARounds).Value(); got != rounds {
@@ -157,7 +158,7 @@ func TestDeterminismWithTelemetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(3); err != nil {
+		if err := sim.RunContext(context.Background(), 3); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Params()
@@ -203,7 +204,7 @@ func TestSimulationKernelTimers(t *testing.T) {
 		t.Fatal("NewSimulation with telemetry must enable kernel timing")
 	}
 	defer nn.EnableKernelTiming(false)
-	if err := sim.RunRound(); err != nil {
+	if err := sim.RunRoundContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{

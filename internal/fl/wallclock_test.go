@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -130,7 +131,7 @@ func TestSubmitRoundBitIdentical(t *testing.T) {
 		if err := ext.SubmitRound(grads, weights, len(clients)); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.RunRound(); err != nil {
+		if err := ref.RunRoundContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

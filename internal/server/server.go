@@ -28,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"fuiov/internal/baselines"
 	"fuiov/internal/fl"
 	"fuiov/internal/history"
 	"fuiov/internal/telemetry"
@@ -709,7 +708,7 @@ func (c *Coordinator) strategyRequest(forgotten []history.ClientID) strategy.Req
 		Telemetry:    c.cfg.Telemetry,
 	}
 	for _, rec := range ecfg.Recorders {
-		if fh, ok := rec.(*baselines.FullHistory); ok {
+		if fh, ok := rec.(*strategy.FullHistory); ok {
 			req.Full = fh
 		}
 	}

@@ -131,7 +131,7 @@ func TestLoopbackBitIdentity(t *testing.T) {
 	// Reference: the deterministic in-process engine.
 	ref, _, refStore := loopFixture(t, nClients, loopSchedule, nil)
 	for r := 0; r < rounds; r++ {
-		if err := ref.RunRound(); err != nil {
+		if err := ref.RunRoundContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +160,7 @@ func TestLoopbackBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := u.Unlearn(victim)
+	want, err := u.UnlearnContext(context.Background(), victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestStrategiesDocumented(t *testing.T) {
 // in the reply.
 func TestUnlearnStrategySelection(t *testing.T) {
 	sim, _, _ := loopFixture(t, 4, loopSchedule, nil)
-	if err := sim.Run(3); err != nil {
+	if err := sim.RunContext(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
 	_, base := startCoordinator(t, server.Config{Engine: sim, MaxRounds: 3})
@@ -884,7 +884,7 @@ func TestStreamingServedRound(t *testing.T) {
 
 	ref, _, refStore := streamFixture(t, nClients, shards, loopSchedule)
 	for r := 0; r < rounds; r++ {
-		if err := ref.RunRound(); err != nil {
+		if err := ref.RunRoundContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -942,7 +942,7 @@ func TestStreamingOrderedUploadsBits(t *testing.T) {
 	const nClients, shards = 4, 2
 
 	ref, _, _ := streamFixture(t, nClients, shards, fl.AlwaysOn{})
-	if err := ref.RunRound(); err != nil {
+	if err := ref.RunRoundContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

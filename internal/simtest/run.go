@@ -247,7 +247,7 @@ func execute(sc Scenario, rs runSpec) (*runOutcome, error) {
 				return nil, fmt.Errorf("round %d: resume: %w", loaded.Rounds(), err)
 			}
 		}
-		if err := sim.RunRound(); err != nil {
+		if err := sim.RunRoundContext(context.Background()); err != nil {
 			if errors.Is(err, fuiov.ErrQuorumNotReached) {
 				// Deterministically doomed round: skip it, as the
 				// production caller would, and keep the history dense.
@@ -302,7 +302,7 @@ func execute(sc Scenario, rs runSpec) (*runOutcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("new unlearner: %w", err)
 	}
-	res, err := unl.Unlearn(out.forgotten...)
+	res, err := unl.UnlearnContext(context.Background(), out.forgotten...)
 	if err != nil {
 		return nil, fmt.Errorf("unlearn %v: %w", out.forgotten, err)
 	}
@@ -402,7 +402,7 @@ func executeOverlap(sc Scenario, rs runSpec) (overlapped, stopTheWorld *commitOu
 		return nil
 	}
 	for sim.Round() < sc.Rounds {
-		if err := sim.RunRound(); err != nil {
+		if err := sim.RunRoundContext(context.Background()); err != nil {
 			if !errors.Is(err, fuiov.ErrQuorumNotReached) {
 				return nil, nil, -1, fmt.Errorf("round %d: %w", sim.Round(), err)
 			}
@@ -464,7 +464,7 @@ func executeOverlap(sc Scenario, rs runSpec) (overlapped, stopTheWorld *commitOu
 	if err != nil {
 		return nil, nil, -1, fmt.Errorf("new unlearner: %w", err)
 	}
-	swRes, swStore, err := unl.UnlearnAndCommit(forgotten...)
+	swRes, swStore, err := unl.UnlearnAndCommitContext(context.Background(), forgotten...)
 	if err != nil {
 		return nil, nil, -1, fmt.Errorf("stop-the-world commit: %w", err)
 	}

@@ -9,6 +9,30 @@ import (
 	"fuiov/internal/rng"
 )
 
+// matMulNaive is the original single-threaded triple loop, the
+// reference the kernel equivalence tests compare against.
+func matMulNaive(a, b *Matrix) *Matrix {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor.MatMul: inner dimension mismatch %dx%d * %dx%d",
+			a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	out := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+	return out
+}
+
 // randMatrix fills an m×n matrix with seeded normal noise, with a few
 // exact zeros mixed in so the zero-skip paths are exercised.
 func randMatrix(r *rng.RNG, m, n int) *Matrix {

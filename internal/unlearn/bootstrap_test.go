@@ -1,6 +1,7 @@
 package unlearn
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestOnlineBootstrapFillsGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(1)
+	res, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestOnlineBootstrapFillsGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := u2.Unlearn(1)
+	res2, err := u2.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestOnlineBootstrapOfflineClientSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(1)
+	res, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestOnlineBootstrapMalformedGradientSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(1)
+	res, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestOnlineBootstrapWithRealClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(1)
+	res, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,9 @@ import (
 	"fuiov/internal/sign"
 )
 
-// UnlearnAndCommit runs Unlearn and additionally produces a rewritten
-// history store reflecting the post-unlearning world:
+// UnlearnAndCommitContext runs UnlearnContext and additionally
+// produces a rewritten history store reflecting the post-unlearning
+// world:
 //
 //   - the forgotten clients' directions and membership are gone;
 //   - model snapshots for rounds F+1..T−1 are replaced by the
@@ -23,13 +24,9 @@ import (
 // directions were computed against the *original* trajectory, so a
 // second recovery compounds the scheme's approximation — the same
 // trade-off the paper accepts for its own recovered gradients.
-func (u *Unlearner) UnlearnAndCommit(forgotten ...history.ClientID) (*Result, *history.Store, error) {
-	return u.UnlearnAndCommitContext(context.Background(), forgotten...)
-}
-
-// UnlearnAndCommitContext is UnlearnAndCommit honouring context
-// cancellation: recovery stops at the next round boundary with the
-// context's error and no rewritten store is produced; the original
+//
+// If ctx is cancelled, recovery stops at the next round boundary with
+// the context's error and no rewritten store is produced; the original
 // store is left untouched.
 func (u *Unlearner) UnlearnAndCommitContext(ctx context.Context, forgotten ...history.ClientID) (*Result, *history.Store, error) {
 	cp, err := u.BeginCommit(forgotten...)
@@ -48,7 +45,7 @@ func (u *Unlearner) UnlearnAndCommitContext(ctx context.Context, forgotten ...hi
 // Because each recovered round depends only on that round's immutable
 // record and on state derived from earlier rounds — never on when the
 // round became visible — the committed result is bit-identical to a
-// stop-the-world UnlearnAndCommit over the final store, regardless of
+// stop-the-world UnlearnAndCommitContext over the final store, regardless of
 // how the pass interleaved with training. The one assumption is that
 // the forgotten clients' join rounds do not change while the pass runs
 // (i.e. a forgotten client does not leave and rejoin mid-pass).

@@ -19,7 +19,7 @@ import (
 func denseRecompressCommit(t *testing.T, u *Unlearner, reg *telemetry.Registry, forgotten ...history.ClientID) (*Result, *history.Store) {
 	t.Helper()
 	var trajectory [][]float64
-	res, err := u.UnlearnObserved(func(_ int, w []float64) {
+	res, err := u.UnlearnObservedContext(context.Background(), func(_ int, w []float64) {
 		trajectory = append(trajectory, w)
 	}, forgotten...)
 	if err != nil {

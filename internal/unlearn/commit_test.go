@@ -1,6 +1,7 @@
 package unlearn
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestUnlearnAndCommitRewritesHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rewritten, err := u.UnlearnAndCommit(1)
+	res, rewritten, err := u.UnlearnAndCommitContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestUnlearnAndCommitRewritesHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u2.UnlearnObserved(func(_ int, p []float64) {
+	if _, err := u2.UnlearnObservedContext(context.Background(), func(_ int, p []float64) {
 		traj = append(traj, p)
 	}, 1); err != nil {
 		t.Fatal(err)
@@ -101,7 +102,7 @@ func TestCommitEnablesSequentialUnlearning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, afterFirst, err := u.UnlearnAndCommit(1)
+	_, afterFirst, err := u.UnlearnAndCommitContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestCommitEnablesSequentialUnlearning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, afterSecond, err := u2.UnlearnAndCommit(2)
+	res2, afterSecond, err := u2.UnlearnAndCommitContext(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestCommitRejectsHugeDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := u.UnlearnAndCommit(1); err == nil {
+	if _, _, err := u.UnlearnAndCommitContext(context.Background(), 1); err == nil {
 		t.Error("delta >= 1 commit should error")
 	}
 }

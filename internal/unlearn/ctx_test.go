@@ -39,7 +39,7 @@ func TestBootstrapRetryRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(1)
+	res, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestBootstrapRetryExhaustedFallsBackOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(1)
+	res, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestUnlearnSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.Unlearn(1); !errors.Is(err, history.ErrNoHistory) {
+	if _, err := u.UnlearnContext(context.Background(), 1); !errors.Is(err, history.ErrNoHistory) {
 		t.Fatalf("empty store err = %v, want ErrNoHistory", err)
 	}
 
@@ -175,7 +175,7 @@ func TestUnlearnSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u2.Unlearn(99); !errors.Is(err, history.ErrUnknownClient) {
+	if _, err := u2.UnlearnContext(context.Background(), 99); !errors.Is(err, history.ErrUnknownClient) {
 		t.Fatalf("unknown client err = %v, want ErrUnknownClient", err)
 	}
 }

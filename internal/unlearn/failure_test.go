@@ -1,6 +1,7 @@
 package unlearn
 
 import (
+	"context"
 	"testing"
 
 	"fuiov/internal/history"
@@ -65,7 +66,7 @@ func TestRecoveryFiniteOnRandomHistories(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := u.Unlearn(1)
+		res, err := u.UnlearnContext(context.Background(), 1)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -90,7 +91,7 @@ func TestPairSizeLargerThanPreJoinWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(1)
+	res, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestRefreshEveryRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(1)
+	res, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestForgettingEveryParticipant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(0, 1, 2)
+	res, err := u.UnlearnContext(context.Background(), 0, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestUnlearnIsRepeatable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := u.Unlearn(1)
+	a, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := u.Unlearn(1)
+	b, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestZeroGradientHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(1)
+	res, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestRecoveryDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := u.Unlearn(1)
+		res, err := u.UnlearnContext(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

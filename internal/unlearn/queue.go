@@ -136,8 +136,8 @@ type request struct {
 // through the configured CommitFunc's short exclusion window.
 //
 // Results are bit-identical to running one stop-the-world
-// UnlearnAndCommit over the union of the batch's clients on the final
-// store (see CommitPass).
+// UnlearnAndCommitContext over the union of the batch's clients on the
+// final store (see CommitPass).
 type Queue struct {
 	cfg QueueConfig
 	met queueMetrics

@@ -359,7 +359,7 @@ func TestQueueOverlapBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, swStore, err := u.UnlearnAndCommit(1, 4)
+	sw, swStore, err := u.UnlearnAndCommitContext(context.Background(), 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

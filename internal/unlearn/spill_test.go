@@ -2,6 +2,7 @@ package unlearn
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -43,11 +44,11 @@ func TestUnlearnBitIdenticalWithSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := uRAM.Unlearn(1)
+	want, err := uRAM.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := uSpill.Unlearn(1)
+	got, err := uSpill.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

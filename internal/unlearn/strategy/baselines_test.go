@@ -1,6 +1,7 @@
-package baselines
+package strategy
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -10,11 +11,12 @@ import (
 	"fuiov/internal/metrics"
 	"fuiov/internal/nn"
 	"fuiov/internal/rng"
+	"fuiov/internal/telemetry"
 	"fuiov/internal/tensor"
 )
 
-// fixture is a trained federation with a full-gradient history.
-type fixture struct {
+// trained is a trained federation with a full-gradient history.
+type trained struct {
 	clients []*fl.Client
 	test    *dataset.Dataset
 	net     *nn.Network
@@ -25,7 +27,7 @@ type fixture struct {
 	rounds  int
 }
 
-func trainWithFullHistory(t *testing.T, nClients, rounds int, seed uint64) *fixture {
+func trainWithFullHistory(t *testing.T, nClients, rounds int, seed uint64) *trained {
 	t.Helper()
 	d := dataset.SynthDigits(dataset.DefaultDigits(700, seed))
 	r := rng.New(seed)
@@ -51,11 +53,26 @@ func trainWithFullHistory(t *testing.T, nClients, rounds int, seed uint64) *fixt
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{clients: clients, test: test, net: net, full: full,
+	return &trained{clients: clients, test: test, net: net, full: full,
 		final: sim.Params(), lr: lr, seed: seed, rounds: rounds}
+}
+
+// request is the deployment's strategy Request forgetting the given
+// clients; tests edit the copy they get.
+func (fx *trained) request(forgotten ...history.ClientID) Request {
+	return Request{
+		Forgotten:    forgotten,
+		Full:         fx.full,
+		Template:     fx.net,
+		Clients:      fx.clients,
+		FinalParams:  fx.final,
+		LearningRate: fx.lr,
+		Rounds:       fx.rounds,
+		Seed:         fx.seed,
+	}
 }
 
 func TestFullHistoryValidation(t *testing.T) {
@@ -131,12 +148,14 @@ func TestFullHistoryRoundTripAndCopies(t *testing.T) {
 
 func TestRetrainExcludesForgotten(t *testing.T) {
 	fx := trainWithFullHistory(t, 5, 25, 1)
-	got, err := Retrain(fx.net, fx.clients, []history.ClientID{1}, RetrainConfig{
-		LearningRate: fx.lr, Rounds: 80, Seed: fx.seed,
-	})
+	ctx := context.Background()
+	req := fx.request(1)
+	req.Rounds = 80
+	res, err := Unlearn(ctx, "retrain", req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.Params
 	if !tensor.AllFinite(got) {
 		t.Fatal("non-finite retrained model")
 	}
@@ -144,42 +163,49 @@ func TestRetrainExcludesForgotten(t *testing.T) {
 	if acc < 0.3 {
 		t.Errorf("retrained accuracy = %v, suspiciously low", acc)
 	}
+	if want := 80 * 4; res.ClientWork != want || res.RecoveredRounds != 80 {
+		t.Errorf("client work %d over %d rounds, want %d over 80", res.ClientWork, res.RecoveredRounds, want)
+	}
 	// Forgetting everyone fails.
 	all := make([]history.ClientID, len(fx.clients))
 	for i, c := range fx.clients {
 		all[i] = c.ID
 	}
-	if _, err := Retrain(fx.net, fx.clients, all, RetrainConfig{
-		LearningRate: fx.lr, Rounds: 5, Seed: 1,
-	}); err == nil {
+	req = fx.request(all...)
+	req.Rounds = 5
+	if _, err := Unlearn(ctx, "retrain", req); err == nil {
 		t.Error("retraining with zero clients should error")
 	}
-	if _, err := Retrain(fx.net, fx.clients, nil, RetrainConfig{LearningRate: fx.lr}); err == nil {
-		t.Error("zero rounds should error")
+	// No horizon: neither Rounds nor a history tier to read it from.
+	req = fx.request(1)
+	req.Rounds, req.Full = 0, nil
+	if _, err := Unlearn(ctx, "retrain", req); !errors.Is(err, ErrMissingInput) {
+		t.Errorf("zero rounds err = %v, want ErrMissingInput", err)
 	}
 }
 
 func TestFedRecoverRecovers(t *testing.T) {
 	fx := trainWithFullHistory(t, 6, 30, 2)
-	res, err := FedRecover(fx.full, fx.net, fx.clients, []history.ClientID{1}, FedRecoverConfig{
-		LearningRate: fx.lr, Seed: fx.seed, WarmupRounds: 3, CorrectEvery: 10,
-	})
+	req := fx.request(1)
+	req.Telemetry = telemetry.New()
+	res, err := FedRecover{warmup: 3, correctEvery: 10}.Unlearn(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !tensor.AllFinite(res.Params) {
 		t.Fatal("non-finite recovery")
 	}
-	if res.ExactGradientCalls == 0 {
-		t.Error("expected exact gradient calls during warmup/correction")
+	// Rounds 0-2 (warm-up), 10 and 20 are exact; five clients remain.
+	if want := 5 * 5; res.ClientWork != want {
+		t.Errorf("exact gradient calls = %d, want %d", res.ClientWork, want)
 	}
-	if res.EstimatedRounds == 0 {
-		t.Error("expected estimated rounds")
+	if got := req.Telemetry.Counter(telemetry.FedRecoverEstimated).Value(); got != 25 {
+		t.Errorf("estimated rounds = %d, want 25", got)
 	}
 	eval := fx.net.Clone()
 	accFinal := metrics.AccuracyAt(eval, fx.final, fx.test)
 	accRec := metrics.AccuracyAt(eval, res.Params, fx.test)
-	t.Logf("final=%.3f fedrecover=%.3f exactCalls=%d", accFinal, accRec, res.ExactGradientCalls)
+	t.Logf("final=%.3f fedrecover=%.3f exactCalls=%d", accFinal, accRec, res.ClientWork)
 	if accRec < accFinal-0.3 {
 		t.Errorf("FedRecover accuracy %.3f too far below final %.3f", accRec, accFinal)
 	}
@@ -187,34 +213,51 @@ func TestFedRecoverRecovers(t *testing.T) {
 
 func TestFedRecoverValidation(t *testing.T) {
 	fx := trainWithFullHistory(t, 3, 5, 3)
-	if _, err := FedRecover(nil, fx.net, fx.clients, nil, FedRecoverConfig{LearningRate: 0.1}); err == nil {
-		t.Error("nil history should error")
+	ctx := context.Background()
+	req := fx.request(1)
+	req.Full = nil
+	if _, err := Unlearn(ctx, "fedrecover", req); !errors.Is(err, ErrMissingInput) {
+		t.Errorf("nil history err = %v, want ErrMissingInput", err)
 	}
-	if _, err := FedRecover(fx.full, fx.net, fx.clients, nil, FedRecoverConfig{}); err == nil {
-		t.Error("missing learning rate should error")
+	req = fx.request(1)
+	req.LearningRate = 0
+	if _, err := Unlearn(ctx, "fedrecover", req); !errors.Is(err, ErrMissingInput) {
+		t.Errorf("missing learning rate err = %v, want ErrMissingInput", err)
 	}
-	empty, _ := NewFullHistory(fx.net.NumParams())
-	if _, err := FedRecover(empty, fx.net, fx.clients, nil, FedRecoverConfig{LearningRate: 0.1}); err == nil {
+	req = fx.request(1)
+	req.Full, _ = NewFullHistory(fx.net.NumParams())
+	if _, err := Unlearn(ctx, "fedrecover", req); err == nil {
 		t.Error("empty history should error")
 	}
 	// Offline client: exact correction must fail loudly.
-	if _, err := FedRecover(fx.full, fx.net, fx.clients[:1], nil, FedRecoverConfig{
-		LearningRate: fx.lr, Seed: fx.seed,
-	}); err == nil {
+	req = fx.request(1)
+	req.Clients = fx.clients[:1]
+	if _, err := Unlearn(ctx, "fedrecover", req); err == nil {
 		t.Error("missing online client should error")
 	}
+	if _, err := (FedRecover{policy: &fl.FaultPolicy{Quorum: 2}}).Unlearn(ctx, fx.request(1)); err == nil {
+		t.Error("invalid fault policy should error")
+	}
+}
+
+// fedRecovery runs the FedRecovery strategy on the fixture with the
+// given noise and returns the unlearned parameters.
+func fedRecovery(t *testing.T, fx *trained, noise float64, forgotten ...history.ClientID) []float64 {
+	t.Helper()
+	req := fx.request(forgotten...)
+	req.Noise = noise
+	res, err := FedRecovery{}.Unlearn(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Params
 }
 
 func TestFedRecoveryRemovesInfluence(t *testing.T) {
 	fx := trainWithFullHistory(t, 5, 20, 4)
 	// Noise-free: result must differ from the final model (influence
 	// removed) and stay finite.
-	got, err := FedRecovery(fx.full, fx.final, []history.ClientID{2}, FedRecoveryConfig{
-		LearningRate: fx.lr, NoiseStdDev: 0, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := fedRecovery(t, fx, 0, 2)
 	if !tensor.AllFinite(got) {
 		t.Fatal("non-finite result")
 	}
@@ -237,18 +280,8 @@ func TestFedRecoveryRemovesInfluence(t *testing.T) {
 
 func TestFedRecoveryNoiseApplied(t *testing.T) {
 	fx := trainWithFullHistory(t, 4, 10, 5)
-	a, err := FedRecovery(fx.full, fx.final, []history.ClientID{1}, FedRecoveryConfig{
-		LearningRate: fx.lr, NoiseStdDev: 0, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FedRecovery(fx.full, fx.final, []history.ClientID{1}, FedRecoveryConfig{
-		LearningRate: fx.lr, NoiseStdDev: 0.01, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := fedRecovery(t, fx, 0, 1)
+	b := fedRecovery(t, fx, 0.01, 1)
 	dist, err := metrics.ModelDistance(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -257,44 +290,39 @@ func TestFedRecoveryNoiseApplied(t *testing.T) {
 		t.Error("noise had no effect")
 	}
 	// Deterministic for a fixed seed.
-	b2, err := FedRecovery(fx.full, fx.final, []history.ClientID{1}, FedRecoveryConfig{
-		LearningRate: fx.lr, NoiseStdDev: 0.01, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.Equal(b, b2, 0) {
+	if b2 := fedRecovery(t, fx, 0.01, 1); !tensor.Equal(b, b2, 0) {
 		t.Error("same-seed noise differs")
 	}
 }
 
 func TestFedRecoveryValidation(t *testing.T) {
 	fx := trainWithFullHistory(t, 3, 5, 6)
-	if _, err := FedRecovery(nil, fx.final, nil, FedRecoveryConfig{LearningRate: 0.1}); err == nil {
-		t.Error("nil history should error")
+	ctx := context.Background()
+	req := fx.request(1)
+	req.Full = nil
+	if _, err := Unlearn(ctx, "fedrecovery", req); !errors.Is(err, ErrMissingInput) {
+		t.Errorf("nil history err = %v, want ErrMissingInput", err)
 	}
-	if _, err := FedRecovery(fx.full, fx.final, nil, FedRecoveryConfig{}); err == nil {
-		t.Error("missing learning rate should error")
+	req = fx.request(1)
+	req.LearningRate = 0
+	if _, err := Unlearn(ctx, "fedrecovery", req); !errors.Is(err, ErrMissingInput) {
+		t.Errorf("missing learning rate err = %v, want ErrMissingInput", err)
 	}
-	if _, err := FedRecovery(fx.full, fx.final[:3], nil, FedRecoveryConfig{LearningRate: 0.1}); err == nil {
+	req = fx.request(1)
+	req.FinalParams = fx.final[:3]
+	if _, err := Unlearn(ctx, "fedrecovery", req); err == nil {
 		t.Error("wrong final dim should error")
 	}
-	if _, err := FedRecovery(fx.full, fx.final, nil, FedRecoveryConfig{
-		LearningRate: 0.1, NoiseStdDev: -1,
-	}); err == nil {
+	req = fx.request(1)
+	req.Noise = -1
+	if _, err := Unlearn(ctx, "fedrecovery", req); err == nil {
 		t.Error("negative noise should error")
 	}
 }
 
 func TestFedRecoveryNoForgottenIsIdentityPlusNoise(t *testing.T) {
 	fx := trainWithFullHistory(t, 3, 8, 7)
-	got, err := FedRecovery(fx.full, fx.final, nil, FedRecoveryConfig{
-		LearningRate: fx.lr, NoiseStdDev: 0, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.Equal(got, fx.final, 0) {
+	if got := fedRecovery(t, fx, 0); !tensor.Equal(got, fx.final, 0) {
 		t.Error("empty forget set should return the final model unchanged")
 	}
 }

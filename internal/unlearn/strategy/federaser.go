@@ -50,10 +50,7 @@ func (FedEraser) Unlearn(ctx context.Context, req Request) (*Result, error) {
 			backtrack = f
 		}
 	}
-	excluded := make(map[history.ClientID]bool, len(req.Forgotten))
-	for _, id := range req.Forgotten {
-		excluded[id] = true
-	}
+	excluded := req.forgottenSet()
 	live := make(map[history.ClientID]*fl.Client, len(req.Clients))
 	for _, c := range req.Clients {
 		live[c.ID] = c

@@ -1,10 +1,4 @@
-// Package baselines implements the three recovery methods the paper
-// compares against (§V-A3): training from scratch on the remaining
-// clients (Retraining), FedRecover (Cao et al., S&P'23) which stores
-// full gradients and periodically asks online clients for exact
-// corrections, and FedRecovery (Zhang et al., TIFS'23) which removes a
-// weighted sum of gradient residuals and adds Gaussian noise.
-package baselines
+package strategy
 
 import (
 	"fmt"
@@ -18,9 +12,10 @@ import (
 )
 
 // FullHistory records complete float64 gradients per round — the
-// storage regime of FedRecover and FedRecovery that the paper's
-// direction-only scheme is designed to avoid. It implements
-// fl.Recorder so one training run can feed all methods.
+// storage regime of FedRecover, FedRecovery and FedEraser
+// (NeedsFullHistory) that the paper's direction-only scheme is designed
+// to avoid. It implements fl.Recorder so one training run can feed all
+// methods.
 type FullHistory struct {
 	mu sync.RWMutex
 
@@ -48,7 +43,7 @@ var _ fl.Recorder = (*FullHistory)(nil)
 // NewFullHistory creates a store for models with dim parameters.
 func NewFullHistory(dim int) (*FullHistory, error) {
 	if dim <= 0 {
-		return nil, fmt.Errorf("baselines: invalid dimension %d", dim)
+		return nil, fmt.Errorf("strategy: full history: invalid dimension %d", dim)
 	}
 	return &FullHistory{dim: dim, joins: make(map[history.ClientID]int)}, nil
 }
@@ -66,18 +61,18 @@ func (h *FullHistory) Rounds() int {
 // RecordRound implements fl.Recorder, deep-copying every input.
 func (h *FullHistory) RecordRound(t int, model []float64, grads map[history.ClientID][]float64, weights map[history.ClientID]float64) error {
 	if len(model) != h.dim {
-		return fmt.Errorf("baselines: model dimension %d, want %d", len(model), h.dim)
+		return fmt.Errorf("strategy: full history: model dimension %d, want %d", len(model), h.dim)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if t != len(h.models) {
-		return fmt.Errorf("baselines: round %d out of order (next is %d)", t, len(h.models))
+		return fmt.Errorf("strategy: full history: round %d out of order (next is %d)", t, len(h.models))
 	}
 	gcopy := make(map[history.ClientID][]float64, len(grads))
 	wcopy := make(map[history.ClientID]float64, len(grads))
 	for id, g := range grads {
 		if len(g) != h.dim {
-			return fmt.Errorf("baselines: client %d gradient dimension %d, want %d", id, len(g), h.dim)
+			return fmt.Errorf("strategy: full history: client %d gradient dimension %d, want %d", id, len(g), h.dim)
 		}
 		gcopy[id] = tensor.CloneVec(g)
 		w := 1.0

@@ -12,7 +12,7 @@ import (
 // and recover server-side from the 2-bit direction history with
 // L-BFGS-estimated gradients (eq. 5–7). It delegates to
 // unlearn.Unlearner unchanged, so the result is bit-identical to the
-// pre-strategy-layer Unlearner.Unlearn path.
+// pre-strategy-layer Unlearner.UnlearnContext path.
 type Paper struct{}
 
 // Name returns "paper".

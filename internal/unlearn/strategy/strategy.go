@@ -26,7 +26,6 @@ import (
 	"strings"
 	"sync"
 
-	"fuiov/internal/baselines"
 	"fuiov/internal/fl"
 	"fuiov/internal/history"
 	"fuiov/internal/nn"
@@ -93,7 +92,7 @@ type Request struct {
 	// Store is the paper's 2-bit direction history (NeedsDirectionStore).
 	Store *history.Store
 	// Full is the full-gradient history tier (NeedsFullHistory).
-	Full *baselines.FullHistory
+	Full *FullHistory
 	// Template is the model architecture (NeedsTemplate). Strategies
 	// clone it before mutating parameters.
 	Template *nn.Network
@@ -164,12 +163,18 @@ func (r Request) lr() float64 {
 	return r.Unlearn.LearningRate
 }
 
+// forgottenSet returns the forgotten IDs as a lookup.
+func (r Request) forgottenSet() map[history.ClientID]bool {
+	out := make(map[history.ClientID]bool, len(r.Forgotten))
+	for _, id := range r.Forgotten {
+		out[id] = true
+	}
+	return out
+}
+
 // remaining returns the live clients minus the forgotten set.
 func (r Request) remaining() []*fl.Client {
-	excluded := make(map[history.ClientID]bool, len(r.Forgotten))
-	for _, id := range r.Forgotten {
-		excluded[id] = true
-	}
+	excluded := r.forgottenSet()
 	out := make([]*fl.Client, 0, len(r.Clients))
 	for _, c := range r.Clients {
 		if !excluded[c.ID] {
@@ -182,10 +187,7 @@ func (r Request) remaining() []*fl.Client {
 // forgottenClients returns the live client handles of the forgotten
 // set, in Request.Clients order.
 func (r Request) forgottenClients() []*fl.Client {
-	wanted := make(map[history.ClientID]bool, len(r.Forgotten))
-	for _, id := range r.Forgotten {
-		wanted[id] = true
-	}
+	wanted := r.forgottenSet()
 	out := make([]*fl.Client, 0, len(r.Forgotten))
 	for _, c := range r.Clients {
 		if wanted[c.ID] {

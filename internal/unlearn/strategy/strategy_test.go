@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"fuiov/internal/baselines"
 	"fuiov/internal/dataset"
 	"fuiov/internal/fl"
 	"fuiov/internal/history"
@@ -57,7 +56,7 @@ func fixture(t *testing.T) Request {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fh, err := baselines.NewFullHistory(tmpl.NumParams())
+	fh, err := NewFullHistory(tmpl.NumParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func fixture(t *testing.T) Request {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(fixRounds); err != nil {
+	if err := sim.RunContext(context.Background(), fixRounds); err != nil {
 		t.Fatal(err)
 	}
 	return Request{
@@ -184,7 +183,7 @@ func TestPaperBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := u.Unlearn(req.Forgotten...)
+	direct, err := u.UnlearnContext(context.Background(), req.Forgotten...)
 	if err != nil {
 		t.Fatal(err)
 	}

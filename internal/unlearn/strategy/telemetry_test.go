@@ -1,6 +1,7 @@
-package baselines
+package strategy
 
 import (
+	"context"
 	"testing"
 
 	"fuiov/internal/history"
@@ -51,11 +52,11 @@ func TestBaselinesTelemetry(t *testing.T) {
 		t.Errorf("%s = %d, want %d", telemetry.FullHistoryBytes, got, full2.StorageBytes())
 	}
 
-	forgotten := []history.ClientID{1}
+	ctx := context.Background()
+	req := fx.request(1)
+	req.Rounds, req.Telemetry = 3, reg
 
-	if _, err := Retrain(fx.net, fx.clients, forgotten, RetrainConfig{
-		LearningRate: fx.lr, Rounds: 3, Seed: fx.seed, Telemetry: reg,
-	}); err != nil {
+	if _, err := Unlearn(ctx, "retrain", req); err != nil {
 		t.Fatal(err)
 	}
 	if st := reg.Timer(telemetry.RetrainTotal).Stats(); st.Count != 1 {
@@ -66,25 +67,22 @@ func TestBaselinesTelemetry(t *testing.T) {
 		t.Errorf("inner fl rounds = %d, want 3", got)
 	}
 
-	res, err := FedRecover(fx.full, fx.net, fx.clients, forgotten, FedRecoverConfig{
-		LearningRate: fx.lr, Seed: fx.seed, Telemetry: reg,
-	})
+	res, err := Unlearn(ctx, "fedrecover", req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter(telemetry.FedRecoverExact).Value(); got != int64(res.ExactGradientCalls) {
-		t.Errorf("%s = %d, want %d", telemetry.FedRecoverExact, got, res.ExactGradientCalls)
+	// The paper's schedule over 10 rounds: 0 and 1 exact, 8 estimated.
+	if got := reg.Counter(telemetry.FedRecoverExact).Value(); got != int64(res.ClientWork) || got != 2*3 {
+		t.Errorf("%s = %d, result says %d, want 6", telemetry.FedRecoverExact, got, res.ClientWork)
 	}
-	if got := reg.Counter(telemetry.FedRecoverEstimated).Value(); got != int64(res.EstimatedRounds) {
-		t.Errorf("%s = %d, want %d", telemetry.FedRecoverEstimated, got, res.EstimatedRounds)
+	if got := reg.Counter(telemetry.FedRecoverEstimated).Value(); got != 8 {
+		t.Errorf("%s = %d, want 8", telemetry.FedRecoverEstimated, got)
 	}
 	if st := reg.Timer(telemetry.FedRecoverTotal).Stats(); st.Count != 1 {
 		t.Errorf("fedrecover timer count = %d, want 1", st.Count)
 	}
 
-	if _, err := FedRecovery(fx.full, fx.final, forgotten, FedRecoveryConfig{
-		LearningRate: fx.lr, Seed: fx.seed, Telemetry: reg,
-	}); err != nil {
+	if _, err := Unlearn(ctx, "fedrecovery", req); err != nil {
 		t.Fatal(err)
 	}
 	if st := reg.Timer(telemetry.FedRecoveryTotal).Stats(); st.Count != 1 {

@@ -1,6 +1,7 @@
 package unlearn
 
 import (
+	"context"
 	"testing"
 
 	"fuiov/internal/telemetry"
@@ -25,7 +26,7 @@ func TestUnlearnerTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(1)
+	res, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestUnlearnerTelemetryDisabledMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := u.Unlearn(1)
+		res, err := u.UnlearnContext(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -219,29 +219,18 @@ func (u *Unlearner) Backtrack(forgotten ...history.ClientID) ([]float64, int, er
 	return w, f, nil
 }
 
-// Unlearn runs the full Algorithm 1: backtrack to the forgotten
+// UnlearnContext runs the full Algorithm 1: backtrack to the forgotten
 // clients' earliest join round, then recover rounds F..T−1 using
-// estimated gradients for the remaining clients.
-func (u *Unlearner) Unlearn(forgotten ...history.ClientID) (*Result, error) {
-	return u.UnlearnObservedContext(context.Background(), nil, forgotten...)
-}
-
-// UnlearnContext is Unlearn honouring context cancellation: recovery
-// stops at the next recovered-round boundary with the context's error.
-// The history store is never mutated by unlearning, so it stays
-// readable — a cancelled request can simply be reissued.
+// estimated gradients for the remaining clients. Recovery stops at the
+// next recovered-round boundary with the context's error if ctx is
+// cancelled. The history store is never mutated by unlearning, so it
+// stays readable — a cancelled request can simply be reissued.
 func (u *Unlearner) UnlearnContext(ctx context.Context, forgotten ...history.ClientID) (*Result, error) {
 	return u.UnlearnObservedContext(ctx, nil, forgotten...)
 }
 
-// UnlearnObserved is Unlearn with a per-round observer; observe
-// receives (round t, w̄ after the round-t update).
-func (u *Unlearner) UnlearnObserved(observe func(t int, recovered []float64), forgotten ...history.ClientID) (*Result, error) {
-	return u.UnlearnObservedContext(context.Background(), observe, forgotten...)
-}
-
-// UnlearnObservedContext is UnlearnObserved honouring context
-// cancellation (see UnlearnContext).
+// UnlearnObservedContext is UnlearnContext with a per-round observer;
+// observe receives (round t, w̄ after the round-t update).
 func (u *Unlearner) UnlearnObservedContext(ctx context.Context, observe func(t int, recovered []float64), forgotten ...history.ClientID) (*Result, error) {
 	wF, f, err := u.Backtrack(forgotten...)
 	if err != nil {

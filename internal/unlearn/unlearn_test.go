@@ -1,6 +1,7 @@
 package unlearn
 
 import (
+	"context"
 	"testing"
 
 	"fuiov/internal/dataset"
@@ -59,7 +60,7 @@ func trainFederation(t *testing.T, nClients, rounds, joinRound int, seed uint64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		t.Fatal(err)
 	}
 	return &federation{clients: clients, test: test, net: net,
@@ -152,7 +153,7 @@ func TestUnlearnErasesClientAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(1)
+	res, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestUnlearnedModelUntouchedByForgottenClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(5); err != nil {
+	if err := sim.RunContext(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	if !tensor.Equal(wBar, sim.Params(), 0) {
@@ -257,7 +258,7 @@ func TestUnlearnMultipleClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(1, 3, 5)
+	res, err := u.UnlearnContext(context.Background(), 1, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func TestBootstrapRequiresPreJoinHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(1)
+	res, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestBootstrapRequiresPreJoinHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := u2.Unlearn(1)
+	res2, err := u2.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestObserverSeesEveryRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen []int
-	res, err := u.UnlearnObserved(func(round int, params []float64) {
+	res, err := u.UnlearnObservedContext(context.Background(), func(round int, params []float64) {
 		seen = append(seen, round)
 		if len(params) != fed.net.NumParams() {
 			t.Errorf("round %d: params length %d", round, len(params))
@@ -336,7 +337,7 @@ func TestPairRefreshHappens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Unlearn(1)
+	res, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +355,11 @@ func TestRecoveryExcludesForgottenGradients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := u.Unlearn(1)
+	single, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, err := u.Unlearn(1, 2)
+	both, err := u.UnlearnContext(context.Background(), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +381,11 @@ func TestDeterministicUnlearning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := u.Unlearn(1)
+	a, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := u.Unlearn(1)
+	b, err := u.UnlearnContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

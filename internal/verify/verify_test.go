@@ -54,7 +54,7 @@ func newTestFederation(t *testing.T, seed uint64, rounds int) *testFederation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		t.Fatal(err)
 	}
 	return &testFederation{

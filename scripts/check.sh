@@ -21,25 +21,13 @@ if [ -n "$fmt_out" ]; then
 fi
 
 # API lint: every exported Run*/Unlearn* entry point in the public
-# surface (facade, round engine, unlearner, strategies, baselines)
-# must either take a leading ctx parameter itself or have a
-# context-aware *Context variant, so callers can always cancel.
-api_files=$(ls fuiov.go internal/fl/*.go internal/unlearn/*.go internal/unlearn/strategy/*.go internal/baselines/*.go | grep -v _test)
-names=$(grep -hE 'func (\([^)]*\) )?(Run|Unlearn)[A-Za-z]*\(' $api_files |
-	grep -v '(ctx context\.Context' |
-	grep -oE 'func (\([^)]*\) )?(Run|Unlearn)[A-Za-z]*\(' |
-	sed -E 's/func (\([^)]*\) )?//; s/\($//' | sort -u)
-missing=""
-for n in $names; do
-	case "$n" in
-	*Context) continue ;;
-	esac
-	if ! grep -qE "func (\([^)]*\) )?${n}Context\(" $api_files; then
-		missing="$missing $n"
-	fi
-done
-if [ -n "$missing" ]; then
-	echo "ctx lint: exported API missing Context variants:$missing" >&2
+# surface (facade, round engine, unlearner, strategies, experiments) is
+# ctx-first, so callers can always cancel.
+api_files=$(ls fuiov.go internal/fl/*.go internal/unlearn/*.go internal/unlearn/strategy/*.go internal/experiments/*.go | grep -v _test)
+not_ctx_first=$(grep -nE '^func (\([^)]*\) )?(Run|Unlearn)[A-Za-z]*\(' $api_files | grep -v '(ctx context\.Context' || true)
+if [ -n "$not_ctx_first" ]; then
+	echo "ctx lint: exported Run*/Unlearn* entry points must take ctx context.Context first:" >&2
+	echo "$not_ctx_first" >&2
 	exit 1
 fi
 
@@ -135,7 +123,7 @@ for arg in "$@"; do
 		;;
 	-faults)
 		go test -race -run 'Fault|Quorum|Corrupt|Cancel|Bootstrap|Legacy|Sentinel' \
-			./internal/faults/ ./internal/fl/ ./internal/unlearn/ ./internal/baselines/ ./internal/iov/ .
+			./internal/faults/ ./internal/fl/ ./internal/unlearn/ ./internal/unlearn/strategy/ ./internal/iov/ .
 		;;
 	-sim)
 		# Scenario smoke: the deterministic simulation harness
