@@ -32,9 +32,11 @@ test-faults:
 	$(GO) test -race -run 'Fault|Quorum|Corrupt|Cancel|Bootstrap|Legacy|Sentinel' \
 		./internal/faults/ ./internal/fl/ ./internal/unlearn/ ./internal/unlearn/strategy/ ./internal/iov/ .
 
-# check is the tier-1 verification path: formatting, static analysis,
-# build and the full test suite.
-check: fmt vet build test
+# check is the tier-1 verification path, defined once in
+# scripts/check.sh: formatting, lints, static analysis, build, the full
+# test suite, the bench/ module and the harness smokes.
+check:
+	scripts/check.sh
 
 # bench runs the compute-kernel micro-benchmarks and records the
 # results in BENCH_kernels.json (see scripts/bench.sh).

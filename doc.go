@@ -28,7 +28,7 @@
 //     gradients locally and uploading them dense (bit-exact) or
 //     sign-compressed. Rounds served over the wire commit through the
 //     engine's own path, so they are bit-identical to in-process
-//     rounds — see cmd/fuiov-rsu and ExampleNewRSUCoordinator.
+//     rounds — see `fuiov rsu` (cmd/fuiov) and ExampleNewRSUCoordinator.
 //
 // A minimal end-to-end flow:
 //
@@ -75,8 +75,8 @@
 //
 // A nil registry is the default and disables all instrumentation at
 // negligible cost (<5% of a training round, verified by benchmark);
-// enabling it never changes numerical results. The cmd/ binaries
-// expose it via -metrics (json|text) and -profile (pprof CPU+heap);
+// enabling it never changes numerical results. Every fuiov command
+// exposes it via -metrics (json|text) and -profile (pprof CPU+heap);
 // examples/telemetry reads the paper's ~97% storage-saving claim
 // straight off the live gauges.
 //

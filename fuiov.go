@@ -395,7 +395,7 @@ var ErrUnknownStrategy = strategy.ErrUnknownStrategy
 var ErrStrategyMissingInput = strategy.ErrMissingInput
 
 // Unlearn erases req.Forgotten with the named strategy — the single
-// entry point the cmd binaries and POST /v1/unlearn dispatch through.
+// entry point the fuiov commands and POST /v1/unlearn dispatch through.
 // It validates req against the strategy's needs, honours ctx
 // cancellation at round boundaries, and leaves the request's stores
 // and clients unmodified.

@@ -133,14 +133,11 @@ type Scale struct {
 	// respond per round when FaultRate is active (0 = commit the round
 	// regardless of how many respond).
 	Quorum float64
-	// SpillWindow, when positive, bounds the history store's resident
-	// snapshot memory: models older than this many rounds spill to an
-	// on-disk scratch file (history.WithSpill). Recovery results are
-	// bit-identical with spilling on or off. 0 keeps everything in RAM.
-	SpillWindow int
-	// SpillDir is where the spill scratch file is created when
-	// SpillWindow is active ("" = OS temp directory).
-	SpillDir string
+	// StoreOptions configure the deployment's history store — in
+	// practice history.WithSpill, bounding resident snapshot memory.
+	// Recovery results are bit-identical with spilling on or off. Nil
+	// keeps everything in RAM.
+	StoreOptions []history.StoreOption
 }
 
 // PaperScale mirrors §V-A: 100 vehicles, 100 rounds, CNN models,
@@ -350,11 +347,7 @@ func NewDeployment(kind DatasetKind, atk AttackKind, scale Scale, seed uint64) (
 	}
 	d.Template.Init(r.Split(13))
 
-	var storeOpts []history.StoreOption
-	if scale.SpillWindow > 0 {
-		storeOpts = append(storeOpts, history.WithSpill(scale.SpillDir, scale.SpillWindow))
-	}
-	d.Store, err = history.NewStore(d.Template.NumParams(), scale.Delta, storeOpts...)
+	d.Store, err = history.NewStore(d.Template.NumParams(), scale.Delta, scale.StoreOptions...)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -51,18 +52,6 @@ func DefaultScaleConfig() ScaleConfig {
 		Dim:        64,
 		Shards:     8,
 		Rounds:     3,
-		Seed:       42,
-	}
-}
-
-// SmokeScaleConfig is the CI smoke sweep: one small fleet, enough to
-// prove the path works without burning CI minutes.
-func SmokeScaleConfig() ScaleConfig {
-	return ScaleConfig{
-		Registered: []int{10_000},
-		Dim:        64,
-		Shards:     8,
-		Rounds:     2,
 		Seed:       42,
 	}
 }
@@ -134,8 +123,9 @@ func (h *heapPeak) touch() {
 // rounds of Cohort uploads each, folded through fl.ShardedFedAvg in
 // ascending-client order exactly like the engine's streaming path —
 // parallel synthesis in bounded chunks, sequential folds, one
-// fixed-order tree resolve per round.
-func ScaleBench(cfg ScaleConfig) ([]ScaleRow, error) {
+// fixed-order tree resolve per round. A cancelled ctx stops the sweep
+// at the next chunk.
+func ScaleBench(ctx context.Context, cfg ScaleConfig) ([]ScaleRow, error) {
 	def := DefaultScaleConfig()
 	if len(cfg.Registered) == 0 {
 		cfg.Registered = def.Registered
@@ -193,11 +183,17 @@ func ScaleBench(cfg ScaleConfig) ([]ScaleRow, error) {
 		peak.touch()
 		start := time.Now()
 		for t := 0; t < cfg.Rounds; t++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			cohort := sampler.Cohort(t, n)
 			slices.Sort(cohort) // ascending-ID fold order, as in the engine
 			resp.Reset()
 			stream.Reset()
 			for lo := 0; lo < len(cohort); lo += chunk {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
 				hi := min(lo+chunk, len(cohort))
 				var wg sync.WaitGroup
 				for w := 0; w < workers; w++ {

@@ -1,20 +1,23 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestScaleBenchDeterministic runs the smoke sweep twice: the
 // checksum (the resolved aggregate) must be bit-identical, and the
 // memory columns must match the flat-memory contract.
 func TestScaleBenchDeterministic(t *testing.T) {
-	cfg := SmokeScaleConfig()
+	cfg := DefaultScaleConfig()
 	cfg.Registered = []int{2000}
 	cfg.Rounds = 2
 
-	a, err := ScaleBench(cfg)
+	a, err := ScaleBench(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ScaleBench(cfg)
+	b, err := ScaleBench(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func TestScaleBenchSampledCohort(t *testing.T) {
 		Rounds:     2,
 		Seed:       7,
 	}
-	rows, err := ScaleBench(cfg)
+	rows, err := ScaleBench(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

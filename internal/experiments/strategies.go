@@ -42,29 +42,22 @@ type StrategyRow struct {
 	// Forgetting is the strategy's forgetting scorecard (shadow-model
 	// MIA advantage, backdoor retention, relearn time) when the run
 	// verified forgetting; nil — omitted from JSON, never zeroed —
-	// when verification was skipped (CompareStrategies without a
-	// verify.Config, or `fuiov strategies` without -verify).
+	// when verification was skipped (a nil verify.Config, i.e.
+	// `fuiov strategies` without -verify).
 	Forgetting *verify.Score `json:"forgetting,omitempty"`
 }
 
-// CompareStrategies trains one seeded deployment (Digits, no attack,
-// one benign late joiner requesting erasure) and runs every named
-// strategy — all registered ones when names is empty — against the
-// same trained federation, so the rows differ only by algorithm. The
-// deployment is trained exactly once; strategies must not mutate it,
-// which the Request contract demands. Forgetting verification is
-// skipped: every row's Forgetting is nil (omitted from JSON, not
-// zeroed); use CompareStrategiesVerified to fill it.
-func CompareStrategies(ctx context.Context, scale Scale, seed uint64, names []string) ([]StrategyRow, error) {
-	return CompareStrategiesVerified(ctx, scale, seed, names, nil)
-}
-
-// CompareStrategiesVerified is CompareStrategies plus forgetting
-// verification: when vcfg is non-nil, one verify.Suite (shadow models
-// and membership attack fitted once against the shared deployment)
-// scores every strategy's unlearned model, filling each row's
-// Forgetting block. A nil vcfg skips verification exactly like
-// CompareStrategies.
+// CompareStrategiesVerified trains one seeded deployment (Digits, no
+// attack, one benign late joiner requesting erasure) and runs every
+// named strategy — all registered ones when names is empty — against
+// the same trained federation, so the rows differ only by algorithm.
+// The deployment is trained exactly once; strategies must not mutate
+// it, which the Request contract demands. When vcfg is non-nil, one
+// verify.Suite (shadow models and membership attack fitted once
+// against the shared deployment) scores every strategy's unlearned
+// model, filling each row's Forgetting block; a nil vcfg skips
+// verification and every row's Forgetting is nil (omitted from JSON,
+// not zeroed).
 func CompareStrategiesVerified(ctx context.Context, scale Scale, seed uint64, names []string, vcfg *verify.Config) ([]StrategyRow, error) {
 	if len(names) == 0 {
 		names = strategy.Names()

@@ -13,7 +13,7 @@ import (
 // TestCompareStrategiesCIScale runs the comparative harness at CI
 // scale over every registered strategy and sanity-checks the rows.
 func TestCompareStrategiesCIScale(t *testing.T) {
-	rows, err := CompareStrategies(context.Background(), CIScale(), 47, nil)
+	rows, err := CompareStrategiesVerified(context.Background(), CIScale(), 47, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +77,14 @@ func TestCompareStrategiesCIScale(t *testing.T) {
 // TestCompareStrategiesFilter checks name filtering and unknown-name
 // rejection.
 func TestCompareStrategiesFilter(t *testing.T) {
-	rows, err := CompareStrategies(context.Background(), CIScale(), 47, []string{"not"})
+	rows, err := CompareStrategiesVerified(context.Background(), CIScale(), 47, []string{"not"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 1 || rows[0].Strategy != "not" {
 		t.Fatalf("filtered rows = %+v", rows)
 	}
-	if _, err := CompareStrategies(context.Background(), CIScale(), 47, []string{"bogus"}); err == nil {
+	if _, err := CompareStrategiesVerified(context.Background(), CIScale(), 47, []string{"bogus"}, nil); err == nil {
 		t.Fatal("unknown strategy name accepted")
 	}
 }
@@ -104,7 +104,7 @@ func TestTable1MatchesStrategies(t *testing.T) {
 	}
 	names := []string{"retrain", "fedrecover", "fedrecovery", "paper"}
 	table := []float64{row.Retraining, row.FedRecover, row.FedRecovery, row.Ours}
-	harness, err := CompareStrategies(ctx, CIScale(), seed, names)
+	harness, err := CompareStrategiesVerified(ctx, CIScale(), seed, names, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

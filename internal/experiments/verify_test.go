@@ -235,7 +235,7 @@ func TestCompareStrategiesVerified(t *testing.T) {
 	if rows[0].Forgetting.RelearnRounds != -1 {
 		t.Errorf("SkipRelearn leaked a relearn round count: %d", rows[0].Forgetting.RelearnRounds)
 	}
-	plain, err := CompareStrategies(context.Background(), CIScale(), 47, []string{"paper"})
+	plain, err := CompareStrategiesVerified(context.Background(), CIScale(), 47, []string{"paper"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

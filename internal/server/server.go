@@ -1048,7 +1048,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics dumps the telemetry snapshot as JSON, mirroring the
-// cmd binaries' -metrics flag on a live endpoint.
+// fuiov commands' -metrics flag on a live endpoint.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if c.cfg.Telemetry == nil {
 		c.writeErr(w, http.StatusNotFound, "telemetry_disabled",
@@ -1060,7 +1060,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // WaitDone blocks until the coordinator's horizon is reached or the
-// context is cancelled — the serve loop of cmd/fuiov-rsu's demo mode.
+// context is cancelled — the serve loop of `fuiov rsu -agents=false`.
 // Polling interval is coarse; it is a convenience for drivers, not a
 // synchronisation primitive.
 func (c *Coordinator) WaitDone(ctx context.Context) error {

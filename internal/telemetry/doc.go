@@ -68,7 +68,7 @@
 // Snapshot.WriteText renders an aligned report and Snapshot.WriteJSON
 // a machine-readable one (durations in nanoseconds, time.Duration's
 // native JSON form). StartProfiles starts a CPU profile and, on stop,
-// captures a heap profile — the plumbing behind the cmd/ binaries'
+// captures a heap profile — the plumbing behind the fuiov commands'
 // -profile flag.
 //
 // Canonical metric names emitted by the instrumented subsystems are

@@ -10,7 +10,7 @@ import (
 // StartProfiles begins a CPU profile writing to prefix+".cpu.pb.gz"
 // and returns a stop function that ends it and additionally captures a
 // heap profile (after a forced GC) to prefix+".heap.pb.gz". It backs
-// the -profile flag of the cmd/ binaries.
+// the -profile flag of every cmd/fuiov command.
 func StartProfiles(prefix string) (stop func() error, err error) {
 	cpuPath := prefix + ".cpu.pb.gz"
 	f, err := os.Create(cpuPath)

@@ -63,8 +63,8 @@ for arg in "$@"; do
 done
 
 # The strategies suite is not a go-bench run: it drives the comparative
-# harness in internal/experiments through cmd/fuiov, which emits the
-# JSON artefact itself.
+# harness in internal/experiments through `fuiov strategies -out`,
+# which emits the JSON artefact itself.
 # The scale suite drives the streaming-aggregation sweep in
 # internal/experiments through cmd/fuiov; -smoke trims it to a single
 # 10k-client fleet with one round so check.sh can afford it.
@@ -77,10 +77,10 @@ if [ "$suite" = verify ]; then
 	BENCH_kernels.json) out=BENCH_verify.json ;;
 	esac
 	if [ "$benchtime" = 1x ]; then
-		go run ./cmd/fuiov -seed 47 -strategies retrain,paper \
-			-verify-shadows 3 -verify-relearn-cap 8 -verify-out "$out" verify
+		go run ./cmd/fuiov verify -seed 47 -strategies retrain,paper \
+			-shadows 3 -relearn-cap 8 -out "$out"
 	else
-		go run ./cmd/fuiov -seed 47 -verify-out "$out" verify
+		go run ./cmd/fuiov verify -seed 47 -out "$out"
 	fi
 	count=$(grep -c '"mia_advantage_after"' "$out" || true)
 	if [ "$count" -eq 0 ]; then
@@ -96,9 +96,9 @@ if [ "$suite" = scale ]; then
 	BENCH_kernels.json) out=BENCH_scale.json ;;
 	esac
 	if [ "$benchtime" = 1x ]; then
-		go run ./cmd/fuiov -scale-clients 10000 -scale-rounds 1 -scale-out "$out" scale
+		go run ./cmd/fuiov scale -clients 10000 -rounds 1 -out "$out"
 	else
-		go run ./cmd/fuiov -scale-out "$out" scale
+		go run ./cmd/fuiov scale -out "$out"
 	fi
 	count=$(grep -c '"registered"' "$out" || true)
 	if [ "$count" -eq 0 ]; then
@@ -113,7 +113,7 @@ if [ "$suite" = strategies ]; then
 	case "$out" in
 	BENCH_kernels.json) out=BENCH_strategies.json ;;
 	esac
-	go run ./cmd/fuiov -strategies-out "$out" strategies
+	go run ./cmd/fuiov strategies -out "$out"
 	count=$(grep -c '"strategy"' "$out" || true)
 	if [ "$count" -eq 0 ]; then
 		echo "bench.sh: no strategy results parsed" >&2
