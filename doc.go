@@ -6,7 +6,13 @@
 // server-side — without contacting any client — using only stored
 // historical models and 2-bit gradient *directions*.
 //
-// The package is a facade over the implementation packages:
+// The package is a facade over the implementation packages, cut to
+// what the programs under examples/ and the scenario harness
+// (internal/simtest) import; TestFacadeNamesHaveCallers keeps it
+// there. Everything else — the RSU coordinator and vehicle agents
+// (PROTOCOL.md), the IoV mobility model, the RSA protocol, robust
+// aggregators, the experiment registry — lives under internal/ and is
+// reached through the fuiov command (cmd/fuiov).
 //
 //   - Training: build a federation of Clients over a Dataset, run a
 //     Simulation with FedAvg aggregation, and record history in a
@@ -15,20 +21,11 @@
 //     join round (eq. 5) and recovers the remaining rounds with
 //     Cauchy-mean-value-theorem gradient estimation (eq. 6), compact
 //     L-BFGS Hessian-vector products (Algorithm 2), and gradient
-//     clipping (eq. 7).
-//   - Attacks: label-flip and backdoor poisoning plus attack-success
-//     -rate measurement, for the poisoning-recovery scenario.
-//   - Baselines: Retraining, FedRecover and FedRecovery, the methods
-//     the paper compares against.
-//   - IoV: a highway mobility model producing connectivity-driven
-//     join/leave/dropout schedules.
-//   - Serving: an RSUCoordinator exposes the engine over HTTP
-//     (PROTOCOL.md) with wall-clock collection windows and quorum
-//     enforcement; VehicleAgents follow its round clock, computing
-//     gradients locally and uploading them dense (bit-exact) or
-//     sign-compressed. Rounds served over the wire commit through the
-//     engine's own path, so they are bit-identical to in-process
-//     rounds — see `fuiov rsu` (cmd/fuiov) and ExampleNewRSUCoordinator.
+//     clipping (eq. 7). Unlearn dispatches to any registered strategy
+//     by name, the paper's baselines included.
+//   - Checking: backdoor poisoning, upload detectors and the
+//     forgetting-verification suite, for the poisoning-recovery
+//     scenario.
 //
 // A minimal end-to-end flow:
 //
@@ -39,7 +36,7 @@
 //	for i, s := range shards {
 //		clients[i] = &fuiov.Client{ID: fuiov.ClientID(i), Data: s}
 //	}
-//	model := fuiov.NewDigitsCNN(12, 10)
+//	model := fuiov.NewMLP(data.Dims.Size(), 24, data.Classes)
 //	model.Init(fuiov.NewRNG(seed))
 //	store, _ := fuiov.NewStore(model.NumParams(), 1e-6)
 //	sim, _ := fuiov.NewSimulation(model, clients, fuiov.SimConfig{
@@ -54,31 +51,24 @@
 // # Observability
 //
 // Every subsystem reports into an optional Telemetry registry
-// (internal/telemetry): the simulation's per-phase round timings
-// (compute/record/aggregate), the history store's byte counters and
-// live compression-saving gauge, the unlearner's backtrack depth,
-// recovery timings and clip activations, and the baselines' cost
-// counters. Attach one registry to everything:
+// (internal/telemetry): the simulation's per-phase round timings, the
+// history store's byte counters and live compression-saving gauge,
+// the unlearner's backtrack depth, recovery timings and clip
+// activations. Attach one registry to everything:
 //
 //	reg := fuiov.NewTelemetry()
 //	store.SetTelemetry(reg)
 //	sim, _ := fuiov.NewSimulation(model, clients, fuiov.SimConfig{
 //		LearningRate: 0.03, Seed: seed, Store: store, Telemetry: reg,
 //	})
-//	reg.SetObserver(fuiov.NewTextTelemetryObserver(os.Stderr)) // per-round stream
-//	...
-//	u, _ := fuiov.NewUnlearner(store, fuiov.UnlearnConfig{
-//		LearningRate: 0.03, Telemetry: reg, // recovery reports too
-//	})
 //	...
 //	reg.Snapshot().WriteText(os.Stdout) // final counters/gauges/timers
 //
 // A nil registry is the default and disables all instrumentation at
-// negligible cost (<5% of a training round, verified by benchmark);
-// enabling it never changes numerical results. Every fuiov command
-// exposes it via -metrics (json|text) and -profile (pprof CPU+heap);
+// negligible cost; enabling it never changes numerical results. Every
+// fuiov command exposes it via -metrics (json|text) and -profile;
 // examples/telemetry reads the paper's ~97% storage-saving claim
-// straight off the live gauges.
+// straight off the live gauge.
 //
 // See examples/ for complete programs and EXPERIMENTS.md for the
 // reproduction of every table and figure in the paper.

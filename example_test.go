@@ -2,12 +2,7 @@ package fuiov_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"strings"
-	"sync"
 
 	"fuiov"
 )
@@ -88,92 +83,6 @@ func ExampleStore_Storage() {
 	fmt.Printf("directions: %d B, full gradients would be: %d B, saved: %.1f%%\n",
 		rep.DirectionBytes, rep.FullGradientBytes, 100*rep.GradientSavings)
 	// Output: directions: 1000 B, full gradients would be: 32000 B, saved: 96.9%
-}
-
-// ExampleNewRSUCoordinator serves the federation over HTTP: vehicle
-// agents train against a networked coordinator, then a client erases a
-// vehicle through POST /v1/unlearn — the protocol documented in
-// PROTOCOL.md. Rounds served this way are bit-identical to in-process
-// ones.
-func ExampleNewRSUCoordinator() {
-	const seed, rounds = 7, 3
-	data := fuiov.SynthDigits(fuiov.DefaultDigits(200, seed))
-	shards, err := fuiov.PartitionIID(data, fuiov.NewRNG(seed), 4)
-	if err != nil {
-		fmt.Println("partition:", err)
-		return
-	}
-	clients := make([]*fuiov.Client, len(shards))
-	for i, s := range shards {
-		clients[i] = &fuiov.Client{ID: fuiov.ClientID(i), Data: s}
-	}
-	model := fuiov.NewMLP(data.Dims.Size(), 8, data.Classes)
-	model.Init(fuiov.NewRNG(seed))
-	store, err := fuiov.NewStore(model.NumParams(), 1e-2)
-	if err != nil {
-		fmt.Println("store:", err)
-		return
-	}
-	sim, err := fuiov.NewSimulation(model, clients, fuiov.SimConfig{
-		LearningRate: 0.05, Seed: seed, Store: store,
-	})
-	if err != nil {
-		fmt.Println("simulation:", err)
-		return
-	}
-	coord, err := fuiov.NewRSUCoordinator(fuiov.RSUConfig{
-		Engine: sim, MaxRounds: rounds,
-	})
-	if err != nil {
-		fmt.Println("coordinator:", err)
-		return
-	}
-	defer coord.Close()
-	ts := httptest.NewServer(coord)
-	defer ts.Close()
-
-	// Each vehicle is an agent following the coordinator over HTTP:
-	// fetch the round's model, compute locally, upload, repeat.
-	var wg sync.WaitGroup
-	for _, cl := range clients {
-		a, err := fuiov.NewVehicleAgent(fuiov.VehicleAgentConfig{
-			BaseURL: ts.URL, Client: cl, Template: model.Clone(), Seed: seed,
-		})
-		if err != nil {
-			fmt.Println("agent:", err)
-			return
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = a.Run(context.Background())
-		}()
-	}
-	wg.Wait()
-	fmt.Printf("trained to round %d over HTTP\n", sim.Round())
-
-	// Erase vehicle 2 through the wire protocol.
-	resp, err := http.Post(ts.URL+"/v1/unlearn", "application/json",
-		strings.NewReader(`{"clients":[2]}`))
-	if err != nil {
-		fmt.Println("unlearn:", err)
-		return
-	}
-	defer resp.Body.Close()
-	var reply struct {
-		BacktrackRound  int  `json:"backtrack_round"`
-		RecoveredRounds int  `json:"recovered_rounds"`
-		Applied         bool `json:"applied"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		fmt.Println("decode:", err)
-		return
-	}
-	fmt.Printf("unlearned: backtracked to round %d, recovered %d rounds, applied %v\n",
-		reply.BacktrackRound, reply.RecoveredRounds, reply.Applied)
-	// Output:
-	// trained to round 3 over HTTP
-	// unlearned: backtracked to round 0, recovered 3 rounds, applied true
 }
 
 // ExampleInterval shows membership windows for dynamic vehicles.

@@ -72,14 +72,25 @@ func run() error {
 	// The paper's §I storage claim, read from the live gauge the store
 	// updates on every recorded round: 2-bit directions vs 64-bit
 	// floats saves ~97% (≈95% against float32 uploads).
-	saving := reg.Snapshot()
+	const savingGauge = "history.compression_saving"
+	saving, found := 0.0, false
 	fmt.Println("\n-- storage (live gauges) --")
-	for _, g := range saving.Gauges {
+	for _, g := range reg.Snapshot().Gauges {
 		fmt.Printf("%-32s %.4f\n", g.Name, g.Value)
+		if g.Name == savingGauge {
+			saving, found = g.Value, true
+		}
+	}
+	if !found {
+		return fmt.Errorf("gauge %s not registered", savingGauge)
 	}
 	report := store.Storage()
 	fmt.Printf("gauge vs Storage() report: %.4f vs %.4f (must agree)\n",
-		reg.Snapshot().Gauges[0].Value, report.GradientSavings)
+		saving, report.GradientSavings)
+	if saving != report.GradientSavings {
+		return fmt.Errorf("gauge %s reads %v, Storage() reports %v",
+			savingGauge, saving, report.GradientSavings)
+	}
 	if report.GradientSavings < 0.9 {
 		return fmt.Errorf("expected ~95%%+ storage saving, gauge reads %.1f%%",
 			100*report.GradientSavings)

@@ -119,9 +119,7 @@ func TestFacadeSentinelsAndContext(t *testing.T) {
 	}
 	model := fuiov.NewMLP(data.Dims.Size(), 16, data.Classes)
 	model.Init(fuiov.NewRNG(seed))
-	allCrash := fuiov.FaultFunc(func(fuiov.ClientID, int, int) fuiov.FaultOutcome {
-		return fuiov.FaultOutcome{Crash: true}
-	})
+	allCrash := fuiov.NewFaultPlan(seed, fuiov.FaultSpec{CrashProb: 1})
 	sim, err := fuiov.NewSimulation(model, clients, fuiov.SimConfig{
 		LearningRate: 0.05,
 		Seed:         seed,
@@ -145,17 +143,5 @@ func TestFacadeSentinelsAndContext(t *testing.T) {
 		LearningRate: 0.05, Rounds: 3, Seed: seed,
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Unlearn(retrain) err = %v, want context.Canceled", err)
-	}
-
-	store, err := fuiov.NewStore(model.NumParams(), 1e-2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := fuiov.NewUnlearner(store, fuiov.UnlearnConfig{LearningRate: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := u.UnlearnContext(context.Background(), 0); !errors.Is(err, fuiov.ErrNoHistory) {
-		t.Fatalf("empty store err = %v, want ErrNoHistory", err)
 	}
 }

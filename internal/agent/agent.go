@@ -149,9 +149,6 @@ func New(cfg Config) (*Agent, error) {
 	}, nil
 }
 
-// ID returns the vehicle's client ID.
-func (a *Agent) ID() int64 { return int64(a.cfg.Client.ID) }
-
 // participates reports coverage at round t.
 func (a *Agent) participates(t int) bool {
 	return a.cfg.Schedule == nil || a.cfg.Schedule.Participates(a.cfg.Client.ID, t)
@@ -181,7 +178,7 @@ func (a *Agent) Run(ctx context.Context) error {
 				lastSkipped = t
 			}
 			a.met.polls.Inc()
-			if err := sleepCtx(ctx, a.cfg.PollInterval); err != nil {
+			if err := fl.SleepCtx(ctx, a.cfg.PollInterval); err != nil {
 				return err
 			}
 			continue
@@ -208,7 +205,7 @@ func (a *Agent) runRound(ctx context.Context, t int) (done bool, err error) {
 	}
 	if status == http.StatusNotFound || status == http.StatusConflict {
 		// The clock moved while we were deciding; resynchronise.
-		return false, sleepCtx(ctx, a.cfg.PollInterval)
+		return false, fl.SleepCtx(ctx, a.cfg.PollInterval)
 	}
 	if err != nil {
 		return false, err
@@ -218,7 +215,7 @@ func (a *Agent) runRound(ctx context.Context, t int) (done bool, err error) {
 		return false, err
 	}
 	if a.cfg.UploadDelay > 0 {
-		if err := sleepCtx(ctx, a.cfg.UploadDelay); err != nil {
+		if err := fl.SleepCtx(ctx, a.cfg.UploadDelay); err != nil {
 			return false, err
 		}
 	}
@@ -235,7 +232,7 @@ func (a *Agent) runRound(ctx context.Context, t int) (done bool, err error) {
 		// Quorum failure (the window will re-collect or was skipped),
 		// a missed deadline, or a round mismatch: not fatal, fall back
 		// to the status poll and follow the clock.
-		return false, sleepCtx(ctx, a.cfg.PollInterval)
+		return false, fl.SleepCtx(ctx, a.cfg.PollInterval)
 	default:
 		return false, err
 	}
@@ -345,7 +342,7 @@ func (a *Agent) withRetry(ctx context.Context, op func() error) error {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			a.met.retries.Inc()
-			if err := sleepCtx(ctx, a.clock.RetryDelay(attempt)); err != nil {
+			if err := fl.SleepCtx(ctx, a.clock.RetryDelay(attempt)); err != nil {
 				return err
 			}
 		} else if err := ctx.Err(); err != nil {
@@ -365,19 +362,4 @@ func (a *Agent) withRetry(ctx context.Context, op func() error) error {
 func drain(resp *http.Response) {
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-}
-
-// sleepCtx waits for d or the context, whichever ends first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

@@ -74,6 +74,9 @@ func TestLabelFlipName(t *testing.T) {
 func TestBackdoorStamp(t *testing.T) {
 	d := digitSet(t, 10, 3)
 	bd := DefaultBackdoor()
+	if bd.TargetClass != 2 || bd.PatchSize != 3 {
+		t.Fatalf("DefaultBackdoor = %+v, want the paper's 3×3 trigger targeting class 2", bd)
+	}
 	x := make([]float64, len(d.X[0]))
 	copy(x, d.X[0])
 	bd.Stamp(x, d.Dims)

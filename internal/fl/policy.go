@@ -86,8 +86,8 @@ func (p *FaultPolicy) Validate() error {
 // scheduled clients for a round to commit under this policy. It is 0 —
 // any turnout commits — on a nil policy, a zero Quorum fraction, or an
 // empty schedule. The round engine applies it to simulated rounds and
-// the networked coordinator to wall-clock collection windows (see
-// WallClock), so both enforce the same turnout rule.
+// the networked coordinator to wall-clock collection windows, so both
+// enforce the same turnout rule.
 func (p *FaultPolicy) QuorumCount(scheduled int) int {
 	if p == nil || p.Quorum <= 0 || scheduled == 0 {
 		return 0
@@ -119,9 +119,9 @@ func (p *FaultPolicy) backoff(retry int) time.Duration {
 	return d
 }
 
-// sleepCtx waits for d, returning early with the context's error if it
+// SleepCtx waits for d, returning early with the context's error if it
 // is cancelled first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
+func SleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
@@ -184,7 +184,7 @@ func callWithFaults(ctx context.Context, inj faults.Injector, policy *FaultPolic
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			res.retries++
-			if err := sleepCtx(ctx, policy.backoff(a)); err != nil {
+			if err := SleepCtx(ctx, policy.backoff(a)); err != nil {
 				res.err = err
 				return res
 			}

@@ -226,9 +226,6 @@ func NewShardedFedAvg(dim, shards int) (*ShardedFedAvg, error) {
 	return a, nil
 }
 
-// Shards returns the shard count P.
-func (a *ShardedFedAvg) Shards() int { return len(a.shards) }
-
 // Add folds w·grad into the client's shard. It is safe for concurrent
 // use (per-shard locking) and never retains grad.
 func (a *ShardedFedAvg) Add(id history.ClientID, grad []float64, weight float64) error {

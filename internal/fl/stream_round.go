@@ -63,9 +63,6 @@ func (s *Simulation) NewRoundStream() (*RoundStream, error) {
 	return rs, nil
 }
 
-// Round returns the round index this stream collects.
-func (rs *RoundStream) Round() int { return rs.t }
-
 // Folded returns the number of uploads accepted so far.
 func (rs *RoundStream) Folded() int { return rs.sim.stream.Folded() }
 

@@ -18,8 +18,7 @@ import (
 // so one FaultPolicy value describes both worlds.
 //
 // The zero WallClock and a WallClock over a nil policy are both valid:
-// every deadline is "never", every quorum is met, and there are no
-// retries.
+// every deadline is "never" and there are no retries.
 type WallClock struct {
 	policy *FaultPolicy
 	now    func() time.Time
@@ -27,7 +26,7 @@ type WallClock struct {
 
 // WallClock returns an adapter measuring the policy's deadlines with
 // now (time.Now when nil). It is valid on a nil policy: the resulting
-// adapter imposes no deadline, no quorum and no retries.
+// adapter imposes no deadline and no retries.
 func (p *FaultPolicy) WallClock(now func() time.Time) WallClock {
 	if now == nil {
 		now = time.Now
@@ -54,34 +53,6 @@ func (w WallClock) Deadline(openedAt time.Time) (time.Time, bool) {
 		return time.Time{}, false
 	}
 	return openedAt.Add(w.policy.ClientTimeout), true
-}
-
-// Remaining returns the time left in a window opened at openedAt, and
-// whether a deadline applies. The remaining duration is never
-// negative: an expired window reports 0.
-func (w WallClock) Remaining(openedAt time.Time) (time.Duration, bool) {
-	dl, ok := w.Deadline(openedAt)
-	if !ok {
-		return 0, false
-	}
-	d := dl.Sub(w.Now())
-	if d < 0 {
-		d = 0
-	}
-	return d, true
-}
-
-// Expired reports whether a window opened at openedAt has passed its
-// deadline. Without a deadline it reports false.
-func (w WallClock) Expired(openedAt time.Time) bool {
-	dl, ok := w.Deadline(openedAt)
-	return ok && !w.Now().Before(dl)
-}
-
-// QuorumMet reports whether responders out of scheduled clients
-// satisfy the policy's quorum fraction (always true without a policy).
-func (w WallClock) QuorumMet(responders, scheduled int) bool {
-	return responders >= w.policy.QuorumCount(scheduled)
 }
 
 // Retries returns the policy's extra-attempt budget (0 without one).

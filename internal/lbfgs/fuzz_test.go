@@ -107,8 +107,8 @@ func FuzzPairBufferPush(f *testing.F) {
 		if errGot != nil {
 			return
 		}
-		if got.Sigma() != want.Sigma() && !(math.IsNaN(got.Sigma()) && math.IsNaN(want.Sigma())) {
-			t.Fatalf("sigma %v, reference %v", got.Sigma(), want.Sigma())
+		if got.sigma != want.sigma && !(math.IsNaN(got.sigma) && math.IsNaN(want.sigma)) {
+			t.Fatalf("sigma %v, reference %v", got.sigma, want.sigma)
 		}
 		v := make([]float64, got.Dim())
 		for i := range v {

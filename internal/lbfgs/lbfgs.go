@@ -125,12 +125,6 @@ func New(dW, dG [][]float64) (*Approx, error) {
 // Dim returns the model dimension.
 func (a *Approx) Dim() int { return a.dim }
 
-// Pairs returns the number of vector pairs s.
-func (a *Approx) Pairs() int { return a.s }
-
-// Sigma returns the B₀ = σI scaling.
-func (a *Approx) Sigma() float64 { return a.sigma }
-
 // HVP returns H̃·v without materialising H̃. The cost is O(dim·s). It
 // allocates its result and scratch, so it is safe for concurrent use;
 // hot loops should prefer HVPInto.

@@ -99,7 +99,7 @@ func TestCompactMatchesRecursiveBFGS(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dim=%d s=%d: %v", tc.dim, tc.s, err)
 		}
-		want := referenceBFGS(a.Sigma(), dW, dG)
+		want := referenceBFGS(a.sigma, dW, dG)
 		got, err := a.Dense()
 		if err != nil {
 			t.Fatal(err)
@@ -150,8 +150,8 @@ func TestSigmaPositiveCurvature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Sigma() <= 0 {
-		t.Errorf("sigma = %v, want > 0 for SPD pairs", a.Sigma())
+	if a.sigma <= 0 {
+		t.Errorf("sigma = %v, want > 0 for SPD pairs", a.sigma)
 	}
 }
 
@@ -216,8 +216,8 @@ func TestSingleIdentityPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a.Sigma()-1) > 1e-12 {
-		t.Errorf("sigma = %v, want 1", a.Sigma())
+	if math.Abs(a.sigma-1) > 1e-12 {
+		t.Errorf("sigma = %v, want 1", a.sigma)
 	}
 	got, err := a.HVP([]float64{3, 4})
 	if err != nil {

@@ -1,12 +1,9 @@
 // Package metrics provides the evaluation measurements used by the
-// experiments: test accuracy, model distances, and small summary
-// statistics helpers.
+// experiments: test accuracy and model distances.
 package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"fuiov/internal/dataset"
 	"fuiov/internal/nn"
@@ -59,41 +56,4 @@ func CosineSimilarity(a, b []float64) (float64, error) {
 		return 0, nil
 	}
 	return tensor.Dot(a, b) / (na * nb), nil
-}
-
-// Summary holds basic descriptive statistics of a series.
-type Summary struct {
-	N         int
-	Mean, Std float64
-	Min, Max  float64
-	Median    float64
-}
-
-// Summarize computes descriptive statistics. An empty input returns a
-// zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	for _, x := range xs {
-		s.Mean += x
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	s.Mean /= float64(len(xs))
-	for _, x := range xs {
-		d := x - s.Mean
-		s.Std += d * d
-	}
-	s.Std = math.Sqrt(s.Std / float64(len(xs)))
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return s
 }

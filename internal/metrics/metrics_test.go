@@ -86,21 +86,3 @@ func TestCosineSimilarity(t *testing.T) {
 		t.Error("dimension mismatch should error")
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 || s.Median != 2.5 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if math.Abs(s.Std-math.Sqrt(1.25)) > 1e-12 {
-		t.Errorf("Std = %v", s.Std)
-	}
-	odd := Summarize([]float64{5, 1, 3})
-	if odd.Median != 3 {
-		t.Errorf("odd median = %v, want 3", odd.Median)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || empty.Mean != 0 {
-		t.Errorf("empty = %+v", empty)
-	}
-}

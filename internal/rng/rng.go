@@ -61,9 +61,6 @@ func (r *RNG) Split(labels ...uint64) *RNG {
 	return New(Mix(r.seed, labels...))
 }
 
-// Seed reports the seed this RNG was constructed with.
-func (r *RNG) Seed() uint64 { return r.seed }
-
 // Float64 returns a uniform sample in [0, 1).
 func (r *RNG) Float64() float64 { return r.src.Float64() }
 

@@ -291,10 +291,6 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.mux.ServeHTTP(w, r)
 }
 
-// Handler returns the coordinator's route multiplexer (equivalent to
-// mounting the Coordinator itself).
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
 // Close shuts the coordinator down: the open collection window (if
 // any) is resolved with ErrClosed so blocked uploaders return, the
 // unlearning queue drains (pending requests fail, an in-flight pass is

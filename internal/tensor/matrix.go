@@ -346,17 +346,6 @@ func Solve(a, b *Matrix) (*Matrix, error) {
 	return x, nil
 }
 
-// SolveVec solves a*x = b for a single right-hand-side vector.
-func SolveVec(a *Matrix, b Vec) (Vec, error) {
-	bm := NewMatrix(len(b), 1)
-	copy(bm.Data, b)
-	x, err := Solve(a, bm)
-	if err != nil {
-		return nil, err
-	}
-	return x.Data, nil
-}
-
 // Inverse returns the inverse of a square matrix, or ErrSingular.
 func Inverse(a *Matrix) (*Matrix, error) {
 	return Solve(a, Identity(a.Rows))

@@ -169,13 +169,13 @@ func TestSolveKnown(t *testing.T) {
 		{-3, -1, 2},
 		{-2, 1, 2},
 	})
-	b := Vec{8, -11, -3}
-	x, err := SolveVec(a, b)
+	b := FromColumns([]Vec{{8, -11, -3}})
+	x, err := Solve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(x, Vec{2, 3, -1}, 1e-10) {
-		t.Errorf("Solve = %v, want [2 3 -1]", x)
+	if !Equal(x.Data, Vec{2, 3, -1}, 1e-10) {
+		t.Errorf("Solve = %v, want [2 3 -1]", x.Data)
 	}
 }
 
@@ -192,13 +192,13 @@ func TestSolveRandomRoundTrip(t *testing.T) {
 		for i := range want {
 			want[i] = r.Normal()
 		}
-		b := a.MulVec(want)
-		got, err := SolveVec(a, b)
+		b := FromColumns([]Vec{a.MulVec(want)})
+		got, err := Solve(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !Equal(got, want, 1e-8) {
-			t.Fatalf("trial %d: Solve = %v, want %v", trial, got, want)
+		if !Equal(got.Data, want, 1e-8) {
+			t.Fatalf("trial %d: Solve = %v, want %v", trial, got.Data, want)
 		}
 	}
 }
@@ -208,7 +208,7 @@ func TestSolveSingular(t *testing.T) {
 		{1, 2},
 		{2, 4},
 	})
-	_, err := SolveVec(a, Vec{1, 2})
+	_, err := Solve(a, FromColumns([]Vec{{1, 2}}))
 	if !errors.Is(err, ErrSingular) {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}

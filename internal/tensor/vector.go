@@ -22,9 +22,6 @@ import (
 // functions in this package never retain their arguments.
 type Vec = []float64
 
-// NewVec returns a zero vector of length n.
-func NewVec(n int) Vec { return make(Vec, n) }
-
 // CloneVec returns a copy of v.
 func CloneVec(v Vec) Vec {
 	out := make(Vec, len(v))
@@ -52,15 +49,6 @@ func Sub(a, b Vec) Vec {
 		out[i] = a[i] - b[i]
 	}
 	return out
-}
-
-// AddInto sets dst = a + b without allocating. dst may alias a or b.
-func AddInto(dst, a, b Vec) {
-	mustSameLen("AddInto", a, b)
-	mustSameLen("AddInto", dst, a)
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
 }
 
 // SubInto sets dst = a - b without allocating. dst may alias a or b.
@@ -102,15 +90,6 @@ func AxpyInPlace(dst Vec, alpha float64, src Vec) {
 	for i := range dst {
 		dst[i] += alpha * src[i]
 	}
-}
-
-// Scale returns alpha * v.
-func Scale(alpha float64, v Vec) Vec {
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = alpha * v[i]
-	}
-	return out
 }
 
 // ScaleInPlace sets v = alpha * v.

@@ -129,7 +129,9 @@ func TestDotLinearity(t *testing.T) {
 			}
 		}
 		alpha := float64(alphaRaw)
-		lhs := Dot(Scale(alpha, a), b)
+		scaled := CloneVec(a)
+		ScaleInPlace(alpha, scaled)
+		lhs := Dot(scaled, b)
 		rhs := alpha * Dot(a, b)
 		return math.Abs(lhs-rhs) <= 1e-6*(1+math.Abs(rhs))
 	}

@@ -44,18 +44,12 @@ func (m ClipMode) String() string {
 	}
 }
 
-// Clip applies eq. 7 in the given mode, in place, and returns g. L
-// must be positive for the active modes.
-func Clip(g []float64, l float64, mode ClipMode) []float64 {
-	ClipCount(g, l, mode)
-	return g
-}
-
-// ClipCount applies eq. 7 like Clip but additionally reports how many
-// times the limit fired: the number of clipped elements in
-// ClipElementwise mode, 1 in ClipNorm mode when the vector was
-// rescaled, and always 0 in ClipOff mode. Telemetry uses it to track
-// how hard the error-limiting bound works during recovery.
+// ClipCount applies eq. 7 in the given mode, in place (L must be
+// positive for the active modes), and reports how many times the limit
+// fired: the number of clipped elements in ClipElementwise mode, 1 in
+// ClipNorm mode when the vector was rescaled, and always 0 in ClipOff
+// mode. Telemetry uses it to track how hard the error-limiting bound
+// works during recovery.
 //
 // Edge-case contract (asserted by the table tests in clip_test.go and
 // relied on by the scenario harness's clip-bound invariant):

@@ -10,7 +10,7 @@ import (
 
 func TestClipElementwiseKnown(t *testing.T) {
 	g := []float64{0.5, -0.5, 2, -3, 0}
-	Clip(g, 1, ClipElementwise)
+	ClipCount(g, 1, ClipElementwise)
 	want := []float64{0.5, -0.5, 1, -1, 0}
 	if !tensor.Equal(g, want, 1e-12) {
 		t.Errorf("Clip = %v, want %v", g, want)
@@ -20,7 +20,7 @@ func TestClipElementwiseKnown(t *testing.T) {
 func TestClipElementwiseFixedPointBelowThreshold(t *testing.T) {
 	g := []float64{0.3, -0.9, 0.99}
 	orig := tensor.CloneVec(g)
-	Clip(g, 1, ClipElementwise)
+	ClipCount(g, 1, ClipElementwise)
 	if !tensor.Equal(g, orig, 0) {
 		t.Errorf("values below L must be preserved exactly: %v vs %v", g, orig)
 	}
@@ -28,7 +28,7 @@ func TestClipElementwiseFixedPointBelowThreshold(t *testing.T) {
 
 func TestClipNorm(t *testing.T) {
 	g := []float64{3, 4} // norm 5
-	Clip(g, 1, ClipNorm)
+	ClipCount(g, 1, ClipNorm)
 	if got := tensor.Norm2(g); math.Abs(got-1) > 1e-12 {
 		t.Errorf("norm after clip = %v, want 1", got)
 	}
@@ -39,7 +39,7 @@ func TestClipNorm(t *testing.T) {
 	// Below threshold: untouched.
 	h := []float64{0.1, 0.1}
 	orig := tensor.CloneVec(h)
-	Clip(h, 1, ClipNorm)
+	ClipCount(h, 1, ClipNorm)
 	if !tensor.Equal(h, orig, 0) {
 		t.Errorf("small vector modified: %v", h)
 	}
@@ -47,7 +47,7 @@ func TestClipNorm(t *testing.T) {
 
 func TestClipOff(t *testing.T) {
 	g := []float64{100, -200}
-	Clip(g, 1, ClipOff)
+	ClipCount(g, 1, ClipOff)
 	if g[0] != 100 || g[1] != -200 {
 		t.Errorf("ClipOff modified input: %v", g)
 	}
@@ -138,7 +138,7 @@ func TestClipElementwiseProperty(t *testing.T) {
 			}
 		}
 		orig := tensor.CloneVec(g)
-		Clip(g, l, ClipElementwise)
+		ClipCount(g, l, ClipElementwise)
 		for i := range g {
 			if math.Abs(g[i]) > l*(1+1e-12) {
 				return false
@@ -166,12 +166,12 @@ func TestClipNormProperty(t *testing.T) {
 				g[i] = 0
 			}
 		}
-		Clip(g, l, ClipNorm)
+		ClipCount(g, l, ClipNorm)
 		if tensor.Norm2(g) > l*(1+1e-9) {
 			return false
 		}
 		once := tensor.CloneVec(g)
-		Clip(g, l, ClipNorm)
+		ClipCount(g, l, ClipNorm)
 		return tensor.Equal(g, once, 1e-12)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -103,9 +103,6 @@ func (u *Unlearner) BeginCommit(forgotten ...history.ClientID) (*CommitPass, err
 	}, nil
 }
 
-// BacktrackRound returns F, the round the pass backtracked to.
-func (cp *CommitPass) BacktrackRound() int { return cp.p.f }
-
 // Recovered returns the number of rounds recovered so far.
 func (cp *CommitPass) Recovered() int { return cp.p.next - cp.p.f }
 

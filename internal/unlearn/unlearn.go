@@ -152,8 +152,9 @@ type Unlearner struct {
 	met   unlearnMetrics
 }
 
-// New creates an Unlearner over the given history reader — a live
-// *history.Store or a frozen *history.View pinned with Store.View().
+// New creates an Unlearner over the given history reader. Every caller
+// passes the live *history.Store, the overlapped queue included: a pass
+// reads only immutable round records, so appends during it are safe.
 func New(store history.Reader, cfg Config) (*Unlearner, error) {
 	if store == nil {
 		return nil, errors.New("unlearn: nil history store")
@@ -253,7 +254,7 @@ func (u *Unlearner) dispatchBootstrap(ctx context.Context, id history.ClientID, 
 	for attempt := 0; attempt <= u.cfg.BootstrapRetries; attempt++ {
 		if attempt > 0 {
 			u.met.bootstrapRetry.Inc()
-			if err := sleepCtx(ctx, backoff); err != nil {
+			if err := fl.SleepCtx(ctx, backoff); err != nil {
 				return nil, err
 			}
 			backoff *= 2
@@ -271,22 +272,6 @@ func (u *Unlearner) dispatchBootstrap(ctx context.Context, id history.ClientID, 
 		lastErr = err
 	}
 	return nil, lastErr
-}
-
-// sleepCtx waits for d, returning early with the context's error if it
-// is cancelled first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // clientState is one remaining client's recovery state: an L-BFGS

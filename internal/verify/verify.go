@@ -306,17 +306,6 @@ func (s *Suite) Score(ctx context.Context, after []float64) (Score, error) {
 	return sc, nil
 }
 
-// Run is the one-shot form: build a Suite and score a single unlearned
-// model. Callers comparing several strategies should build the Suite
-// once and call Score per strategy instead.
-func Run(ctx context.Context, tgt Target, cfg Config, after []float64) (Score, error) {
-	s, err := NewSuite(ctx, tgt, cfg)
-	if err != nil {
-		return Score{}, err
-	}
-	return s.Score(ctx, after)
-}
-
 // forgottenData concatenates the forgotten clients' shards — the
 // attack's member population. Feature slices are shared, not copied.
 func forgottenData(clients []*fl.Client, forgotten []history.ClientID) *dataset.Dataset {

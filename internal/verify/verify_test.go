@@ -215,7 +215,11 @@ func TestNoBackdoorTarget(t *testing.T) {
 	cfg := fastConfig()
 	cfg.SkipRelearn = true
 	tgt.LearningRate = 0
-	sc, err := Run(context.Background(), tgt, cfg, fed.before)
+	s, err := NewSuite(context.Background(), tgt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := s.Score(context.Background(), fed.before)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 verification — the one definition; `make check` runs this
 # script: formatting, the ctx and doc lints, static analysis, build,
-# tests, the bench/ module's vet and test, and the harness smokes.
+# tests, a run of every example, the bench/ module's vet and test, and
+# the harness smokes.
 # Usage: scripts/check.sh [-race] [-faults] [-sim]
 #   -race    additionally run the test suite under the race detector
 #            (covers the parallel round loop and concurrent store reads).
@@ -56,8 +57,15 @@ go vet ./...
 go build ./...
 go test ./...
 
+# The examples are the facade's only callers outside the scenario
+# harness, and go build only proves they compile: run each one and
+# fail on a non-zero exit (~6 s for all of them).
+for ex in ./examples/*/; do
+	go run "$ex" >/dev/null
+done
+
 # The benchmark is a module of its own (bench/, replacing fuiov with
-# ../), so the three commands above never see it — yet it calls the
+# ../), so the commands above never see it — yet it calls the
 # kernel, store and unlearner entry points directly. Vet it and run
 # its smoke (all four workloads at tiny sizes, BENCHMARK.json diffed
 # against the metric registry) so a change next to those entry points
