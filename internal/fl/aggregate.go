@@ -67,39 +67,63 @@ func (FedAvg) Aggregate(grads map[history.ClientID][]float64, weights map[histor
 
 // AggregateInto implements IntoAggregator: the same weighted average
 // as Aggregate, written into caller-owned memory with zero allocation.
-func (FedAvg) AggregateInto(dst []float64, ids []history.ClientID, grads map[history.ClientID][]float64, weights map[history.ClientID]float64) error {
-	if len(ids) == 0 {
-		return fmt.Errorf("fl: aggregate with no gradients")
+func (f FedAvg) AggregateInto(dst []float64, ids []history.ClientID, grads map[history.ClientID][]float64, weights map[history.ClientID]float64) error {
+	inv, err := f.InvTotal(len(dst), ids, grads, weights)
+	if err != nil {
+		return err
 	}
-	for i := range dst {
-		dst[i] = 0
+	f.AggregateRange(dst, ids, grads, weights, inv, 0, len(dst))
+	return nil
+}
+
+// InvTotal checks one aggregation the way AggregateInto does — every
+// gradient dim elements long, no weight negative, a non-zero total,
+// failing on the first offending client in ids order — and returns
+// 1/Σw, the scale AggregateRange applies.
+func (FedAvg) InvTotal(dim int, ids []history.ClientID, grads map[history.ClientID][]float64, weights map[history.ClientID]float64) (float64, error) {
+	if len(ids) == 0 {
+		return 0, fmt.Errorf("fl: aggregate with no gradients")
 	}
 	var totalW float64
 	for _, id := range ids {
-		g := grads[id]
-		if len(g) != len(dst) {
-			return fmt.Errorf("fl: client %d gradient has %d params, want %d", id, len(g), len(dst))
+		if g := grads[id]; len(g) != dim {
+			return 0, fmt.Errorf("fl: client %d gradient has %d params, want %d", id, len(g), dim)
 		}
-		w := 1.0
-		if weights != nil {
-			if ww, ok := weights[id]; ok {
-				w = ww
-			}
-		}
+		w := weightOf(weights, id)
 		if w < 0 {
-			return fmt.Errorf("fl: client %d has negative weight %v", id, w)
-		}
-		for i, v := range g {
-			dst[i] += w * v
+			return 0, fmt.Errorf("fl: client %d has negative weight %v", id, w)
 		}
 		totalW += w
 	}
 	if totalW == 0 {
-		return fmt.Errorf("fl: total aggregation weight is zero")
+		return 0, fmt.Errorf("fl: total aggregation weight is zero")
 	}
-	inv := 1 / totalW
-	for i := range dst {
-		dst[i] *= inv
+	return 1 / totalW, nil
+}
+
+// AggregateRange writes elements [lo, hi) of the weighted average into
+// dst: each element sums w·g over ids in order, then is scaled by inv
+// (from InvTotal over the same inputs). Elements are independent, so
+// disjoint ranges may run concurrently and together are
+// AggregateInto, bit for bit.
+func (FedAvg) AggregateRange(dst []float64, ids []history.ClientID, grads map[history.ClientID][]float64, weights map[history.ClientID]float64, inv float64, lo, hi int) {
+	d := dst[lo:hi]
+	clear(d)
+	for _, id := range ids {
+		w := weightOf(weights, id)
+		for i, v := range grads[id][lo:hi] {
+			d[i] += w * v
+		}
 	}
-	return nil
+	for i := range d {
+		d[i] *= inv
+	}
+}
+
+// weightOf is id's aggregation weight; a missing one defaults to 1.
+func weightOf(weights map[history.ClientID]float64, id history.ClientID) float64 {
+	if w, ok := weights[id]; ok {
+		return w
+	}
+	return 1
 }

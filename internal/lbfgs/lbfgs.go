@@ -60,11 +60,28 @@ type Approx struct {
 	// allocation. HVP allocates its own and stays safe for concurrent
 	// use.
 	scratch []float64
+	// held lists the PairBuffer columns cols aliases (nil for New).
+	held []*Column
 }
 
 // New builds the approximation from s vector pairs. dW and dG must be
-// non-empty, equal-length slices of equal-length vectors.
+// non-empty, equal-length slices of equal-length vectors. The Approx
+// keeps copies, so the caller may reuse the vectors; PairBuffer.Build
+// aliases its window instead.
 func New(dW, dG [][]float64) (*Approx, error) {
+	a, err := newAliased(dW, dG)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range a.cols {
+		a.cols[i] = tensor.CloneVec(c)
+	}
+	return a, nil
+}
+
+// newAliased is New over the caller's vectors themselves, which must
+// then not change while the Approx is in use.
+func newAliased(dW, dG [][]float64) (*Approx, error) {
 	s := len(dW)
 	if s == 0 || len(dG) != s {
 		return nil, fmt.Errorf("lbfgs: need equal non-zero pair counts, got %d and %d", len(dW), len(dG))
@@ -116,10 +133,20 @@ func New(dW, dG [][]float64) (*Approx, error) {
 	}
 	cols := make([][]float64, 0, 2*s)
 	for i := 0; i < s; i++ {
-		cols = append(cols, tensor.CloneVec(dG[i]), tensor.CloneVec(dW[i]))
+		cols = append(cols, dG[i], dW[i])
 	}
 	return &Approx{dim: dim, s: s, sigma: sigma, cols: cols, minv: minv,
 		scratch: make([]float64, 6*s)}, nil
+}
+
+// Release hands the pair columns back to the PairBuffer that built a,
+// which may then recycle them; a must not be used afterwards. It is a
+// no-op for an Approx from New and for a second call.
+func (a *Approx) Release() {
+	for _, c := range a.held {
+		c.drop()
+	}
+	a.held = nil
 }
 
 // Dim returns the model dimension.

@@ -276,11 +276,17 @@ func (u *Unlearner) dispatchBootstrap(ctx context.Context, id history.ClientID, 
 
 // clientState is one remaining client's recovery state: an L-BFGS
 // pair buffer, the current compact approximation (nil until the
-// buffer can build one), and dim-sized scratch reused every round so
-// the steady-state estimation loop allocates nothing per
-// client-round. The buffers are safe to share across rounds because
-// each round fully consumes them (the aggregator reads est before the
-// next round overwrites it) and PairBuffer.Push copies its inputs.
+// buffer can build one), and the estimate buffer reused every round so
+// the steady-state estimation loop allocates nothing per client-round
+// (the aggregator reads est before the next round overwrites it).
+//
+// The pair columns are aliased, never copied: a client's Δg vectors
+// live in its buffer and are built in place (raw is the buffer's Slot
+// on refresh rounds), its Δw columns are the pass's, shared by every
+// client holding that pair, and the approximation aliases both. An
+// approximation is released when a refresh replaces it, which hands
+// its Δg storage back to the buffer and its Δw columns back to the
+// pass.
 type clientState struct {
 	pairs  *lbfgs.PairBuffer
 	approx *lbfgs.Approx
@@ -288,48 +294,69 @@ type clientState struct {
 	est    []float64 // corrected, clipped estimate g̃ᵗᵢ
 }
 
-// bootScratch holds the dim-sized vectors the L-BFGS bootstrap window
-// needs, so seeding many clients (or benchmarking one) performs no
-// per-call allocation: PairBuffer.Push copies its inputs, making
-// every buffer here safe to reuse across rounds and clients.
+// bootScratch holds what the L-BFGS bootstrap window needs across the
+// clients of one pass: the shared Δw columns, built once per pre-join
+// round and pushed to every client seeded from that round. Seeding
+// another client (or benchmarking one) allocates nothing once they
+// exist. The columns belong to the pass's f and w_F and never change:
+// a client first seen mid-pass seeds from them too.
 type bootScratch struct {
-	gF []float64 // dense direction at round f
-	gJ []float64 // dense direction at pre-join round j
-	wJ []float64 // model snapshot at round j
-	dw []float64 // Δw = w_j − w_F
-	dg []float64 // Δg = g_j − g_F
+	dim int
+	wJ  []float64       // model snapshot at round j, for OnlineBootstrap only
+	dw  []*lbfgs.Column // dw[f−1−j]: Δw = w_j − w_F, nil until first use
 }
 
-func newBootScratch(dim int) *bootScratch {
-	return &bootScratch{
-		gF: make([]float64, dim),
-		gJ: make([]float64, dim),
-		wJ: make([]float64, dim),
-		dw: make([]float64, dim),
-		dg: make([]float64, dim),
+func newBootScratch(dim int) *bootScratch { return &bootScratch{dim: dim} }
+
+// dwFor returns the shared column Δw = w_j − w_F, reading round j's
+// model on first use; nil when that model is unreadable.
+func (sc *bootScratch) dwFor(store history.Reader, j, f int, wF []float64) *lbfgs.Column {
+	k := f - 1 - j
+	for len(sc.dw) <= k {
+		sc.dw = append(sc.dw, nil)
 	}
+	if sc.dw[k] == nil {
+		c := lbfgs.NewColumn(len(wF))
+		if err := store.ModelInto(j, c.Vec()); err != nil {
+			return nil
+		}
+		tensor.SubInto(c.Vec(), c.Vec(), wF)
+		sc.dw[k] = c
+	}
+	return sc.dw[k]
 }
 
 // seedPairs bootstraps st's pair buffer from pre-join history: rounds
 // f−s .. f−1 versus round f (§IV-B). It requires the client to have
 // participated in those rounds; gaps can optionally be filled by
 // dispatching the historical model to the client when it is still
-// online. It reports whether at least one pair was pushed.
+// online. Each Δg = g_j − g_f is formed in the buffer's Slot, with
+// g_f held in st.est until the client's first estimate overwrites
+// it. It reports whether at least one pair was pushed.
 func (u *Unlearner) seedPairs(ctx context.Context, st *clientState, id history.ClientID, f int, wF []float64, sc *bootScratch) (bool, error) {
 	dirF, err := u.store.Direction(f, id)
 	if err != nil {
 		return false, nil
 	}
-	dirF.DenseInto(sc.gF)
+	gF := st.est
+	dirF.DenseInto(gF)
 	seeded := false
 	for j := max(0, f-u.cfg.PairSize); j < f; j++ {
-		if err := u.store.ModelInto(j, sc.wJ); err != nil {
+		dw := sc.dwFor(u.store, j, f, wF)
+		if dw == nil {
 			continue
 		}
-		gJ := sc.gJ
+		dg := st.pairs.Slot(len(wF))
 		if dirJ, err := u.store.Direction(j, id); err == nil {
-			dirJ.DenseInto(gJ)
+			dirJ.DenseInto(dg)
+			tensor.SubInto(dg, dg, gF)
 		} else if u.cfg.OnlineBootstrap != nil {
+			if sc.wJ == nil {
+				sc.wJ = make([]float64, sc.dim)
+			}
+			if err := u.store.ModelInto(j, sc.wJ); err != nil {
+				continue
+			}
 			fresh, err := u.dispatchBootstrap(ctx, id, j, sc.wJ)
 			if err != nil {
 				if ctx.Err() != nil {
@@ -342,13 +369,11 @@ func (u *Unlearner) seedPairs(ctx context.Context, st *clientState, id history.C
 				u.met.bootstrapSkips.Inc()
 				continue
 			}
-			gJ = fresh
+			tensor.SubInto(dg, fresh, gF)
 		} else {
 			continue
 		}
-		tensor.SubInto(sc.dw, sc.wJ, wF)
-		tensor.SubInto(sc.dg, gJ, sc.gF)
-		if err := st.pairs.Push(sc.dw, sc.dg); err != nil {
+		if err := st.pairs.PushSlot(dw); err != nil {
 			return seeded, fmt.Errorf("unlearn: bootstrap client %d: %w", id, err)
 		}
 		seeded = true
@@ -368,10 +393,23 @@ func (u *Unlearner) recover(ctx context.Context, wF []float64, f int, forgotten 
 // estimate is one client-round estimation outcome, collected by the
 // parallel fan-out and folded serially afterwards.
 type estimate struct {
-	clipped  int
-	fallback bool
-	err      error
+	clipped   int
+	fallback  bool
+	refreshed bool // the round's pair refresh rebuilt the approximation
+	err       error
 }
+
+// The two stages of a round the fan-out runs.
+const (
+	stageEstimate  = iota // per client: estimate, then refresh
+	stageAggregate        // per element range: FedAvg
+)
+
+// minRangeWork is the least aggregation work, in gradient elements
+// summed, worth one more fan-out worker: below it the goroutine
+// hand-off costs more than the split saves, so small models (a
+// TrafficCNN's 1 212 parameters × a fleet) aggregate inline.
+const minRangeWork = 1 << 16
 
 // pass is a resumable recovery pass: the entire state of the round loop
 // between round boundaries. runTo(ctx, limit) advances it through
@@ -397,12 +435,11 @@ type pass struct {
 	parallelism int
 
 	// Round-level scratch, reused across every recovered round: the
-	// historical model, the divergence Δw = w̄ₜ − wₜ, the estimation
+	// divergence Δw = w̄ₜ − wₜ (read as wₜ, then subtracted in place), the estimation
 	// work lists and the aggregation maps. Together with the per-client
 	// buffers in clientState this keeps the steady-state hot loop free
 	// of per-round heap churn.
-	wT           []float64
-	deltaW       []float64
+	deltaW       []float64 // dw's vector
 	aggOut       []float64
 	participants []history.ClientID
 	remaining    []history.ClientID
@@ -410,27 +447,36 @@ type pass struct {
 	estimates    []estimate
 	grads        map[history.ClientID][]float64
 	weights      map[history.ClientID]float64
-	intoAgg      fl.IntoAggregator
-	hasIntoAgg   bool
+	fedAvg       bool // the aggregator is FedAvg, aggregated in place by element range
 
-	// t, refresh and chunk are set per round before the estimation
-	// fan-out; they are hoisted so estimateOne (a method, shared by all
-	// workers) can see them.
+	// dw holds the round's Δw. A refresh round shares it with every
+	// client whose buffer takes the pair, so the next round moves to a
+	// column of dwPool — every refresh column the pass has made — that
+	// no client holds any more.
+	dw     *lbfgs.Column
+	dwPool []*lbfgs.Column
+
+	// t, refresh, stage, chunk and inv are set per fan-out; they are
+	// hoisted so runChunk (a method, shared by all workers) can see
+	// them.
 	t       int
 	refresh bool
+	stage   int
 	chunk   int
+	inv     float64 // FedAvg's 1/Σw for the aggregate stage
 
 	// The fan-out is owned by the pass so a steady-state round allocates
 	// nothing at any parallelism: workers[w] is bound once to
-	// estimateChunk(w) and started with a bare go statement, wg is
-	// reused every round. Workers live only inside a round — an
-	// abandoned pass leaves no goroutine behind.
+	// runChunk(w) and started with a bare go statement, wg is reused
+	// every round. Workers live only inside a fan-out — an abandoned
+	// pass leaves no goroutine behind.
 	wg      sync.WaitGroup
 	workers []func()
 }
 
 // newPass prepares a recovery pass over rounds f..; wF is the
-// backtracked model w_F. The pass does not run until runTo is called.
+// backtracked model w_F, which the pass never writes and returns as
+// Result.Unlearned. The pass does not run until runTo is called.
 func (u *Unlearner) newPass(wF []float64, f int, forgotten []history.ClientID, observe func(int, []float64)) *pass {
 	excluded := make(map[history.ClientID]bool, len(forgotten))
 	sortedForgotten := append([]history.ClientID(nil), forgotten...)
@@ -448,7 +494,8 @@ func (u *Unlearner) newPass(wF []float64, f int, forgotten []history.ClientID, o
 	u.met.backtrackRound.Set(float64(f))
 	u.met.backtrackDepth.Set(float64(u.store.Rounds() - f))
 
-	intoAgg, hasIntoAgg := u.cfg.Aggregator.(fl.IntoAggregator)
+	_, fedAvg := u.cfg.Aggregator.(fl.FedAvg)
+	dw := lbfgs.NewColumn(dim)
 	p := &pass{
 		u:    u,
 		f:    f,
@@ -456,7 +503,7 @@ func (u *Unlearner) newPass(wF []float64, f int, forgotten []history.ClientID, o
 		wF:   wF,
 		wBar: tensor.CloneVec(wF),
 		res: &Result{
-			Unlearned:      tensor.CloneVec(wF),
+			Unlearned:      wF,
 			BacktrackRound: f,
 			Forgotten:      sortedForgotten,
 		},
@@ -464,18 +511,21 @@ func (u *Unlearner) newPass(wF []float64, f int, forgotten []history.ClientID, o
 		excluded:    excluded,
 		states:      make(map[history.ClientID]*clientState),
 		parallelism: parallelism,
-		wT:          make([]float64, dim),
-		deltaW:      make([]float64, dim),
+		deltaW:      dw.Vec(),
 		aggOut:      make([]float64, dim),
 		grads:       make(map[history.ClientID][]float64),
 		weights:     make(map[history.ClientID]float64),
-		intoAgg:     intoAgg,
-		hasIntoAgg:  hasIntoAgg,
+		fedAvg:      fedAvg,
+		dw:          dw,
+		dwPool:      []*lbfgs.Column{dw},
 	}
 	if parallelism > 1 {
 		p.workers = make([]func(), parallelism)
 		for w := range p.workers {
-			p.workers[w] = func() { p.estimateChunk(w) }
+			p.workers[w] = func() {
+				defer p.wg.Done()
+				p.runChunk(w)
+			}
 		}
 	}
 	return p
@@ -495,18 +545,13 @@ func (p *pass) stateFor(ctx context.Context, id history.ClientID) (*clientState,
 	if err != nil {
 		return nil, err
 	}
-	dim := u.store.Dim()
-	st := &clientState{
-		pairs: pb,
-		raw:   make([]float64, dim),
-		est:   make([]float64, dim),
-	}
+	st := &clientState{pairs: pb, est: make([]float64, u.store.Dim())}
 	p.states[id] = st
 	if u.cfg.DisableBootstrap {
 		return st, nil
 	}
 	if p.boot == nil {
-		p.boot = newBootScratch(dim)
+		p.boot = newBootScratch(u.store.Dim())
 	}
 	seeded, err := u.seedPairs(ctx, st, id, p.f, p.wF, p.boot)
 	if err != nil {
@@ -523,10 +568,12 @@ func (p *pass) stateFor(ctx context.Context, id history.ClientID) (*clientState,
 }
 
 // estimateOne computes the i-th remaining client's corrected gradient
-// estimate for the round under estimation (p.t). A method, not a
-// per-round closure: a closure built per round would be a heap
-// allocation each iteration (it escapes through the go statements in
-// runTo).
+// estimate for the round under estimation (p.t) and, on a refresh
+// round, refreshes that client's pairs right after: both touch only
+// the client's own state and the round's read-only Δw, so they run
+// inside the fan-out. A method, not a per-round closure: a closure
+// built per round would be a heap allocation each iteration (it
+// escapes through the go statements in fanOut).
 func (p *pass) estimateOne(i int) {
 	id := p.remaining[i]
 	dir, err := p.u.store.Direction(p.t, id)
@@ -534,7 +581,15 @@ func (p *pass) estimateOne(i int) {
 		p.estimates[i].err = fmt.Errorf("unlearn: round %d client %d: %w", p.t, id, err)
 		return
 	}
-	p.estimates[i] = p.sts[i].estimate(dir, p.deltaW, p.refresh, p.u.cfg.ClipThreshold, p.u.cfg.ClipMode)
+	st := p.sts[i]
+	if p.refresh {
+		st.raw = st.pairs.Slot(len(p.deltaW))
+	}
+	e := st.estimate(dir, p.deltaW, p.refresh, p.u.cfg.ClipThreshold, p.u.cfg.ClipMode)
+	if p.refresh {
+		e.refreshed = st.refresh(p.dw)
+	}
+	p.estimates[i] = e
 }
 
 // estimate fills st.est with the clipped estimate
@@ -552,9 +607,9 @@ func (p *pass) estimateOne(i int) {
 // so the scratch-backed EstimateInto is safe under the fan-out.
 func (st *clientState) estimate(dir *sign.Direction, deltaW []float64, refresh bool, l float64, mode ClipMode) estimate {
 	if refresh {
-		// Only the pair refresh after this round's aggregation reads
-		// the raw dense direction; skip expanding it on every other
-		// round.
+		// On refresh rounds raw is the pair buffer's Slot, and the
+		// refresh right after this estimate reads the raw dense
+		// direction from it; skip expanding it on every other round.
 		dir.DenseInto(st.raw)
 	}
 	fused := mode != ClipNorm && mode != ClipOff
@@ -574,15 +629,111 @@ func (st *clientState) estimate(dir *sign.Direction, deltaW []float64, refresh b
 	return estimate{clipped: ClipCount(st.est, l, mode), fallback: true}
 }
 
-// estimateChunk is fan-out worker w's share of the round: the w-th
-// contiguous chunk of the remaining clients.
-func (p *pass) estimateChunk(w int) {
-	defer p.wg.Done()
-	lo := w * p.chunk
-	hi := min(lo+p.chunk, len(p.remaining))
-	for i := lo; i < hi; i++ {
-		p.estimateOne(i)
+// refresh is the periodic pair refresh (§IV-B), replacing stale pairs
+// with the divergence observed on the recovered trajectory: it turns
+// raw into Δg = est − raw in place, pushes it with the round's shared
+// Δw, and swaps in the rebuilt approximation, releasing the one it
+// replaces. A failed Build keeps the previous approximation. It
+// reports whether the approximation was rebuilt.
+func (st *clientState) refresh(dw *lbfgs.Column) bool {
+	tensor.SubInto(st.raw, st.est, st.raw)
+	if st.pairs.PushSlot(dw) != nil {
+		return false
 	}
+	a, err := st.pairs.Build()
+	if err != nil {
+		return false
+	}
+	if st.approx != nil {
+		st.approx.Release()
+	}
+	st.approx = a
+	return true
+}
+
+// runChunk is fan-out worker w's share of the stage: the w-th
+// contiguous chunk of the remaining clients, or of the model's
+// elements.
+func (p *pass) runChunk(w int) {
+	lo := w * p.chunk
+	switch p.stage {
+	case stageEstimate:
+		for i := lo; i < min(lo+p.chunk, len(p.remaining)); i++ {
+			p.estimateOne(i)
+		}
+	case stageAggregate:
+		fl.FedAvg{}.AggregateRange(p.aggOut, p.remaining, p.grads, p.weights, p.inv, lo, min(lo+p.chunk, len(p.aggOut)))
+	}
+}
+
+// fanOut runs stage over n items split into at most workers contiguous
+// chunks, one per pre-bound worker, inline when that is one chunk.
+// Every item is computed exactly once by the same code whatever the
+// split, so results are bit-identical at any parallelism.
+func (p *pass) fanOut(stage, n, workers int) {
+	if n == 0 {
+		return
+	}
+	p.stage = stage
+	p.chunk = (n + workers - 1) / workers
+	chunks := (n + p.chunk - 1) / p.chunk
+	if chunks == 1 {
+		p.runChunk(0)
+		return
+	}
+	p.wg.Add(chunks)
+	for w := 0; w < chunks; w++ {
+		go p.workers[w]()
+	}
+	p.wg.Wait()
+}
+
+// aggregate combines the round's estimates into the global update.
+// FedAvg writes into p.aggOut with no allocation, split over
+// contiguous element ranges when the round has enough work for more
+// than one worker; each element still sums the clients in sorted-ID
+// order and then scales by 1/Σw — the bits of FedAvg.AggregateInto.
+// remaining is sorted (ParticipantsInto sorts and the exclusion filter
+// preserves order) and matches the grads keys exactly, so this sums in
+// the same order as Aggregate. Any other rule runs its Aggregate.
+func (p *pass) aggregate() ([]float64, error) {
+	if p.fedAvg {
+		return p.aggOut, p.aggregateRanges(rangeWorkers(len(p.aggOut), len(p.remaining), p.parallelism))
+	}
+	return p.u.cfg.Aggregator.Aggregate(p.grads, p.weights)
+}
+
+// rangeWorkers is how many element ranges a FedAvg round of clients
+// gradients of length dim is worth splitting into: one per
+// minRangeWork of it, at least one and at most parallelism.
+func rangeWorkers(dim, clients, parallelism int) int {
+	return max(1, min(parallelism, dim*clients/minRangeWork))
+}
+
+// aggregateRanges is FedAvg.AggregateInto into p.aggOut, its elements
+// split over workers contiguous ranges on the fan-out.
+func (p *pass) aggregateRanges(workers int) error {
+	inv, err := fl.FedAvg{}.InvTotal(len(p.aggOut), p.remaining, p.grads, p.weights)
+	if err != nil {
+		return err
+	}
+	p.inv = inv
+	p.fanOut(stageAggregate, len(p.aggOut), workers)
+	return nil
+}
+
+// nextDW moves the pass off a Δw column that clients now hold, onto a
+// pooled one none does, or a new one.
+func (p *pass) nextDW() {
+	for _, c := range p.dwPool {
+		if !c.Held() {
+			p.dw, p.deltaW = c, c.Vec()
+			return
+		}
+	}
+	p.dw = lbfgs.NewColumn(len(p.deltaW))
+	p.deltaW = p.dw.Vec()
+	p.dwPool = append(p.dwPool, p.dw)
 }
 
 // runTo advances the pass through rounds [p.next, limit). It may be
@@ -600,10 +751,10 @@ func (p *pass) runTo(ctx context.Context, limit int) error {
 		if err != nil {
 			return fmt.Errorf("unlearn: round %d: %w", t, err)
 		}
-		if err := u.store.ModelInto(t, p.wT); err != nil {
+		if err := u.store.ModelInto(t, p.deltaW); err != nil {
 			return fmt.Errorf("unlearn: round %d: %w", t, err)
 		}
-		tensor.SubInto(p.deltaW, p.wBar, p.wT)
+		tensor.SubInto(p.deltaW, p.wBar, p.deltaW)
 
 		p.refresh = u.cfg.RefreshEvery > 0 && t > p.f && (t-p.f)%u.cfg.RefreshEvery == 0
 		refreshed := false
@@ -636,24 +787,13 @@ func (p *pass) runTo(ctx context.Context, limit int) error {
 			p.estimates = p.estimates[:len(remaining)]
 			clear(p.estimates)
 		}
-		// Each client is estimated exactly once with its own buffers,
-		// so splitting the list into contiguous chunks — one goroutine
-		// per worker, no goroutine-per-client churn — is bit-identical
-		// at any parallelism, including the inline workers==1 path.
+		// Each client is estimated (and refreshed) exactly once with its
+		// own buffers, one goroutine per worker, no goroutine-per-client
+		// churn.
 		p.t = t
-		workers := min(p.parallelism, len(remaining))
-		if workers <= 1 {
-			for i := range remaining {
-				p.estimateOne(i)
-			}
-		} else {
-			p.chunk = (len(remaining) + workers - 1) / workers
-			chunks := (len(remaining) + p.chunk - 1) / p.chunk
-			p.wg.Add(chunks)
-			for w := 0; w < chunks; w++ {
-				go p.workers[w]()
-			}
-			p.wg.Wait()
+		p.fanOut(stageEstimate, len(remaining), min(p.parallelism, len(remaining)))
+		if p.dw.Held() {
+			p.nextDW()
 		}
 		estimateDur := estimateSpan.End()
 
@@ -669,6 +809,7 @@ func (p *pass) runTo(ctx context.Context, limit int) error {
 				p.res.DegenerateFallbacks++
 				roundFallbacks++
 			}
+			refreshed = refreshed || e.refreshed
 			roundClips += e.clipped
 			p.grads[id] = sts[i].est
 			w, err := u.store.Weight(t, id)
@@ -676,19 +817,6 @@ func (p *pass) runTo(ctx context.Context, limit int) error {
 				return fmt.Errorf("unlearn: round %d client %d: %w", t, id, err)
 			}
 			p.weights[id] = w
-
-			// Periodic pair refresh (§IV-B): replace stale pairs with
-			// the divergence observed on the recovered trajectory.
-			// Push copies, so turning raw into Δg in place is safe.
-			if p.refresh {
-				tensor.SubInto(sts[i].raw, sts[i].est, sts[i].raw)
-				if err := sts[i].pairs.Push(p.deltaW, sts[i].raw); err == nil {
-					if a, err := sts[i].pairs.Build(); err == nil {
-						sts[i].approx = a
-						refreshed = true
-					}
-				}
-			}
 		}
 		if refreshed {
 			p.res.PairRefreshes++
@@ -700,22 +828,11 @@ func (p *pass) runTo(ctx context.Context, limit int) error {
 		var aggDur time.Duration
 		if len(p.grads) > 0 {
 			aggSpan := u.met.aggregate.Start()
-			// remaining is sorted (ParticipantsInto sorts and the
-			// exclusion filter preserves order) and matches the grads
-			// keys exactly, so the into path sums in the same order as
-			// Aggregate — identical bits, no per-round allocation.
-			if p.hasIntoAgg {
-				if err := p.intoAgg.AggregateInto(p.aggOut, remaining, p.grads, p.weights); err != nil {
-					return fmt.Errorf("unlearn: round %d: %w", t, err)
-				}
-				tensor.AxpyInPlace(p.wBar, -u.cfg.LearningRate, p.aggOut)
-			} else {
-				agg, err := u.cfg.Aggregator.Aggregate(p.grads, p.weights)
-				if err != nil {
-					return fmt.Errorf("unlearn: round %d: %w", t, err)
-				}
-				tensor.AxpyInPlace(p.wBar, -u.cfg.LearningRate, agg)
+			agg, err := p.aggregate()
+			if err != nil {
+				return fmt.Errorf("unlearn: round %d: %w", t, err)
 			}
+			tensor.AxpyInPlace(p.wBar, -u.cfg.LearningRate, agg)
 			aggDur = aggSpan.End()
 		}
 		p.res.RecoveredRounds++
@@ -747,11 +864,4 @@ func (p *pass) runTo(ctx context.Context, limit int) error {
 func (p *pass) finish() *Result {
 	p.res.Params = p.wBar
 	return p.res
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -108,9 +108,12 @@ go test -race -count=1 -run '^TestVerifyForgettingProperty$' ./internal/experime
 
 # Recovery-kernel equivalence under the race detector: the two-sweep
 # estimate against the retained reference composition (bit-identical
-# est, clip count and fallback flag), and the pass-owned fan-out's
-# zero-allocation round at Parallelism 1 and 2.
-go test -race -count=1 -run '^(TestEstimateMatchesReferenceComposition|TestRecoveryRoundAllocs)$' ./internal/unlearn/
+# est, clip count and fallback flag), the pass-owned fan-out's
+# zero-allocation round at Parallelism 1 and 2, and, because the fan-out
+# refreshes shared pair columns and splits FedAvg by element range, the
+# whole pass's byte budget, the failed-refresh path against a cloning
+# reference, and the range split against AggregateInto.
+go test -race -count=1 -run '^(TestEstimateMatchesReferenceComposition|TestRecoveryRoundAllocs|TestRecoveryPassAllocBytes|TestFailedRefreshKeepsPreviousApprox|TestAggregateRangesMatchesFedAvg)$' ./internal/unlearn/
 
 # Client-compute equivalence under the race detector: the micro-batched
 # training step against the whole-batch reference composition
