@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -146,6 +147,44 @@ func checkFacade(root, others map[string]string, readme string) (exported, uncal
 	return exported, uncalled, missing, nil
 }
 
+// moduleSources reads every .go file of the module, bench/ included
+// and dot-directories skipped: root maps the root package's non-test
+// files to their source, others every other file (tests included)
+// under its slash-separated path.
+func moduleSources(t *testing.T) (root, others map[string]string) {
+	t.Helper()
+	root, others = map[string]string{}, map[string]string{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		switch {
+		case filepath.Dir(path) != ".":
+			others[filepath.ToSlash(path)] = string(src)
+		case !strings.HasSuffix(path, "_test.go"):
+			root[path] = string(src)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root, others
+}
+
 // TestFacadeNamesHaveCallers holds the facade to its called surface
 // (ROADMAP item 4): the table proves the rule on synthetic sources,
 // the last subtest applies it to this module and to README.md.
@@ -227,35 +266,7 @@ func main() {
 	}
 
 	t.Run("this module", func(t *testing.T) {
-		root, others := map[string]string{}, map[string]string{}
-		err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				if path != "." && strings.HasPrefix(d.Name(), ".") {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, ".go") {
-				return nil
-			}
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			switch {
-			case filepath.Dir(path) != ".":
-				others[filepath.ToSlash(path)] = string(src)
-			case !strings.HasSuffix(path, "_test.go"):
-				root[path] = string(src)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		root, others := moduleSources(t)
 		readme, err := os.ReadFile("README.md")
 		if err != nil {
 			t.Fatal(err)
@@ -270,6 +281,194 @@ func main() {
 		}
 		for _, name := range missing {
 			t.Errorf("README.md uses fuiov.%s in a go block, but the facade does not export it", name)
+		}
+	})
+}
+
+// checkEngineConfig applies the engine-configuration rule to sources
+// held in memory, keyed by slash-separated path. It reads fl.Config's
+// and fl.Simulation's exported fields from internal/fl's non-test
+// files. A Config field counts as used when it is a key in an
+// fl.Config{…} or fuiov.SimConfig{…} literal in a non-test file
+// outside internal/fl. It returns the Config fields, those without
+// such a key, and Simulation's exported fields (there should be none).
+func checkEngineConfig(files map[string]string) (fields, unused, simExported []string, err error) {
+	const flDir = "internal/fl"
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	for name, src := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if path.Dir(name) == flDir {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return false
+				}
+				for _, fld := range st.Fields.List {
+					for _, id := range fld.Names {
+						switch {
+						case !id.IsExported():
+						case ts.Name.Name == "Config":
+							fields = append(fields, id.Name)
+						case ts.Name.Name == "Simulation":
+							simExported = append(simExported, id.Name)
+						}
+					}
+				}
+				return false
+			})
+			continue
+		}
+		// Local names of the two packages whose config type counts.
+		literal := map[string]string{}
+		for _, imp := range f.Imports {
+			var local, typ string
+			switch imp.Path.Value {
+			case `"fuiov/internal/fl"`:
+				local, typ = "fl", "Config"
+			case `"fuiov"`:
+				local, typ = "fuiov", "SimConfig"
+			default:
+				continue
+			}
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			literal[local] = typ
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			sel, ok := lit.Type.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); !ok || literal[x.Name] != sel.Sel.Name {
+				return true
+			}
+			for _, e := range lit.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if k, ok := kv.Key.(*ast.Ident); ok {
+						used[k.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, name := range fields {
+		if !used[name] {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(fields)
+	sort.Strings(unused)
+	sort.Strings(simExported)
+	return fields, unused, simExported, nil
+}
+
+// TestEngineConfigFieldsHaveCallers holds the round engine's
+// configuration to what its callers set: every exported fl.Config
+// field is a key in some non-test fl.Config or fuiov.SimConfig literal
+// outside internal/fl, and fl.Simulation has no exported field. The
+// table proves the rule on synthetic sources, the last subtest applies
+// it to this module.
+func TestEngineConfigFieldsHaveCallers(t *testing.T) {
+	const engine = `package fl
+
+type Config struct {
+	Rate   float64
+	Shards int
+	seed   uint64
+}
+
+type Simulation struct {
+	cfg Config
+`
+	cases := []struct {
+		name     string
+		simField string // appended to the engine's Simulation struct
+		files    map[string]string
+		wantUse  []string
+		wantSim  []string
+	}{
+		{
+			name: "keys of fl.Config and fuiov.SimConfig literals count",
+			files: map[string]string{
+				"cmd/demo/main.go":    "package main\nimport \"fuiov/internal/fl\"\nvar _ = &fl.Config{Rate: 1}\n",
+				"examples/ex/main.go": "package main\nimport f \"fuiov\"\nvar _ = f.SimConfig{Shards: 2}\n",
+			},
+		},
+		{
+			name: "tests, internal/fl itself and assignments do not count",
+			files: map[string]string{
+				"cmd/demo/main_test.go": "package main\nimport \"fuiov/internal/fl\"\nvar _ = fl.Config{Rate: 1}\n",
+				"internal/fl/sim.go":    "package fl\nvar _ = Config{Shards: 2}\n",
+				"cmd/demo/main.go":      "package main\nimport \"fuiov/internal/fl\"\nfunc f(c fl.Config) { c.Rate = 1 }\n",
+			},
+			wantUse: []string{"Rate", "Shards"},
+		},
+		{
+			name:     "an exported Simulation field is rejected",
+			simField: "\tOnRound func()\n",
+			files: map[string]string{
+				"cmd/demo/main.go": "package main\nimport \"fuiov/internal/fl\"\nvar _ = fl.Config{Rate: 1, Shards: 2}\n",
+			},
+			wantSim: []string{"OnRound"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			files := map[string]string{"internal/fl/config.go": engine + tc.simField + "}\n"}
+			for name, src := range tc.files {
+				files[name] = src
+			}
+			fields, unused, sim, err := checkEngineConfig(files)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []string{"Rate", "Shards"}; !slices.Equal(fields, want) {
+				t.Errorf("fields = %v, want %v", fields, want)
+			}
+			if !slices.Equal(unused, tc.wantUse) {
+				t.Errorf("unused = %v, want %v", unused, tc.wantUse)
+			}
+			if !slices.Equal(sim, tc.wantSim) {
+				t.Errorf("Simulation exported fields = %v, want %v", sim, tc.wantSim)
+			}
+		})
+	}
+
+	t.Run("this module", func(t *testing.T) {
+		root, others := moduleSources(t)
+		for name, src := range root {
+			others[name] = src
+		}
+		fields, unused, sim, err := checkEngineConfig(others)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fields) == 0 {
+			t.Fatal("found no fl.Config fields: has the struct moved?")
+		}
+		t.Logf("fl.Config has %d fields", len(fields))
+		for _, name := range unused {
+			t.Errorf("fl.Config.%s is set by no non-test fl.Config or fuiov.SimConfig literal outside internal/fl: delete it, or add the caller first", name)
+		}
+		for _, name := range sim {
+			t.Errorf("fl.Simulation exports field %s: give it a Config field or a method", name)
 		}
 	})
 }

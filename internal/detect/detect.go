@@ -24,6 +24,7 @@
 package detect
 
 import (
+	"fmt"
 	"sort"
 
 	"fuiov/internal/fl"
@@ -111,7 +112,7 @@ func (d *CosineDetector) RecordRound(_ int, _ []float64, grads map[history.Clien
 	if len(grads) < 3 {
 		return nil // a median of fewer than 3 uploads is meaningless
 	}
-	reference, err := fl.Median{}.Aggregate(grads, nil)
+	reference, err := median(grads)
 	if err != nil {
 		return err
 	}
@@ -126,6 +127,37 @@ func (d *CosineDetector) RecordRound(_ int, _ []float64, grads map[history.Clien
 		d.counts[id]++
 	}
 	return nil
+}
+
+// median is the coordinate-wise median of the uploads (the middle
+// pair's mean for an even count). It ignores weights: a poisoned
+// upload may claim any.
+func median(grads map[history.ClientID][]float64) ([]float64, error) {
+	if len(grads) == 0 {
+		return nil, fmt.Errorf("detect: median of no gradients")
+	}
+	rows := make([][]float64, 0, len(grads))
+	for id, g := range grads {
+		if len(rows) > 0 && len(g) != len(rows[0]) {
+			return nil, fmt.Errorf("detect: client %d gradient has %d params, want %d", id, len(g), len(rows[0]))
+		}
+		rows = append(rows, g)
+	}
+	out := make([]float64, len(rows[0]))
+	column := make([]float64, len(rows))
+	for j := range out {
+		for i, g := range rows {
+			column[i] = g[j]
+		}
+		sort.Float64s(column)
+		mid := len(column) / 2
+		if len(column)%2 == 1 {
+			out[j] = column[mid]
+		} else {
+			out[j] = (column[mid-1] + column[mid]) / 2
+		}
+	}
+	return out, nil
 }
 
 // Scores returns the per-client mean cosine scores, sorted by client.

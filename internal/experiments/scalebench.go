@@ -17,12 +17,12 @@ import (
 )
 
 // ScaleConfig parameterises the streaming-aggregation scale benchmark:
-// fleet sizes far beyond what per-client buffering could hold, driven
-// through the same primitives the engine uses — fl.Sampler for the
-// cohort draw, fl.ShardedFedAvg for the fold/resolve path and
-// history.Bitmap for responder tracking. Gradients are synthetic
-// (deterministic per (seed, client, round)) so the benchmark measures
-// the aggregation path, not model compute.
+// fleet sizes far beyond what per-client buffering could hold, drawn
+// by fl.Sampler and driven through the primitives the engine uses —
+// fl.ShardedFedAvg for the fold/resolve path and history.Bitmap for
+// responder tracking. Gradients are synthetic (deterministic per
+// (seed, client, round)) so the benchmark measures the aggregation
+// path, not model compute.
 type ScaleConfig struct {
 	// Registered are the fleet sizes to sweep (e.g. 1e4, 1e5, 1e6).
 	Registered []int

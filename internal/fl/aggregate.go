@@ -8,37 +8,22 @@ import (
 )
 
 // Aggregator combines per-client gradients into one global update.
+// FedAvg is the only rule: the round engine calls it directly, and
+// unlearn.Config.Aggregator is the seam a test substitutes to observe
+// what recovery aggregates.
 type Aggregator interface {
 	// Aggregate combines the gradients; weights align with grads by
 	// client ID. It must not mutate the inputs, and must not retain
 	// them past the call: hot paths (the recovery loop) reuse the map
 	// and the gradient buffers on the next round.
 	Aggregate(grads map[history.ClientID][]float64, weights map[history.ClientID]float64) ([]float64, error)
-	// Name identifies the rule in logs.
-	Name() string
-}
-
-// IntoAggregator is an optional Aggregator extension for hot paths.
-// AggregateInto writes the combined update into dst, visiting clients
-// in the order of ids — the caller supplies them sorted, so the
-// summation order (and therefore every result bit) matches Aggregate.
-// ids must be exactly the keys of grads. Implementations must not
-// retain dst, ids or the maps past the call.
-type IntoAggregator interface {
-	AggregateInto(dst []float64, ids []history.ClientID, grads map[history.ClientID][]float64, weights map[history.ClientID]float64) error
 }
 
 // FedAvg is the paper's aggregation rule (eq. 1): the weighted average
 // of client gradients, weighted by local dataset size.
 type FedAvg struct{}
 
-var (
-	_ Aggregator     = FedAvg{}
-	_ IntoAggregator = FedAvg{}
-)
-
-// Name implements Aggregator.
-func (FedAvg) Name() string { return "fedavg" }
+var _ Aggregator = FedAvg{}
 
 // Aggregate computes Σ wᵢ·gᵢ / Σ wᵢ. Missing weights default to 1.
 func (FedAvg) Aggregate(grads map[history.ClientID][]float64, weights map[history.ClientID]float64) ([]float64, error) {
@@ -53,20 +38,18 @@ func (FedAvg) Aggregate(grads map[history.ClientID][]float64, weights map[histor
 	// Aggregate in sorted client order: map iteration order is random
 	// and float addition is not associative, so an unordered sum would
 	// break bit-reproducibility across runs.
-	ids := make([]history.ClientID, 0, len(grads))
-	for id := range grads {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
 	out := make([]float64, dim)
-	if err := (FedAvg{}).AggregateInto(out, ids, grads, weights); err != nil {
+	if err := (FedAvg{}).AggregateInto(out, sortedIDs(grads), grads, weights); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// AggregateInto implements IntoAggregator: the same weighted average
-// as Aggregate, written into caller-owned memory with zero allocation.
+// AggregateInto is the same weighted average as Aggregate, written
+// into caller-owned memory with zero allocation. It visits clients in
+// the order of ids — the caller supplies them sorted, so the summation
+// order (and therefore every result bit) matches Aggregate. ids must
+// be exactly the keys of grads; nothing is retained past the call.
 func (f FedAvg) AggregateInto(dst []float64, ids []history.ClientID, grads map[history.ClientID][]float64, weights map[history.ClientID]float64) error {
 	inv, err := f.InvTotal(len(dst), ids, grads, weights)
 	if err != nil {
@@ -126,4 +109,15 @@ func weightOf(weights map[history.ClientID]float64, id history.ClientID) float64
 		return w
 	}
 	return 1
+}
+
+// sortedIDs returns the client IDs of a gradient map in ascending
+// order, the deterministic order every sum over clients runs in.
+func sortedIDs(grads map[history.ClientID][]float64) []history.ClientID {
+	ids := make([]history.ClientID, 0, len(grads))
+	for id := range grads {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }

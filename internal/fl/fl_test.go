@@ -129,11 +129,11 @@ func TestTrainingImprovesAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := metrics.Accuracy(sim.GlobalModel(), test)
+	before := metrics.AccuracyAt(net, sim.Params(), test)
 	if err := sim.RunContext(context.Background(), 40); err != nil {
 		t.Fatal(err)
 	}
-	after := metrics.Accuracy(sim.GlobalModel(), test)
+	after := metrics.AccuracyAt(net, sim.Params(), test)
 	if after < before+0.2 {
 		t.Fatalf("federated training did not learn: %v -> %v", before, after)
 	}
@@ -350,27 +350,6 @@ func TestSetParamsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOnRoundCallback(t *testing.T) {
-	clients, _, net := buildFederation(t, 2, 200, 9)
-	sim, err := NewSimulation(net, clients, Config{LearningRate: 0.3, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rounds []int
-	sim.OnRound = func(t int, params []float64) {
-		rounds = append(rounds, t)
-		if len(params) != net.NumParams() {
-			panic("bad params in callback")
-		}
-	}
-	if err := sim.RunContext(context.Background(), 4); err != nil {
-		t.Fatal(err)
-	}
-	if len(rounds) != 4 || rounds[0] != 0 || rounds[3] != 3 {
-		t.Errorf("callback rounds = %v", rounds)
-	}
-}
-
 func TestClientGradientFiniteAndDeterministic(t *testing.T) {
 	clients, _, net := buildFederation(t, 2, 200, 10)
 	c := clients[0]
@@ -413,86 +392,4 @@ func TestClientWithoutDataErrors(t *testing.T) {
 	if _, err := c.ComputeGradient(net, net.ParamVector(), 1, 0); err == nil {
 		t.Error("client without data should error")
 	}
-}
-
-func TestSampleFractionSelectsSubset(t *testing.T) {
-	clients, _, net := buildFederation(t, 10, 600, 60)
-	store, err := history.NewStore(net.NumParams(), 1e-2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := NewSimulation(net, clients, Config{
-		LearningRate: 0.05, Seed: 60, Store: store, SampleFraction: 0.3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.RunContext(context.Background(), 10); err != nil {
-		t.Fatal(err)
-	}
-	sawDifferentSets := false
-	var prev []history.ClientID
-	for round := 0; round < 10; round++ {
-		p, err := store.Participants(round)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(p) != 3 { // 30% of 10
-			t.Fatalf("round %d sampled %d clients, want 3", round, len(p))
-		}
-		if prev != nil {
-			same := len(p) == len(prev)
-			if same {
-				for i := range p {
-					if p[i] != prev[i] {
-						same = false
-						break
-					}
-				}
-			}
-			if !same {
-				sawDifferentSets = true
-			}
-		}
-		prev = p
-	}
-	if !sawDifferentSets {
-		t.Error("sampling selected the identical subset every round")
-	}
-}
-
-func TestSampleFractionValidation(t *testing.T) {
-	clients, _, net := buildFederation(t, 3, 300, 61)
-	if _, err := NewSimulation(net, clients, Config{
-		LearningRate: 0.05, SampleFraction: 1.5,
-	}); err == nil {
-		t.Error("sample fraction > 1 should error")
-	}
-	// Fraction 1 selects everyone.
-	sim, err := NewSimulation(net, clients, Config{
-		LearningRate: 0.05, Seed: 61, SampleFraction: 1,
-		Store: mustStore(t, net.NumParams()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.RunContext(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	p, err := sim.cfg.Store.Participants(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p) != 3 {
-		t.Errorf("fraction 1 sampled %d of 3", len(p))
-	}
-}
-
-func mustStore(t *testing.T, dim int) *history.Store {
-	t.Helper()
-	s, err := history.NewStore(dim, 1e-2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }

@@ -87,7 +87,7 @@ func TestLocalStepsAccelerateTraining(t *testing.T) {
 		if err := sim.RunContext(context.Background(), 20); err != nil {
 			t.Fatal(err)
 		}
-		return metrics.Accuracy(sim.GlobalModel(), test)
+		return metrics.AccuracyAt(net, sim.Params(), test)
 	}
 	single := run(1)
 	multi := run(5)

@@ -1,28 +1,20 @@
 package fl
 
-import (
-	"fmt"
+import "fuiov/internal/rng"
 
-	"fuiov/internal/rng"
-)
-
-// Sampler is the client-sampling mode for fleet-scale federations:
-// each round the server draws a seeded cohort of K of the N
-// schedule-eligible clients (the paper trains 100 vehicles; a
-// production RSU samples cohorts of that order out of millions
-// registered). The draw is a partial Fisher–Yates shuffle seeded by
+// Sampler draws seeded cohorts of K out of N clients — the scale
+// benchmark's model of a production RSU that samples cohorts of the
+// paper's size (100 vehicles) out of millions registered. The round
+// engine itself does not sample: its Schedule alone decides who is in
+// a round. The draw is a partial Fisher–Yates shuffle seeded by
 // (Seed, round), so the cohort is a pure function of the round index:
-// re-running a schedule reproduces the same cohorts, and resuming at
-// round t re-draws t's cohort exactly.
+// re-running a sweep reproduces the same cohorts.
 //
 // Memory is one reusable int32 index array of length N (4 bytes per
 // registered client — registry-scale, not gradient-scale) and zero
-// per-round allocation after the first call. Absentees within a
-// cohort are tracked by the round engine in a history.Bitmap, not a
-// map (see DESIGN.md §15).
+// per-round allocation after the first call (see DESIGN.md §15).
 type Sampler struct {
-	// Seed drives the per-round draws; 0 falls back to the
-	// simulation's Config.Seed when the sampler is attached to one.
+	// Seed drives the per-round draws.
 	Seed uint64
 	// K is the cohort size per round. Rounds with fewer than K
 	// eligible clients take everyone.
@@ -33,23 +25,11 @@ type Sampler struct {
 	idx []int32
 }
 
-// Validate rejects unusable samplers.
-func (sm *Sampler) Validate() error {
-	if sm == nil {
-		return nil
-	}
-	if sm.K <= 0 {
-		return fmt.Errorf("fl: sampler cohort size %d", sm.K)
-	}
-	return nil
-}
-
 // Cohort returns the round-t cohort as indices into the eligible
 // list [0, n): the first K positions of a seeded partial shuffle,
 // in draw order. The returned slice aliases the sampler's reusable
 // buffer — it is valid until the next Cohort call and must not be
-// retained. When n <= K every index is returned (in identity order),
-// matching the full-participation semantics of no sampler at all.
+// retained. When n <= K every index is returned (in identity order).
 func (sm *Sampler) Cohort(t int, n int) []int32 {
 	if cap(sm.idx) < n {
 		sm.idx = make([]int32, n)
@@ -67,14 +47,4 @@ func (sm *Sampler) Cohort(t int, n int) []int32 {
 		sm.idx[i], sm.idx[j] = sm.idx[j], sm.idx[i]
 	}
 	return sm.idx[:sm.K]
-}
-
-// seeded returns a copy of the sampler with the fallback seed applied
-// (used by NewSimulation so Config.Seed flows through a zero-seed
-// sampler).
-func (sm *Sampler) seeded(fallback uint64) *Sampler {
-	if sm.Seed == 0 {
-		sm.Seed = fallback
-	}
-	return sm
 }

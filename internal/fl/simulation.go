@@ -12,7 +12,6 @@ import (
 	"fuiov/internal/faults"
 	"fuiov/internal/history"
 	"fuiov/internal/nn"
-	"fuiov/internal/rng"
 	"fuiov/internal/telemetry"
 	"fuiov/internal/tensor"
 )
@@ -83,8 +82,6 @@ type Config struct {
 	// Parallelism bounds concurrent client computations
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// Aggregator defaults to FedAvg when nil.
-	Aggregator Aggregator
 	// Schedule defaults to AlwaysOn when nil.
 	Schedule Schedule
 	// Store, when non-nil, records every round for later unlearning.
@@ -92,34 +89,20 @@ type Config struct {
 	// Recorders are additional round observers (e.g. the baselines'
 	// full-gradient stores). They run after Store.
 	Recorders []Recorder
-	// SampleFraction, when in (0, 1), makes the server select that
-	// fraction of the schedule-eligible clients uniformly at random
-	// each round (McMahan et al.'s client sampling). 0 or 1 selects
-	// everyone. Sampling is deterministic in (Seed, round).
-	SampleFraction float64
-	// Sampler, when non-nil, is the fleet-scale client-sampling mode:
-	// a seeded cohort of Sampler.K schedule-eligible clients per round,
-	// drawn deterministically in (Sampler.Seed, round) with
-	// registry-scale memory (see Sampler). Mutually exclusive with
-	// SampleFraction. Cohort absentees are tracked in a bitmap, not a
-	// map.
-	Sampler *Sampler
 	// Streaming selects the sharded StreamAggregator for every round:
 	// uploads fold into StreamShards shard accumulators the moment
 	// they are computed (or arrive over HTTP), so round memory is
 	// O(shards × dim) instead of O(cohort × dim) — at the price of
 	// committed bits that depend on each shard's arrival order.
-	// Without it the round buffers the cohort and runs the Aggregator
-	// over it in ascending-ID order, whatever order it arrived in.
-	// Requires an Aggregator implementing StreamableAggregator — the
-	// robust rules need the whole cohort at once and fail fast with
-	// ErrNotStreamable — and cannot feed full-gradient Recorders. The
-	// history Store works in both modes: every upload is recorded as
-	// its 2-bit direction, compressed on arrival unless it arrived as
-	// one. With StreamShards == 1 and
-	// ascending-ID arrival the committed update is bit-identical to the
-	// buffered one; with more shards it differs only by float-addition
-	// reassociation and is bit-reproducible run to run (DESIGN.md §15).
+	// Without it the round buffers the cohort and runs FedAvg over it
+	// in ascending-ID order, whatever order it arrived in. Streaming
+	// cannot feed full-gradient Recorders. The history Store works in
+	// both modes: every upload is recorded as its 2-bit direction,
+	// compressed on arrival unless it arrived as one. With
+	// StreamShards == 1 and ascending-ID arrival the committed update is
+	// bit-identical to the buffered one; with more shards it differs
+	// only by float-addition reassociation and is bit-reproducible run
+	// to run (DESIGN.md §15).
 	Streaming bool
 	// StreamShards is the streaming path's shard count P
 	// (0 = Parallelism).
@@ -175,7 +158,6 @@ type streamMetrics struct {
 	fold      *telemetry.Timer
 	resolve   *telemetry.Timer
 	folds     *telemetry.Counter
-	sampled   *telemetry.Counter
 	absentees *telemetry.Counter
 	shards    *telemetry.Gauge
 }
@@ -185,7 +167,6 @@ func newStreamMetrics(r *telemetry.Registry) streamMetrics {
 		fold:      r.Timer(telemetry.FLStreamFold),
 		resolve:   r.Timer(telemetry.FLStreamResolve),
 		folds:     r.Counter(telemetry.FLStreamFolds),
-		sampled:   r.Counter(telemetry.FLStreamSampled),
 		absentees: r.Counter(telemetry.FLStreamAbsentees),
 		shards:    r.Gauge(telemetry.FLStreamShards),
 	}
@@ -270,15 +251,11 @@ type Simulation struct {
 	respBits *history.Bitmap
 	aggOut   []float64
 	// The in-process loop's cohort and per-chunk result scratch.
-	eligBuf   []*Client
 	cohortBuf []*Client
 	chunkRes  []callResult
 	// liveStream is the open round (NewRoundStream); committing or
 	// aborting closes it.
 	liveStream *RoundStream
-
-	// OnRound, when non-nil, observes (round, params-after-update).
-	OnRound func(t int, params []float64)
 }
 
 // NewSimulation creates a simulation starting from the template's
@@ -307,17 +284,11 @@ func NewSimulation(template *nn.Network, clients []*Client, cfg Config) (*Simula
 			maxID = c.ID
 		}
 	}
-	if cfg.Aggregator == nil {
-		cfg.Aggregator = FedAvg{}
-	}
 	if cfg.Schedule == nil {
 		cfg.Schedule = AlwaysOn{}
 	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if cfg.SampleFraction < 0 || cfg.SampleFraction > 1 {
-		return nil, fmt.Errorf("fl: sample fraction %v outside [0,1]", cfg.SampleFraction)
 	}
 	if cfg.StartRound < 0 {
 		return nil, fmt.Errorf("fl: negative start round %d", cfg.StartRound)
@@ -328,15 +299,6 @@ func NewSimulation(template *nn.Network, clients []*Client, cfg Config) (*Simula
 	}
 	if err := cfg.FaultPolicy.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Sampler != nil {
-		if err := cfg.Sampler.Validate(); err != nil {
-			return nil, err
-		}
-		if cfg.SampleFraction > 0 && cfg.SampleFraction < 1 {
-			return nil, fmt.Errorf("fl: Sampler and SampleFraction are mutually exclusive")
-		}
-		cfg.Sampler = cfg.Sampler.seeded(cfg.Seed)
 	}
 	if cfg.StreamShards < 0 {
 		return nil, fmt.Errorf("fl: negative stream shard count %d", cfg.StreamShards)
@@ -369,10 +331,6 @@ func NewSimulation(template *nn.Network, clients []*Client, cfg Config) (*Simula
 	s.respBits = history.NewBitmap(int(maxID) + 1)
 	s.aggOut = make([]float64, len(s.params))
 	if cfg.Streaming {
-		sa, ok := cfg.Aggregator.(StreamableAggregator)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T", ErrNotStreamable, cfg.Aggregator)
-		}
 		if len(cfg.Recorders) > 0 {
 			// Full-gradient recorders would force the engine to retain
 			// every upload, defeating the flat-memory contract. The
@@ -383,14 +341,14 @@ func NewSimulation(template *nn.Network, clients []*Client, cfg Config) (*Simula
 		if cfg.StreamShards == 0 {
 			s.cfg.StreamShards = cfg.Parallelism
 		}
-		stream, err := sa.NewStream(len(s.params), s.cfg.StreamShards)
+		stream, err := NewShardedFedAvg(len(s.params), s.cfg.StreamShards)
 		if err != nil {
 			return nil, err
 		}
 		s.stream = stream
 		s.met.stream.shards.Set(float64(s.cfg.StreamShards))
 	} else {
-		s.buffer = &cohortBuffer{rule: cfg.Aggregator}
+		s.buffer = &cohortBuffer{}
 		s.stream = s.buffer
 	}
 	return s, nil
@@ -436,10 +394,10 @@ func (s *Simulation) SwapStore(ns *history.Store) error {
 func (s *Simulation) Clients() []*Client { return s.clients }
 
 // Config returns the simulation's effective configuration — with the
-// defaults NewSimulation filled in (aggregator, schedule,
-// parallelism). Callers layering on top of the engine (the networked
-// coordinator) read the learning rate, store and policy from here
-// rather than carrying duplicate copies.
+// defaults NewSimulation filled in (schedule, parallelism, shards).
+// Callers layering on top of the engine (the networked coordinator)
+// read the learning rate, store and policy from here rather than
+// carrying duplicate copies.
 func (s *Simulation) Config() Config { return s.cfg }
 
 // Template returns the architecture template (parameters unspecified).
@@ -466,7 +424,7 @@ func (s *Simulation) Template() *nn.Network { return s.template }
 // chunks — gradients within a chunk run in parallel, then enter the
 // stream sequentially in ascending-ID order — and committed through
 // SubmitRoundStream. The fixed order makes the committed update
-// bit-reproducible run to run whatever the aggregator; under
+// bit-reproducible run to run in either mode; under
 // Config.Streaming it also bounds live gradient memory at
 // O(chunk × dim), independent of the cohort size.
 func (s *Simulation) RunRoundContext(ctx context.Context) error {
@@ -540,37 +498,19 @@ func (s *Simulation) RunRoundContext(ctx context.Context) error {
 	return s.SubmitRoundStream(rs, len(cohort))
 }
 
-// cohort draws round t's participants: the schedule-eligible clients,
-// thinned by Config.Sampler or Config.SampleFraction, in ascending ID
-// order — independent of draw order, so the order uploads enter the
-// round is fixed. The result aliases the engine's scratch and is valid
-// until the next call.
+// cohort returns round t's participants — the clients the schedule
+// admits — in ascending ID order, independent of registration order,
+// so the order uploads enter the round is fixed. The result aliases
+// the engine's scratch and is valid until the next call.
 func (s *Simulation) cohort(t int) []*Client {
-	s.eligBuf = s.eligBuf[:0]
+	s.cohortBuf = s.cohortBuf[:0]
 	for _, c := range s.clients {
 		if s.cfg.Schedule.Participates(c.ID, t) {
-			s.eligBuf = append(s.eligBuf, c)
+			s.cohortBuf = append(s.cohortBuf, c)
 		}
 	}
-	cohort := s.eligBuf
-	if sm := s.cfg.Sampler; sm != nil && len(cohort) > 0 {
-		s.cohortBuf = s.cohortBuf[:0]
-		for _, ix := range sm.Cohort(t, len(cohort)) {
-			s.cohortBuf = append(s.cohortBuf, cohort[ix])
-		}
-		cohort = s.cohortBuf
-		s.met.stream.sampled.Add(int64(len(cohort)))
-	} else if f := s.cfg.SampleFraction; f > 0 && f < 1 && len(cohort) > 1 {
-		k := max(1, int(f*float64(len(cohort))))
-		r := rng.New(rng.Mix(s.cfg.Seed, 0x5a3d, uint64(t)))
-		s.cohortBuf = s.cohortBuf[:0]
-		for _, ix := range r.SampleWithoutReplacement(len(cohort), k) {
-			s.cohortBuf = append(s.cohortBuf, cohort[ix])
-		}
-		cohort = s.cohortBuf
-	}
-	slices.SortFunc(cohort, func(a, b *Client) int { return cmp.Compare(a.ID, b.ID) })
-	return cohort
+	slices.SortFunc(s.cohortBuf, func(a, b *Client) int { return cmp.Compare(a.ID, b.ID) })
+	return s.cohortBuf
 }
 
 // SubmitRound commits the current round from externally computed
@@ -583,8 +523,6 @@ func (s *Simulation) cohort(t int) []*Client {
 // and SubmitRoundStream enforce the rest: registered clients, the
 // model dimension, finite non-negative weights, the quorum. A refused
 // upload or a failed commit leaves history and clock untouched.
-// Config.Sampler and Config.SampleFraction do not apply: the caller
-// decides who was scheduled.
 func (s *Simulation) SubmitRound(grads map[history.ClientID][]float64, weights map[history.ClientID]float64, scheduled int) error {
 	rs, err := s.NewRoundStream()
 	if err != nil {
@@ -642,12 +580,4 @@ func (s *Simulation) RunContext(ctx context.Context, rounds int) error {
 		}
 	}
 	return nil
-}
-
-// GlobalModel returns a clone of the template carrying the current
-// global parameters, ready for evaluation.
-func (s *Simulation) GlobalModel() *nn.Network {
-	net := s.template.Clone()
-	net.SetParamVector(s.params)
-	return net
 }

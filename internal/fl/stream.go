@@ -13,29 +13,19 @@ import (
 	"fuiov/internal/sign"
 )
 
-// ErrNotStreamable marks an aggregation rule that cannot fold uploads
-// online. The robust aggregators (Median, TrimmedMean, Krum,
-// SignAggregator) inspect the whole cohort's uploads jointly — a
-// median needs every value of a coordinate, Krum needs pairwise
-// distances — so they fundamentally require the buffering aggregator's
-// per-client retention. Selecting Config.Streaming with one of them
-// fails fast at NewSimulation with this sentinel instead of silently
-// buffering a million gradients.
-var ErrNotStreamable = errors.New("fl: aggregator cannot stream")
-
 // ErrDuplicateUpload marks a second upload from the same client inside
 // one round: RoundStream tracks responders in a bitmap and surfaces
 // repeats through this sentinel.
 var ErrDuplicateUpload = errors.New("fl: duplicate upload")
 
 // StreamAggregator receives a round's uploads one at a time, as they
-// arrive, and reduces them at Resolve. The engine has two. The sharded
-// implementation (ShardedFedAvg, under Config.Streaming) folds each
-// upload into bounded accumulator state and never keeps a reference to
-// grad — callers reuse the buffer for the next upload — so a round's
-// aggregation memory is the accumulators, not O(cohort × dim). The
-// buffering implementation (cohortBuffer, otherwise) keeps every
-// upload until Resolve runs the configured rule over the whole cohort.
+// arrive, and reduces them at Resolve. The engine has two, both FedAvg.
+// The sharded implementation (ShardedFedAvg, under Config.Streaming)
+// folds each upload into bounded accumulator state and never keeps a
+// reference to grad — callers reuse the buffer for the next upload — so
+// a round's aggregation memory is the accumulators, not
+// O(cohort × dim). The buffering implementation (cohortBuffer,
+// otherwise) keeps every upload until Resolve sums the whole cohort.
 //
 // Determinism contract of the sharded implementation: the resolved
 // result is a pure function of the per-shard fold sequences. Shard
@@ -67,16 +57,13 @@ type StreamAggregator interface {
 	Bytes() int
 }
 
-// cohortBuffer is the barrier: the StreamAggregator of every rule
-// that is not streamed. Add keeps the upload (the gradient itself, not
-// a copy — the caller hands the buffer over until the next Reset), and
-// Resolve runs the rule over the whole cohort in ascending-ID order,
-// so every rule sees exactly the maps it would have been handed by a
-// caller that collected the round itself, and the result does not
-// depend on arrival order.
+// cohortBuffer is the barrier: the StreamAggregator of a round that
+// is not streamed. Add keeps the upload (the gradient itself, not a
+// copy — the caller hands the buffer over until the next Reset), and
+// Resolve runs FedAvg over the whole cohort in ascending-ID order, so
+// the result does not depend on arrival order and full-gradient
+// Recorders see the cohort's maps.
 type cohortBuffer struct {
-	rule Aggregator
-
 	mu      sync.Mutex
 	ids     []history.ClientID
 	grads   map[history.ClientID][]float64
@@ -99,23 +86,12 @@ func (b *cohortBuffer) Add(id history.ClientID, grad []float64, weight float64) 
 	return nil
 }
 
-// Resolve implements StreamAggregator: the sorted-ID into path when the
-// rule has one (same summation order as Aggregate, which also sorts,
-// without the per-round result allocation), Aggregate otherwise.
+// Resolve implements StreamAggregator: FedAvg.AggregateInto over the
+// sorted IDs — Aggregate's summation order without its per-round
+// result allocation.
 func (b *cohortBuffer) Resolve(dst []float64) error {
-	if into, ok := b.rule.(IntoAggregator); ok {
-		slices.Sort(b.ids)
-		return into.AggregateInto(dst, b.ids, b.grads, b.weights)
-	}
-	agg, err := b.rule.Aggregate(b.grads, b.weights)
-	if err != nil {
-		return err
-	}
-	if len(agg) != len(dst) {
-		return fmt.Errorf("fl: %s aggregate has %d params, want %d", b.rule.Name(), len(agg), len(dst))
-	}
-	copy(dst, agg)
-	return nil
+	slices.Sort(b.ids)
+	return FedAvg{}.AggregateInto(dst, b.ids, b.grads, b.weights)
 }
 
 // Folded implements StreamAggregator.
@@ -142,25 +118,6 @@ func (b *cohortBuffer) Bytes() int {
 		n += 8 * len(g)
 	}
 	return n
-}
-
-// StreamableAggregator is the optional Aggregator extension that
-// enables Config.Streaming: the rule can build an online accumulator.
-// FedAvg implements it; the robust rules deliberately do not (see
-// ErrNotStreamable).
-type StreamableAggregator interface {
-	Aggregator
-	// NewStream returns a fresh streaming accumulator for models with
-	// dim parameters, folding into shards shard accumulators.
-	NewStream(dim, shards int) (StreamAggregator, error)
-}
-
-var _ StreamableAggregator = FedAvg{}
-
-// NewStream implements StreamableAggregator: FedAvg's weighted mean is
-// a plain weighted sum, so it folds online into a ShardedFedAvg.
-func (FedAvg) NewStream(dim, shards int) (StreamAggregator, error) {
-	return NewShardedFedAvg(dim, shards)
 }
 
 // ShardOf assigns a client to one of shards shard accumulators by a

@@ -20,7 +20,7 @@ import (
 // where their uploads come from. Add hands each upload to the round's
 // StreamAggregator: ShardedFedAvg under Config.Streaming, which folds
 // it and keeps nothing, otherwise the buffering aggregator, which keeps
-// the gradient until the rule runs at commit. Either way the upload's
+// the gradient until FedAvg runs at commit. Either way the upload's
 // 2-bit direction is in hand on arrival when a history store is
 // configured — compressed here, or the very payload a sign upload
 // carried — so the commit itself never touches the codec. Obtain one
@@ -90,9 +90,10 @@ func (rs *RoundStream) Add(id history.ClientID, grad []float64, weight float64) 
 // its sign intact and every zero stays zero, so compressing the
 // expansion would only re-derive d. (Any other scale expands and goes
 // down Add's path.) And an aggregator that can fold the packed form
-// (ShardedFedAvg) is handed it; the buffering one, whose rules need the
-// dense cohort, gets one expansion. The round keeps a reference to d:
-// the caller must not modify it afterwards.
+// (ShardedFedAvg) is handed it; the buffering one, which keeps the
+// dense cohort for full-gradient Recorders, gets one expansion. The
+// round keeps a reference to d: the caller must not modify it
+// afterwards.
 func (rs *RoundStream) AddDirection(id history.ClientID, d *sign.Direction, scale, weight float64) error {
 	if d == nil {
 		return fmt.Errorf("fl: round %d: client %d uploaded a nil direction", rs.t, id)
@@ -208,7 +209,7 @@ func (rs *RoundStream) Abort() {
 //   - record: the store receives the packed directions
 //     (Store.RecordRoundDirs), full-gradient Recorders the buffered
 //     cohort;
-//   - eq. 2, the round clock, one round event, OnRound.
+//   - eq. 2, the round clock, one round event.
 //
 // Resolve precedes record because it is the step an upload can still
 // fail — validation cannot see that every weight of a round is zero —
@@ -300,9 +301,6 @@ func (s *Simulation) SubmitRoundStream(rs *RoundStream, scheduled int) error {
 			fields = append(fields, telemetry.D("compute", rs.computeDur), telemetry.D("total", total))
 		}
 		s.cfg.Telemetry.Emit(telemetry.Event{Scope: "fl", Name: "round", Round: t, Fields: fields})
-	}
-	if s.OnRound != nil {
-		s.OnRound(t, tensor.CloneVec(s.params))
 	}
 	return nil
 }

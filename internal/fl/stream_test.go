@@ -260,11 +260,6 @@ func TestStreamConcurrentAdd(t *testing.T) {
 func TestStreamingConfigFailFast(t *testing.T) {
 	clients, _, net := buildFederation(t, 4, 400, 5)
 	if _, err := NewSimulation(net, clients, Config{
-		LearningRate: 0.1, Streaming: true, Aggregator: Median{},
-	}); !errors.Is(err, ErrNotStreamable) {
-		t.Errorf("Median + Streaming error = %v, want ErrNotStreamable", err)
-	}
-	if _, err := NewSimulation(net, clients, Config{
 		LearningRate: 0.1, StreamShards: 4,
 	}); err == nil {
 		t.Error("StreamShards without Streaming accepted")
@@ -274,16 +269,6 @@ func TestStreamingConfigFailFast(t *testing.T) {
 		Recorders: []Recorder{&recorderStub{}},
 	}); err == nil {
 		t.Error("Streaming with full-gradient Recorders accepted")
-	}
-	if _, err := NewSimulation(net, clients, Config{
-		LearningRate: 0.1, Sampler: &Sampler{K: 0},
-	}); err == nil {
-		t.Error("zero cohort size accepted")
-	}
-	if _, err := NewSimulation(net, clients, Config{
-		LearningRate: 0.1, Sampler: &Sampler{K: 2}, SampleFraction: 0.5,
-	}); err == nil {
-		t.Error("Sampler + SampleFraction accepted")
 	}
 }
 
@@ -296,23 +281,26 @@ func (recorderStub) RecordRound(int, []float64, map[history.ClientID][]float64, 
 // TestStreamingSimulationP1Bits runs the same federation through the
 // barrier path and the streaming path with one shard: the committed
 // parameters must agree bit for bit, round after round — with the
-// whole fleet, and with a Sampler{K} cohort, which both modes must
-// draw (a recorded round then has exactly K participants).
+// whole fleet, and with a partial schedule that both modes must follow
+// (a client sits out when (id+t)%3 == 0, so a recorded round lists
+// exactly the others).
 func TestStreamingSimulationP1Bits(t *testing.T) {
 	const rounds = 3
-	run := func(streaming bool, shards, k int) []float64 {
+	sitsOut := func(id history.ClientID, round int) bool { return (int(id)+round)%3 == 0 }
+	run := func(streaming bool, shards int, partial bool) []float64 {
 		clients, _, net := buildFederation(t, 6, 600, 21)
 		cfg := Config{LearningRate: 0.2, Seed: 9, Parallelism: 3}
 		if streaming {
 			cfg.Streaming = true
 			cfg.StreamShards = shards
 		}
-		if k > 0 {
+		if partial {
 			store, err := history.NewStore(net.NumParams(), 1e-6)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Sampler, cfg.Store = &Sampler{K: k}, store
+			cfg.Schedule = FuncSchedule(func(id history.ClientID, round int) bool { return !sitsOut(id, round) })
+			cfg.Store = store
 		}
 		sim, err := NewSimulation(net, clients, cfg)
 		if err != nil {
@@ -321,38 +309,44 @@ func TestStreamingSimulationP1Bits(t *testing.T) {
 		if err := sim.RunContext(context.Background(), rounds); err != nil {
 			t.Fatal(err)
 		}
-		for r := 0; k > 0 && r < rounds; r++ {
+		for r := 0; partial && r < rounds; r++ {
 			ids, err := cfg.Store.Participants(r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(ids) != k {
-				t.Errorf("streaming=%v: round %d recorded %d participants, want the sampled %d", streaming, r, len(ids), k)
+			want := 0
+			for _, c := range clients {
+				if !sitsOut(c.ID, r) {
+					want++
+				}
+			}
+			if want == len(clients) || len(ids) != want {
+				t.Errorf("streaming=%v: round %d recorded %d participants, want the scheduled %d of %d", streaming, r, len(ids), want, len(clients))
 			}
 		}
 		return sim.Params()
 	}
-	barrier := run(false, 0, 0)
-	p1 := run(true, 1, 0)
+	barrier := run(false, 0, false)
+	p1 := run(true, 1, false)
 	for j := range barrier {
 		if barrier[j] != p1[j] {
 			t.Fatalf("P=1 streaming deviates from barrier at parameter %d", j)
 		}
 	}
-	p4a := run(true, 4, 0)
+	p4a := run(true, 4, false)
 	if !tensor.Equal(p4a, barrier, 1e-9) {
 		t.Error("P=4 streaming deviates from barrier beyond tolerance")
 	}
-	p4b := run(true, 4, 0)
+	p4b := run(true, 4, false)
 	for j := range p4a {
 		if p4a[j] != p4b[j] {
 			t.Fatalf("P=4 streaming not bit-reproducible at parameter %d", j)
 		}
 	}
-	sampledBarrier, sampledP1 := run(false, 0, 4), run(true, 1, 4)
-	for j := range sampledBarrier {
-		if sampledBarrier[j] != sampledP1[j] {
-			t.Fatalf("sampled cohort: P=1 streaming deviates from barrier at parameter %d", j)
+	partialBarrier, partialP1 := run(false, 0, true), run(true, 1, true)
+	for j := range partialBarrier {
+		if partialBarrier[j] != partialP1[j] {
+			t.Fatalf("partial schedule: P=1 streaming deviates from barrier at parameter %d", j)
 		}
 	}
 }
@@ -490,30 +484,5 @@ func TestSamplerCohort(t *testing.T) {
 	}
 	if got := sm.Cohort(0, 7); len(got) != 7 {
 		t.Errorf("n <= K cohort size %d, want 7", len(got))
-	}
-}
-
-// TestStreamingSampledRound checks Sampler-driven streaming rounds:
-// only K clients participate and the draw is reproducible.
-func TestStreamingSampledRound(t *testing.T) {
-	run := func() []float64 {
-		clients, _, net := buildFederation(t, 12, 900, 17)
-		sim, err := NewSimulation(net, clients, Config{
-			LearningRate: 0.2, Seed: 6, Streaming: true, StreamShards: 2,
-			Sampler: &Sampler{K: 5},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.RunContext(context.Background(), 2); err != nil {
-			t.Fatal(err)
-		}
-		return sim.Params()
-	}
-	a, b := run(), run()
-	for j := range a {
-		if a[j] != b[j] {
-			t.Fatal("sampled streaming run not reproducible")
-		}
 	}
 }

@@ -28,13 +28,6 @@ func AccuracyAt(net *nn.Network, params []float64, d *dataset.Dataset) float64 {
 	return Accuracy(net, d)
 }
 
-// Loss evaluates mean cross-entropy on the dataset.
-func Loss(net *nn.Network, d *dataset.Dataset) float64 {
-	x, labels := d.FullBatch()
-	loss, _ := net.Evaluate(x, labels)
-	return loss
-}
-
 // ModelDistance returns the L2 distance between two flat parameter
 // vectors — the standard closeness measure between an unlearned model
 // and its retrained reference.
@@ -43,17 +36,4 @@ func ModelDistance(a, b []float64) (float64, error) {
 		return 0, fmt.Errorf("metrics: dimension mismatch %d vs %d", len(a), len(b))
 	}
 	return tensor.Norm2(tensor.Sub(a, b)), nil
-}
-
-// CosineSimilarity returns the cosine of the angle between two
-// parameter (or gradient) vectors, or 0 when either is zero.
-func CosineSimilarity(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("metrics: dimension mismatch %d vs %d", len(a), len(b))
-	}
-	na, nb := tensor.Norm2(a), tensor.Norm2(b)
-	if na == 0 || nb == 0 {
-		return 0, nil
-	}
-	return tensor.Dot(a, b) / (na * nb), nil
 }

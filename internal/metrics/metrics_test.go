@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"testing"
 
 	"fuiov/internal/dataset"
@@ -43,15 +42,6 @@ func TestAccuracyAtSetsParams(t *testing.T) {
 	}
 }
 
-func TestLossFinite(t *testing.T) {
-	d := dataset.SynthDigits(dataset.DefaultDigits(50, 3))
-	net := nn.NewMLP(d.Dims.Size(), 8, d.Classes)
-	net.Init(rng.New(3))
-	if l := Loss(net, d); math.IsNaN(l) || math.IsInf(l, 0) || l < 0 {
-		t.Fatalf("loss = %v", l)
-	}
-}
-
 func TestModelDistance(t *testing.T) {
 	d, err := ModelDistance([]float64{0, 3}, []float64{4, 0})
 	if err != nil {
@@ -61,28 +51,6 @@ func TestModelDistance(t *testing.T) {
 		t.Errorf("distance = %v, want 5", d)
 	}
 	if _, err := ModelDistance([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("dimension mismatch should error")
-	}
-}
-
-func TestCosineSimilarity(t *testing.T) {
-	got, err := CosineSimilarity([]float64{1, 0}, []float64{1, 0})
-	if err != nil || math.Abs(got-1) > 1e-12 {
-		t.Errorf("parallel = %v, %v", got, err)
-	}
-	got, _ = CosineSimilarity([]float64{1, 0}, []float64{0, 1})
-	if math.Abs(got) > 1e-12 {
-		t.Errorf("orthogonal = %v, want 0", got)
-	}
-	got, _ = CosineSimilarity([]float64{1, 0}, []float64{-2, 0})
-	if math.Abs(got+1) > 1e-12 {
-		t.Errorf("antiparallel = %v, want -1", got)
-	}
-	got, _ = CosineSimilarity([]float64{0, 0}, []float64{1, 1})
-	if got != 0 {
-		t.Errorf("zero vector = %v, want 0", got)
-	}
-	if _, err := CosineSimilarity([]float64{1}, []float64{1, 2}); err == nil {
 		t.Error("dimension mismatch should error")
 	}
 }

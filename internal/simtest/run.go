@@ -91,8 +91,6 @@ func (a *clipCheckAgg) Aggregate(grads map[fuiov.ClientID][]float64, weights map
 	return fuiov.FedAvg{}.Aggregate(grads, weights)
 }
 
-func (a *clipCheckAgg) Name() string { return "fedavg+clipcheck" }
-
 // buildShard synthesises one client's private dataset, a pure function
 // of (scenario seed, client ID): a small labelled point cloud whose
 // class means are separated enough for gradients to carry signal.

@@ -28,12 +28,11 @@ const (
 	// The round's fl.StreamAggregator — ShardedFedAvg under
 	// Config.Streaming, the buffering cohort otherwise (DESIGN.md §13,
 	// §15). Uploads enter it the moment they arrive (RoundStream.Add),
-	// so these metrics describe arrival, resolve and the
-	// cohort-sampling accounting in both modes.
+	// so these metrics describe arrival, resolve and absentee
+	// accounting in both modes.
 	FLStreamFold      = "fl.stream.fold"      // timer: the aggregator's take of one upload (a shard fold — dense or straight off the packed direction — or a buffered reference, with the one expansion a packed upload needs there)
-	FLStreamResolve   = "fl.stream.resolve"   // timer: StreamAggregator.Resolve per round (tree reduction, or the buffered rule)
+	FLStreamResolve   = "fl.stream.resolve"   // timer: StreamAggregator.Resolve per round (tree reduction, or FedAvg over the buffered cohort)
 	FLStreamFolds     = "fl.stream.folds"     // counter: uploads accepted into a round
-	FLStreamSampled   = "fl.stream.sampled"   // counter: clients drawn into Sampler cohorts
 	FLStreamAbsentees = "fl.stream.absentees" // counter: scheduled clients absent from a committed round (counted, never mapped)
 	FLStreamShards    = "fl.stream.shards"    // gauge: shard count P under Config.Streaming
 

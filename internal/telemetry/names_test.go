@@ -19,7 +19,6 @@ func TestStreamMetricNamespace(t *testing.T) {
 		"FLStreamFold":      FLStreamFold,
 		"FLStreamResolve":   FLStreamResolve,
 		"FLStreamFolds":     FLStreamFolds,
-		"FLStreamSampled":   FLStreamSampled,
 		"FLStreamAbsentees": FLStreamAbsentees,
 		"FLStreamShards":    FLStreamShards,
 	}

@@ -169,20 +169,6 @@ func NormInf(v Vec) float64 {
 	return m
 }
 
-// Zero sets every element of v to 0.
-func Zero(v Vec) {
-	for i := range v {
-		v[i] = 0
-	}
-}
-
-// Fill sets every element of v to x.
-func Fill(v Vec, x float64) {
-	for i := range v {
-		v[i] = x
-	}
-}
-
 // Equal reports whether a and b have the same length and every pair of
 // elements differs by at most tol.
 func Equal(a, b Vec, tol float64) bool {

@@ -67,18 +67,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestZeroFill(t *testing.T) {
-	v := Vec{1, 2, 3}
-	Fill(v, 7)
-	if !Equal(v, Vec{7, 7, 7}, 0) {
-		t.Errorf("Fill = %v", v)
-	}
-	Zero(v)
-	if !Equal(v, Vec{0, 0, 0}, 0) {
-		t.Errorf("Zero = %v", v)
-	}
-}
-
 func TestAllFinite(t *testing.T) {
 	if !AllFinite(Vec{1, -2, 0}) {
 		t.Error("finite vector reported non-finite")

@@ -1,6 +1,7 @@
 package unlearn
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -106,5 +107,57 @@ func TestRangeWorkersOffForSmallModels(t *testing.T) {
 	}
 	if w := rangeWorkers(34186, 15, 64); w != 34186*15/minRangeWork {
 		t.Errorf("dim 34186, 15 clients, parallelism 64: %d range workers, want %d", w, 34186*15/minRangeWork)
+	}
+}
+
+// aggregateSeam is an Aggregator that is not fl.FedAvg but sums the
+// same way: through Aggregate, the path Config.Aggregator's test seam
+// (simtest's clip check) takes.
+type aggregateSeam struct{}
+
+func (aggregateSeam) Aggregate(grads map[history.ClientID][]float64, weights map[history.ClientID]float64) ([]float64, error) {
+	return fl.FedAvg{}.Aggregate(grads, weights)
+}
+
+// TestAggregatorSeamMatchesDefault: a recovery pass whose aggregator
+// wraps FedAvg.Aggregate and a default pass, which splits FedAvg by
+// element range, recover the same model bits with the same refresh,
+// fallback and bootstrap counts, at Parallelism 1 and 2. The history
+// is wide enough that the default pass runs more than one range
+// worker at Parallelism 2, so what the seam observes is what
+// production computes.
+func TestAggregatorSeamMatchesDefault(t *testing.T) {
+	const dim, rounds, clients, joinF = 34186, 12, 5, 3
+	if w := rangeWorkers(dim, clients-1, 2); w < 2 {
+		t.Fatalf("%d range workers at Parallelism 2: the shape does not split", w)
+	}
+	store := randomStore(t, 31, dim, rounds, clients, joinF)
+	for _, par := range []int{1, 2} {
+		run := func(agg fl.Aggregator) *Result {
+			u, err := New(store, Config{LearningRate: 0.1, Parallelism: par, RefreshEvery: 4, Aggregator: agg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := u.UnlearnContext(context.Background(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		def, seam := run(nil), run(aggregateSeam{})
+		if def.PairRefreshes == 0 || def.RecoveredRounds != rounds-joinF {
+			t.Fatalf("parallelism %d: %d refreshes over %d rounds: the pass did not exercise recovery", par, def.PairRefreshes, def.RecoveredRounds)
+		}
+		for i := range def.Params {
+			if def.Params[i] != seam.Params[i] {
+				t.Fatalf("parallelism %d: element %d = %v through the seam, %v by default", par, i, seam.Params[i], def.Params[i])
+			}
+		}
+		if def.PairRefreshes != seam.PairRefreshes || def.DegenerateFallbacks != seam.DegenerateFallbacks ||
+			def.BootstrappedClients != seam.BootstrappedClients {
+			t.Errorf("parallelism %d: refreshes/fallbacks/bootstrapped %d/%d/%d by default, %d/%d/%d through the seam", par,
+				def.PairRefreshes, def.DegenerateFallbacks, def.BootstrappedClients,
+				seam.PairRefreshes, seam.DegenerateFallbacks, seam.BootstrappedClients)
+		}
 	}
 }

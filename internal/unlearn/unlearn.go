@@ -36,7 +36,10 @@ type Config struct {
 	// within a recovery round (0 = GOMAXPROCS). Results are
 	// bit-identical at any setting.
 	Parallelism int
-	// Aggregator defaults to FedAvg.
+	// Aggregator defaults to FedAvg, which recovery runs through its
+	// element-range split (bit-equal to FedAvg.AggregateInto). Any
+	// other value is called through Aggregate: the seam a test uses to
+	// observe what recovery aggregates.
 	Aggregator fl.Aggregator
 	// DisableBootstrap skips seeding L-BFGS pairs from pre-join
 	// history (ablation A3 in DESIGN.md). Estimation then starts from

@@ -36,10 +36,11 @@ if [ -n "$not_ctx_first" ]; then
 fi
 
 # Doc lint: every exported top-level identifier in the facade, the
-# networked serving layer and the strategy registry must carry a doc
-# comment — these are the surfaces external operators read via go doc,
-# and PROTOCOL.md leans on their accuracy.
-doc_files=$(ls fuiov.go internal/server/*.go internal/agent/*.go internal/unlearn/strategy/*.go | grep -v _test)
+# networked serving layer, the round engine, the unlearner and the
+# strategy registry must carry a doc comment — these are the surfaces
+# external operators read via go doc, and PROTOCOL.md leans on their
+# accuracy.
+doc_files=$(ls fuiov.go internal/server/*.go internal/agent/*.go internal/fl/*.go internal/unlearn/*.go internal/unlearn/strategy/*.go | grep -v _test)
 doc_missing=$(awk '
 	/^\/\// { prev_comment = 1; next }
 	/^(func|type|var|const) [A-Z]/ || /^func \([^)]*\) [A-Z]/ {
@@ -112,8 +113,9 @@ go test -race -count=1 -run '^TestVerifyForgettingProperty$' ./internal/experime
 # zero-allocation round at Parallelism 1 and 2, and, because the fan-out
 # refreshes shared pair columns and splits FedAvg by element range, the
 # whole pass's byte budget, the failed-refresh path against a cloning
-# reference, and the range split against AggregateInto.
-go test -race -count=1 -run '^(TestEstimateMatchesReferenceComposition|TestRecoveryRoundAllocs|TestRecoveryPassAllocBytes|TestFailedRefreshKeepsPreviousApprox|TestAggregateRangesMatchesFedAvg)$' ./internal/unlearn/
+# reference, the range split against AggregateInto, and a whole pass
+# through the Config.Aggregator test seam against the default split.
+go test -race -count=1 -run '^(TestEstimateMatchesReferenceComposition|TestRecoveryRoundAllocs|TestRecoveryPassAllocBytes|TestFailedRefreshKeepsPreviousApprox|TestAggregateRangesMatchesFedAvg|TestAggregatorSeamMatchesDefault)$' ./internal/unlearn/
 
 # Client-compute equivalence under the race detector: the micro-batched
 # training step against the whole-batch reference composition
