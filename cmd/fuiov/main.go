@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -129,8 +130,8 @@ func usage(w io.Writer, cmds []command) {
 
 // run is the whole program: resolve the command, declare the shared
 // flags next to the command's own, perform the shared setup once —
-// telemetry registry and observer, spill options, profiles — run the
-// command, and print the final metrics snapshot.
+// telemetry registry and round-event logger, spill options, profiles —
+// run the command, and print the final metrics snapshot.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	cmds := commands()
 	if len(args) == 0 {
@@ -156,20 +157,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	e := &env{stdout: stdout, stderr: stderr}
-	var observer telemetry.Observer
+	var events slog.Handler
 	var snapshot func(telemetry.Snapshot, io.Writer) error
 	switch *metricsMode {
 	case "":
 	case "json":
-		observer, snapshot = telemetry.NewJSONObserver(stderr), telemetry.Snapshot.WriteJSON
+		events, snapshot = slog.NewJSONHandler(stderr, nil), telemetry.Snapshot.WriteJSON
 	case "text":
-		observer, snapshot = telemetry.NewTextObserver(stderr), telemetry.Snapshot.WriteText
+		events, snapshot = slog.NewTextHandler(stderr, nil), telemetry.Snapshot.WriteText
 	default:
 		return fmt.Errorf("unknown -metrics mode %q (want json or text)", *metricsMode)
 	}
-	if observer != nil {
+	if events != nil {
 		e.reg = telemetry.New()
-		e.reg.SetObserver(observer)
+		e.reg.SetLogger(slog.New(events))
 	}
 	if *spillDir != "" && *spillWindow <= 0 {
 		return errors.New("-spill-dir requires -spill-window > 0")

@@ -243,7 +243,7 @@ func TestRSUStreamsRoundEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stderr, `"name":"round"`) {
+	if !strings.Contains(stderr, `"msg":"round"`) || !strings.Contains(stderr, `"scope":"fl"`) {
 		t.Errorf("rsu -metrics json streamed no per-round event:\n%s", stderr)
 	}
 	if !strings.Contains(stderr, "== metrics snapshot ==") {

@@ -42,9 +42,8 @@ func run() error {
 		clients[i] = &fuiov.Client{ID: fuiov.ClientID(i), Data: shards[i]}
 	}
 
-	// One registry observes everything. The stream observer prints a
-	// structured line per round; drop SetObserver to keep only the
-	// aggregate counters/timers.
+	// One registry collects every counter and timer of the run; the
+	// report below reads them back.
 	reg := fuiov.NewTelemetry()
 
 	model := fuiov.NewMLP(data.Dims.Size(), 24, data.Classes)

@@ -90,10 +90,9 @@ type agentMetrics struct {
 // only entry point and drives one round at a time, so the per-round
 // buffers below are reused, never shared.
 type Agent struct {
-	cfg   Config
-	clock fl.WallClock
-	hc    *http.Client
-	met   agentMetrics
+	cfg Config
+	hc  *http.Client
+	met agentMetrics
 
 	// params receives each round's global model.
 	params []float64
@@ -136,7 +135,6 @@ func New(cfg Config) (*Agent, error) {
 	reg := cfg.Telemetry
 	return &Agent{
 		cfg:    cfg,
-		clock:  cfg.Policy.WallClock(nil),
 		hc:     hc,
 		params: make([]float64, cfg.Template.NumParams()),
 		met: agentMetrics{
@@ -342,7 +340,7 @@ func (a *Agent) withRetry(ctx context.Context, op func() error) error {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			a.met.retries.Inc()
-			if err := fl.SleepCtx(ctx, a.clock.RetryDelay(attempt)); err != nil {
+			if err := fl.SleepCtx(ctx, a.cfg.Policy.Backoff(attempt)); err != nil {
 				return err
 			}
 		} else if err := ctx.Err(); err != nil {
@@ -351,7 +349,7 @@ func (a *Agent) withRetry(ctx context.Context, op func() error) error {
 		if lastErr = op(); lastErr == nil {
 			return nil
 		}
-		if attempt >= a.clock.Retries() {
+		if a.cfg.Policy == nil || attempt >= a.cfg.Policy.MaxRetries {
 			return lastErr
 		}
 	}

@@ -282,21 +282,25 @@ func (f *flakyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 
 // TestAgentRetriesTransportErrors checks that a transport failure is
 // retried within the FaultPolicy's budget with the frame intact, and
-// surfaces once the budget is spent.
+// surfaces once the budget is spent — at once without a policy.
 func TestAgentRetriesTransportErrors(t *testing.T) {
-	run := func(maxRetries int) (*coordinator, *telemetry.Registry, error) {
+	run := func(policy *fl.FaultPolicy) (*coordinator, *telemetry.Registry, *flakyTransport, error) {
 		_, template := testVehicle()
 		c := newCoordinator(t, 2, template.ParamVector())
 		reg := telemetry.New()
+		tr := &flakyTransport{fail: 2}
 		err := runAgent(t, c, func(cfg *Config) {
-			cfg.HTTPClient = &http.Client{Transport: &flakyTransport{fail: 2}}
-			cfg.Policy = &fl.FaultPolicy{MaxRetries: maxRetries, RetryBackoff: time.Millisecond}
+			cfg.HTTPClient = &http.Client{Transport: tr}
+			cfg.Policy = policy
 			cfg.Telemetry = reg
 		})
-		return c, reg, err
+		return c, reg, tr, err
+	}
+	retrying := func(maxRetries int) *fl.FaultPolicy {
+		return &fl.FaultPolicy{MaxRetries: maxRetries, RetryBackoff: time.Millisecond}
 	}
 
-	c, reg, err := run(2)
+	c, reg, _, err := run(retrying(2))
 	if err != nil {
 		t.Fatalf("two failures within a budget of two retries: %v", err)
 	}
@@ -318,11 +322,22 @@ func TestAgentRetriesTransportErrors(t *testing.T) {
 		}
 	}
 
-	c, _, err = run(1)
+	c, _, _, err = run(retrying(1))
 	if !errors.Is(err, errFlaky) {
 		t.Fatalf("two failures against a budget of one retry: err = %v, want the transport error", err)
 	}
 	if len(c.uploads) != 0 {
 		t.Errorf("accepted %d uploads after the budget ran out", len(c.uploads))
+	}
+
+	c, reg, tr, err := run(nil)
+	if !errors.Is(err, errFlaky) {
+		t.Fatalf("a failure without a policy: err = %v, want the transport error", err)
+	}
+	if tr.fail != 1 {
+		t.Errorf("made %d upload attempts without a policy, want 1", 2-tr.fail)
+	}
+	if n := reg.Counter(telemetry.ServerAgentRetries).Value(); n != 0 || len(c.uploads) != 0 {
+		t.Errorf("counted %d retries and accepted %d uploads without a policy, want 0 and 0", n, len(c.uploads))
 	}
 }

@@ -483,15 +483,15 @@ func TestFaultPolicyBackoff(t *testing.T) {
 	p := &FaultPolicy{RetryBackoff: 10 * time.Millisecond, MaxBackoff: 35 * time.Millisecond}
 	want := []time.Duration{10, 20, 35, 35} // ms; doubling then capped
 	for i, w := range want {
-		if got := p.backoff(i + 1); got != w*time.Millisecond {
-			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
+		if got := p.Backoff(i + 1); got != w*time.Millisecond {
+			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
 		}
 	}
-	if d := p.backoff(0); d != 0 {
-		t.Errorf("backoff(0) = %v, want 0", d)
+	if d := p.Backoff(0); d != 0 {
+		t.Errorf("Backoff(0) = %v, want 0", d)
 	}
 	var nilPolicy *FaultPolicy
-	if d := nilPolicy.backoff(3); d != 0 {
+	if d := nilPolicy.Backoff(3); d != 0 {
 		t.Errorf("nil policy backoff = %v, want 0", d)
 	}
 }

@@ -99,9 +99,10 @@ func (p *FaultPolicy) QuorumCount(scheduled int) int {
 	return k
 }
 
-// backoff returns the wall-clock wait before retry number retry (1 is
-// the first retry).
-func (p *FaultPolicy) backoff(retry int) time.Duration {
+// Backoff returns the wall-clock wait before retry number retry (1 is
+// the first retry): RetryBackoff doubled per further retry, capped at
+// MaxBackoff. It is 0 on a nil policy or before the first retry.
+func (p *FaultPolicy) Backoff(retry int) time.Duration {
 	if p == nil || p.RetryBackoff <= 0 || retry <= 0 {
 		return 0
 	}
@@ -184,7 +185,7 @@ func callWithFaults(ctx context.Context, inj faults.Injector, policy *FaultPolic
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			res.retries++
-			if err := SleepCtx(ctx, policy.backoff(a)); err != nil {
+			if err := SleepCtx(ctx, policy.Backoff(a)); err != nil {
 				res.err = err
 				return res
 			}

@@ -3,6 +3,7 @@ package fl
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"runtime"
 
 	"fuiov/internal/faults"
@@ -239,18 +240,17 @@ func (s *RSASimulation) RunRoundContext(ctx context.Context) error {
 	s.round++
 	s.met.rounds.Inc()
 	total := roundSpan.End()
-	if s.cfg.Telemetry.Observing() {
-		s.cfg.Telemetry.Emit(telemetry.Event{
-			Scope: "rsa", Name: "round", Round: t,
-			Fields: []telemetry.Field{
-				telemetry.F("clients", float64(len(s.clients))),
-				telemetry.F("responders", float64(responders)),
-				telemetry.F("absent", float64(absent)),
-				telemetry.D("local", localDur),
-				telemetry.D("consensus", consensusDur),
-				telemetry.D("total", total),
-			},
-		})
+	if lg := s.cfg.Telemetry.Logger(); lg != nil {
+		lg.LogAttrs(ctx, slog.LevelInfo, "round",
+			slog.String("scope", "rsa"),
+			slog.Int("round", t),
+			slog.Int("clients", len(s.clients)),
+			slog.Int("responders", responders),
+			slog.Int("absent", absent),
+			slog.Duration("local", localDur),
+			slog.Duration("consensus", consensusDur),
+			slog.Duration("total", total),
+		)
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package fl
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"math"
 	"sync"
 	"time"
@@ -286,21 +288,23 @@ func (s *Simulation) SubmitRoundStream(rs *RoundStream, scheduled int) error {
 		s.met.faults.degradedRounds.Inc()
 	}
 	total := rs.roundSpan.End()
-	if s.cfg.Telemetry.Observing() {
-		fields := []telemetry.Field{
-			telemetry.F("participants", float64(scheduled)),
-			telemetry.F("responders", float64(folded)),
-			telemetry.F("absent", float64(absent)),
-			telemetry.D("record", recordDur),
-			telemetry.D("aggregate", aggDur),
+	if lg := s.cfg.Telemetry.Logger(); lg != nil {
+		attrs := []slog.Attr{
+			slog.String("scope", "fl"),
+			slog.Int("round", t),
+			slog.Int("participants", scheduled),
+			slog.Int("responders", folded),
+			slog.Int("absent", absent),
+			slog.Duration("record", recordDur),
+			slog.Duration("aggregate", aggDur),
 		}
 		if s.cfg.Streaming {
-			fields = append(fields, telemetry.F("shards", float64(s.cfg.StreamShards)))
+			attrs = append(attrs, slog.Int("shards", s.cfg.StreamShards))
 		}
 		if rs.inProcess {
-			fields = append(fields, telemetry.D("compute", rs.computeDur), telemetry.D("total", total))
+			attrs = append(attrs, slog.Duration("compute", rs.computeDur), slog.Duration("total", total))
 		}
-		s.cfg.Telemetry.Emit(telemetry.Event{Scope: "fl", Name: "round", Round: t, Fields: fields})
+		lg.LogAttrs(context.Background(), slog.LevelInfo, "round", attrs...)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"context"
+	"log/slog"
 	"testing"
 
 	"fuiov/internal/dataset"
@@ -46,8 +47,8 @@ func benchSimulation(b *testing.B, reg *telemetry.Registry) *Simulation {
 //	           acceptance bar is that this stays within 5% of what an
 //	           uninstrumented round costs; the only added work is one
 //	           nil check per handle operation (~10 per round).
-//	enabled  — live registry, no observer.
-//	observed — live registry + JSON observer writing to io.Discard.
+//	enabled  — live registry, no logger.
+//	observed — live registry + a logger whose handler drops records.
 func BenchmarkSimulationRoundTelemetry(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) {
 		sim := benchSimulation(b, nil)
@@ -71,7 +72,7 @@ func BenchmarkSimulationRoundTelemetry(b *testing.B) {
 	})
 	b.Run("observed", func(b *testing.B) {
 		reg := telemetry.New()
-		reg.SetObserver(discardObserver{})
+		reg.SetLogger(slog.New(discardHandler{}))
 		sim := benchSimulation(b, reg)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -83,8 +84,12 @@ func BenchmarkSimulationRoundTelemetry(b *testing.B) {
 	})
 }
 
-// discardObserver swallows events without formatting them, isolating
-// the emit overhead from the sink cost.
-type discardObserver struct{}
+// discardHandler is enabled at every level and drops each record
+// without formatting it, isolating the emit overhead from the sink
+// cost.
+type discardHandler struct{}
 
-func (discardObserver) Observe(telemetry.Event) {}
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return true }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }

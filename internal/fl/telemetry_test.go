@@ -2,6 +2,7 @@ package fl
 
 import (
 	"context"
+	"log/slog"
 	"strings"
 	"testing"
 
@@ -47,8 +48,8 @@ func TestRunRoundCollectsAllClientErrors(t *testing.T) {
 func TestSimulationTelemetry(t *testing.T) {
 	clients, _, net := buildFederation(t, 3, 300, 7)
 	reg := telemetry.New()
-	var events []telemetry.Event
-	reg.SetObserver(telemetry.ObserverFunc(func(e telemetry.Event) { events = append(events, e) }))
+	events := &recordHandler{}
+	reg.SetLogger(slog.New(events))
 
 	store, err := history.NewStore(net.NumParams(), 1e-3)
 	if err != nil {
@@ -87,23 +88,43 @@ func TestSimulationTelemetry(t *testing.T) {
 		}
 	}
 
-	if len(events) != rounds {
-		t.Fatalf("got %d round events, want %d", len(events), rounds)
+	if len(events.records) != rounds {
+		t.Fatalf("got %d round records, want %d", len(events.records), rounds)
 	}
-	for i, e := range events {
-		if e.Scope != "fl" || e.Name != "round" || e.Round != i {
-			t.Errorf("event %d = %+v", i, e)
-		}
-		fields := make(map[string]bool, len(e.Fields))
-		for _, f := range e.Fields {
-			fields[f.Key] = true
+	for i, r := range events.records {
+		attrs := recordAttrs(r)
+		if r.Message != "round" || attrs["scope"].String() != "fl" || attrs["round"].Int64() != int64(i) {
+			t.Errorf("record %d = %q %v", i, r.Message, attrs)
 		}
 		for _, want := range []string{"participants", "compute", "record", "aggregate", "total"} {
-			if !fields[want] {
-				t.Errorf("event %d missing field %q", i, want)
+			if _, ok := attrs[want]; !ok {
+				t.Errorf("record %d missing attribute %q", i, want)
 			}
 		}
 	}
+}
+
+// recordHandler is a slog.Handler keeping every record it is handed.
+type recordHandler struct{ records []slog.Record }
+
+func (h *recordHandler) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h *recordHandler) Handle(_ context.Context, r slog.Record) error {
+	h.records = append(h.records, r)
+	return nil
+}
+
+func (h *recordHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *recordHandler) WithGroup(string) slog.Handler      { return h }
+
+// recordAttrs indexes a record's attributes by key.
+func recordAttrs(r slog.Record) map[string]slog.Value {
+	attrs := make(map[string]slog.Value, r.NumAttrs())
+	r.Attrs(func(a slog.Attr) bool {
+		attrs[a.Key] = a.Value
+		return true
+	})
+	return attrs
 }
 
 // TestSimulationTelemetryErrorsCounted checks the client-error counter.

@@ -142,7 +142,6 @@ type roundState struct {
 // internally; handlers are safe for concurrent use.
 type Coordinator struct {
 	cfg        Config
-	clock      fl.WallClock
 	window     time.Duration
 	registered map[history.ClientID]bool
 	dim        int
@@ -191,7 +190,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:        cfg,
-		clock:      ecfg.FaultPolicy.WallClock(cfg.Now),
 		window:     window,
 		registered: make(map[history.ClientID]bool),
 		dim:        cfg.Engine.Template().NumParams(),
@@ -436,7 +434,7 @@ func (c *Coordinator) ensureRound() (*roundState, error) {
 			}
 			rs := &roundState{
 				t:         t,
-				openedAt:  c.clock.Now(),
+				openedAt:  c.cfg.Now(),
 				scheduled: scheduled,
 				stream:    stream,
 				done:      make(chan struct{}),
@@ -479,7 +477,7 @@ func (c *Coordinator) resolve(rs *roundState, expired bool) {
 	} else {
 		c.met.rounds.Inc()
 	}
-	c.met.openWindow.Observe(c.clock.Now().Sub(rs.openedAt))
+	c.met.openWindow.Observe(c.cfg.Now().Sub(rs.openedAt))
 	c.cur = nil
 	close(rs.done)
 }
@@ -598,14 +596,14 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 
-	waitStart := c.clock.Now()
+	waitStart := c.cfg.Now()
 	select {
 	case <-rs.done:
 	case <-r.Context().Done():
 		// The uploader went away; its gradient stays in the window.
 		return
 	}
-	c.met.roundWait.Observe(c.clock.Now().Sub(waitStart))
+	c.met.roundWait.Observe(c.cfg.Now().Sub(waitStart))
 
 	if rs.err != nil {
 		status, code := mapError(rs.err)
@@ -1004,7 +1002,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Unlearns:  c.unlearns,
 		Dim:       c.dim,
 	}
-	if p := c.clock.Policy(); p != nil {
+	if p := c.cfg.Engine.Config().FaultPolicy; p != nil {
 		reply.Quorum = p.Quorum
 	}
 	reply.WindowMillis = c.window.Milliseconds()
@@ -1012,7 +1010,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		reply.Scheduled = len(rs.scheduled)
 		reply.Responders = rs.responders
 		if c.window > 0 {
-			remaining := c.window - c.clock.Now().Sub(rs.openedAt)
+			remaining := c.window - c.cfg.Now().Sub(rs.openedAt)
 			if remaining < 0 {
 				remaining = 0
 			}

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"context"
+	"log/slog"
 	"testing"
 	"time"
 )
@@ -48,12 +50,13 @@ func BenchmarkTimerObserveEnabled(b *testing.B) {
 	}
 }
 
-func BenchmarkEmitNoObserver(b *testing.B) {
+func BenchmarkLoggerUnset(b *testing.B) {
 	r := New()
-	e := Event{Scope: "fl", Name: "round"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Emit(e)
+		if lg := r.Logger(); lg != nil {
+			lg.LogAttrs(context.Background(), slog.LevelInfo, "round")
+		}
 	}
 }
 
@@ -63,10 +66,11 @@ func BenchmarkEmitNoObserver(b *testing.B) {
 // telemetry is off regardless of timer noise on the host.
 func TestDisabledPathAllocatesNothing(t *testing.T) {
 	var (
-		r  *Registry
-		c  *Counter
-		g  *Gauge
-		tm *Timer
+		r     *Registry
+		unset = New()
+		c     *Counter
+		g     *Gauge
+		tm    *Timer
 	)
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
@@ -77,7 +81,11 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 		r.Counter("x").Add(1)
 		r.Gauge("y").Set(1)
 		r.Timer("z").Start().End()
-		r.Emit(Event{Scope: "fl", Name: "round"})
+		for _, reg := range [...]*Registry{r, unset} {
+			if lg := reg.Logger(); lg != nil {
+				lg.LogAttrs(context.Background(), slog.LevelInfo, "round", slog.Int("round", 1))
+			}
+		}
 	})
 	if allocs != 0 {
 		t.Errorf("disabled telemetry path allocated %.1f times per op, want 0", allocs)

@@ -1,8 +1,7 @@
 // Package telemetry is the repo's lightweight metrics and tracing
 // layer: named counters, gauges and phase timers (min/mean/max)
-// collected in a concurrency-safe Registry, plus a pluggable Observer
-// hook that streams round-grained events to a sink (JSON lines, text,
-// or user code).
+// collected in a concurrency-safe Registry, plus a log/slog logger slot
+// through which instrumented components write one record per round.
 //
 // The package exists because the paper's central claims are *cost*
 // claims — ~95% gradient-storage reduction from 2-bit directions, and
@@ -46,21 +45,24 @@
 // total, min and max duration via atomics; Timer.Start returns a Span
 // *by value* so timing a phase allocates nothing:
 //
-//	defer t.Start().End() // wrong: End runs immediately — see below
-//	span := t.Start(); defer span.End()
+//	defer t.Start().End() // Start runs now, End when the function returns
+//	span := t.Start(); defer span.End() // the same, with the span named
 //
 // All handles are live: reading Counter.Value, Gauge.Value or
 // Timer.Stats mid-run is safe and reflects the current totals.
 //
-// # Observer events
+// # Round events
 //
-// Instrumented components additionally Emit one Event per round —
-// scope ("fl", "rsa", "unlearn"), name, round index and a small
-// ordered field list mixing scalars and durations. Observers are
-// installed with Registry.SetObserver; NewJSONObserver and
-// NewTextObserver write one line per event and are safe for
-// concurrent emitters. The default (no observer) drops events after a
-// single atomic load.
+// Instrumented components additionally write one log/slog record per
+// round to the logger installed with Registry.SetLogger. The message
+// names the event ("round" from the fl and rsa engines,
+// "recover_round" from the unlearner); the attributes are scope ("fl",
+// "rsa", "unlearn"), the round index, then counts as ints and phase
+// times as slog.Duration. Emitters guard on Registry.Logger, so with no
+// logger installed a round costs a single atomic load and no attribute
+// is built. The logger's handler picks the format — the fuiov
+// commands' -metrics json|text flag installs slog.NewJSONHandler or
+// slog.NewTextHandler on stderr.
 //
 // # Reports and profiles
 //

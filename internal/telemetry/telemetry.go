@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"log/slog"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -8,19 +9,16 @@ import (
 )
 
 // Registry is a named collection of counters, gauges and timers plus
-// an optional Observer for round-grained events. The zero value is not
-// usable; call New. A nil *Registry is the valid disabled default:
+// an optional slog.Logger for round-grained events. The zero value is
+// not usable; call New. A nil *Registry is the valid disabled default:
 // every method is nil-safe and hands out nil (no-op) handles.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	timers   map[string]*Timer
-	observer atomic.Pointer[observerBox]
+	logger   atomic.Pointer[slog.Logger]
 }
-
-// observerBox wraps the interface so it can live in an atomic.Pointer.
-type observerBox struct{ o Observer }
 
 // New creates an empty, enabled registry.
 func New() *Registry {
@@ -80,34 +78,28 @@ func (r *Registry) Timer(name string) *Timer {
 	return t
 }
 
-// SetObserver installs the event hook (nil removes it). Safe to call
-// concurrently with Emit; no-op on a nil registry.
-func (r *Registry) SetObserver(o Observer) {
+// SetLogger installs the logger that receives round events (nil
+// removes it). Safe to call concurrently with Logger; no-op on a nil
+// registry.
+func (r *Registry) SetLogger(l *slog.Logger) {
 	if r == nil {
 		return
 	}
-	if o == nil {
-		r.observer.Store(nil)
-		return
-	}
-	r.observer.Store(&observerBox{o: o})
+	r.logger.Store(l)
 }
 
-// Emit forwards one event to the installed observer, if any. On a nil
-// registry, or with no observer installed, the event is dropped.
-func (r *Registry) Emit(e Event) {
+// Logger returns the installed round-event logger, or nil on a nil
+// registry or with none installed. Emitters guard on it so the
+// disabled path is one atomic load and no attribute construction:
+//
+//	if lg := reg.Logger(); lg != nil {
+//	    lg.LogAttrs(ctx, slog.LevelInfo, "round", …)
+//	}
+func (r *Registry) Logger() *slog.Logger {
 	if r == nil {
-		return
+		return nil
 	}
-	if box := r.observer.Load(); box != nil {
-		box.o.Observe(e)
-	}
-}
-
-// Observing reports whether an observer is installed — emitters with
-// expensive field construction can guard on it.
-func (r *Registry) Observing() bool {
-	return r != nil && r.observer.Load() != nil
+	return r.logger.Load()
 }
 
 // Counter is a monotonically increasing event count. All methods are

@@ -2,7 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -68,6 +71,20 @@ func TestTimerSpan(t *testing.T) {
 	}
 }
 
+// TestDeferStartEnd pins the one-liner the package doc recommends:
+// defer evaluates t.Start() when the statement runs, so End fires when
+// the function returns and the span covers its whole body.
+func TestDeferStartEnd(t *testing.T) {
+	tm := New().Timer("deferred")
+	func() {
+		defer tm.Start().End()
+		time.Sleep(5 * time.Millisecond)
+	}()
+	if st := tm.Stats(); st.Count != 1 || st.Max < 5*time.Millisecond {
+		t.Fatalf("deferred span: %+v, want one span of at least 5ms", st)
+	}
+}
+
 func TestEmptyTimerStatsZero(t *testing.T) {
 	r := New()
 	if st := r.Timer("never").Stats(); st != (TimerStats{}) {
@@ -100,10 +117,9 @@ func TestNilSafety(t *testing.T) {
 	if st := tm.Stats(); st != (TimerStats{}) {
 		t.Fatalf("nil timer stats = %+v, want zero", st)
 	}
-	r.SetObserver(ObserverFunc(func(Event) { t.Fatal("observer on nil registry") }))
-	r.Emit(Event{Scope: "x", Name: "y"})
-	if r.Observing() {
-		t.Fatal("nil registry must not be observing")
+	r.SetLogger(slog.New(&recordHandler{}))
+	if r.Logger() != nil {
+		t.Fatal("nil registry must hold no logger")
 	}
 	if snap := r.Snapshot(); len(snap.Counters)+len(snap.Gauges)+len(snap.Timers) != 0 {
 		t.Fatalf("nil snapshot = %+v, want empty", snap)
@@ -125,8 +141,17 @@ func TestConcurrentUse(t *testing.T) {
 				c.Inc()
 				tm.Observe(time.Duration(i+1) * time.Nanosecond)
 				g.Set(float64(w))
+				if lg := r.Logger(); lg != nil {
+					lg.LogAttrs(context.Background(), slog.LevelInfo, "round", slog.Int("round", i))
+				}
 			}
 		}(w)
+	}
+	// Install and remove the round-event logger while the workers read it.
+	lg := slog.New(slog.NewJSONHandler(io.Discard, nil))
+	for i := 0; i < perWorker; i++ {
+		r.SetLogger(lg)
+		r.SetLogger(nil)
 	}
 	wg.Wait()
 	if got := r.Counter("hits").Value(); got != workers*perWorker {
@@ -141,72 +166,41 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
+// recordHandler is a slog.Handler keeping every record it is handed.
+type recordHandler struct{ records []slog.Record }
+
+func (h *recordHandler) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h *recordHandler) Handle(_ context.Context, r slog.Record) error {
+	h.records = append(h.records, r)
+	return nil
+}
+
+func (h *recordHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *recordHandler) WithGroup(string) slog.Handler      { return h }
+
+// TestObserverAndEvents checks the round-event logger slot: empty on a
+// new registry, set and read back by SetLogger/Logger, and cleared by
+// SetLogger(nil).
 func TestObserverAndEvents(t *testing.T) {
 	r := New()
-	var got []Event
-	r.SetObserver(ObserverFunc(func(e Event) { got = append(got, e) }))
-	if !r.Observing() {
-		t.Fatal("Observing() = false after SetObserver")
+	if r.Logger() != nil {
+		t.Fatal("new registry already holds a logger")
 	}
-	r.Emit(Event{Scope: "fl", Name: "round", Round: 7, Fields: []Field{F("n", 3), D("dur", time.Millisecond)}})
-	if len(got) != 1 || got[0].Round != 7 || len(got[0].Fields) != 2 {
-		t.Fatalf("events = %+v", got)
+	h := &recordHandler{}
+	lg := slog.New(h)
+	r.SetLogger(lg)
+	if r.Logger() != lg {
+		t.Fatal("Logger() does not return the installed logger")
 	}
-	r.SetObserver(nil)
-	r.Emit(Event{Scope: "fl", Name: "round"})
-	if len(got) != 1 {
-		t.Fatal("event delivered after observer removed")
+	r.Logger().LogAttrs(context.Background(), slog.LevelInfo, "round",
+		slog.String("scope", "fl"), slog.Int("round", 7), slog.Duration("dur", time.Millisecond))
+	if len(h.records) != 1 || h.records[0].Message != "round" || h.records[0].NumAttrs() != 3 {
+		t.Fatalf("records = %+v", h.records)
 	}
-}
-
-func TestJSONObserverOutput(t *testing.T) {
-	var buf bytes.Buffer
-	o := NewJSONObserver(&buf)
-	o.Observe(Event{Scope: "fl", Name: "round", Round: 2, Fields: []Field{
-		F("participants", 10), D("compute", 1500*time.Microsecond),
-	}})
-	var decoded struct {
-		Scope  string             `json:"scope"`
-		Name   string             `json:"name"`
-		Round  int                `json:"round"`
-		Fields map[string]float64 `json:"fields"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("invalid JSON %q: %v", buf.String(), err)
-	}
-	if decoded.Scope != "fl" || decoded.Round != 2 {
-		t.Fatalf("decoded = %+v", decoded)
-	}
-	if decoded.Fields["participants"] != 10 {
-		t.Fatalf("participants = %v", decoded.Fields["participants"])
-	}
-	if math.Abs(decoded.Fields["compute_ms"]-1.5) > 1e-9 {
-		t.Fatalf("compute_ms = %v, want 1.5", decoded.Fields["compute_ms"])
-	}
-}
-
-func TestTextObserverOutput(t *testing.T) {
-	var buf bytes.Buffer
-	o := NewTextObserver(&buf)
-	o.Observe(Event{Scope: "unlearn", Name: "recover_round", Round: 9, Fields: []Field{F("fallbacks", 1)}})
-	line := buf.String()
-	for _, want := range []string{"[unlearn]", "recover_round", "round=9", "fallbacks=1"} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("line %q missing %q", line, want)
-		}
-	}
-}
-
-func TestMultiObserver(t *testing.T) {
-	var a, b int
-	m := MultiObserver{
-		ObserverFunc(func(Event) { a++ }),
-		nil,
-		ObserverFunc(func(Event) { b++ }),
-	}
-	m.Observe(Event{})
-	if a != 1 || b != 1 {
-		t.Fatalf("a=%d b=%d, want 1/1", a, b)
+	r.SetLogger(nil)
+	if r.Logger() != nil {
+		t.Fatal("SetLogger(nil) left a logger installed")
 	}
 }
 

@@ -423,9 +423,3 @@ func (FedRecovery) Unlearn(ctx context.Context, req Request) (*Result, error) {
 		StorageBytes:    int64(full.StorageBytes()),
 	}, nil
 }
-
-func init() {
-	MustRegister(Retrain{})
-	MustRegister(FedRecover{})
-	MustRegister(FedRecovery{})
-}

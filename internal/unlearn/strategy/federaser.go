@@ -122,5 +122,3 @@ func (FedEraser) Unlearn(ctx context.Context, req Request) (*Result, error) {
 		ClientWork:      clientWork,
 	}, nil
 }
-
-func init() { MustRegister(FedEraser{}) }

@@ -81,5 +81,3 @@ func (n NoT) Unlearn(ctx context.Context, req Request) (*Result, error) {
 		ClientWork:      rounds * len(req.remaining()),
 	}, nil
 }
-
-func init() { MustRegister(NoT{}) }

@@ -56,5 +56,3 @@ func (Paper) Unlearn(ctx context.Context, req Request) (*Result, error) {
 		Paper:           res,
 	}, nil
 }
-
-func init() { MustRegister(Paper{}) }

@@ -126,5 +126,3 @@ func (p PGA) Unlearn(ctx context.Context, req Request) (*Result, error) {
 		ClientWork:      clientWork + rounds*len(req.remaining()),
 	}, nil
 }
-
-func init() { MustRegister(PGA{}) }

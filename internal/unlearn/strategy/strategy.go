@@ -13,9 +13,10 @@
 // can answer "this strategy is not satisfiable here" before any work
 // happens.
 //
-// To add a strategy: implement the three-method interface, pick a
-// telemetry name under telemetry.StrategyPrefix, and Register an
-// instance (usually from an init in this package). See DESIGN.md §14.
+// To add a strategy: implement the three-method interface in this
+// package, pick a telemetry name under telemetry.StrategyPrefix, and
+// add an instance to the strategies table in name order. See DESIGN.md
+// §14.
 package strategy
 
 import (
@@ -24,7 +25,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"fuiov/internal/fl"
 	"fuiov/internal/history"
@@ -251,58 +251,35 @@ var ErrUnknownStrategy = errors.New("strategy: unknown strategy")
 // history).
 var ErrMissingInput = errors.New("strategy: missing required input")
 
-var (
-	mu       sync.RWMutex
-	registry = map[string]Strategy{}
-)
-
-// Register adds s under s.Name(). Registering a duplicate name is an
-// error so two algorithms can never shadow each other silently.
-func Register(s Strategy) error {
-	if s == nil || s.Name() == "" {
-		return errors.New("strategy: register nil or unnamed strategy")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := registry[s.Name()]; dup {
-		return fmt.Errorf("strategy: duplicate registration of %q", s.Name())
-	}
-	registry[s.Name()] = s
-	return nil
-}
-
-// MustRegister is Register panicking on error, for package init.
-func MustRegister(s Strategy) {
-	if err := Register(s); err != nil {
-		panic(err)
-	}
+// strategies is the registry: every strategy in the package, sorted
+// by name.
+var strategies = [...]Strategy{
+	FedEraser{},
+	FedRecover{},
+	FedRecovery{},
+	NoT{},
+	Paper{},
+	PGA{},
+	Retrain{},
 }
 
 // Lookup returns the strategy registered under name, or
 // ErrUnknownStrategy listing the known names.
 func Lookup(name string) (Strategy, error) {
-	mu.RLock()
-	defer mu.RUnlock()
-	s, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q (registered: %s)", ErrUnknownStrategy, name, strings.Join(namesLocked(), ", "))
+	for _, s := range strategies {
+		if s.Name() == name {
+			return s, nil
+		}
 	}
-	return s, nil
+	return nil, fmt.Errorf("%w: %q (registered: %s)", ErrUnknownStrategy, name, strings.Join(Names(), ", "))
 }
 
 // Names lists every registered strategy name, sorted.
 func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
+	out := make([]string, len(strategies))
+	for i, s := range strategies {
+		out[i] = s.Name()
 	}
-	sort.Strings(out)
 	return out
 }
 

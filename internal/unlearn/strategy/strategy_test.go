@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"fuiov/internal/dataset"
@@ -112,11 +111,18 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if _, err := Lookup("nope"); !errors.Is(err, ErrUnknownStrategy) {
 		t.Fatalf("Lookup(nope) err = %v, want ErrUnknownStrategy", err)
 	}
-	if err := Register(Paper{}); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("duplicate Register err = %v, want duplicate-name error", err)
+	// The table itself: one entry per name, in name order, each found
+	// by Lookup under its own Name().
+	if len(names) != len(strategies) {
+		t.Fatalf("Names() lists %d strategies, the table holds %d", len(names), len(strategies))
 	}
-	if err := Register(nil); err == nil {
-		t.Fatal("Register(nil) succeeded")
+	for i, n := range names {
+		if i > 0 && names[i-1] >= n {
+			t.Errorf("names %q, %q are duplicated or out of order", names[i-1], n)
+		}
+		if s, err := Lookup(n); err != nil || s.Name() != n {
+			t.Errorf("Lookup(%q) = %v, %v; want the strategy named %q", n, s, err, n)
+		}
 	}
 }
 

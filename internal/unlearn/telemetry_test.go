@@ -2,6 +2,7 @@ package unlearn
 
 import (
 	"context"
+	"log/slog"
 	"testing"
 
 	"fuiov/internal/telemetry"
@@ -14,8 +15,8 @@ func TestUnlearnerTelemetry(t *testing.T) {
 	fed := trainFederation(t, 4, rounds, join, 21)
 
 	reg := telemetry.New()
-	var events []telemetry.Event
-	reg.SetObserver(telemetry.ObserverFunc(func(e telemetry.Event) { events = append(events, e) }))
+	events := &recordHandler{}
+	reg.SetLogger(slog.New(events))
 
 	u, err := New(fed.store, Config{
 		LearningRate:  fed.lr,
@@ -61,13 +62,38 @@ func TestUnlearnerTelemetry(t *testing.T) {
 		t.Errorf("estimate timer count = %d, want %d", st.Count, res.RecoveredRounds)
 	}
 
-	if len(events) != res.RecoveredRounds {
-		t.Fatalf("got %d recover_round events, want %d", len(events), res.RecoveredRounds)
+	if len(events.records) != res.RecoveredRounds {
+		t.Fatalf("got %d recover_round records, want %d", len(events.records), res.RecoveredRounds)
 	}
-	if e := events[0]; e.Scope != "unlearn" || e.Name != "recover_round" || e.Round != res.BacktrackRound {
-		t.Errorf("first event = %+v", e)
+	first := events.records[0]
+	attrs := make(map[string]slog.Value, first.NumAttrs())
+	first.Attrs(func(a slog.Attr) bool {
+		attrs[a.Key] = a.Value
+		return true
+	})
+	if first.Message != "recover_round" || attrs["scope"].String() != "unlearn" ||
+		attrs["round"].Int64() != int64(res.BacktrackRound) {
+		t.Errorf("first record = %q %v", first.Message, attrs)
+	}
+	for _, want := range []string{"remaining", "fallbacks", "clipped", "estimate", "aggregate", "total"} {
+		if _, ok := attrs[want]; !ok {
+			t.Errorf("first record missing attribute %q", want)
+		}
 	}
 }
+
+// recordHandler is a slog.Handler keeping every record it is handed.
+type recordHandler struct{ records []slog.Record }
+
+func (h *recordHandler) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h *recordHandler) Handle(_ context.Context, r slog.Record) error {
+	h.records = append(h.records, r)
+	return nil
+}
+
+func (h *recordHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *recordHandler) WithGroup(string) slog.Handler      { return h }
 
 // TestUnlearnerTelemetryDisabledMatches guards that instrumentation
 // cannot change the recovered model.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"runtime"
 	"slices"
@@ -841,18 +842,17 @@ func (p *pass) runTo(ctx context.Context, limit int) error {
 		p.res.RecoveredRounds++
 		u.met.recoveredRounds.Inc()
 		totalDur := roundSpan.End()
-		if u.cfg.Telemetry.Observing() {
-			u.cfg.Telemetry.Emit(telemetry.Event{
-				Scope: "unlearn", Name: "recover_round", Round: t,
-				Fields: []telemetry.Field{
-					telemetry.F("remaining", float64(len(remaining))),
-					telemetry.F("fallbacks", float64(roundFallbacks)),
-					telemetry.F("clipped", float64(roundClips)),
-					telemetry.D("estimate", estimateDur),
-					telemetry.D("aggregate", aggDur),
-					telemetry.D("total", totalDur),
-				},
-			})
+		if lg := u.cfg.Telemetry.Logger(); lg != nil {
+			lg.LogAttrs(ctx, slog.LevelInfo, "recover_round",
+				slog.String("scope", "unlearn"),
+				slog.Int("round", t),
+				slog.Int("remaining", len(remaining)),
+				slog.Int("fallbacks", roundFallbacks),
+				slog.Int("clipped", roundClips),
+				slog.Duration("estimate", estimateDur),
+				slog.Duration("aggregate", aggDur),
+				slog.Duration("total", totalDur),
+			)
 		}
 		if p.observe != nil {
 			p.observe(t, tensor.CloneVec(p.wBar))

@@ -36,11 +36,11 @@ if [ -n "$not_ctx_first" ]; then
 fi
 
 # Doc lint: every exported top-level identifier in the facade, the
-# networked serving layer, the round engine, the unlearner and the
-# strategy registry must carry a doc comment — these are the surfaces
-# external operators read via go doc, and PROTOCOL.md leans on their
-# accuracy.
-doc_files=$(ls fuiov.go internal/server/*.go internal/agent/*.go internal/fl/*.go internal/unlearn/*.go internal/unlearn/strategy/*.go | grep -v _test)
+# networked serving layer, the round engine, the unlearner, the
+# strategy registry and the telemetry registry must carry a doc comment
+# — these are the surfaces external operators read via go doc, and
+# PROTOCOL.md leans on their accuracy.
+doc_files=$(ls fuiov.go internal/server/*.go internal/agent/*.go internal/fl/*.go internal/unlearn/*.go internal/unlearn/strategy/*.go internal/telemetry/*.go | grep -v _test)
 doc_missing=$(awk '
 	/^\/\// { prev_comment = 1; next }
 	/^(func|type|var|const) [A-Z]/ || /^func \([^)]*\) [A-Z]/ {
