@@ -251,6 +251,18 @@ func TestRSUStreamsRoundEvents(t *testing.T) {
 	}
 }
 
+// TestRSURejectsNonFiniteDelta: -delta NaN (or Inf) would make every
+// sign upload an all-zero direction, so the demo refuses it before any
+// agent trains.
+func TestRSURejectsNonFiniteDelta(t *testing.T) {
+	for _, delta := range []string{"NaN", "+Inf"} {
+		_, _, err := fuiov(context.Background(), "rsu", "-vehicles", "2", "-rounds", "1", "-encoding", "sign", "-delta", delta)
+		if err == nil || !strings.Contains(err.Error(), "threshold") {
+			t.Errorf("rsu -delta %s: err = %v, want a threshold error", delta, err)
+		}
+	}
+}
+
 // TestIoVRecovers: a tiny end-to-end scenario trains, erases a dropout
 // vehicle and reports the recovery.
 func TestIoVRecovers(t *testing.T) {

@@ -28,6 +28,7 @@ import (
 	"fuiov/internal/fl"
 	"fuiov/internal/nn"
 	"fuiov/internal/server"
+	"fuiov/internal/sign"
 	"fuiov/internal/telemetry"
 )
 
@@ -116,8 +117,10 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.Encoding != server.EncodingDense && cfg.Encoding != server.EncodingSign {
 		return nil, fmt.Errorf("agent: unknown encoding %d", cfg.Encoding)
 	}
-	if cfg.Encoding == server.EncodingSign && cfg.Delta < 0 {
-		return nil, fmt.Errorf("agent: negative sign threshold %v", cfg.Delta)
+	if cfg.Encoding == server.EncodingSign {
+		if err := sign.CheckThreshold(cfg.Delta); err != nil {
+			return nil, fmt.Errorf("agent: %w", err)
+		}
 	}
 	if err := cfg.Policy.Validate(); err != nil {
 		return nil, err

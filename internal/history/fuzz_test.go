@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -16,6 +17,7 @@ func FuzzLoad(f *testing.F) {
 	var buf bytes.Buffer
 	_ = s.Save(&buf)
 	f.Add(buf.Bytes())
+	f.Add(withDelta(buf.Bytes(), math.NaN()))
 	f.Add([]byte{})
 	f.Add([]byte("FUIOVHS1 garbage follows the magic"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -173,8 +173,8 @@ func NewStore(dim int, delta float64, opts ...StoreOption) (*Store, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("history: invalid model dimension %d", dim)
 	}
-	if delta < 0 {
-		return nil, fmt.Errorf("history: negative delta %v", delta)
+	if err := sign.CheckThreshold(delta); err != nil {
+		return nil, fmt.Errorf("history: %w", err)
 	}
 	var o storeOptions
 	for _, opt := range opts {

@@ -2,6 +2,7 @@ package history
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -33,6 +34,33 @@ func TestNewStoreValidation(t *testing.T) {
 	if _, err := NewStore(10, -1); err == nil {
 		t.Error("negative delta should error")
 	}
+}
+
+// TestNewStoreRejectsNonFiniteDelta: a NaN or infinite threshold
+// would compress every gradient to an all-zero direction, so neither
+// NewStore nor Load — whose snapshot header carries δ — accepts one.
+func TestNewStoreRejectsNonFiniteDelta(t *testing.T) {
+	for _, delta := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := NewStore(3, delta); err == nil {
+			t.Errorf("NewStore accepted delta %v", delta)
+		}
+	}
+	s := testStore(t, 3)
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(withDelta(buf.Bytes(), math.NaN()))); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("Load of a NaN-delta snapshot: err = %v, want ErrBadFormat", err)
+	}
+}
+
+// withDelta returns a copy of snapshot with δ in its header (after the
+// 8-byte magic and the 8-byte dimension) replaced.
+func withDelta(snapshot []byte, delta float64) []byte {
+	out := bytes.Clone(snapshot)
+	binary.LittleEndian.PutUint64(out[16:], math.Float64bits(delta))
+	return out
 }
 
 func TestRecordAndRetrieve(t *testing.T) {

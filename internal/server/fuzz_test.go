@@ -25,8 +25,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // ReadUpload must not panic, must fail only with ErrBadFrame, and must
 // be bounded by the server's own dimension — never by what the frame
 // claims: it reads at most one header plus one payload and allocates
-// about one dim-sized gradient (the dense reader's chunk buffer is
-// pooled: the quietest of three runs never pays for it).
+// about one dim-sized gradient (the dense reader reads the payload
+// straight into it).
 // An accepted upload has the server's dimension, a non-negative round
 // and a finite, non-negative weight; an accepted sign upload also
 // carries the direction it travelled as — dim elements, a finite scale

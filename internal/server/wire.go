@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"unsafe"
 
 	"fuiov/internal/history"
 	"fuiov/internal/sign"
@@ -21,7 +22,7 @@ import (
 //
 // Both frames are designed for streaming: a fixed-size header is
 // followed by a payload whose length the header fully determines, so a
-// reader can decode incrementally — header first, then payload chunks
+// reader can decode incrementally — header first, then the payload
 // straight into the destination buffer — without ever holding the
 // whole body in a second copy.
 
@@ -93,8 +94,8 @@ const signLenPrefix = 8
 // magic(4) + round(8) + dim(8).
 const modelHeaderLen = 4 + 8 + 8
 
-// chunkElems is how many float64 elements a streaming reader or writer
-// moves per chunk (64 KiB of payload).
+// chunkElems is how many float64 elements a streaming writer encodes
+// per chunk (64 KiB of payload).
 const chunkElems = 8192
 
 // Upload is one decoded client gradient upload.
@@ -324,9 +325,9 @@ func parseModelHeader(hdr []byte) (round int, n uint64, err error) {
 	return round, n, nil
 }
 
-// chunkPool holds the chunkElems-sized staging buffers writeFloats and
-// readFloats move payload through, so a dense upload, model fetch or
-// model write does not allocate one of its own.
+// chunkPool holds the chunkElems-sized staging buffers writeFloats
+// moves payload through, so a model write does not allocate one of its
+// own.
 var chunkPool = sync.Pool{New: func() any { return new([8 * chunkElems]byte) }}
 
 // writeFloats streams v as little-endian float64s in chunkElems-sized
@@ -347,19 +348,30 @@ func writeFloats(w io.Writer, v []float64) error {
 	return nil
 }
 
-// readFloats fills dst from r, chunk by chunk.
+// hostLittleEndian reports whether float64s sit in memory in wire
+// order.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// readFloats fills dst from r by reading the payload straight into
+// dst's own bytes: on a little-endian host the read is the decode, and
+// a big-endian host swaps each element in place afterwards.
 func readFloats(r io.Reader, dst []float64) error {
-	buf := chunkPool.Get().(*[8 * chunkElems]byte)
-	defer chunkPool.Put(buf)
-	for len(dst) > 0 {
-		n := min(len(dst), chunkElems)
-		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
-			return err
-		}
-		for i := range dst[:n] {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-		dst = dst[n:]
+	if len(dst) == 0 {
+		return nil
+	}
+	b := unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 8*len(dst))
+	if _, err := io.ReadFull(r, b); err != nil {
+		return err
+	}
+	if !hostLittleEndian {
+		swap8(b)
 	}
 	return nil
+}
+
+// swap8 reverses the byte order of every 8-byte word of b in place.
+func swap8(b []byte) {
+	for i := 0; i+8 <= len(b); i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], binary.BigEndian.Uint64(b[i:]))
+	}
 }

@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"testing"
+	"testing/iotest"
 )
 
 // TestDenseUploadRoundTrip checks the byte-exactness contract of the
@@ -32,6 +35,52 @@ func TestDenseUploadRoundTrip(t *testing.T) {
 	}
 	if up.PayloadBytes != 8*len(grad) {
 		t.Fatalf("payload accounting = %d", up.PayloadBytes)
+	}
+}
+
+// TestDenseReadSplitPayload: the dense payload is read straight into
+// the gradient, so a body that arrives a byte at a time, or in odd
+// halves, must decode to the same bits as one that arrives whole.
+func TestDenseReadSplitPayload(t *testing.T) {
+	grad := []float64{math.Pi, -0.0, math.Inf(1), math.NaN(), 1e-310}
+	var buf bytes.Buffer
+	if err := WriteUpload(&buf, 1, 2, 3, EncodingDense, grad, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for name, split := range map[string]func(io.Reader) io.Reader{
+		"one byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+	} {
+		up, err := ReadUpload(split(bytes.NewReader(buf.Bytes())), len(grad))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range grad {
+			if math.Float64bits(up.Grad[i]) != math.Float64bits(grad[i]) {
+				t.Fatalf("%s: element %d = %x, want %x", name, i, math.Float64bits(up.Grad[i]), math.Float64bits(grad[i]))
+			}
+		}
+	}
+}
+
+// TestSwap8 pins the big-endian host's in-place fix-up: swapping a
+// little-endian payload yields the big-endian encoding of the same
+// values, and swapping twice restores it.
+func TestSwap8(t *testing.T) {
+	vals := []float64{math.Pi, -0.0, math.Inf(-1), 1e-310}
+	le, be := make([]byte, 8*len(vals)), make([]byte, 8*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(le[8*i:], math.Float64bits(v))
+		binary.BigEndian.PutUint64(be[8*i:], math.Float64bits(v))
+	}
+	got := bytes.Clone(le)
+	swap8(got)
+	if !bytes.Equal(got, be) {
+		t.Fatalf("swap8(% x) = % x, want % x", le, got, be)
+	}
+	swap8(got)
+	if !bytes.Equal(got, le) {
+		t.Fatalf("swap8 twice = % x, want % x", got, le)
 	}
 }
 

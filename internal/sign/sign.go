@@ -17,12 +17,20 @@
 // loop (lbfgs.EstimateInto, driven by internal/unlearn) reads
 // directions four elements at a time through Quad, inside its own
 // sweep, and never materialises a dense vector at all.
+//
+// The two loops the RSU runs on every upload — compressing a dense
+// gradient and folding a packed direction into a shard sum — have AVX2
+// bodies on amd64, chosen once at init by a CPUID check. compressGo
+// and accumulateGo are the portable loops: they finish the tail the
+// vector bodies leave, run everything on other CPUs, and are the
+// oracle the differential tests hold the vector bodies to, bit for bit.
 package sign
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Direction is a packed ternary vector: each element stores one of
@@ -94,12 +102,23 @@ func code(v, delta, negDelta float64) byte {
 	return pos | neg<<1
 }
 
+// CheckThreshold reports whether delta is usable as a compression
+// threshold: finite and non-negative. Every comparison against NaN is
+// false and nothing exceeds +Inf, so either would silently store an
+// all-zero direction for every gradient.
+func CheckThreshold(delta float64) error {
+	if math.IsNaN(delta) || math.IsInf(delta, 0) || delta < 0 {
+		return fmt.Errorf("sign: threshold %v is not finite and non-negative", delta)
+	}
+	return nil
+}
+
 // Compress reduces g to its thresholded direction: +1 where
 // g[i] > delta, −1 where g[i] < −delta, 0 otherwise. delta must be
-// non-negative. This is the element definition given in §IV of the
-// paper ("the direction of a gradient element [is] 1 when it is
-// greater than a threshold δ, −1 when it is less than the threshold
-// −δ, and 0 when it is between").
+// finite and non-negative (CheckThreshold). This is the element
+// definition given in §IV of the paper ("the direction of a gradient
+// element [is] 1 when it is greater than a threshold δ, −1 when it is
+// less than the threshold −δ, and 0 when it is between").
 func Compress(g []float64, delta float64) (*Direction, error) {
 	d := &Direction{}
 	if err := CompressInto(d, g, delta); err != nil {
@@ -113,8 +132,8 @@ func Compress(g []float64, delta float64) (*Direction, error) {
 // that compress round after round (the RSU write path, benchmarks).
 // d's previous contents are fully overwritten.
 func CompressInto(d *Direction, g []float64, delta float64) error {
-	if delta < 0 {
-		return fmt.Errorf("sign: negative threshold %v", delta)
+	if err := CheckThreshold(delta); err != nil {
+		return err
 	}
 	want := PackedLen(len(g))
 	if cap(d.packed) < want {
@@ -124,6 +143,19 @@ func CompressInto(d *Direction, g []float64, delta float64) error {
 	}
 	d.n = len(g)
 	packed := d.packed
+	if hasAVX2 {
+		// Whole 8-element blocks, two packed bytes each.
+		n := len(g) &^ 7
+		compressAVX2(packed[:n/4], g[:n], delta, -delta)
+		packed, g = packed[n/4:], g[n:]
+	}
+	compressGo(packed, g, delta)
+	return nil
+}
+
+// compressGo is the portable compression loop: packed[o] receives
+// elements 4o..4o+3 of g, the final partial byte zero-padded.
+func compressGo(packed []byte, g []float64, delta float64) {
 	negDelta := -delta
 	i, o := 0, 0
 	for ; i+4 <= len(g); i, o = i+4, o+1 {
@@ -139,7 +171,6 @@ func CompressInto(d *Direction, g []float64, delta float64) error {
 		}
 		packed[o] = b
 	}
-	return nil
 }
 
 // Len returns the number of elements.
@@ -208,17 +239,29 @@ func (d *Direction) AccumulateInto(dst []float64, w float64) {
 	if len(dst) != d.n {
 		panic(fmt.Sprintf("sign: AccumulateInto dst length %d, want %d", len(dst), d.n))
 	}
-	full := d.n / 4
+	packed := d.packed
+	if hasAVX2 {
+		// Every whole packed byte; the partial final one stays in Go.
+		n := len(dst) &^ 3
+		accumulateAVX2(dst[:n], packed[:n/4], w)
+		dst, packed = dst[n:], packed[n/4:]
+	}
+	accumulateGo(dst, packed, w)
+}
+
+// accumulateGo is the portable fold: dst[i] += w·(element i of packed).
+func accumulateGo(dst []float64, packed []byte, w float64) {
+	full := len(dst) / 4
 	for o := 0; o < full; o++ {
-		lut := &denseLUT[d.packed[o]]
+		lut := &denseLUT[packed[o]]
 		j := o * 4
 		dst[j] += w * lut[0]
 		dst[j+1] += w * lut[1]
 		dst[j+2] += w * lut[2]
 		dst[j+3] += w * lut[3]
 	}
-	for i := full * 4; i < d.n; i++ {
-		dst[i] += w * denseLUT[d.packed[i/4]][i%4]
+	for i := full * 4; i < len(dst); i++ {
+		dst[i] += w * denseLUT[packed[i/4]][i%4]
 	}
 }
 

@@ -46,6 +46,17 @@ func TestCompressNegativeDelta(t *testing.T) {
 	}
 }
 
+// TestCompressNonFiniteDelta: a NaN threshold compares false against
+// every element and +Inf exceeds none, so either would silently store
+// an all-zero direction; both are rejected like a negative one.
+func TestCompressNonFiniteDelta(t *testing.T) {
+	for _, delta := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if d, err := Compress([]float64{5, -5, 0.1}, delta); err == nil {
+			t.Errorf("delta %v accepted: %d non-zero elements", delta, d.CountNonZero())
+		}
+	}
+}
+
 func TestZeroDeltaKeepsAllSigns(t *testing.T) {
 	d, err := Compress([]float64{0.001, -0.001, 0}, 0)
 	if err != nil {

@@ -55,6 +55,8 @@ if [ -n "$doc_missing" ]; then
 fi
 
 go vet ./...
+# internal/sign's portable fallback builds only off amd64.
+GOARCH=arm64 go vet ./...
 go build ./...
 go test ./...
 
