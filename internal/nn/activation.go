@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	"fuiov/internal/cpuid"
 	"fuiov/internal/rng"
 )
 
@@ -24,13 +25,7 @@ func (r *ReLU) OutputDims(in Dims) Dims { return in }
 func (r *ReLU) Forward(x *Batch) *Batch {
 	r.lastIn = x
 	out := r.out.Reshape(x.N, x.Dims)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
-	}
+	reluMask(out.Data, x.Data, x.Data)
 	return out
 }
 
@@ -41,14 +36,33 @@ func (r *ReLU) Backward(dy *Batch) *Batch {
 		panic("nn.ReLU: Backward before Forward")
 	}
 	dx := r.dx.Reshape(dy.N, dy.Dims)
-	for i, v := range x.Data {
+	reluMask(dx.Data, x.Data, dy.Data)
+	return dx
+}
+
+// reluMask sets dst[i] = y[i] where x[i] > 0 and +0 elsewhere (NaN and
+// −0 included): Forward passes y = x, Backward the upstream gradient.
+// Whole 4-element blocks run in reluMaskAVX2 when the CPU has AVX2.
+func reluMask(dst, x, y []float64) {
+	if cpuid.AVX2 {
+		n := len(x) &^ 3
+		reluMaskAVX2(dst[:n], x[:n], y[:n])
+		dst, x, y = dst[n:], x[n:], y[n:]
+	}
+	reluMaskGo(dst, x, y)
+}
+
+// reluMaskGo is the portable reluMask: the tail, the fallback and the
+// oracle the vector body is held to.
+func reluMaskGo(dst, x, y []float64) {
+	dst, y = dst[:len(x)], y[:len(x)]
+	for i, v := range x {
 		if v > 0 {
-			dx.Data[i] = dy.Data[i]
+			dst[i] = y[i]
 		} else {
-			dx.Data[i] = 0
+			dst[i] = 0
 		}
 	}
-	return dx
 }
 
 // Params returns nil; ReLU has no parameters.

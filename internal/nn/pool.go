@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"fuiov/internal/cpuid"
 	"fuiov/internal/rng"
 )
 
@@ -56,25 +57,73 @@ func (p *MaxPool2D) Forward(x *Batch) *Batch {
 		am := p.argmax[n*outDims.Size() : (n+1)*outDims.Size()]
 		for c := 0; c < x.Dims.C; c++ {
 			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					bestIdx := c*ih*iw + (oy*p.Size)*iw + ox*p.Size
-					best := in[bestIdx]
-					for ky := 0; ky < p.Size; ky++ {
-						for kx := 0; kx < p.Size; kx++ {
-							idx := c*ih*iw + (oy*p.Size+ky)*iw + (ox*p.Size + kx)
-							if in[idx] > best {
-								best, bestIdx = in[idx], idx
-							}
-						}
-					}
-					o := (c*oh+oy)*ow + ox
-					y[o] = best
-					am[o] = bestIdx
+				o := (c*oh + oy) * ow
+				base := c*ih*iw + oy*p.Size*iw
+				if p.Size == 2 {
+					maxPool2(y[o:o+ow], am[o:o+ow], in, iw, base)
+				} else {
+					p.poolRow(y[o:o+ow], am[o:o+ow], in, iw, base)
 				}
 			}
 		}
 	}
 	return out
+}
+
+// poolRow fills one row of outputs for any window size: window ox
+// covers rows base/iw … +Size−1 and columns ox·Size … +Size−1 of in,
+// scanned row by row from its top-left element, and a later element
+// replaces the running maximum only when strictly greater — so the
+// first maximum wins and a NaN neither replaces nor is replaced.
+func (p *MaxPool2D) poolRow(y []float64, am []int, in []float64, iw, base int) {
+	for ox := range y {
+		bestIdx := base + ox*p.Size
+		best := in[bestIdx]
+		for ky := 0; ky < p.Size; ky++ {
+			for kx := 0; kx < p.Size; kx++ {
+				idx := base + ky*iw + ox*p.Size + kx
+				if in[idx] > best {
+					best, bestIdx = in[idx], idx
+				}
+			}
+		}
+		y[ox] = best
+		am[ox] = bestIdx
+	}
+}
+
+// maxPool2 is poolRow for 2×2 windows: whole 4-output blocks in
+// maxPool2AVX2 when the CPU has AVX2, the rest in maxPool2Go.
+func maxPool2(y []float64, am []int, in []float64, iw, base int) {
+	if cpuid.AVX2 {
+		n := len(y) &^ 3
+		if n > 0 {
+			maxPool2AVX2(y[:n], am[:n], in[base:base+iw+2*n], iw, base)
+			y, am, base = y[n:], am[n:], base+2*n
+		}
+	}
+	maxPool2Go(y, am, in, iw, base)
+}
+
+// maxPool2Go is poolRow unrolled for 2×2 windows, comparing the four
+// positions in the same order: the tail, the fallback and the oracle
+// the vector body is held to.
+func maxPool2Go(y []float64, am []int, in []float64, iw, base int) {
+	am = am[:len(y)]
+	for ox := range y {
+		i := base + 2*ox
+		best, bestIdx := in[i], i
+		if v := in[i+1]; v > best {
+			best, bestIdx = v, i+1
+		}
+		if v := in[i+iw]; v > best {
+			best, bestIdx = v, i+iw
+		}
+		if v := in[i+iw+1]; v > best {
+			best, bestIdx = v, i+iw+1
+		}
+		y[ox], am[ox] = best, bestIdx
+	}
 }
 
 // Backward routes each output gradient to its argmax input position.

@@ -255,3 +255,35 @@ func (d *Dense) backwardNaive(dy *Batch) *Batch {
 	}
 	return dx
 }
+
+// maxPoolNaive is the direct-loop reference for MaxPool2D.Forward:
+// per sample, channel and output position it scans the size×size
+// window row by row from its top-left element and keeps the first
+// strictly greater value, returning the pooled batch data and each
+// output's source index within its sample.
+func maxPoolNaive(x *Batch, size int) (out []float64, idx []int) {
+	oh, ow := x.Dims.H/size, x.Dims.W/size
+	for n := 0; n < x.N; n++ {
+		in := x.Sample(n)
+		for c := 0; c < x.Dims.C; c++ {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					at := func(ky, kx int) int {
+						return (c*x.Dims.H+oy*size+ky)*x.Dims.W + ox*size + kx
+					}
+					best := at(0, 0)
+					for ky := 0; ky < size; ky++ {
+						for kx := 0; kx < size; kx++ {
+							if i := at(ky, kx); in[i] > in[best] {
+								best = i
+							}
+						}
+					}
+					out = append(out, in[best])
+					idx = append(idx, best)
+				}
+			}
+		}
+	}
+	return out, idx
+}

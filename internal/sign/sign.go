@@ -20,10 +20,11 @@
 //
 // The two loops the RSU runs on every upload — compressing a dense
 // gradient and folding a packed direction into a shard sum — have AVX2
-// bodies on amd64, chosen once at init by a CPUID check. compressGo
-// and accumulateGo are the portable loops: they finish the tail the
-// vector bodies leave, run everything on other CPUs, and are the
-// oracle the differential tests hold the vector bodies to, bit for bit.
+// bodies on amd64, chosen by the shared CPU probe (internal/cpuid).
+// compressGo and accumulateGo are the portable loops: they finish the
+// tail the vector bodies leave, run everything on other CPUs, and are
+// the oracle the differential tests hold the vector bodies to, bit for
+// bit.
 package sign
 
 import (
@@ -31,6 +32,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"fuiov/internal/cpuid"
 )
 
 // Direction is a packed ternary vector: each element stores one of
@@ -143,7 +146,7 @@ func CompressInto(d *Direction, g []float64, delta float64) error {
 	}
 	d.n = len(g)
 	packed := d.packed
-	if hasAVX2 {
+	if cpuid.AVX2 {
 		// Whole 8-element blocks, two packed bytes each.
 		n := len(g) &^ 7
 		compressAVX2(packed[:n/4], g[:n], delta, -delta)
@@ -240,7 +243,7 @@ func (d *Direction) AccumulateInto(dst []float64, w float64) {
 		panic(fmt.Sprintf("sign: AccumulateInto dst length %d, want %d", len(dst), d.n))
 	}
 	packed := d.packed
-	if hasAVX2 {
+	if cpuid.AVX2 {
 		// Every whole packed byte; the partial final one stays in Go.
 		n := len(dst) &^ 3
 		accumulateAVX2(dst[:n], packed[:n/4], w)
@@ -250,18 +253,21 @@ func (d *Direction) AccumulateInto(dst []float64, w float64) {
 }
 
 // accumulateGo is the portable fold: dst[i] += w·(element i of packed).
+// The explicit float64 conversion rounds the product before the add:
+// without it the compiler may fuse the two into one FMA (it does on
+// arm64), and the bits would differ from the vector body's.
 func accumulateGo(dst []float64, packed []byte, w float64) {
 	full := len(dst) / 4
 	for o := 0; o < full; o++ {
 		lut := &denseLUT[packed[o]]
 		j := o * 4
-		dst[j] += w * lut[0]
-		dst[j+1] += w * lut[1]
-		dst[j+2] += w * lut[2]
-		dst[j+3] += w * lut[3]
+		dst[j] += float64(w * lut[0])
+		dst[j+1] += float64(w * lut[1])
+		dst[j+2] += float64(w * lut[2])
+		dst[j+3] += float64(w * lut[3])
 	}
 	for i := full * 4; i < len(dst); i++ {
-		dst[i] += w * denseLUT[packed[i/4]][i%4]
+		dst[i] += float64(w * denseLUT[packed[i/4]][i%4])
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"fuiov/internal/cpuid"
 )
 
 // Cache-blocked, goroutine-parallel GEMM kernels.
@@ -154,25 +156,39 @@ func gemmNNRange(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// saxpy computes orow[j] += av*brow[j], unrolled 4×. The unroll runs
-// over independent output elements (j), never across the k summation,
-// so each element's term order — and therefore every bit of the result
-// — is unchanged.
+// saxpy computes orow[j] += av*brow[j] over the shorter of the two
+// rows: whole 4-element blocks in saxpyAVX2 when the CPU has AVX2, the
+// rest in saxpyGo. Every element gets one product and one sum, so the
+// term order of each output element — and every bit of the result — is
+// the same on either path.
 func saxpy(orow []float64, av float64, brow []float64) {
-	n := len(brow)
-	if len(orow) < n {
-		n = len(orow)
+	n := min(len(brow), len(orow))
+	m := 0
+	if cpuid.AVX2 {
+		m = n &^ 3
+		saxpyAVX2(orow[:m], av, brow[:m])
 	}
-	orow, brow = orow[:n], brow[:n]
+	if m < n {
+		saxpyGo(orow[m:n], av, brow[m:n])
+	}
+}
+
+// saxpyGo is the portable saxpy, unrolled 4× over independent output
+// elements (j), never across the k summation. The explicit float64
+// conversion rounds the product before the add: without it the
+// compiler may fuse the two into one FMA (it does on arm64), and the
+// bits would differ from the vector body's.
+func saxpyGo(orow []float64, av float64, brow []float64) {
+	brow = brow[:len(orow)]
 	j := 0
-	for ; j+3 < n; j += 4 {
-		orow[j] += av * brow[j]
-		orow[j+1] += av * brow[j+1]
-		orow[j+2] += av * brow[j+2]
-		orow[j+3] += av * brow[j+3]
+	for ; j+3 < len(orow); j += 4 {
+		orow[j] += float64(av * brow[j])
+		orow[j+1] += float64(av * brow[j+1])
+		orow[j+2] += float64(av * brow[j+2])
+		orow[j+3] += float64(av * brow[j+3])
 	}
-	for ; j < n; j++ {
-		orow[j] += av * brow[j]
+	for ; j < len(orow); j++ {
+		orow[j] += float64(av * brow[j])
 	}
 }
 
@@ -203,19 +219,42 @@ func gemmNTChecked(op string, dst, a, b *Matrix, acc bool) {
 }
 
 // gemmNTRange computes output rows [lo, hi) of dst = (dst +) a*bᵀ.
+// With AVX2, each group of four rows sends its whole 4-column blocks
+// to gemmNT4AVX2; gemmNTGo computes the remaining columns and the last
+// hi−lo mod 4 rows. Each output element is one k-increasing chain on
+// either path.
 func gemmNTRange(dst, a, b *Matrix, acc bool, lo, hi int) {
+	k, n := a.Cols, b.Rows
+	i, nv := lo, 0
+	if cpuid.AVX2 {
+		nv = n &^ 3
+	}
+	if nv > 0 {
+		for ; i+4 <= hi; i += 4 {
+			gemmNT4AVX2(dst.Data[i*n:(i+3)*n+nv], a.Data[i*k:(i+4)*k], b.Data[:nv*k], n, k, nv, acc)
+		}
+	}
+	gemmNTGo(dst, a, b, acc, lo, i, nv)
+	gemmNTGo(dst, a, b, acc, i, hi, 0)
+}
+
+// gemmNTGo is the portable a*bᵀ kernel over output columns [j0, n) of
+// rows [lo, hi): one serial chain per output element, started from dst
+// (acc) or +0, adding its k terms in increasing order. The float64
+// conversion keeps each product rounded on its own (see saxpyGo).
+func gemmNTGo(dst, a, b *Matrix, acc bool, lo, hi, j0 int) {
 	k, n := a.Cols, b.Rows
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := dst.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
+		for j := j0; j < n; j++ {
 			brow := b.Data[j*k : (j+1)*k]
 			s := 0.0
 			if acc {
 				s = orow[j]
 			}
 			for kk, av := range arow {
-				s += av * brow[kk]
+				s += float64(av * brow[kk])
 			}
 			orow[j] = s
 		}

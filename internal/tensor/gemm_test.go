@@ -33,8 +33,6 @@ func matMulNaive(a, b *Matrix) *Matrix {
 	return out
 }
 
-// randMatrix fills an m×n matrix with seeded normal noise, with a few
-// exact zeros mixed in so the zero-skip paths are exercised.
 // fillNaN poisons a destination so a kernel that skips an element
 // shows up as a NaN mismatch.
 func fillNaN(v Vec) {
@@ -43,6 +41,8 @@ func fillNaN(v Vec) {
 	}
 }
 
+// randMatrix fills an m×n matrix with seeded normal noise, with a few
+// exact zeros mixed in so the zero-skip paths are exercised.
 func randMatrix(r *rng.RNG, m, n int) *Matrix {
 	out := NewMatrix(m, n)
 	for i := range out.Data {

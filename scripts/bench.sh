@@ -5,8 +5,9 @@
 # the results to BENCH_kernels.json as
 #   {"cpu": ..., "benchmarks": [{"op", "gomaxprocs", "ns_op", "b_op", "allocs_op"}]}
 # (gomaxprocs is the -N suffix go test prints after the name, 1 when
-# there is none; run under GOMAXPROCS=1 for the single-core rows the
-# docs quote).
+# there is none). The kernel rows run at GOMAXPROCS=1, the single-core
+# figures the docs quote; BenchmarkClientGradient runs once more at
+# GOMAXPROCS=2, the two cores the fleet_cnn workload shares.
 # Usage: scripts/bench.sh [-smoke] [-sign] [-strategies] [-scale] [-verify]
 #   -smoke  run every benchmark for a single iteration and write the
 #           JSON to a temp file — a fast harness check for check.sh.
@@ -123,6 +124,7 @@ if [ "$suite" = strategies ]; then
 	exit 0
 fi
 
+cpus=
 case "$suite" in
 sign)
 	case "$out" in
@@ -134,11 +136,15 @@ sign)
 *)
 	pattern='^(BenchmarkMatMul|BenchmarkMatMulNaive|BenchmarkMatMulInto|BenchmarkMulVec|BenchmarkConvForward|BenchmarkConvForwardNaive|BenchmarkConvBackward|BenchmarkConvBackwardNaive|BenchmarkDenseForward|BenchmarkDenseForwardNaive|BenchmarkDenseBackward|BenchmarkClientGradient|BenchmarkHVP|BenchmarkHVPInto|BenchmarkRecoveryRound)$'
 	pkgs="./internal/tensor/ ./internal/nn/ ./internal/fl/ ./internal/lbfgs/ ."
+	cpus="-cpu 1"
 	;;
 esac
 
 raw=$(mktemp)
-go test -bench "$pattern" -benchmem -benchtime "$benchtime" -run '^$' $pkgs | tee "$raw"
+go test -bench "$pattern" -benchmem -benchtime "$benchtime" $cpus -run '^$' $pkgs | tee "$raw"
+if [ "$suite" = kernels ]; then
+	go test -bench '^BenchmarkClientGradient$' -benchmem -benchtime "$benchtime" -cpu 2 -run '^$' ./internal/fl/ | tee -a "$raw"
+fi
 
 awk '
 /^cpu:/ && cpu == "" { cpu = substr($0, index($0, ":") + 2) }

@@ -55,8 +55,34 @@ if [ -n "$doc_missing" ]; then
 fi
 
 go vet ./...
-# internal/sign's portable fallback builds only off amd64.
+# The portable fallbacks of the AVX2 kernels (internal/sign, tensor,
+# nn) build only off amd64.
 GOARCH=arm64 go vet ./...
+
+# FMA lint: each Go loop behind a vector kernel is that kernel's oracle
+# and must round every product before its add, as the vector bodies
+# do. The explicit float64(...) conversions forbid fusion; this fails
+# if an arm64 build of those loops (and of the GEMM drivers that call
+# them) shows a fused multiply-add anyway, or if one of them is missing
+# from the binary (renamed or inlined: update the list).
+fma_funcs='tensor.saxpy tensor.saxpyGo tensor.gemmNNRange tensor.gemmTNRange tensor.gemmNTRange tensor.gemmNTGo sign.accumulateGo'
+fma_bin=$(mktemp)
+GOARCH=arm64 go build -o "$fma_bin" ./cmd/fuiov
+fma_re=$(echo "$fma_funcs" | sed 's/\./\\./g; s/ /|/g')
+fma_dump=$(go tool objdump -s "^fuiov/internal/($fma_re)\$" "$fma_bin")
+rm -f "$fma_bin"
+for fn in $fma_funcs; do
+	if ! echo "$fma_dump" | grep -q "^TEXT fuiov/internal/$fn(SB)"; then
+		echo "FMA lint: $fn not found in the arm64 build" >&2
+		exit 1
+	fi
+done
+fused=$(echo "$fma_dump" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS]?[[:space:]]' || true)
+if [ -n "$fused" ]; then
+	echo "FMA lint: fused multiply-add in a kernel oracle (wrap the product in float64(...)):" >&2
+	echo "$fused" >&2
+	exit 1
+fi
 go build ./...
 go test ./...
 
