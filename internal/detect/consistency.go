@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"sort"
 
 	"fuiov/internal/fl"
@@ -84,9 +85,12 @@ func (d *ConsistencyDetector) RecordRound(_ int, model []float64, grads map[hist
 	// share of the round's mean error, so honest clients sit near 1
 	// regardless of gradient scale and attackers stand out (FLDetector
 	// normalizes scores per round the same way).
+	// Clients in ascending ID order: the sum of their errors must not
+	// depend on map iteration order, or neither would the scores.
 	raw := make(map[history.ClientID]float64, len(grads))
 	var total float64
-	for id, g := range grads {
+	for _, id := range sortedIDs(grads) {
+		g := grads[id]
 		prev, ok := d.prevGrads[id]
 		if !ok {
 			continue // newly joined; no prediction possible
@@ -110,15 +114,21 @@ func (d *ConsistencyDetector) RecordRound(_ int, model []float64, grads map[hist
 	return nil
 }
 
-func meanGradient(grads map[history.ClientID][]float64) []float64 {
-	if len(grads) == 0 {
-		return nil
-	}
+// sortedIDs returns the clients of grads in ascending ID order.
+func sortedIDs(grads map[history.ClientID][]float64) []history.ClientID {
 	ids := make([]history.ClientID, 0, len(grads))
 	for id := range grads {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	return ids
+}
+
+func meanGradient(grads map[history.ClientID][]float64) []float64 {
+	if len(grads) == 0 {
+		return nil
+	}
+	ids := sortedIDs(grads)
 	out := make([]float64, len(grads[ids[0]]))
 	for _, id := range ids {
 		tensor.AddInPlace(out, grads[id])

@@ -68,7 +68,10 @@ func (f FuncSchedule) Participates(id history.ClientID, t int) bool { return f(i
 // Recorder observes each round's pre-update model, uploaded gradients
 // and aggregation weights. *history.Store is the canonical
 // implementation; the full-gradient stores used by the baseline
-// recovery methods are others.
+// recovery methods are others. Like an Aggregator, it must not mutate
+// its inputs and must not retain them past the call: the engine clears
+// the maps when the round closes, and the networked coordinator reuses
+// the gradient buffers for the next round's uploads.
 type Recorder interface {
 	RecordRound(t int, model []float64, grads map[history.ClientID][]float64, weights map[history.ClientID]float64) error
 }
@@ -348,7 +351,7 @@ func NewSimulation(template *nn.Network, clients []*Client, cfg Config) (*Simula
 		s.stream = stream
 		s.met.stream.shards.Set(float64(s.cfg.StreamShards))
 	} else {
-		s.buffer = &cohortBuffer{}
+		s.buffer = &cohortBuffer{parallelism: cfg.Parallelism}
 		s.stream = s.buffer
 	}
 	return s, nil

@@ -11,6 +11,7 @@ import (
 	"fuiov/internal/history"
 	"fuiov/internal/rng"
 	"fuiov/internal/sign"
+	"fuiov/internal/tensor"
 )
 
 // ErrDuplicateUpload marks a second upload from the same client inside
@@ -64,6 +65,10 @@ type StreamAggregator interface {
 // the result does not depend on arrival order and full-gradient
 // Recorders see the cohort's maps.
 type cohortBuffer struct {
+	// parallelism bounds Resolve's element-range split (the engine's
+	// Config.Parallelism).
+	parallelism int
+
 	mu      sync.Mutex
 	ids     []history.ClientID
 	grads   map[history.ClientID][]float64
@@ -88,10 +93,31 @@ func (b *cohortBuffer) Add(id history.ClientID, grad []float64, weight float64) 
 
 // Resolve implements StreamAggregator: FedAvg.AggregateInto over the
 // sorted IDs — Aggregate's summation order without its per-round
-// result allocation.
+// result allocation. A cohort worth more than MinRangeWork of summing
+// splits [0, dim) into RangeWorkers contiguous element ranges, the
+// calling goroutine taking the first; each element is computed once by
+// the same AggregateRange whatever the split, so the bits do not
+// depend on it.
 func (b *cohortBuffer) Resolve(dst []float64) error {
 	slices.Sort(b.ids)
-	return FedAvg{}.AggregateInto(dst, b.ids, b.grads, b.weights)
+	f := FedAvg{}
+	inv, err := f.InvTotal(len(dst), b.ids, b.grads, b.weights)
+	if err != nil {
+		return err
+	}
+	workers := RangeWorkers(len(dst), len(b.ids), b.parallelism)
+	chunk := (len(dst) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := chunk; lo < len(dst); lo += chunk {
+		wg.Add(1)
+		go func(lo int) {
+			defer wg.Done()
+			f.AggregateRange(dst, b.ids, b.grads, b.weights, inv, lo, min(lo+chunk, len(dst)))
+		}(lo)
+	}
+	f.AggregateRange(dst, b.ids, b.grads, b.weights, inv, 0, min(chunk, len(dst)))
+	wg.Wait()
+	return nil
 }
 
 // Folded implements StreamAggregator.
@@ -101,12 +127,17 @@ func (b *cohortBuffer) Folded() int {
 	return len(b.ids)
 }
 
-// Reset implements StreamAggregator. The maps are dropped, not
-// cleared: a Recorder may have kept the ones it was handed.
+// Reset implements StreamAggregator. The maps are cleared, not
+// reallocated: a Recorder must not retain what it was handed, so
+// nothing outside the buffer still holds them, and dropping the
+// gradients here is what lets a caller reuse an upload's buffer once
+// its round has committed or aborted.
 func (b *cohortBuffer) Reset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.ids, b.grads, b.weights = b.ids[:0], nil, nil
+	b.ids = b.ids[:0]
+	clear(b.grads)
+	clear(b.weights)
 }
 
 // Bytes implements StreamAggregator: the retained gradients.
@@ -159,10 +190,15 @@ type ShardedFedAvg struct {
 	shards []shardAcc
 	folded atomic.Int64
 
-	// scratch is Resolve's reusable partial-sum pool: at most
-	// ⌈log₂P⌉+1 buffers of dim floats, so the tree reduction allocates
-	// only on its first run.
-	scratch [][]float64
+	// plan is Resolve's reduction tree, a function of P alone (see
+	// treePlan); slots are its partial sums for one tile — a shard's
+	// accumulator read in place, or the slot's own aggTile floats of
+	// scratch once something has been added to it.
+	plan    []treeStep
+	slots   [][]float64
+	owned   []bool
+	slotW   []float64
+	scratch []float64
 }
 
 var _ StreamAggregator = (*ShardedFedAvg)(nil)
@@ -180,6 +216,12 @@ func NewShardedFedAvg(dim, shards int) (*ShardedFedAvg, error) {
 	for i := range a.shards {
 		a.shards[i].sum = make([]float64, dim)
 	}
+	var depth int
+	a.plan, depth = treePlan(shards)
+	a.slots = make([][]float64, depth)
+	a.owned = make([]bool, depth)
+	a.slotW = make([]float64, depth)
+	a.scratch = make([]float64, depth*min(aggTile, dim))
 	return a, nil
 }
 
@@ -221,13 +263,10 @@ func (a *ShardedFedAvg) fold(id history.ClientID, grad []float64, d *sign.Direct
 	if d != nil {
 		d.AccumulateInto(sh.sum, weight*scale)
 	} else {
-		// The per-element fold matches AggregateInto's inner loop
-		// (dst[i] += w*v) so single-shard ascending-ID streams are
-		// bit-identical to the buffering aggregator.
-		sum := sh.sum
-		for i, v := range grad {
-			sum[i] += weight * v
-		}
+		// AggregateRange's kernel (sum[i] += w*v), so single-shard
+		// ascending-ID streams are bit-identical to the buffering
+		// aggregator.
+		tensor.AxpyInPlace(sh.sum, weight, grad)
 	}
 	sh.weight += weight
 	sh.count++
@@ -239,22 +278,45 @@ func (a *ShardedFedAvg) fold(id history.ClientID, grad []float64, d *sign.Direct
 // Folded implements StreamAggregator.
 func (a *ShardedFedAvg) Folded() int { return int(a.folded.Load()) }
 
-// treePartial is one node of Resolve's pairwise reduction: a partial
-// sum covering 2^level consecutive shards.
-type treePartial struct {
-	sum   []float64
-	w     float64
-	level int
+// treeStep is one step of Resolve's reduction: load shard's
+// accumulator into slot, or, when shard < 0, add slot+1 into slot.
+type treeStep struct{ shard, slot int }
+
+// treePlan lays out the pairwise tree over p shards as a level stack:
+// shards enter in index order as level-0 partials; equal-level
+// neighbours merge at once (earlier shards on the left), and the
+// trailing, smaller partials finally fold into the earlier ones right
+// to left — ((s0+s1)+(s2+s3))+… for any p. It returns the steps and
+// the stack's depth, at most ⌈log₂p⌉+1.
+func treePlan(p int) (steps []treeStep, depth int) {
+	var levels []int
+	for i := 0; i < p; i++ {
+		steps = append(steps, treeStep{shard: i, slot: len(levels)})
+		levels = append(levels, 0)
+		depth = max(depth, len(levels))
+		for n := len(levels); n >= 2 && levels[n-2] == levels[n-1]; n = len(levels) {
+			steps = append(steps, treeStep{shard: -1, slot: n - 2})
+			levels = levels[:n-1]
+			levels[n-2]++
+		}
+	}
+	for k := len(levels) - 2; k >= 0; k-- {
+		steps = append(steps, treeStep{shard: -1, slot: k})
+	}
+	return steps, depth
 }
 
-// Resolve implements StreamAggregator: a fixed-shape pairwise tree
-// reduction over the shard index — shards combine as
-// ((s0+s1)+(s2+s3))+… — followed by one normalisation by the total
-// weight, the same single division FedAvg.AggregateInto applies. The tree
-// shape depends only on P, never on arrival order or on which shards
-// happen to be empty, so the resolved bits are stable for a given
-// (P, per-shard fold sequences). The shard accumulators are read, not
-// mutated: Resolve is repeatable and does not require a Reset first.
+// Resolve implements StreamAggregator: the fixed-shape pairwise tree
+// of treePlan over the shard index, followed by one normalisation by
+// the total weight, the same single division FedAvg.AggregateInto
+// applies. The tree shape depends only on P, never on arrival order or
+// on which shards happen to be empty, so the resolved bits are stable
+// for a given (P, per-shard fold sequences). It runs one aggTile of
+// elements at a time, reading the shard accumulators in place and
+// adding partials with tensor.AxpyInPlace at weight 1 (1·v is v
+// exactly); with one shard it only scales the accumulator into dst. The
+// accumulators are read, not mutated: Resolve is repeatable and does
+// not require a Reset first.
 func (a *ShardedFedAvg) Resolve(dst []float64) error {
 	if len(dst) != a.dim {
 		return fmt.Errorf("fl: resolve into %d params, want %d", len(dst), a.dim)
@@ -262,58 +324,37 @@ func (a *ShardedFedAvg) Resolve(dst []float64) error {
 	if a.Folded() == 0 {
 		return fmt.Errorf("fl: aggregate with no gradients")
 	}
-	free := a.scratch
-	grab := func() []float64 {
-		if n := len(free); n > 0 {
-			b := free[n-1]
-			free = free[:n-1]
-			return b
+	w := a.slotW
+	for _, st := range a.plan {
+		if st.shard >= 0 {
+			w[st.slot] = a.shards[st.shard].weight
+		} else {
+			w[st.slot] += w[st.slot+1]
 		}
-		return make([]float64, a.dim)
 	}
-	// Level-stack pairwise reduction: shards enter in index order as
-	// level-0 partials; equal-level neighbours merge immediately
-	// (earlier shards on the left), so at most ⌈log₂P⌉+1 partials are
-	// ever live.
-	var stack []treePartial
-	for i := range a.shards {
-		sh := &a.shards[i]
-		buf := grab()
-		copy(buf, sh.sum)
-		cur := treePartial{sum: buf, w: sh.weight}
-		for len(stack) > 0 && stack[len(stack)-1].level == cur.level {
-			left := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for j, v := range cur.sum {
-				left.sum[j] += v
-			}
-			left.w += cur.w
-			left.level++
-			free = append(free, cur.sum)
-			cur = left
-		}
-		stack = append(stack, cur)
-	}
-	// Complete the tree: the trailing (smaller) partials fold into the
-	// earlier (larger) ones, right to left — still a function of P
-	// alone.
-	res := stack[len(stack)-1]
-	for i := len(stack) - 2; i >= 0; i-- {
-		left := stack[i]
-		for j, v := range res.sum {
-			left.sum[j] += v
-		}
-		left.w += res.w
-		free = append(free, res.sum)
-		res = left
-	}
-	a.scratch = append(free, res.sum)
-	if res.w == 0 {
+	if w[0] == 0 {
 		return fmt.Errorf("fl: total aggregation weight is zero")
 	}
-	inv := 1 / res.w
-	for j, v := range res.sum {
-		dst[j] = v * inv
+	inv := 1 / w[0]
+	stride := min(aggTile, a.dim)
+	for lo := 0; lo < a.dim; lo += aggTile {
+		hi := min(lo+aggTile, a.dim)
+		for _, st := range a.plan {
+			k := st.slot
+			if st.shard >= 0 {
+				a.slots[k], a.owned[k] = a.shards[st.shard].sum[lo:hi], false
+				continue
+			}
+			if !a.owned[k] {
+				buf := a.scratch[k*stride:][:hi-lo]
+				copy(buf, a.slots[k])
+				a.slots[k], a.owned[k] = buf, true
+			}
+			tensor.AxpyInPlace(a.slots[k], 1, a.slots[k+1])
+		}
+		for j, v := range a.slots[0] {
+			dst[lo+j] = v * inv
+		}
 	}
 	return nil
 }

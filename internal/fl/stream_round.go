@@ -74,7 +74,8 @@ func (rs *RoundStream) Folded() int { return rs.sim.stream.Folded() }
 // weight that is NaN, infinite or negative is refused — one such
 // weight would otherwise turn the whole aggregate to NaN or flip its
 // sign. Under Config.Streaming grad is not retained and the caller may
-// reuse it; otherwise the round keeps it until it commits or aborts.
+// reuse it; otherwise the round keeps it until it commits or aborts. A
+// refused upload is never retained.
 func (rs *RoundStream) Add(id history.ClientID, grad []float64, weight float64) error {
 	if err := rs.admit(id, len(grad), weight); err != nil {
 		return err

@@ -149,6 +149,8 @@ type Coordinator struct {
 	mux        *http.ServeMux
 	met        coordMetrics
 	queue      *unlearn.Queue
+	// frames recycles dense upload buffers between rounds.
+	frames framePool
 
 	mu       sync.Mutex
 	cur      *roundState
@@ -515,12 +517,19 @@ type roundReply struct {
 // resolves (all scheduled uploads arrived, or the wall-clock window
 // expired and quorum was adjudicated).
 func (c *Coordinator) handleRound(w http.ResponseWriter, r *http.Request) {
-	up, err := readUpload(r.Body, c.dim)
+	up, err := readUpload(r.Body, c.dim, &c.frames)
 	if err != nil {
 		status, code := mapError(err)
 		c.writeErr(w, status, code, err, c.currentRound())
 		return
 	}
+	// A dense upload's frame goes back to the free list on every exit
+	// but one. Once the round has taken it (Add succeeded) it is the
+	// round's until the round resolves — commit, failure or abort all
+	// reset the engine's stream before done closes — and an uploader
+	// gone before then leaves it to the GC. A sign upload has no frame.
+	frame := up.Grad
+	defer func() { c.frames.put(frame) }()
 
 	c.mu.Lock()
 	rs, err := c.ensureRound()
@@ -601,6 +610,7 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, r *http.Request) {
 	case <-rs.done:
 	case <-r.Context().Done():
 		// The uploader went away; its gradient stays in the window.
+		frame = nil
 		return
 	}
 	c.met.roundWait.Observe(c.cfg.Now().Sub(waitStart))

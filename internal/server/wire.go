@@ -170,7 +170,7 @@ func WriteUpload(w io.Writer, client history.ClientID, round int, weight float64
 // way, and so is a sign frame whose scale is NaN or infinite: one such
 // value would poison the whole round's aggregate.
 func ReadUpload(r io.Reader, dim int) (*Upload, error) {
-	up, err := readUpload(r, dim)
+	up, err := readUpload(r, dim, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -184,8 +184,10 @@ func ReadUpload(r io.Reader, dim int) (*Upload, error) {
 // comes back as (Dir, Scale) with Grad nil — the payload is read
 // straight into the direction's own storage and validated in place,
 // and nothing dim×8 bytes large is built. The round handler folds that
-// form as it is (fl.RoundStream.AddDirection).
-func readUpload(r io.Reader, dim int) (*Upload, error) {
+// form as it is (fl.RoundStream.AddDirection). A dense payload is read
+// into a frame from frames when it has one (nil frames, or an empty
+// list, allocates); a frame that fails to fill goes back.
+func readUpload(r io.Reader, dim int, frames *framePool) (*Upload, error) {
 	// Room for a sign payload's own length prefix behind the header.
 	hdr := make([]byte, uploadHeaderLen, uploadHeaderLen+signLenPrefix)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -215,8 +217,11 @@ func readUpload(r io.Reader, dim int) (*Upload, error) {
 
 	switch enc {
 	case EncodingDense:
-		up.Grad = make([]float64, dim)
+		if up.Grad = frames.get(dim); up.Grad == nil {
+			up.Grad = make([]float64, dim)
+		}
 		if err := readFloats(r, up.Grad); err != nil {
+			frames.put(up.Grad)
 			return nil, fmt.Errorf("%w: short dense payload: %v", ErrBadFrame, err)
 		}
 		up.PayloadBytes = 8 * dim

@@ -125,7 +125,7 @@ func TestSignUploadStopsAtDirection(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	up, err := readUpload(bytes.NewReader(frame(EncodingSign, scale)), len(grad))
+	up, err := readUpload(bytes.NewReader(frame(EncodingSign, scale)), len(grad), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

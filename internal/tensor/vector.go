@@ -84,12 +84,12 @@ func SubInPlace(dst, src Vec) {
 	}
 }
 
-// AxpyInPlace sets dst = dst + alpha*src (BLAS axpy).
+// AxpyInPlace sets dst = dst + alpha*src (BLAS axpy) through saxpy:
+// each element gets one rounded product and one sum, so the result is
+// the scalar loop's on every path and every architecture.
 func AxpyInPlace(dst Vec, alpha float64, src Vec) {
 	mustSameLen("AxpyInPlace", dst, src)
-	for i := range dst {
-		dst[i] += alpha * src[i]
-	}
+	saxpy(dst, alpha, src)
 }
 
 // ScaleInPlace sets v = alpha * v.

@@ -93,20 +93,20 @@ func TestAggregateRangesMatchesFedAvg(t *testing.T) {
 }
 
 // TestRangeWorkersOffForSmallModels: the split stays off below
-// minRangeWork of aggregation — at the TrafficCNN's 1 212 parameters
+// fl.MinRangeWork of aggregation — at the TrafficCNN's 1 212 parameters
 // for any fleet a test or benchmark runs — and never exceeds the
 // pass's parallelism.
 func TestRangeWorkersOffForSmallModels(t *testing.T) {
 	for clients := 1; clients <= 16; clients++ {
-		if w := rangeWorkers(1212, clients, 8); w != 1 {
+		if w := fl.RangeWorkers(1212, clients, 8); w != 1 {
 			t.Errorf("dim 1212, %d clients: %d range workers, want the split off", clients, w)
 		}
 	}
-	if w := rangeWorkers(34186, 15, 2); w != 2 {
+	if w := fl.RangeWorkers(34186, 15, 2); w != 2 {
 		t.Errorf("dim 34186, 15 clients, parallelism 2: %d range workers, want 2", w)
 	}
-	if w := rangeWorkers(34186, 15, 64); w != 34186*15/minRangeWork {
-		t.Errorf("dim 34186, 15 clients, parallelism 64: %d range workers, want %d", w, 34186*15/minRangeWork)
+	if w := fl.RangeWorkers(34186, 15, 64); w != 34186*15/fl.MinRangeWork {
+		t.Errorf("dim 34186, 15 clients, parallelism 64: %d range workers, want %d", w, 34186*15/fl.MinRangeWork)
 	}
 }
 
@@ -128,7 +128,7 @@ func (aggregateSeam) Aggregate(grads map[history.ClientID][]float64, weights map
 // production computes.
 func TestAggregatorSeamMatchesDefault(t *testing.T) {
 	const dim, rounds, clients, joinF = 34186, 12, 5, 3
-	if w := rangeWorkers(dim, clients-1, 2); w < 2 {
+	if w := fl.RangeWorkers(dim, clients-1, 2); w < 2 {
 		t.Fatalf("%d range workers at Parallelism 2: the shape does not split", w)
 	}
 	store := randomStore(t, 31, dim, rounds, clients, joinF)

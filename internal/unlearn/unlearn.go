@@ -409,12 +409,6 @@ const (
 	stageAggregate        // per element range: FedAvg
 )
 
-// minRangeWork is the least aggregation work, in gradient elements
-// summed, worth one more fan-out worker: below it the goroutine
-// hand-off costs more than the split saves, so small models (a
-// TrafficCNN's 1 212 parameters × a fleet) aggregate inline.
-const minRangeWork = 1 << 16
-
 // pass is a resumable recovery pass: the entire state of the round loop
 // between round boundaries. runTo(ctx, limit) advances it through
 // rounds [next, limit); because every per-round computation depends
@@ -702,16 +696,9 @@ func (p *pass) fanOut(stage, n, workers int) {
 // the same order as Aggregate. Any other rule runs its Aggregate.
 func (p *pass) aggregate() ([]float64, error) {
 	if p.fedAvg {
-		return p.aggOut, p.aggregateRanges(rangeWorkers(len(p.aggOut), len(p.remaining), p.parallelism))
+		return p.aggOut, p.aggregateRanges(fl.RangeWorkers(len(p.aggOut), len(p.remaining), p.parallelism))
 	}
 	return p.u.cfg.Aggregator.Aggregate(p.grads, p.weights)
-}
-
-// rangeWorkers is how many element ranges a FedAvg round of clients
-// gradients of length dim is worth splitting into: one per
-// minRangeWork of it, at least one and at most parallelism.
-func rangeWorkers(dim, clients, parallelism int) int {
-	return max(1, min(parallelism, dim*clients/minRangeWork))
 }
 
 // aggregateRanges is FedAvg.AggregateInto into p.aggOut, its elements

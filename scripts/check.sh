@@ -64,15 +64,17 @@ GOARCH=arm64 go vet ./...
 # do. The explicit float64(...) conversions forbid fusion; this fails
 # if an arm64 build of those loops (and of the GEMM drivers that call
 # them) shows a fused multiply-add anyway, or if one of them is missing
-# from the binary (renamed or inlined: update the list).
-fma_funcs='tensor.saxpy tensor.saxpyGo tensor.gemmNNRange tensor.gemmTNRange tensor.gemmNTRange tensor.gemmNTGo sign.accumulateGo'
+# from the binary (renamed or inlined: update the list). FedAvg's
+# reductions (AggregateRange, the sharded fold and tree) run through
+# tensor.AxpyInPlace and are held to the scalar loop the same way.
+fma_funcs='tensor.saxpy tensor.saxpyGo tensor.AxpyInPlace tensor.gemmNNRange tensor.gemmTNRange tensor.gemmNTRange tensor.gemmNTGo sign.accumulateGo fl.FedAvg.AggregateRange fl.(*ShardedFedAvg).fold fl.(*ShardedFedAvg).Resolve'
 fma_bin=$(mktemp)
 GOARCH=arm64 go build -o "$fma_bin" ./cmd/fuiov
-fma_re=$(echo "$fma_funcs" | sed 's/\./\\./g; s/ /|/g')
+fma_re=$(echo "$fma_funcs" | sed 's/[.()*]/\\&/g; s/ /|/g')
 fma_dump=$(go tool objdump -s "^fuiov/internal/($fma_re)\$" "$fma_bin")
 rm -f "$fma_bin"
 for fn in $fma_funcs; do
-	if ! echo "$fma_dump" | grep -q "^TEXT fuiov/internal/$fn(SB)"; then
+	if ! echo "$fma_dump" | grep -qF "TEXT fuiov/internal/$fn(SB)"; then
 		echo "FMA lint: $fn not found in the arm64 build" >&2
 		exit 1
 	fi
@@ -144,6 +146,12 @@ go test -race -count=1 -run '^TestVerifyForgettingProperty$' ./internal/experime
 # reference, the range split against AggregateInto, and a whole pass
 # through the Config.Aggregator test seam against the default split.
 go test -race -count=1 -run '^(TestEstimateMatchesReferenceComposition|TestRecoveryRoundAllocs|TestRecoveryPassAllocBytes|TestFailedRefreshKeepsPreviousApprox|TestAggregateRangesMatchesFedAvg|TestAggregatorSeamMatchesDefault)$' ./internal/unlearn/
+
+# Dense upload frames under the race detector: the coordinator recycles
+# them, and one must not come back while its round still holds it —
+# every served model against an in-process twin, through refused,
+# duplicate, under-quorum and abandoned uploads.
+go test -race -count=1 -run '^TestDenseFramesRecycledOnlyAfterCommit$' ./internal/server/
 
 # Client-compute equivalence under the race detector: the micro-batched
 # training step against the whole-batch reference composition
