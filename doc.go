@@ -10,9 +10,9 @@
 // what the programs under examples/ and the scenario harness
 // (internal/simtest) import; TestFacadeNamesHaveCallers keeps it
 // there. Everything else — the RSU coordinator and vehicle agents
-// (PROTOCOL.md), the IoV mobility model, the RSA protocol, the
-// experiment registry — lives under internal/ and is reached through
-// the fuiov command (cmd/fuiov).
+// (PROTOCOL.md), the IoV mobility model, the experiment registry —
+// lives under internal/ and is reached through the fuiov command
+// (cmd/fuiov).
 //
 //   - Training: build a federation of Clients over a Dataset, run a
 //     Simulation with FedAvg aggregation, and record history in a

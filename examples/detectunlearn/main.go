@@ -36,8 +36,7 @@ func run() error {
 		return err
 	}
 
-	// Vehicles 2 and 7 poison their shards with the backdoor trigger
-	// AND amplify their uploads — a visible model-poisoning signature.
+	// Vehicles 2 and 7 poison their shards with the backdoor trigger.
 	backdoor := fuiov.DefaultBackdoor()
 	malicious := map[int]bool{2: true, 7: true}
 	clients := make([]*fuiov.Client, nCars)

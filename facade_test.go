@@ -472,3 +472,337 @@ type Simulation struct {
 		}
 	})
 }
+
+// stdMethods are method names that a standard-library interface calls
+// through its own code: a type may export one that no file of this
+// module selects by name.
+var stdMethods = map[string]bool{
+	"String": true, "GoString": true, "Format": true, "Error": true,
+	"Unwrap": true, "Is": true, "As": true,
+	"ServeHTTP": true,
+	"Enabled":   true, "Handle": true, "WithAttrs": true, "WithGroup": true, "LogValue": true,
+	"Read": true, "Write": true, "Close": true, "ReadAt": true, "WriteTo": true, "ReadFrom": true, "Seek": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"MarshalBinary": true, "UnmarshalBinary": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"Set": true,
+}
+
+// internalAllowlist names exported internal/ declarations that have no
+// non-test caller on purpose, each with its reason. Keys are spelt as
+// checkInternalNames reports them.
+var internalAllowlist = map[string]string{}
+
+// checkInternalNames applies the internal-names rule to sources held
+// in memory, keyed by slash-separated path under the module root
+// (bench/, whose module replaces fuiov with ../, included). It
+// returns the exported declarations of non-test files under internal/
+// that no non-test file calls, as "dir.Name" for a top-level name and
+// "dir.Type.Method" for a method, sorted.
+//
+// A top-level name is called when some non-test file refers to it
+// outside its own declaration: bare in its own package, or as
+// pkg.Name where pkg imports its directory. A method is called when
+// some non-test file selects a name equal to it (x.Name; the scan has
+// no types), when a non-test interface declares a method of that
+// name, or when it is in stdMethods.
+func checkInternalNames(files map[string]string) ([]string, error) {
+	type parsed struct {
+		dir string
+		f   *ast.File
+	}
+	fset := token.NewFileSet()
+	var srcs []parsed
+	pkgName := map[string]string{} // dir → package name
+	for name, src := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		dir := path.Dir(name)
+		srcs = append(srcs, parsed{dir, f})
+		pkgName[dir] = f.Name.Name
+	}
+
+	decls := map[string]bool{}   // "dir.Name" of exported top-level names under internal/
+	methods := map[string]bool{} // "dir.Type.Method"
+	for _, p := range srcs {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		for _, d := range p.f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				if d.Recv == nil {
+					decls[p.dir+"."+d.Name.Name] = true
+				} else {
+					methods[p.dir+"."+recvType(d.Recv)+"."+d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							decls[p.dir+"."+s.Name.Name] = true
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.IsExported() {
+								decls[p.dir+"."+n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	refs := map[string]bool{}     // "dir.Name" referred to
+	selected := map[string]bool{} // selected or interface-declared names
+	for _, p := range srcs {
+		imports := map[string]string{} // local name → dir
+		for _, imp := range p.f.Imports {
+			ip := strings.Trim(imp.Path.Value, `"`)
+			dir, ok := strings.CutPrefix(ip, "fuiov/")
+			if !ok {
+				continue
+			}
+			local := pkgName[dir]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = dir
+		}
+		// walk visits one top-level declaration; own holds the names
+		// it declares, whose mentions inside it do not count.
+		walk := func(node ast.Node, own map[string]bool) {
+			var visit func(n ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					selected[n.Sel.Name] = true
+					if x, ok := n.X.(*ast.Ident); ok {
+						if dir, ok := imports[x.Name]; ok {
+							refs[dir+"."+n.Sel.Name] = true
+							return false
+						}
+					}
+					ast.Inspect(n.X, visit)
+					return false
+				case *ast.Field: // names of fields and parameters are not references
+					ast.Inspect(n.Type, visit)
+					return false
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						for _, id := range m.Names {
+							selected[id.Name] = true
+						}
+					}
+				case *ast.Ident:
+					if !own[n.Name] {
+						refs[p.dir+"."+n.Name] = true
+					}
+				}
+				return true
+			}
+			ast.Inspect(node, visit)
+		}
+		for _, d := range p.f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl: // a method's receiver is its own declaration
+				own := map[string]bool{}
+				if d.Recv == nil {
+					own[d.Name.Name] = true
+				}
+				walk(d.Type, own)
+				if d.Body != nil {
+					walk(d.Body, own)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					own := map[string]bool{}
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						own[s.Name.Name] = true
+						walk(s.Type, own)
+						if s.TypeParams != nil {
+							walk(s.TypeParams, own)
+						}
+					case *ast.ValueSpec:
+						if blank(s.Names) {
+							continue // var _ I = (*T)(nil) asserts, it does not call
+						}
+						for _, n := range s.Names {
+							own[n.Name] = true
+						}
+						if s.Type != nil {
+							walk(s.Type, own)
+						}
+						for _, v := range s.Values {
+							walk(v, own)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	var uncalled []string
+	for key := range decls {
+		if !refs[key] {
+			uncalled = append(uncalled, key)
+		}
+	}
+	for key := range methods {
+		name := key[strings.LastIndex(key, ".")+1:]
+		if !selected[name] && !stdMethods[name] {
+			uncalled = append(uncalled, key)
+		}
+	}
+	sort.Strings(uncalled)
+	return uncalled, nil
+}
+
+// blank reports whether every name of a value spec is _.
+func blank(names []*ast.Ident) bool {
+	for _, n := range names {
+		if n.Name != "_" {
+			return false
+		}
+	}
+	return true
+}
+
+// recvType is the base type name of a method's receiver.
+func recvType(recv *ast.FieldList) string {
+	t := recv.List[0].Type
+	for {
+		switch x := t.(type) {
+		case *ast.StarExpr:
+			t = x.X
+		case *ast.IndexExpr:
+			t = x.X
+		case *ast.IndexListExpr:
+			t = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
+		}
+	}
+}
+
+// TestInternalNamesHaveCallers holds internal/ to what production
+// code calls: every exported top-level name and method under internal/
+// has a non-test caller somewhere in the module, bench/ included, or a
+// reasoned entry in internalAllowlist. A name that only tests call is
+// a test helper: it lives in a _test.go file. The table proves the
+// rule on synthetic sources, the last subtest applies it to this
+// module.
+func TestInternalNamesHaveCallers(t *testing.T) {
+	const lib = `package x
+
+type Store struct{ n int }
+
+func New() *Store { return &Store{} }
+func (s *Store) Len() int { return s.n }
+func (s *Store) Grow() { s.n++ }
+func (s *Store) Shrink() { s.n-- }
+
+// Loop refers to itself only.
+func Loop(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return Loop(n - 1)
+}
+
+const Limit = 4
+
+// Leaf is named by its own receiver and an assertion only.
+type Leaf int
+
+func (l Leaf) Len() int { return int(l) }
+
+var _ interface{ Len() int } = Leaf(0)
+`
+	cases := []struct {
+		name  string
+		files map[string]string
+		want  []string
+	}{
+		{
+			name: "a caller in cmd/ keeps the names and methods it selects",
+			files: map[string]string{
+				"cmd/demo/main.go": "package main\nimport \"fuiov/internal/x\"\nfunc main() { x.New().Grow() }\n",
+			},
+			want: []string{"internal/x.Leaf", "internal/x.Limit", "internal/x.Loop", "internal/x.Store.Shrink"},
+		},
+		{
+			name: "bench/, a renamed import and an interface count",
+			files: map[string]string{
+				"bench/b.go": "package bench\nimport y \"fuiov/internal/x\"\ntype shrinker interface{ Shrink() }\nvar n = y.Loop(y.Limit)\nvar s shrinker = y.New()\nvar l = y.Leaf(1)\nfunc grow() { s.(interface{ Grow() }).Grow() }\n",
+			},
+		},
+		{
+			name: "a test caller does not count, the package itself does",
+			files: map[string]string{
+				"internal/x/x_test.go": "package x\nvar _ = Loop(Limit)\n",
+				"internal/x/use.go":    "package x\nvar ctor = New\n",
+			},
+			want: []string{"internal/x.Leaf", "internal/x.Limit", "internal/x.Loop", "internal/x.Store.Grow", "internal/x.Store.Shrink"},
+		},
+		{
+			name: "a field of a method's name is no selector of it",
+			files: map[string]string{
+				"cmd/demo/main.go": "package main\nimport \"fuiov/internal/x\"\ntype t struct{ Grow, Shrink int }\nfunc main() { _ = x.Loop(x.Limit) }\n",
+			},
+			want: []string{"internal/x.Leaf", "internal/x.New", "internal/x.Store.Grow", "internal/x.Store.Shrink"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			files := map[string]string{"internal/x/x.go": lib}
+			for name, src := range tc.files {
+				files[name] = src
+			}
+			got, err := checkInternalNames(files)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("uncalled = %v, want %v", got, tc.want)
+			}
+		})
+	}
+
+	t.Run("this module", func(t *testing.T) {
+		root, others := moduleSources(t)
+		for name, src := range root {
+			others[name] = src
+		}
+		uncalled, err := checkInternalNames(others)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range uncalled {
+			if _, ok := internalAllowlist[key]; !ok {
+				t.Errorf("%s has no non-test caller in the module: delete it, move it into a _test.go file, or add the caller first", key)
+			}
+		}
+		for key, reason := range internalAllowlist {
+			if reason == "" {
+				t.Errorf("internalAllowlist lists %s without a reason", key)
+			}
+			if !slices.Contains(uncalled, key) {
+				t.Errorf("internalAllowlist lists %s, which now has a caller: drop the entry", key)
+			}
+		}
+	})
+}

@@ -1,7 +1,6 @@
 // Package attack implements the poisoning attacks evaluated in the
 // paper (§V-A2): the label-flip attack (Rosenfeld et al.) and the
-// backdoor attack (Li et al.), plus the attack-success-rate metric and
-// two model-poisoning attacks used by the robustness tests.
+// backdoor attack (Li et al.), plus the attack-success-rate metric.
 package attack
 
 import (

@@ -203,38 +203,3 @@ func TestSuccessRateEmptyClassSafe(t *testing.T) {
 		t.Errorf("flip ASR = %v, want 0", got)
 	}
 }
-
-func TestSignFlip(t *testing.T) {
-	a := &SignFlip{Magnitude: 2}
-	g := []float64{1, -2, 0}
-	out := a.Apply(g, rng.New(1))
-	want := []float64{-2, 4, 0}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("element %d = %v, want %v", i, out[i], want[i])
-		}
-	}
-	if g[0] != 1 {
-		t.Error("input mutated")
-	}
-	// Zero magnitude defaults to pure negation.
-	b := &SignFlip{}
-	out = b.Apply(g, rng.New(1))
-	if out[0] != -1 {
-		t.Errorf("default magnitude: got %v, want -1", out[0])
-	}
-}
-
-func TestGaussianNoise(t *testing.T) {
-	a := &GaussianNoise{Stddev: 0.1}
-	g := make([]float64, 1000)
-	out := a.Apply(g, rng.New(2))
-	var sumSq float64
-	for _, v := range out {
-		sumSq += v * v
-	}
-	variance := sumSq / float64(len(out))
-	if variance < 0.005 || variance > 0.02 {
-		t.Errorf("noise variance = %v, want ~0.01", variance)
-	}
-}

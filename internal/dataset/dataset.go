@@ -104,15 +104,6 @@ func (d *Dataset) Split(r *rng.RNG, trainFrac float64) (train, test *Dataset) {
 	return d.Subset(perm[:cut]), d.Subset(perm[cut:])
 }
 
-// ClassCounts returns a histogram of labels.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, y := range d.Y {
-		counts[y]++
-	}
-	return counts
-}
-
 // Validate checks internal consistency (lengths, label ranges, feature
 // sizes) and returns an error describing the first violation.
 func (d *Dataset) Validate() error {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"fuiov/internal/attack"
 	"fuiov/internal/dataset"
 	"fuiov/internal/fl"
 	"fuiov/internal/history"
@@ -12,9 +11,9 @@ import (
 	"fuiov/internal/rng"
 )
 
-// runFederation trains a small federation with the given per-client
-// gradient attacks and detectors attached.
-func runFederation(t *testing.T, attacks map[int]attack.GradientAttack, poison map[int]attack.Poisoner, recorders []fl.Recorder, rounds int, seed uint64) {
+// runFederation trains a small federation with the detectors
+// attached.
+func runFederation(t *testing.T, recorders []fl.Recorder, rounds int, seed uint64) {
 	t.Helper()
 	d := dataset.SynthDigits(dataset.DefaultDigits(800, seed))
 	r := rng.New(seed)
@@ -25,14 +24,7 @@ func runFederation(t *testing.T, attacks map[int]attack.GradientAttack, poison m
 	}
 	clients := make([]*fl.Client, 8)
 	for i := range clients {
-		shard := shards[i]
-		if p, ok := poison[i]; ok {
-			shard = p.Poison(shard, r.Split(uint64(i)))
-		}
-		clients[i] = &fl.Client{ID: history.ClientID(i), Data: shard}
-		if a, ok := attacks[i]; ok {
-			clients[i].GradAttack = a
-		}
+		clients[i] = &fl.Client{ID: history.ClientID(i), Data: shards[i]}
 	}
 	net := nn.NewMLP(d.Dims.Size(), 20, d.Classes)
 	net.Init(r.Split(7))
@@ -45,6 +37,42 @@ func runFederation(t *testing.T, attacks map[int]attack.GradientAttack, poison m
 	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// perturbation is a model-poisoning upload as a detector sees it: the
+// client's gradient negated and scaled by flip, or, when noise is set,
+// the gradient plus N(0, noise²) per element.
+type perturbation struct{ flip, noise float64 }
+
+// poisoned hands next each round with the named clients' gradients
+// replaced by perturbed copies. The federation itself trains on the
+// clean gradients; only the recorder sees the attack.
+type poisoned struct {
+	next    fl.Recorder
+	attacks map[history.ClientID]perturbation
+	seed    uint64
+}
+
+func (p *poisoned) RecordRound(t int, model []float64, grads map[history.ClientID][]float64, weights map[history.ClientID]float64) error {
+	seen := make(map[history.ClientID][]float64, len(grads))
+	for id, g := range grads {
+		a, ok := p.attacks[id]
+		if !ok {
+			seen[id] = g
+			continue
+		}
+		r := rng.New(rng.Mix(p.seed, uint64(id), uint64(t)))
+		out := make([]float64, len(g))
+		for i, v := range g {
+			if a.noise > 0 {
+				out[i] = v + r.NormalScaled(0, a.noise)
+			} else {
+				out[i] = -a.flip * v
+			}
+		}
+		seen[id] = out
+	}
+	return p.next.RecordRound(t, model, seen, weights)
 }
 
 func containsAll(got []history.ClientID, want ...history.ClientID) bool {
@@ -62,12 +90,10 @@ func containsAll(got []history.ClientID, want ...history.ClientID) bool {
 
 func TestCosineDetectorFlagsSignFlippers(t *testing.T) {
 	det := NewCosineDetector()
-	runFederation(t,
-		map[int]attack.GradientAttack{
-			2: &attack.SignFlip{Magnitude: 3},
-			5: &attack.SignFlip{Magnitude: 3},
-		},
-		nil, []fl.Recorder{det}, 30, 1)
+	runFederation(t, []fl.Recorder{&poisoned{next: det, seed: 1, attacks: map[history.ClientID]perturbation{
+		2: {flip: 3},
+		5: {flip: 3},
+	}}}, 30, 1)
 	suspects := det.Suspects()
 	t.Logf("scores: %+v", det.Scores())
 	if !containsAll(suspects, 2, 5) {
@@ -80,7 +106,7 @@ func TestCosineDetectorFlagsSignFlippers(t *testing.T) {
 
 func TestCosineDetectorCleanRunNoFlags(t *testing.T) {
 	det := NewCosineDetector()
-	runFederation(t, nil, nil, []fl.Recorder{det}, 30, 2)
+	runFederation(t, []fl.Recorder{det}, 30, 2)
 	if suspects := det.Suspects(); len(suspects) != 0 {
 		t.Errorf("clean run flagged %v", suspects)
 	}
@@ -101,12 +127,10 @@ func TestCosineDetectorTooFewClients(t *testing.T) {
 
 func TestConsistencyDetectorFlagsNoiseAttacker(t *testing.T) {
 	det := NewConsistencyDetector()
-	runFederation(t,
-		map[int]attack.GradientAttack{
-			1: &attack.GaussianNoise{Stddev: 0.5},
-			6: &attack.SignFlip{Magnitude: 5},
-		},
-		nil, []fl.Recorder{det}, 40, 3)
+	runFederation(t, []fl.Recorder{&poisoned{next: det, seed: 3, attacks: map[history.ClientID]perturbation{
+		1: {noise: 0.5},
+		6: {flip: 5},
+	}}}, 40, 3)
 	suspects := det.Suspects()
 	t.Logf("scores: %+v", det.Scores())
 	if !containsAll(suspects, 1) {
@@ -119,7 +143,7 @@ func TestConsistencyDetectorFlagsNoiseAttacker(t *testing.T) {
 
 func TestConsistencyDetectorCleanRun(t *testing.T) {
 	det := NewConsistencyDetector()
-	runFederation(t, nil, nil, []fl.Recorder{det}, 40, 4)
+	runFederation(t, []fl.Recorder{det}, 40, 4)
 	if suspects := det.Suspects(); len(suspects) != 0 {
 		t.Errorf("clean run flagged %v (scores %+v)", suspects, det.Scores())
 	}
@@ -133,9 +157,9 @@ func TestDetectorsComposeWithHistoryStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runFederation(t,
-		map[int]attack.GradientAttack{4: &attack.SignFlip{Magnitude: 4}},
-		nil, []fl.Recorder{store, det}, 25, 5)
+	runFederation(t, []fl.Recorder{store, &poisoned{next: det, seed: 5, attacks: map[history.ClientID]perturbation{
+		4: {flip: 4},
+	}}}, 25, 5)
 	suspects := det.Suspects()
 	if !containsAll(suspects, 4) {
 		t.Fatalf("suspects = %v, want client 4", suspects)

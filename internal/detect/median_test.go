@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fuiov/internal/history"
-	"fuiov/internal/tensor"
 )
 
 func gradsFixture() map[history.ClientID][]float64 {
@@ -23,7 +22,7 @@ func TestMedian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(got, []float64{3, 20}, 1e-12) {
+	if !equal(got, []float64{3, 20}, 1e-12) {
 		t.Errorf("median = %v, want [3 20]", got)
 	}
 	// Even count.
@@ -48,4 +47,18 @@ func TestMedianIgnoresOutlier(t *testing.T) {
 	if math.Abs(a[0]-b[0]) > 0.2 {
 		t.Errorf("outlier moved the median from %v to %v", a[0], b[0])
 	}
+}
+
+// equal reports whether a and b have the same length and every pair of
+// elements differs by at most tol.
+func equal(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

@@ -5,8 +5,14 @@ import (
 	"testing"
 )
 
+// scaleChecksum is the smoke sweep's checksum on amd64, recorded so
+// that a change to the sharded fold's bits fails here and not only
+// between two runs of the same build.
+const scaleChecksum = -0.0570793700886875
+
 // TestScaleBenchDeterministic runs the smoke sweep twice: the
-// checksum (the resolved aggregate) must be bit-identical, and the
+// checksum (the resolved aggregate) must be bit-identical and equal to
+// scaleChecksum, and the
 // memory columns must match the flat-memory contract.
 func TestScaleBenchDeterministic(t *testing.T) {
 	cfg := DefaultScaleConfig()
@@ -26,6 +32,9 @@ func TestScaleBenchDeterministic(t *testing.T) {
 	}
 	if a[0].Checksum != b[0].Checksum {
 		t.Errorf("checksum not reproducible: %v vs %v", a[0].Checksum, b[0].Checksum)
+	}
+	if a[0].Checksum != scaleChecksum {
+		t.Errorf("checksum = %v, want the recorded %v (the fold's bits moved)", a[0].Checksum, scaleChecksum)
 	}
 	if want := int64(8 * cfg.Dim * cfg.Shards); a[0].AggBytes != want {
 		t.Errorf("AggBytes = %d, want %d", a[0].AggBytes, want)

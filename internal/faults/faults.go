@@ -175,18 +175,3 @@ func CorruptInPlace(g []float64, seed uint64, id history.ClientID, round, attemp
 		}
 	}
 }
-
-// Valid reports whether an upload is usable: non-empty with every
-// element finite. The round engine rejects invalid uploads when a
-// fault policy is attached.
-func Valid(g []float64) bool {
-	if len(g) == 0 {
-		return false
-	}
-	for _, v := range g {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}

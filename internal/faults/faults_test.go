@@ -212,3 +212,17 @@ func TestCrashAtPerClientOverride(t *testing.T) {
 		t.Fatal("CorruptAt round did not corrupt the overridden client's first attempt")
 	}
 }
+
+// Valid reports whether an upload is usable: non-empty with every
+// element finite.
+func Valid(g []float64) bool {
+	if len(g) == 0 {
+		return false
+	}
+	for _, v := range g {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}

@@ -8,7 +8,6 @@ package fl
 import (
 	"fmt"
 
-	"fuiov/internal/attack"
 	"fuiov/internal/dataset"
 	"fuiov/internal/history"
 	"fuiov/internal/nn"
@@ -33,9 +32,6 @@ type Client struct {
 	// LocalLR is the client-side step size when LocalSteps > 1; it
 	// must be positive in that case.
 	LocalLR float64
-	// GradAttack, when non-nil, perturbs the uploaded gradient
-	// (model-poisoning adversaries).
-	GradAttack attack.GradientAttack
 
 	// net is the client's private model replica, lazily cloned from
 	// the server template so concurrent clients never share state.
@@ -87,9 +83,6 @@ func (c *Client) ComputeGradient(template *nn.Network, params []float64, seed ui
 	} else {
 		c.net.LossAndGrad(c.sampleBatch(r))
 		c.net.GradVectorInto(g)
-	}
-	if c.GradAttack != nil {
-		g = c.GradAttack.Apply(g, r)
 	}
 	return g, nil
 }

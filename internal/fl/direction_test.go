@@ -18,7 +18,8 @@ import (
 // with the lookup table, multiply by the scale (the old wire reader),
 // and let Add re-derive the history direction with sign.Compress.
 func expandOracle(d *sign.Direction, scale float64) []float64 {
-	g := d.Dense()
+	g := make([]float64, d.Len())
+	d.DenseInto(g)
 	if scale != 1 {
 		for i := range g {
 			g[i] *= scale

@@ -11,6 +11,7 @@ import (
 	"fuiov/internal/history"
 	"fuiov/internal/metrics"
 	"fuiov/internal/telemetry"
+	"fuiov/internal/tensor"
 )
 
 // TestRunUnderCrashFaults is the tentpole acceptance scenario: with
@@ -255,7 +256,7 @@ func TestCorruptUploadRejected(t *testing.T) {
 	if err := sim.RunContext(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
-	if !faults.Valid(sim.Params()) {
+	if !validUpload(sim.Params()) {
 		t.Fatal("corrupt upload leaked into the aggregated model")
 	}
 	var rejected int64
@@ -269,7 +270,7 @@ func TestCorruptUploadRejected(t *testing.T) {
 	}
 }
 
-// TestLegacyStrictSemantics: without a policy both engines are strict —
+// TestLegacyStrictSemantics: without a policy the engine is strict —
 // crashes abort the round with every failing client named under the
 // wrapped sentinel and counted in fl.client_errors, and corruption
 // flows unvalidated into the model (the unprotected baseline the fault
@@ -278,44 +279,29 @@ func TestLegacyStrictSemantics(t *testing.T) {
 	crash := faults.Func(func(id history.ClientID, _, _ int) faults.Outcome {
 		return faults.Outcome{Crash: id != 0}
 	})
-	for _, engine := range []string{"fedavg", "rsa"} {
-		clients, _, net := buildFederation(t, 3, 200, 9)
-		reg := telemetry.New()
-		var runRound func(context.Context) error
-		var round func() int
-		if engine == "rsa" {
-			sim, err := NewRSASimulation(net, clients, RSAConfig{
-				LearningRate: 0.1, Lambda: 0.01, Seed: 9, Faults: crash, Telemetry: reg,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			runRound, round = sim.RunRoundContext, sim.Round
-		} else {
-			sim, err := NewSimulation(net, clients, Config{LearningRate: 0.1, Seed: 9, Faults: crash, Telemetry: reg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			runRound, round = sim.RunRoundContext, sim.Round
+	clients, _, net := buildFederation(t, 3, 200, 9)
+	reg := telemetry.New()
+	sim, err := NewSimulation(net, clients, Config{LearningRate: 0.1, Seed: 9, Faults: crash, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sim.RunRoundContext(context.Background())
+	if !errors.Is(err, ErrClientCrash) {
+		t.Fatalf("strict crash err = %v, want ErrClientCrash", err)
+	}
+	for _, want := range []string{"client 1", "client 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
 		}
-		err := runRound(context.Background())
-		if !errors.Is(err, ErrClientCrash) {
-			t.Fatalf("%s: strict crash err = %v, want ErrClientCrash", engine, err)
-		}
-		for _, want := range []string{"client 1", "client 2"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: error %q does not name %s", engine, err, want)
-			}
-		}
-		if strings.Contains(err.Error(), "client 0") {
-			t.Errorf("%s: error %q names the healthy client", engine, err)
-		}
-		if got := reg.Counter(telemetry.FLClientErrors).Value(); got != 2 {
-			t.Errorf("%s: %s = %d, want 2", engine, telemetry.FLClientErrors, got)
-		}
-		if round() != 0 {
-			t.Errorf("%s: failed round advanced the clock to %d", engine, round())
-		}
+	}
+	if strings.Contains(err.Error(), "client 0") {
+		t.Errorf("error %q names the healthy client", err)
+	}
+	if got := reg.Counter(telemetry.FLClientErrors).Value(); got != 2 {
+		t.Errorf("%s = %d, want 2", telemetry.FLClientErrors, got)
+	}
+	if sim.Round() != 0 {
+		t.Errorf("failed round advanced the clock to %d", sim.Round())
 	}
 
 	clients2, _, net2 := buildFederation(t, 3, 200, 9)
@@ -329,7 +315,7 @@ func TestLegacyStrictSemantics(t *testing.T) {
 	if err := sim2.RunRoundContext(context.Background()); err != nil {
 		t.Fatalf("strict mode rejected a corrupt upload: %v", err)
 	}
-	if faults.Valid(sim2.Params()) {
+	if validUpload(sim2.Params()) {
 		t.Error("corruption did not reach the model; strict mode should not validate uploads")
 	}
 }
@@ -381,77 +367,6 @@ func TestRunContextCancellation(t *testing.T) {
 	cancelled()
 	if err := sim.RunContext(done, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled RunContext err = %v", err)
-	}
-}
-
-// TestRSAFaultTolerance: the RSA protocol degrades the same way —
-// absent clients keep stale personal models, the sign consensus covers
-// responders only, and the server model stays finite.
-func TestRSAFaultTolerance(t *testing.T) {
-	clients, _, net := buildFederation(t, 6, 400, 17)
-	sim, err := NewRSASimulation(net, clients, RSAConfig{
-		LearningRate: 0.05,
-		Lambda:       0.001,
-		Seed:         17,
-		Faults:       faults.NewPlan(17, faults.Spec{CrashProb: 0.3}),
-		FaultPolicy:  &FaultPolicy{MaxRetries: 1, Quorum: 0.5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.RunContext(context.Background(), 12); err != nil {
-		t.Fatalf("RSA under faults: %v", err)
-	}
-	if sim.Round() != 12 {
-		t.Fatalf("round clock %d, want 12", sim.Round())
-	}
-	if !faults.Valid(sim.ServerParams()) {
-		t.Fatal("RSA server model not finite under faults")
-	}
-
-	// Strict mode still aborts.
-	clients2, _, net2 := buildFederation(t, 3, 200, 17)
-	crash := faults.Func(func(history.ClientID, int, int) faults.Outcome {
-		return faults.Outcome{Crash: true}
-	})
-	strict, err := NewRSASimulation(net2, clients2, RSAConfig{
-		LearningRate: 0.05, Lambda: 0.001, Seed: 17, Faults: crash,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := strict.RunRoundContext(context.Background()); !errors.Is(err, ErrClientCrash) {
-		t.Fatalf("strict RSA err = %v, want ErrClientCrash", err)
-	}
-}
-
-// TestRSADeterminismUnderFaults mirrors the FedAvg determinism
-// guarantee for the RSA path.
-func TestRSADeterminismUnderFaults(t *testing.T) {
-	run := func(parallelism int) []float64 {
-		clients, _, net := buildFederation(t, 6, 400, 19)
-		sim, err := NewRSASimulation(net, clients, RSAConfig{
-			LearningRate: 0.05,
-			Lambda:       0.001,
-			Seed:         19,
-			Parallelism:  parallelism,
-			Faults:       faults.NewPlan(19, faults.Spec{CrashProb: 0.3}),
-			FaultPolicy:  &FaultPolicy{MaxRetries: 1, Quorum: 0.25},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.RunContext(context.Background(), 10); err != nil {
-			t.Fatal(err)
-		}
-		return sim.ServerParams()
-	}
-	serial := run(1)
-	parallel := run(0)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("RSA param %d differs across parallelism", i)
-		}
 	}
 }
 
@@ -514,4 +429,9 @@ func TestQuorumCount(t *testing.T) {
 	if got := nilPolicy.QuorumCount(9); got != 0 {
 		t.Errorf("nil policy quorum = %d, want 0", got)
 	}
+}
+
+// validUpload reports whether g is non-empty with every element finite.
+func validUpload(g []float64) bool {
+	return len(g) > 0 && tensor.AllFinite(g)
 }

@@ -5,13 +5,11 @@ import (
 	"math"
 	"testing"
 
-	"fuiov/internal/attack"
 	"fuiov/internal/dataset"
 	"fuiov/internal/history"
 	"fuiov/internal/metrics"
 	"fuiov/internal/nn"
 	"fuiov/internal/rng"
-	"fuiov/internal/tensor"
 )
 
 // buildFederation creates n clients over a synthetic digits dataset
@@ -45,7 +43,7 @@ func TestFedAvgKnown(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []float64{0.75, 0.25}
-	if !tensor.Equal(got, want, 1e-12) {
+	if !equal(got, want, 1e-12) {
 		t.Errorf("Aggregate = %v, want %v", got, want)
 	}
 }
@@ -59,7 +57,7 @@ func TestFedAvgDefaultsWeightsToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(got, []float64{1, 2}, 1e-12) {
+	if !equal(got, []float64{1, 2}, 1e-12) {
 		t.Errorf("Aggregate = %v, want [1 2]", got)
 	}
 }
@@ -189,7 +187,7 @@ func TestHistoryRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(m0, w0, 0) {
+	if !equal(m0, w0, 0) {
 		t.Error("round 0 snapshot should equal initial parameters")
 	}
 	p, err := store.Participants(0)
@@ -295,37 +293,8 @@ func TestEmptyRoundAdvancesClock(t *testing.T) {
 	if sim.Round() != 3 {
 		t.Errorf("Round = %d, want 3", sim.Round())
 	}
-	if !tensor.Equal(sim.Params(), before, 0) {
+	if !equal(sim.Params(), before, 0) {
 		t.Error("parameters changed in empty rounds")
-	}
-}
-
-func TestGradAttackApplied(t *testing.T) {
-	// A sign-flipping adversary drives the model away from the clean
-	// optimum; training with the attacker should end with distinctly
-	// different parameters than training without.
-	cleanRun := func(withAttack bool) []float64 {
-		clients, _, net := buildFederation(t, 4, 300, 7)
-		if withAttack {
-			clients[0].GradAttack = &attack.SignFlip{Magnitude: 5}
-		}
-		sim, err := NewSimulation(net, clients, Config{LearningRate: 0.3, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.RunContext(context.Background(), 10); err != nil {
-			t.Fatal(err)
-		}
-		return sim.Params()
-	}
-	clean := cleanRun(false)
-	attacked := cleanRun(true)
-	dist, err := metrics.ModelDistance(clean, attacked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist < 1e-6 {
-		t.Errorf("gradient attack had no effect (distance %v)", dist)
 	}
 }
 
@@ -342,7 +311,7 @@ func TestSetParamsRoundTrip(t *testing.T) {
 	if err := sim.SetParams(p); err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(sim.Params(), p, 0) {
+	if !equal(sim.Params(), p, 0) {
 		t.Error("SetParams did not take effect")
 	}
 	if err := sim.SetParams(make([]float64, 3)); err == nil {
@@ -392,4 +361,18 @@ func TestClientWithoutDataErrors(t *testing.T) {
 	if _, err := c.ComputeGradient(net, net.ParamVector(), 1, 0); err == nil {
 		t.Error("client without data should error")
 	}
+}
+
+// equal reports whether a and b have the same length and every pair of
+// elements differs by at most tol.
+func equal(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

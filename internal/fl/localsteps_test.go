@@ -7,7 +7,6 @@ import (
 	"fuiov/internal/history"
 	"fuiov/internal/metrics"
 	"fuiov/internal/nn"
-	"fuiov/internal/tensor"
 )
 
 func TestLocalStepsOneMatchesPlainGradient(t *testing.T) {
@@ -24,7 +23,7 @@ func TestLocalStepsOneMatchesPlainGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(plain, single, 0) {
+	if !equal(plain, single, 0) {
 		t.Error("LocalSteps=1 must match the plain gradient path")
 	}
 }
@@ -58,7 +57,7 @@ func TestLocalStepsPseudoGradientSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(got, want, 1e-12) {
+	if !equal(got, want, 1e-12) {
 		t.Error("pseudo-gradient does not match two explicit SGD steps")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"fuiov/internal/faults"
@@ -226,59 +225,4 @@ func callWithFaults(ctx context.Context, inj faults.Injector, policy *FaultPolic
 	}
 	res.err = lastErr
 	return res
-}
-
-// fanOut is the client fan-out of a round engine — Simulation's and
-// RSASimulation's rounds differ in what a client computes and in what
-// happens to the results, not in how the calls are run. Built once per
-// engine; an engine runs one round at a time, so sem is idle between
-// calls.
-type fanOut struct {
-	// sem bounds the concurrent client computations (cap = Parallelism).
-	sem    chan struct{}
-	faults faults.Injector
-	policy *FaultPolicy
-	seed   uint64
-	met    faultMetrics
-	// scope names the engine in a failing client's error ("round",
-	// "rsa round").
-	scope string
-}
-
-// call runs compute(c) for every client of cs — at most cap(sem) at a
-// time, each adjudicated by callWithFaults — into res[i], and waits for
-// all of them. If ctx is cancelled by then it returns ctx's error and
-// tallies nothing. Otherwise the calls' fault counters are tallied and
-// the failures judged: without a policy every failing client is an
-// error — all of them joined, not just the first, and counted in
-// fl.client_errors; under a policy a failing client is merely absent,
-// its res[i].err left set for the caller to skip, and the error is nil.
-func (f *fanOut) call(ctx context.Context, t int, cs []*Client, res []callResult,
-	compute func(*Client) ([]float64, error)) error {
-	var wg sync.WaitGroup
-	for i, c := range cs {
-		// Acquire before spawning so at most cap(sem) goroutines (and
-		// their gradient buffers) ever exist.
-		f.sem <- struct{}{}
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			defer func() { <-f.sem }()
-			res[i] = callWithFaults(ctx, f.faults, f.policy, f.seed, c.ID, t,
-				func() ([]float64, error) { return compute(c) })
-		}(i, c)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var errs []error
-	for i, c := range cs {
-		f.met.observe(res[i])
-		if err := res[i].err; err != nil && f.policy == nil {
-			errs = append(errs, fmt.Errorf("fl: %s %d client %d: %w", f.scope, t, c.ID, err))
-		}
-	}
-	f.met.clientErrors.Add(int64(len(errs)))
-	return errors.Join(errs...)
 }

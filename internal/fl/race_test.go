@@ -88,7 +88,7 @@ func TestConcurrentRoundsAndStoreReads(t *testing.T) {
 func TestConcurrentRoundsWithSpillingStore(t *testing.T) {
 	clients, _, net := buildFederation(t, 6, 600, 5)
 	store, err := history.NewStore(net.NumParams(), 1e-3,
-		history.WithSpill(t.TempDir(), 3), history.WithSpillCache(2))
+		history.WithSpill(t.TempDir(), 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"fuiov/internal/faults"
@@ -175,8 +176,8 @@ func newStreamMetrics(r *telemetry.Registry) streamMetrics {
 	}
 }
 
-// faultMetrics are the fault-tolerance counters shared by Simulation
-// and RSASimulation (nil/no-op when telemetry is disabled).
+// faultMetrics are the engine's fault-tolerance counters (nil/no-op
+// when telemetry is disabled).
 type faultMetrics struct {
 	clientErrors     *telemetry.Counter
 	retries          *telemetry.Counter
@@ -237,7 +238,10 @@ type Simulation struct {
 	clients  []*Client
 	round    int
 	met      simMetrics
-	fan      fanOut
+	// sem bounds the concurrent client computations (cap =
+	// Parallelism). The engine runs one round at a time, so it is idle
+	// between calls of computeChunk.
+	sem chan struct{}
 
 	// known is the registered-client set (O(1) upload validation in
 	// RoundStream.Add).
@@ -322,14 +326,7 @@ func NewSimulation(template *nn.Network, clients []*Client, cfg Config) (*Simula
 		known:    known,
 		round:    cfg.StartRound,
 		met:      newSimMetrics(cfg.Telemetry),
-	}
-	s.fan = fanOut{
-		sem:    make(chan struct{}, cfg.Parallelism),
-		faults: cfg.Faults,
-		policy: cfg.FaultPolicy,
-		seed:   cfg.Seed,
-		met:    s.met.faults,
-		scope:  "round",
+		sem:      make(chan struct{}, cfg.Parallelism),
 	}
 	s.respBits = history.NewBitmap(int(maxID) + 1)
 	s.aggOut = make([]float64, len(s.params))
@@ -449,9 +446,6 @@ func (s *Simulation) RunRoundContext(ctx context.Context) error {
 	if kernels {
 		im2colBase, gemmBase, col2imBase = nn.KernelTimes()
 	}
-	gradient := func(c *Client) ([]float64, error) {
-		return c.ComputeGradient(s.template, s.params, s.cfg.Seed, t)
-	}
 	// Chunk size bounds the live gradient buffers: a small multiple of
 	// the worker count keeps every worker busy while capping what a
 	// streamed round retains at O(chunk × dim).
@@ -462,7 +456,7 @@ func (s *Simulation) RunRoundContext(ctx context.Context) error {
 	for lo := 0; lo < len(cohort); lo += chunk {
 		part := cohort[lo:min(lo+chunk, len(cohort))]
 		res := s.chunkRes[:len(part)]
-		err := s.fan.call(ctx, t, part, res, gradient)
+		err := s.computeChunk(ctx, t, part, res)
 		if cerr := ctx.Err(); cerr != nil {
 			rs.Abort()
 			return cerr
@@ -499,6 +493,45 @@ func (s *Simulation) RunRoundContext(ctx context.Context) error {
 	}
 	rs.inProcess, rs.roundSpan = true, roundSpan
 	return s.SubmitRoundStream(rs, len(cohort))
+}
+
+// computeChunk computes round t's gradient of every client of cs — at
+// most cap(sem) at a time, each adjudicated by callWithFaults — into
+// res[i], and waits for all of them. If ctx is cancelled by then it
+// returns ctx's error and tallies nothing. Otherwise the calls' fault
+// counters are tallied and the failures judged: without a policy every
+// failing client is an error — all of them joined, not just the first,
+// and counted in fl.client_errors; under a policy a failing client is
+// merely absent, its res[i].err left set for the caller to skip, and
+// the error is nil.
+func (s *Simulation) computeChunk(ctx context.Context, t int, cs []*Client, res []callResult) error {
+	policy := s.cfg.FaultPolicy
+	var wg sync.WaitGroup
+	for i, c := range cs {
+		// Acquire before spawning so at most cap(sem) goroutines (and
+		// their gradient buffers) ever exist.
+		s.sem <- struct{}{}
+		wg.Add(1)
+		go func(i int, c *Client) {
+			defer wg.Done()
+			defer func() { <-s.sem }()
+			res[i] = callWithFaults(ctx, s.cfg.Faults, policy, s.cfg.Seed, c.ID, t,
+				func() ([]float64, error) { return c.ComputeGradient(s.template, s.params, s.cfg.Seed, t) })
+		}(i, c)
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	var errs []error
+	for i, c := range cs {
+		s.met.faults.observe(res[i])
+		if err := res[i].err; err != nil && policy == nil {
+			errs = append(errs, fmt.Errorf("fl: round %d client %d: %w", t, c.ID, err))
+		}
+	}
+	s.met.faults.clientErrors.Add(int64(len(errs)))
+	return errors.Join(errs...)
 }
 
 // cohort returns round t's participants — the clients the schedule

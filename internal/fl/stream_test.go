@@ -9,7 +9,6 @@ import (
 
 	"fuiov/internal/history"
 	"fuiov/internal/rng"
-	"fuiov/internal/tensor"
 )
 
 // synthUploads builds n deterministic (gradient, weight) uploads of
@@ -116,7 +115,7 @@ func TestStreamShardedProperties(t *testing.T) {
 	}
 
 	a := run(ids)
-	if !tensor.Equal(a, barrier, 1e-12) {
+	if !equal(a, barrier, 1e-12) {
 		t.Error("sharded stream deviates from barrier beyond 1e-12")
 	}
 	b := run(ids)
@@ -252,7 +251,7 @@ func TestStreamConcurrentAdd(t *testing.T) {
 	if err := st.Resolve(got); err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(got, barrier, 1e-9) {
+	if !equal(got, barrier, 1e-9) {
 		t.Error("concurrent stream deviates from barrier")
 	}
 }
@@ -334,7 +333,7 @@ func TestStreamingSimulationP1Bits(t *testing.T) {
 		}
 	}
 	p4a := run(true, 4, false)
-	if !tensor.Equal(p4a, barrier, 1e-9) {
+	if !equal(p4a, barrier, 1e-9) {
 		t.Error("P=4 streaming deviates from barrier beyond tolerance")
 	}
 	p4b := run(true, 4, false)

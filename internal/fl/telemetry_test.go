@@ -144,30 +144,6 @@ func TestSimulationTelemetryErrorsCounted(t *testing.T) {
 	}
 }
 
-// TestRSATelemetry checks the RSA round instrumentation.
-func TestRSATelemetry(t *testing.T) {
-	clients, _, net := buildFederation(t, 3, 300, 11)
-	reg := telemetry.New()
-	sim, err := NewRSASimulation(net, clients, RSAConfig{
-		LearningRate: 0.05, Lambda: 0.01, Seed: 11, Telemetry: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rounds = 3
-	if err := sim.RunContext(context.Background(), rounds); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter(telemetry.RSARounds).Value(); got != rounds {
-		t.Errorf("%s = %d, want %d", telemetry.RSARounds, got, rounds)
-	}
-	for _, name := range []string{telemetry.RSARound, telemetry.RSARoundLocal, telemetry.RSARoundConsensus} {
-		if st := reg.Timer(name).Stats(); st.Count != rounds {
-			t.Errorf("timer %s count = %d, want %d", name, st.Count, rounds)
-		}
-	}
-}
-
 // TestDeterminismWithTelemetry guards the invariant that enabling
 // telemetry cannot change training results.
 func TestDeterminismWithTelemetry(t *testing.T) {

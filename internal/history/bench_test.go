@@ -48,16 +48,18 @@ func BenchmarkHistoryRecordRound(b *testing.B) {
 }
 
 // BenchmarkModelIntoSpilled measures reading a snapshot back from the
-// disk tier (cache defeated by alternating rounds), the unlearner's
-// backtracking cost when the store runs in bounded-memory mode.
+// disk tier (cache defeated by cycling over more rounds than it
+// holds), the unlearner's backtracking cost when the store runs in
+// bounded-memory mode.
 func BenchmarkModelIntoSpilled(b *testing.B) {
 	model, grads := benchRound(b, 1)
-	s, err := NewStore(benchDim, 1e-6, WithSpill(b.TempDir(), 1), WithSpillCache(1))
+	s, err := NewStore(benchDim, 1e-6, WithSpill(b.TempDir(), 1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	for t := 0; t < 4; t++ {
+	const cycle = spillCacheRounds + 1
+	for t := 0; t <= cycle; t++ {
 		if err := s.RecordRound(t, model, grads, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -67,9 +69,10 @@ func BenchmarkModelIntoSpilled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Rounds 0..2 are spilled; alternating between two of them
-		// defeats the single-entry cache so every read hits the file.
-		if err := s.ModelInto(i%2, dst); err != nil {
+		// Rounds 0..cycle-1 are spilled; reading them in turn evicts
+		// each from the LRU cache before it comes round again, so
+		// every read hits the file.
+		if err := s.ModelInto(i%cycle, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

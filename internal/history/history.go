@@ -56,11 +56,6 @@ type Membership struct {
 	LeaveRound int
 }
 
-// Active reports whether the client had not left as of round t.
-func (m Membership) Active(t int) bool {
-	return m.JoinRound <= t && (m.LeaveRound < 0 || t < m.LeaveRound)
-}
-
 // modelSlot says where a round's model snapshot lives: in RAM while
 // ram is non-nil, otherwise in the spill file at byte offset off.
 type modelSlot struct {
@@ -167,8 +162,8 @@ func (s *Store) SetTelemetry(r *telemetry.Registry) {
 
 // NewStore creates a history store for models with dim parameters,
 // compressing gradients with direction threshold delta. Options
-// configure the bounded-memory snapshot tier (WithSpill,
-// WithSpillCache); with none, every snapshot stays in RAM.
+// configure the bounded-memory snapshot tier (WithSpill); with none,
+// every snapshot stays in RAM.
 func NewStore(dim int, delta float64, opts ...StoreOption) (*Store, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("history: invalid model dimension %d", dim)

@@ -186,9 +186,6 @@ func TestMembershipTracking(t *testing.T) {
 	if mem.LeaveRound != 2 {
 		t.Errorf("leave = %d, want 2", mem.LeaveRound)
 	}
-	if !mem.Active(1) || mem.Active(2) {
-		t.Error("Active interval wrong")
-	}
 	// NoteLeave is idempotent-ish: a second leave keeps the first.
 	s.NoteLeave(1, 5)
 	mem, _ = s.MembershipOf(1)

@@ -15,15 +15,13 @@ const floatChunkBytes = floatChunk * 8
 
 // storeOptions collects NewStore's optional configuration.
 type storeOptions struct {
-	spill     bool
-	spillDir  string
-	window    int
-	cacheSize int
-	haveCache bool
+	spill    bool
+	spillDir string
+	window   int
 }
 
 // StoreOption configures optional NewStore behaviour, currently the
-// bounded-memory snapshot tier (WithSpill, WithSpillCache).
+// bounded-memory snapshot tier (WithSpill).
 type StoreOption func(*storeOptions)
 
 // WithSpill bounds resident snapshot memory: model snapshots older
@@ -41,17 +39,11 @@ func WithSpill(dir string, window int) StoreOption {
 	}
 }
 
-// WithSpillCache sets how many recently-read spilled rounds ModelInto
-// keeps decoded in RAM (default 4; 0 disables caching). The recovery
-// loop's L-BFGS bootstrap re-reads a short contiguous stretch of
-// rounds, so a small cache absorbs almost all repeat reads. Only
-// meaningful together with WithSpill.
-func WithSpillCache(rounds int) StoreOption {
-	return func(o *storeOptions) {
-		o.cacheSize = rounds
-		o.haveCache = true
-	}
-}
+// spillCacheRounds is how many recently-read spilled rounds ModelInto
+// keeps decoded in RAM. The recovery loop's L-BFGS bootstrap re-reads
+// a short contiguous stretch of rounds, so a small cache absorbs
+// almost all repeat reads.
+const spillCacheRounds = 4
 
 // spillTier implements the on-disk snapshot store behind WithSpill.
 //
@@ -71,9 +63,8 @@ type spillTier struct {
 	wbuf    []byte // write scratch, guarded by Store.mu
 	spilled int    // rounds [0,spilled) live on disk, guarded by Store.mu
 
-	cmu       sync.Mutex
-	cache     []spillCacheEntry // MRU first
-	cacheSize int
+	cmu   sync.Mutex
+	cache []spillCacheEntry // MRU first, at most spillCacheRounds
 
 	closeOnce sync.Once
 	closeErr  error
@@ -94,13 +85,6 @@ func newSpillTier(dim int, o storeOptions) (*spillTier, error) {
 	if o.window < 1 {
 		return nil, fmt.Errorf("history: spill window %d, must be >= 1", o.window)
 	}
-	cache := 4
-	if o.haveCache {
-		if o.cacheSize < 0 {
-			return nil, fmt.Errorf("history: negative spill cache size %d", o.cacheSize)
-		}
-		cache = o.cacheSize
-	}
 	f, err := os.CreateTemp(o.spillDir, "fuiov-spill-*.bin")
 	if err != nil {
 		return nil, fmt.Errorf("history: create spill file: %w", err)
@@ -112,11 +96,10 @@ func newSpillTier(dim int, o storeOptions) (*spillTier, error) {
 		return nil, fmt.Errorf("history: unlink spill file: %w", err)
 	}
 	return &spillTier{
-		dim:       dim,
-		window:    o.window,
-		f:         f,
-		wbuf:      make([]byte, dim*8),
-		cacheSize: cache,
+		dim:    dim,
+		window: o.window,
+		f:      f,
+		wbuf:   make([]byte, dim*8),
 	}, nil
 }
 
@@ -195,9 +178,6 @@ func (sp *spillTier) readInto(dst []float64, round int, off int64, met *storeMet
 
 // cacheLookup copies a cached round into dst and promotes it to MRU.
 func (sp *spillTier) cacheLookup(round int, dst []float64) bool {
-	if sp.cacheSize == 0 {
-		return false
-	}
 	sp.cmu.Lock()
 	defer sp.cmu.Unlock()
 	for i, e := range sp.cache {
@@ -214,9 +194,6 @@ func (sp *spillTier) cacheLookup(round int, dst []float64) bool {
 // cacheInsert records a freshly-read round as MRU, recycling the
 // evicted entry's backing array when the cache is full.
 func (sp *spillTier) cacheInsert(round int, data []float64) {
-	if sp.cacheSize == 0 {
-		return
-	}
 	sp.cmu.Lock()
 	defer sp.cmu.Unlock()
 	for _, e := range sp.cache {
@@ -225,7 +202,7 @@ func (sp *spillTier) cacheInsert(round int, data []float64) {
 		}
 	}
 	var backing []float64
-	if len(sp.cache) < sp.cacheSize {
+	if len(sp.cache) < spillCacheRounds {
 		backing = make([]float64, len(data))
 		sp.cache = append(sp.cache, spillCacheEntry{})
 	} else {

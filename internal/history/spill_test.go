@@ -125,7 +125,7 @@ func TestSpillRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewStore(dim, 1e-3, WithSpill(t.TempDir(), window), WithSpillCache(2))
+	sp, err := NewStore(dim, 1e-3, WithSpill(t.TempDir(), window))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSpillRoundTrip(t *testing.T) {
 // disk, and cache hits vs misses on the spilled read path.
 func TestSpillTelemetry(t *testing.T) {
 	const dim, rounds, window = 16, 8, 3
-	sp, err := NewStore(dim, 1e-3, WithSpill(t.TempDir(), window), WithSpillCache(1))
+	sp, err := NewStore(dim, 1e-3, WithSpill(t.TempDir(), window))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,15 +205,18 @@ func TestSpillTelemetry(t *testing.T) {
 	if got := reg.Counter(telemetry.HistorySpillHits).Value(); got != 2 {
 		t.Errorf("%s = %d, want 2", telemetry.HistorySpillHits, got)
 	}
-	// A different spilled round evicts round 0 from the 1-entry cache.
-	if err := sp.ModelInto(1, dst); err != nil {
-		t.Fatal(err)
+	// spillCacheRounds other spilled rounds evict round 0 from the
+	// cache: each of them misses once, and so does round 0 after them.
+	for round := 1; round <= spillCacheRounds; round++ {
+		if err := sp.ModelInto(round, dst); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := sp.ModelInto(0, dst); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter(telemetry.HistorySpillMisses).Value(); got != 3 {
-		t.Errorf("%s after eviction = %d, want 3", telemetry.HistorySpillMisses, got)
+	if got, want := reg.Counter(telemetry.HistorySpillMisses).Value(), int64(spillCacheRounds+2); got != want {
+		t.Errorf("%s after eviction = %d, want %d", telemetry.HistorySpillMisses, got, want)
 	}
 	// Reads inside the RAM window never touch the spill counters.
 	before := reg.Counter(telemetry.HistorySpillMisses).Value()
@@ -233,12 +236,9 @@ func TestSpillOptionValidation(t *testing.T) {
 	if _, err := NewStore(4, 0, WithSpill("", -3)); err == nil {
 		t.Error("negative window accepted")
 	}
-	if _, err := NewStore(4, 0, WithSpill("", 2), WithSpillCache(-1)); err == nil {
-		t.Error("negative cache size accepted")
-	}
-	s, err := NewStore(4, 0, WithSpill(t.TempDir(), 1), WithSpillCache(0))
+	s, err := NewStore(4, 0, WithSpill(t.TempDir(), 1))
 	if err != nil {
-		t.Fatalf("cache 0 (disabled) rejected: %v", err)
+		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -256,21 +256,21 @@ func TestSpillOptionValidation(t *testing.T) {
 	}
 }
 
-// TestSpillProperty: across random join/leave schedules, window sizes
-// and cache sizes, a spilled-then-reloaded store is observably
-// byte-identical to an all-RAM store.
+// TestSpillProperty: across random join/leave schedules and window
+// sizes, a spilled-then-reloaded store is observably byte-identical to
+// an all-RAM store. Up to 9 rounds spill, more than the read cache
+// holds.
 func TestSpillProperty(t *testing.T) {
-	f := func(seed uint64, dimRaw, roundsRaw, clientsRaw, windowRaw, cacheRaw uint8) bool {
+	f := func(seed uint64, dimRaw, roundsRaw, clientsRaw, windowRaw uint8) bool {
 		dim := 1 + int(dimRaw)%40
 		rounds := 1 + int(roundsRaw)%10
 		clients := 1 + int(clientsRaw)%5
 		window := 1 + int(windowRaw)%6
-		cache := int(cacheRaw) % 4
 		ram, err := NewStore(dim, 1e-3)
 		if err != nil {
 			return false
 		}
-		sp, err := NewStore(dim, 1e-3, WithSpill(t.TempDir(), window), WithSpillCache(cache))
+		sp, err := NewStore(dim, 1e-3, WithSpill(t.TempDir(), window))
 		if err != nil {
 			return false
 		}
@@ -282,7 +282,7 @@ func TestSpillProperty(t *testing.T) {
 		if err := sp.Save(&buf); err != nil {
 			return false
 		}
-		reloaded, err := Load(&buf, WithSpill(t.TempDir(), window), WithSpillCache(cache))
+		reloaded, err := Load(&buf, WithSpill(t.TempDir(), window))
 		if err != nil {
 			return false
 		}

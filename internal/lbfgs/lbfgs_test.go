@@ -16,7 +16,7 @@ func randomSPD(r *rng.RNG, n int) *tensor.Matrix {
 	for i := range a.Data {
 		a.Data[i] = r.NormalScaled(0, 1)
 	}
-	spd := tensor.MatMul(a.T(), a)
+	spd := matMul(a.T(), a)
 	for i := 0; i < n; i++ {
 		spd.Data[i*n+i] += float64(n)
 	}
@@ -33,7 +33,7 @@ func pairsFromQuadratic(r *rng.RNG, q *tensor.Matrix, s int) (dW, dG [][]float64
 			dw[j] = r.NormalScaled(0, 1)
 		}
 		dW = append(dW, dw)
-		dG = append(dG, q.MulVec(dw))
+		dG = append(dG, mulVec(q, dw))
 	}
 	return dW, dG
 }
@@ -76,7 +76,7 @@ func referenceBFGS(sigma float64, dW, dG [][]float64) *tensor.Matrix {
 	b := tensor.ScaleMat(sigma, tensor.Identity(dim))
 	for j := range dW {
 		s, y := dW[j], dG[j]
-		bs := b.MulVec(s)
+		bs := mulVec(b, s)
 		sBs := tensor.Dot(s, bs)
 		ys := tensor.Dot(y, s)
 		for r := 0; r < dim; r++ {
@@ -104,9 +104,9 @@ func TestCompactMatchesRecursiveBFGS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tensor.EqualMat(got, want, 1e-7*(1+tensor.MaxAbs(want))) {
+		if !equalMat(got, want, 1e-7*(1+maxAbs(want.Data))) {
 			t.Errorf("dim=%d s=%d: compact form disagrees with recursive BFGS (max |diff| %v)",
-				tc.dim, tc.s, tensor.MaxAbs(tensor.SubMat(got, want)))
+				tc.dim, tc.s, maxAbs(tensor.Sub(got.Data, want.Data)))
 		}
 	}
 }
@@ -125,7 +125,7 @@ func TestDenseMatchesHVPAndIsSymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Symmetry.
-	if !tensor.EqualMat(dense, dense.T(), 1e-8) {
+	if !equalMat(dense, dense.T(), 1e-8) {
 		t.Error("dense approximation is not symmetric")
 	}
 	// HVP consistency.
@@ -137,7 +137,7 @@ func TestDenseMatchesHVPAndIsSymmetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(hv, dense.MulVec(v), 1e-9) {
+	if !equal(hv, mulVec(dense, v), 1e-9) {
 		t.Error("HVP and Dense·v disagree")
 	}
 }
@@ -204,7 +204,7 @@ func TestApproxCopiesInputs(t *testing.T) {
 	dW[0][0] = 999
 	dG[0][0] = -999
 	after, _ := a.HVP([]float64{1, 1})
-	if !tensor.Equal(before, after, 0) {
+	if !equal(before, after, 0) {
 		t.Error("Approx aliases caller slices")
 	}
 }
@@ -223,7 +223,7 @@ func TestSingleIdentityPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(got, []float64{3, 4}, 1e-9) {
+	if !equal(got, []float64{3, 4}, 1e-9) {
 		t.Errorf("H̃Δw = %v, want Δw", got)
 	}
 }
@@ -236,7 +236,7 @@ func TestPairBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Full() || p.Len() != 0 || p.Capacity() != 2 {
+	if p.Full() || p.Len() != 0 || p.capacity != 2 {
 		t.Error("fresh buffer state wrong")
 	}
 	if _, err := p.Build(); err == nil {
@@ -277,7 +277,7 @@ func TestPairBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(got, []float64{4, 4}, 1e-8) {
+	if !equal(got, []float64{4, 4}, 1e-8) {
 		t.Errorf("secant on newest pair: %v, want [4 4]", got)
 	}
 	p.Reset()

@@ -67,9 +67,6 @@ func NewPairBuffer(capacity int) (*PairBuffer, error) {
 	return &PairBuffer{capacity: capacity}, nil
 }
 
-// Capacity returns the maximum number of retained pairs.
-func (p *PairBuffer) Capacity() int { return p.capacity }
-
 // Len returns the number of pairs currently held.
 func (p *PairBuffer) Len() int { return len(p.dW) }
 

@@ -3,11 +3,8 @@
 package metrics
 
 import (
-	"fmt"
-
 	"fuiov/internal/dataset"
 	"fuiov/internal/nn"
-	"fuiov/internal/tensor"
 )
 
 // Accuracy evaluates a network on an entire dataset and returns the
@@ -26,14 +23,4 @@ func Accuracy(net *nn.Network, d *dataset.Dataset) float64 {
 func AccuracyAt(net *nn.Network, params []float64, d *dataset.Dataset) float64 {
 	net.SetParamVector(params)
 	return Accuracy(net, d)
-}
-
-// ModelDistance returns the L2 distance between two flat parameter
-// vectors — the standard closeness measure between an unlearned model
-// and its retrained reference.
-func ModelDistance(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("metrics: dimension mismatch %d vs %d", len(a), len(b))
-	}
-	return tensor.Norm2(tensor.Sub(a, b)), nil
 }

@@ -1,11 +1,13 @@
 package metrics
 
 import (
+	"fmt"
 	"testing"
 
 	"fuiov/internal/dataset"
 	"fuiov/internal/nn"
 	"fuiov/internal/rng"
+	"fuiov/internal/tensor"
 )
 
 func TestAccuracyBounds(t *testing.T) {
@@ -53,4 +55,14 @@ func TestModelDistance(t *testing.T) {
 	if _, err := ModelDistance([]float64{1}, []float64{1, 2}); err == nil {
 		t.Error("dimension mismatch should error")
 	}
+}
+
+// ModelDistance returns the L2 distance between two flat parameter
+// vectors — the standard closeness measure between an unlearned model
+// and its retrained reference.
+func ModelDistance(a, b []float64) (float64, error) {
+	if len(a) != len(b) {
+		return 0, fmt.Errorf("metrics: dimension mismatch %d vs %d", len(a), len(b))
+	}
+	return tensor.Norm2(tensor.Sub(a, b)), nil
 }

@@ -208,26 +208,6 @@ func (n *Network) SetParamVector(v []float64) {
 	}
 }
 
-// ParamSpans returns the [start, end) offsets of each parameterised
-// layer's slice within the flat ParamVector layout, in layer order.
-// Layers without parameters are omitted, so the spans tile the vector
-// exactly. Callers can use the spans to address an individual layer's
-// weights inside a flat parameter vector (e.g. the NoT unlearning
-// strategy negates the first span).
-func (n *Network) ParamSpans() [][2]int {
-	spans := make([][2]int, 0, len(n.layers))
-	off := 0
-	for _, l := range n.layers {
-		np := len(l.Params())
-		if np == 0 {
-			continue
-		}
-		spans = append(spans, [2]int{off, off + np})
-		off += np
-	}
-	return spans
-}
-
 // Biased is implemented by layers whose Params view ends with a bias
 // vector, so flat-vector consumers can address the weight matrix
 // alone (WeightSpans).
@@ -236,8 +216,9 @@ type Biased interface {
 	BiasLen() int
 }
 
-// WeightSpans is ParamSpans restricted to each layer's weight matrix:
-// for layers implementing Biased the trailing bias entries are
+// WeightSpans returns the [start, end) offsets of each parameterised
+// layer's weight matrix within the flat ParamVector layout, in layer
+// order: for layers implementing Biased the trailing bias entries are
 // excluded from the span, so e.g. sign-negating a span flips a layer's
 // weights while leaving its biases intact.
 func (n *Network) WeightSpans() [][2]int {
@@ -256,12 +237,6 @@ func (n *Network) WeightSpans() [][2]int {
 		off += np
 	}
 	return spans
-}
-
-// GradVector returns a copy of all parameter gradients concatenated in
-// layer order, aligned with ParamVector.
-func (n *Network) GradVector() []float64 {
-	return n.GradVectorInto(make([]float64, n.NumParams()))
 }
 
 // GradVectorInto copies all parameter gradients into dst, which must

@@ -287,3 +287,9 @@ func maxPoolNaive(x *Batch, size int) (out []float64, idx []int) {
 	}
 	return out, idx
 }
+
+// GradVector returns a copy of all parameter gradients concatenated in
+// layer order, aligned with ParamVector.
+func (n *Network) GradVector() []float64 {
+	return n.GradVectorInto(make([]float64, n.NumParams()))
+}

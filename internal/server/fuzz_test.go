@@ -103,7 +103,8 @@ func FuzzReadUpload(f *testing.F) {
 		if math.IsNaN(up.Scale) || math.IsInf(up.Scale, 0) {
 			t.Fatalf("accepted sign scale %v", up.Scale)
 		}
-		want := up.Dir.Dense()
+		want := make([]float64, dim)
+		up.Dir.DenseInto(want)
 		for i := range want {
 			want[i] *= up.Scale
 			if math.Float64bits(up.Grad[i]) != math.Float64bits(want[i]) {

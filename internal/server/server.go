@@ -15,7 +15,7 @@
 // internal/unlearn, exactly as in a simulation. What it adds is the
 // serving boundary — framing, scheduling-by-wall-clock, error
 // mapping, and per-endpoint telemetry. The wire protocol is specified
-// in PROTOCOL.md; Routes lists the endpoints and a test diffs the two.
+// in PROTOCOL.md; a test diffs the endpoints against it.
 package server
 
 import (
@@ -269,10 +269,10 @@ func (c *Coordinator) commitUnlearnPass(finish func() (*unlearn.QueueCommit, err
 	return nil
 }
 
-// Routes lists every method+pattern the coordinator registers, in the
+// routes lists every method+pattern the coordinator registers, in the
 // order they appear in PROTOCOL.md. A test diffs this list against the
 // document so the protocol spec cannot drift from the implementation.
-func Routes() []string {
+func routes() []string {
 	return []string{
 		"POST /v1/round",
 		"POST /v1/unlearn",

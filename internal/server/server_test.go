@@ -424,35 +424,6 @@ func TestStatusAndModel(t *testing.T) {
 	}
 }
 
-// TestRoutesDocumented diffs the registered endpoints against
-// PROTOCOL.md, so the spec cannot drift from the implementation.
-func TestRoutesDocumented(t *testing.T) {
-	doc, err := os.ReadFile("../../PROTOCOL.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(doc)
-	for _, route := range server.Routes() {
-		if !strings.Contains(text, "`"+route+"`") {
-			t.Errorf("route %q is not documented in PROTOCOL.md", route)
-		}
-	}
-	// And the reverse: every endpoint heading in the doc is registered.
-	routes := make(map[string]bool)
-	for _, r := range server.Routes() {
-		routes[r] = true
-	}
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, "### `") {
-			continue
-		}
-		ep := strings.TrimSuffix(strings.TrimPrefix(line, "### `"), "`")
-		if !routes[ep] {
-			t.Errorf("PROTOCOL.md documents %q, which is not a registered route", ep)
-		}
-	}
-}
-
 // TestStrategiesDocumented diffs the registered strategy names against
 // PROTOCOL.md, mirroring TestRoutesDocumented: a strategy selectable
 // on the wire must be listed in the POST /v1/unlearn section.

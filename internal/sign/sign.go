@@ -11,8 +11,8 @@
 //
 // The codec operates on whole bytes, not elements: compression emits
 // one packed byte per four inputs through a branch-free encoder, and
-// every decode-side path (DenseInto, Scaled, AccumulateInto,
-// CountNonZero, FromPacked validation) walks a 256-entry lookup table that resolves four
+// every decode-side path (DenseInto, Scaled, AccumulateInto, FromPacked
+// validation) walks a 256-entry lookup table that resolves four
 // elements per step without per-element branches. The recovery hot
 // loop (lbfgs.EstimateInto, driven by internal/unlearn) reads
 // directions four elements at a time through Quad, inside its own
@@ -55,7 +55,6 @@ const (
 //   - denseLUT[b] is the four float64 elements encoded by packed byte
 //     b (slot 0 in the low bits), so expansion touches the table once
 //     per four elements;
-//   - countLUT[b] is the number of non-zero elements in b;
 //   - invalidLUT[b] reports whether b contains the unused 0b11 code.
 //
 // Trailing padding slots are always codeZero (Compress writes them so,
@@ -64,7 +63,6 @@ const (
 // partially-filled byte.
 var (
 	denseLUT   [256][4]float64
-	countLUT   [256]uint8
 	invalidLUT [256]bool
 )
 
@@ -76,8 +74,6 @@ func init() {
 			denseLUT[b][slot] = codeVal[code]
 			if code == 0b11 {
 				invalidLUT[b] = true
-			} else if code != codeZero {
-				countLUT[b]++
 			}
 		}
 	}
@@ -187,16 +183,8 @@ func (d *Direction) At(i int) float64 {
 	return denseLUT[d.packed[i/4]][i%4]
 }
 
-// Dense expands the direction to a []float64 of {-1, 0, +1} values.
-func (d *Direction) Dense() []float64 {
-	out := make([]float64, d.n)
-	d.DenseInto(out)
-	return out
-}
-
 // DenseInto writes the expanded direction into dst, which must have
-// length Len. It avoids the allocation of Dense in hot loops and
-// expands four elements per lookup-table hit.
+// length Len, expanding four elements per lookup-table hit.
 func (d *Direction) DenseInto(dst []float64) {
 	if len(dst) != d.n {
 		panic(fmt.Sprintf("sign: DenseInto dst length %d, want %d", len(dst), d.n))
@@ -338,18 +326,6 @@ func FromPacked(n int, packed []byte) (*Direction, error) {
 
 // PackedLen is the payload size in bytes of an n-element direction.
 func PackedLen(n int) int { return (n + 3) / 4 }
-
-// CountNonZero returns the number of ±1 elements — a measure of how
-// much update information survives a given δ (used by the Figure 3
-// analysis). One table hit covers four elements; padding slots are
-// zero by construction and never count.
-func (d *Direction) CountNonZero() int {
-	var c int
-	for _, b := range d.packed {
-		c += int(countLUT[b])
-	}
-	return c
-}
 
 // Savings reports the storage ratio saved by direction encoding
 // relative to storing fullBits-per-element floats (e.g. 64 for float64,

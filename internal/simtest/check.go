@@ -69,8 +69,8 @@ type checkerMetrics struct {
 	scenario    *telemetry.Timer
 }
 
-// NewChecker creates a Checker.
-func NewChecker(opts Options) *Checker {
+// newChecker creates a Checker.
+func newChecker(opts Options) *Checker {
 	r := opts.Telemetry
 	return &Checker{opts: opts, met: checkerMetrics{
 		scenarios:   r.Counter(telemetry.SimScenarios),
@@ -85,14 +85,14 @@ func NewChecker(opts Options) *Checker {
 	}}
 }
 
-// Check runs the scenario's base execution plus the three determinism
+// check runs the scenario's base execution plus the three determinism
 // variants and verifies every invariant. It returns nil when all hold.
-// Check is a pure function of the scenario: the same schedule always
+// check is a pure function of the scenario: the same schedule always
 // yields the same verdict and, on failure, the same invariant name.
-func (c *Checker) Check(sc Scenario) *Failure {
+func (c *Checker) check(sc Scenario) *Failure {
 	span := c.met.scenario.Start()
 	defer span.End()
-	f := c.check(sc)
+	f := c.verify(sc)
 	c.met.scenarios.Inc()
 	if f != nil {
 		c.met.failures.Inc()
@@ -100,7 +100,7 @@ func (c *Checker) Check(sc Scenario) *Failure {
 	return f
 }
 
-func (c *Checker) check(sc Scenario) *Failure {
+func (c *Checker) verify(sc Scenario) *Failure {
 	if err := sc.Validate(); err != nil {
 		return failf(InvEngine, "invalid scenario: %v", err)
 	}

@@ -30,13 +30,13 @@ func TestScenarioSmoke(t *testing.T) {
 		n = soakScenarios
 	}
 	reg := telemetry.New()
-	c := NewChecker(Options{Telemetry: reg})
+	c := newChecker(Options{Telemetry: reg})
 	var covered struct {
 		unlearn, faults, spill, saveload, quorum, parallel, overlap int
 	}
 	for i := 0; i < n; i++ {
 		seed := uint64(smokeSeedBase + i)
-		sc := Generate(seed)
+		sc := generate(seed)
 		if len(sc.Forget) > 0 {
 			covered.unlearn++
 		}
@@ -61,10 +61,10 @@ func TestScenarioSmoke(t *testing.T) {
 		if sc.Overlap > 0 {
 			covered.overlap++
 		}
-		if f := c.Check(sc); f != nil {
-			minimal, mf := c.Shrink(sc, f)
+		if f := c.check(sc); f != nil {
+			minimal, mf := c.shrink(sc, f)
 			t.Fatalf("seed %d violated %s: %s\nminimal schedule: %s\nminimal failure: %v\nreplay: %s",
-				seed, f.Invariant, f.Message, minimal.Encode(), mf, ReplayCommand(seed, minimal))
+				seed, f.Invariant, f.Message, minimal.Encode(), mf, replayCommand(seed, minimal))
 		}
 	}
 	// The batch must actually exercise the machinery, not just pass:
@@ -102,19 +102,19 @@ func TestReplay(t *testing.T) {
 	switch {
 	case *flagSchedule != "":
 		var err error
-		if sc, err = DecodeScenario(*flagSchedule); err != nil {
+		if sc, err = decodeScenario(*flagSchedule); err != nil {
 			t.Fatalf("bad -schedule: %v", err)
 		}
 	case *flagSeed != 0:
-		sc = Generate(*flagSeed)
+		sc = generate(*flagSeed)
 	default:
 		t.Skip("pass -seed or -schedule to replay a reproducer")
 	}
-	c := NewChecker(Options{})
-	if f := c.Check(sc); f != nil {
-		minimal, mf := c.Shrink(sc, f)
+	c := newChecker(Options{})
+	if f := c.check(sc); f != nil {
+		minimal, mf := c.shrink(sc, f)
 		t.Fatalf("violated %s: %s\nminimal schedule: %s\nminimal failure: %v\nreplay: %s",
-			f.Invariant, f.Message, minimal.Encode(), mf, ReplayCommand(sc.Seed, minimal))
+			f.Invariant, f.Message, minimal.Encode(), mf, replayCommand(sc.Seed, minimal))
 	}
 }
 
@@ -136,18 +136,18 @@ func plantedViolation(sc Scenario) error {
 // re-checked cold.
 func TestShrinkDeterministic(t *testing.T) {
 	const seed = 7
-	sc := Generate(seed)
+	sc := generate(seed)
 
 	run := func() (Scenario, *Failure) {
-		c := NewChecker(Options{Synthetic: plantedViolation})
-		f := c.Check(sc)
+		c := newChecker(Options{Synthetic: plantedViolation})
+		f := c.check(sc)
 		if f == nil {
 			t.Fatal("planted violation did not fire")
 		}
 		if f.Invariant != InvSynthetic {
 			t.Fatalf("planted violation reported invariant %q, want %q", f.Invariant, InvSynthetic)
 		}
-		return c.Shrink(sc, f)
+		return c.shrink(sc, f)
 	}
 	m1, f1 := run()
 	m2, f2 := run()
@@ -158,7 +158,7 @@ func TestShrinkDeterministic(t *testing.T) {
 	if f1.Invariant != f2.Invariant || f1.Message != f2.Message {
 		t.Fatalf("shrunk failures differ: %v vs %v", f1, f2)
 	}
-	if r1, r2 := ReplayCommand(seed, m1), ReplayCommand(seed, m2); r1 != r2 {
+	if r1, r2 := replayCommand(seed, m1), replayCommand(seed, m2); r1 != r2 {
 		t.Fatalf("replay commands differ:\n%s\n%s", r1, r2)
 	}
 
@@ -179,8 +179,8 @@ func TestShrinkDeterministic(t *testing.T) {
 
 	// Re-checking the minimal schedule cold fails identically — the
 	// printed reproducer is the failure it claims to be.
-	c := NewChecker(Options{Synthetic: plantedViolation})
-	f3 := c.Check(m1)
+	c := newChecker(Options{Synthetic: plantedViolation})
+	f3 := c.check(m1)
 	if f3 == nil || f3.Invariant != f1.Invariant || f3.Message != f1.Message {
 		t.Fatalf("minimal schedule re-check got %v, want %v", f3, f1)
 	}
@@ -192,7 +192,7 @@ func TestShrinkDeterministic(t *testing.T) {
 // debugging from wandering out of the schedule language.
 func TestShrinkPreservesValidity(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
-		sc := Generate(seed)
+		sc := generate(seed)
 		for i, cand := range candidates(sc) {
 			if err := cand.Validate(); err != nil {
 				t.Errorf("seed %d candidate %d invalid: %v\n%s", seed, i, err, cand.Encode())
@@ -205,7 +205,7 @@ func TestShrinkPreservesValidity(t *testing.T) {
 // hand-forced schedule: the overlapped commit pass must actually begin
 // mid-training and land bit-identical to stop-the-world.
 func TestOverlapVariant(t *testing.T) {
-	sc := Generate(42)
+	sc := generate(42)
 	sc.Overlap = 2
 	sc.SaveLoadAt = -1
 	// Every client joins at round 0 with no faults, so the whole
@@ -241,7 +241,7 @@ func TestOverlapVariant(t *testing.T) {
 	if f := compareCommits(begin, ov, stw); f != nil {
 		t.Fatalf("overlapped commit diverged: %v", f)
 	}
-	if f := NewChecker(Options{}).Check(sc); f != nil {
+	if f := newChecker(Options{}).check(sc); f != nil {
 		t.Fatalf("full check on overlap schedule: %v", f)
 	}
 }

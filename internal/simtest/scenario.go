@@ -46,7 +46,7 @@ type ClientSpec struct {
 
 // Scenario is one randomized schedule: everything the engine needs to
 // run the composed system deterministically end to end. The JSON
-// encoding (Encode/DecodeScenario) is the `-schedule` replay format.
+// encoding (Encode/decodeScenario) is the `-schedule` replay format.
 type Scenario struct {
 	// Seed drives every random draw: dataset synthesis, model init,
 	// mini-batch sampling and probabilistic faults (the deterministic
@@ -217,9 +217,9 @@ func (sc Scenario) Encode() string {
 	return string(b)
 }
 
-// DecodeScenario parses a `-schedule` string produced by Encode and
+// decodeScenario parses a `-schedule` string produced by Encode and
 // validates it.
-func DecodeScenario(s string) (Scenario, error) {
+func decodeScenario(s string) (Scenario, error) {
 	var sc Scenario
 	dec := json.NewDecoder(strings.NewReader(s))
 	dec.DisallowUnknownFields()
@@ -232,12 +232,12 @@ func DecodeScenario(s string) (Scenario, error) {
 	return sc, nil
 }
 
-// Generate derives a random-but-deterministic scenario from seed: same
+// generate derives a random-but-deterministic scenario from seed: same
 // seed, same schedule, forever. The distributions are tuned so the
 // interesting machinery fires often — small clip thresholds so eq. 7
 // actually clips, short refresh periods so pairs rotate, crash lists
 // so rounds degrade, spill windows shorter than the run.
-func Generate(seed uint64) Scenario {
+func generate(seed uint64) Scenario {
 	r := rng.New(rng.Mix(seed, 0x5ce0a10))
 	sc := Scenario{
 		Seed:          seed,

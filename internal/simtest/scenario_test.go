@@ -9,7 +9,7 @@ import (
 // same schedule, byte for byte.
 func TestGenerateDeterministic(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
-		a, b := Generate(seed), Generate(seed)
+		a, b := generate(seed), generate(seed)
 		if a.Encode() != b.Encode() {
 			t.Fatalf("seed %d generated two different schedules", seed)
 		}
@@ -17,7 +17,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("seed %d generated invalid schedule: %v", seed, err)
 		}
 	}
-	if Generate(1).Encode() == Generate(2).Encode() {
+	if generate(1).Encode() == generate(2).Encode() {
 		t.Fatal("distinct seeds generated identical schedules")
 	}
 }
@@ -26,9 +26,9 @@ func TestGenerateDeterministic(t *testing.T) {
 // replay format.
 func TestScenarioCodecRoundTrip(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
-		sc := Generate(seed)
+		sc := generate(seed)
 		enc := sc.Encode()
-		dec, err := DecodeScenario(enc)
+		dec, err := decodeScenario(enc)
 		if err != nil {
 			t.Fatalf("seed %d: decode: %v", seed, err)
 		}
@@ -47,10 +47,10 @@ func TestDecodeScenarioRejects(t *testing.T) {
 		{"junk", "not json", "decode schedule"},
 		{"unknown_field", `{"seed":1,"bogus":true}`, "decode schedule"},
 		{"zero_rounds", `{"seed":1,"rounds":0}`, "rounds 0"},
-		{"forget_unknown", strings.Replace(Generate(3).Encode(), `"forget":[`, `"forget":[99,`, 1), "unknown client 99"},
+		{"forget_unknown", strings.Replace(generate(3).Encode(), `"forget":[`, `"forget":[99,`, 1), "unknown client 99"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodeScenario(tc.in); err == nil {
+			if _, err := decodeScenario(tc.in); err == nil {
 				t.Fatalf("decoded invalid schedule %q", tc.in)
 			} else if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
@@ -61,7 +61,7 @@ func TestDecodeScenarioRejects(t *testing.T) {
 
 // TestValidateBounds spot-checks the grammar's edges.
 func TestValidateBounds(t *testing.T) {
-	base := Generate(5)
+	base := generate(5)
 	mutate := func(f func(*Scenario)) *Scenario {
 		sc := cloneScenario(base)
 		f(&sc)

@@ -11,7 +11,7 @@ import (
 // from turning CI into a soak run.
 const shrinkBudget = 400
 
-// Shrink reduces a failing scenario to a minimal reproducer by greedy
+// shrink reduces a failing scenario to a minimal reproducer by greedy
 // delta debugging over the schedule grammar: at each step it tries an
 // ordered list of simplifications (fewer rounds, fewer clients, fewer
 // faults, plainer knobs) and keeps the first candidate that still fails
@@ -22,7 +22,7 @@ const shrinkBudget = 400
 //
 // It returns the minimal scenario and its failure (the original pair
 // when nothing smaller reproduces). orig must be non-nil.
-func (c *Checker) Shrink(sc Scenario, orig *Failure) (Scenario, *Failure) {
+func (c *Checker) shrink(sc Scenario, orig *Failure) (Scenario, *Failure) {
 	best, bestF := cloneScenario(sc), orig
 	runs := 0
 	reproduces := func(cand Scenario) *Failure {
@@ -31,7 +31,7 @@ func (c *Checker) Shrink(sc Scenario, orig *Failure) (Scenario, *Failure) {
 		}
 		runs++
 		c.met.shrinkRuns.Inc()
-		if f := c.check(cand); f != nil && f.Invariant == orig.Invariant {
+		if f := c.verify(cand); f != nil && f.Invariant == orig.Invariant {
 			return f
 		}
 		return nil
@@ -224,11 +224,11 @@ func cloneScenario(sc Scenario) Scenario {
 	return c
 }
 
-// ReplayCommand renders the one-line reproducer printed under a
+// replayCommand renders the one-line reproducer printed under a
 // failure: the generator seed that produced the original schedule plus
 // the shrunk schedule JSON. TestReplay honours -schedule over -seed, so
 // the pasted command re-executes the minimal reproducer directly.
-func ReplayCommand(seed uint64, minimal Scenario) string {
+func replayCommand(seed uint64, minimal Scenario) string {
 	return fmt.Sprintf("go test ./internal/simtest -run 'TestReplay$' -seed %d -schedule '%s'",
 		seed, minimal.Encode())
 }

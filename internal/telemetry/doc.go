@@ -8,8 +8,8 @@
 // recovery cheaper than Retraining with zero client participation —
 // and none of that can be argued without measuring where round and
 // recovery time actually goes. Every hot path of the system
-// (fl.Simulation, fl.RSASimulation, unlearn.Unlearner, history.Store
-// and the baselines) emits through this package.
+// (fl.Simulation, unlearn.Unlearner, history.Store and the
+// strategies) emits through this package.
 //
 // # Disabled by default, ~free when off
 //
@@ -55,9 +55,9 @@
 //
 // Instrumented components additionally write one log/slog record per
 // round to the logger installed with Registry.SetLogger. The message
-// names the event ("round" from the fl and rsa engines,
-// "recover_round" from the unlearner); the attributes are scope ("fl",
-// "rsa", "unlearn"), the round index, then counts as ints and phase
+// names the event ("round" from the fl engine, "recover_round" from
+// the unlearner); the attributes are scope ("fl", "unlearn"), the
+// round index, then counts as ints and phase
 // times as slog.Duration. Emitters guard on Registry.Logger, so with no
 // logger installed a round costs a single atomic load and no attribute
 // is built. The logger's handler picks the format — the fuiov

@@ -36,8 +36,8 @@ const (
 	FLStreamAbsentees = "fl.stream.absentees" // counter: scheduled clients absent from a committed round (counted, never mapped)
 	FLStreamShards    = "fl.stream.shards"    // gauge: shard count P under Config.Streaming
 
-	// fl fault-tolerant execution layer (Simulation and RSASimulation
-	// under a FaultPolicy; see internal/faults).
+	// fl fault-tolerant execution layer (Simulation under a
+	// FaultPolicy; see internal/faults).
 	FLRetries          = "fl.retries"           // counter: retried client attempts
 	FLTimeouts         = "fl.timeouts"          // counter: attempts cut off by the per-client deadline
 	FLCrashes          = "fl.crashes"           // counter: attempts lost to injected crashes
@@ -46,12 +46,6 @@ const (
 	FLDegradedRounds   = "fl.degraded_rounds"   // counter: rounds aggregated below full participation
 	FLQuorumShortfalls = "fl.quorum_shortfalls" // counter: rounds abandoned for lack of quorum
 	FLSkippedRounds    = "fl.skipped_rounds"    // counter: rounds skipped by the caller via SkipRound
-
-	// fl.RSASimulation — one RSA round (eq. 3–4).
-	RSARound          = "rsa.round"           // timer: whole round
-	RSARoundLocal     = "rsa.round.local"     // timer: parallel client local steps
-	RSARoundConsensus = "rsa.round.consensus" // timer: server sign-consensus step
-	RSARounds         = "rsa.rounds"          // counter: rounds executed
 
 	// history.Store — round recording and storage accounting.
 	HistoryRecord          = "history.record"             // timer: whole RecordRound / RecordRoundDirs
@@ -140,8 +134,6 @@ const (
 	// specific tallies nest under the same prefix. The former
 	// baselines.* names moved here so one namespace covers every
 	// unlearning algorithm, hardcoded or pluggable.
-	StrategyPrefix = "unlearn.strategy."
-
 	StrategyPaperTotal  = "unlearn.strategy.paper.total"            // timer: whole paper-scheme run through the strategy layer
 	RetrainTotal        = "unlearn.strategy.retrain.total"          // timer: whole retraining run
 	FedRecoverTotal     = "unlearn.strategy.fedrecover.total"       // timer: whole FedRecover run

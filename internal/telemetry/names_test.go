@@ -61,6 +61,9 @@ func TestQueueMetricNamespace(t *testing.T) {
 	}
 }
 
+// strategyPrefix is the namespace every strategy metric lives under.
+const strategyPrefix = "unlearn.strategy."
+
 func TestStrategyMetricNamespace(t *testing.T) {
 	perStrategyTotal := map[string]string{
 		"paper":       StrategyPaperTotal,
@@ -72,7 +75,7 @@ func TestStrategyMetricNamespace(t *testing.T) {
 		"not":         NoTTotal,
 	}
 	for name, total := range perStrategyTotal {
-		want := StrategyPrefix + name + ".total"
+		want := strategyPrefix + name + ".total"
 		if total != want {
 			t.Errorf("strategy %q total timer = %q, want %q", name, total, want)
 		}
@@ -87,8 +90,8 @@ func TestStrategyMetricNamespace(t *testing.T) {
 		NoTTotal,
 	}
 	for _, name := range scoped {
-		if len(name) <= len(StrategyPrefix) || name[:len(StrategyPrefix)] != StrategyPrefix {
-			t.Errorf("strategy metric %q escapes the %q namespace", name, StrategyPrefix)
+		if len(name) <= len(strategyPrefix) || name[:len(strategyPrefix)] != strategyPrefix {
+			t.Errorf("strategy metric %q escapes the %q namespace", name, strategyPrefix)
 		}
 	}
 }

@@ -74,17 +74,6 @@ func mustShape(op string, gotR, gotC, wantR, wantC int) {
 	}
 }
 
-// MatMul returns a*b. It panics on an inner-dimension mismatch.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor.MatMul: inner dimension mismatch %dx%d * %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	gemmNN(out, a, b)
-	return out
-}
-
 // MatMulInto sets dst = a*b, reusing dst's backing array. dst must
 // already have shape a.Rows × b.Cols and must not alias a or b.
 func MatMulInto(dst, a, b *Matrix) {
@@ -192,30 +181,20 @@ func saxpyGo(orow []float64, av float64, brow []float64) {
 	}
 }
 
-// MatMulNTInto sets dst = a*bᵀ (b stored row-major, not transposed in
-// memory). dst must have shape a.Rows × b.Rows.
-func MatMulNTInto(dst, a, b *Matrix) {
-	gemmNTChecked("MatMulNTInto", dst, a, b, false)
-}
-
 // MatMulNTAddInto sets dst += a*bᵀ, accumulating from dst's current
 // contents.
 func MatMulNTAddInto(dst, a, b *Matrix) {
-	gemmNTChecked("MatMulNTAddInto", dst, a, b, true)
-}
-
-func gemmNTChecked(op string, dst, a, b *Matrix, acc bool) {
 	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor.%s: inner dimension mismatch %dx%d * (%dx%d)^T",
-			op, a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("tensor.MatMulNTAddInto: inner dimension mismatch %dx%d * (%dx%d)^T",
+			a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	mustShape(op, dst.Rows, dst.Cols, a.Rows, b.Rows)
+	mustShape("MatMulNTAddInto", dst.Rows, dst.Cols, a.Rows, b.Rows)
 	if serialRows(a.Rows, 2*a.Cols*b.Rows) {
-		gemmNTRange(dst, a, b, acc, 0, a.Rows)
+		gemmNTRange(dst, a, b, true, 0, a.Rows)
 		return
 	}
 	dd, aa, bb := *dst, *a, *b
-	parallelRows(a.Rows, func(lo, hi int) { gemmNTRange(&dd, &aa, &bb, acc, lo, hi) })
+	parallelRows(a.Rows, func(lo, hi int) { gemmNTRange(&dd, &aa, &bb, true, lo, hi) })
 }
 
 // gemmNTRange computes output rows [lo, hi) of dst = (dst +) a*bᵀ.

@@ -137,14 +137,14 @@ func TestMatMulAddIntoAccumulates(t *testing.T) {
 	}
 }
 
-// TestMatMulNTMatchesExplicitTranspose checks a*bᵀ against MatMul with
-// a materialised transpose.
+// TestMatMulNTMatchesExplicitTranspose checks a*bᵀ, accumulated into
+// a zero dst, against MatMul with a materialised transpose.
 func TestMatMulNTMatchesExplicitTranspose(t *testing.T) {
 	r := rng.New(305)
 	a := randMatrix(r, 31, 47)
 	b := randMatrix(r, 22, 47)
 	dst := NewMatrix(31, 22)
-	MatMulNTInto(dst, a, b)
+	MatMulNTAddInto(dst, a, b)
 	want := MatMul(a, b.T())
 	for i := range want.Data {
 		d := math.Abs(dst.Data[i] - want.Data[i])
@@ -213,7 +213,7 @@ func TestIntoKernelShapePanics(t *testing.T) {
 		{"MatMulInto/inner", func() { MatMulInto(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 3)) }},
 		{"MatMulInto/dst", func() { MatMulInto(NewMatrix(3, 3), NewMatrix(2, 3), NewMatrix(3, 2)) }},
 		{"MatMulAddInto/dst", func() { MatMulAddInto(NewMatrix(1, 1), NewMatrix(2, 3), NewMatrix(3, 2)) }},
-		{"MatMulNTInto/inner", func() { MatMulNTInto(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 4)) }},
+		{"MatMulNTAddInto/inner", func() { MatMulNTAddInto(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 4)) }},
 		{"MatMulTNInto/inner", func() { MatMulTNInto(NewMatrix(3, 2), NewMatrix(2, 3), NewMatrix(3, 2)) }},
 		{"MulVecInto/dst", func() { NewMatrix(2, 2).MulVecInto(make(Vec, 3), make(Vec, 2)) }},
 		{"MulVecInto/v", func() { NewMatrix(2, 2).MulVecInto(make(Vec, 2), make(Vec, 3)) }},

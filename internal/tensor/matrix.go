@@ -25,42 +25,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows, copying
-// the data.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			panic(fmt.Sprintf("tensor.FromRows: ragged rows (%d vs %d)", len(r), cols))
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m
-}
-
-// FromColumns builds a matrix whose j-th column is cols[j], copying
-// the data. All columns must share the same length.
-func FromColumns(cols []Vec) *Matrix {
-	if len(cols) == 0 {
-		return NewMatrix(0, 0)
-	}
-	rows := len(cols[0])
-	m := NewMatrix(rows, len(cols))
-	for j, c := range cols {
-		if len(c) != rows {
-			panic(fmt.Sprintf("tensor.FromColumns: ragged columns (%d vs %d)", len(c), rows))
-		}
-		for i := 0; i < rows; i++ {
-			m.Data[i*m.Cols+j] = c[i]
-		}
-	}
-	return m
-}
-
 // Identity returns the n-by-n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -83,22 +47,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) Vec {
-	out := make(Vec, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) Vec {
-	out := make(Vec, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
-	}
-	return out
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
@@ -106,54 +54,6 @@ func (m *Matrix) T() *Matrix {
 		for j := 0; j < m.Cols; j++ {
 			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
 		}
-	}
-	return out
-}
-
-// MulVec returns m*v for a column vector v of length m.Cols.
-func (m *Matrix) MulVec(v Vec) Vec {
-	out := make(Vec, m.Rows)
-	m.MulVecInto(out, v)
-	return out
-}
-
-// MulVecT returns mᵀ*v for a column vector v of length m.Rows, without
-// materialising the transpose.
-func (m *Matrix) MulVecT(v Vec) Vec {
-	if m.Rows != len(v) {
-		panic(fmt.Sprintf("tensor.MulVecT: dimension mismatch %dx%d^T * %d",
-			m.Rows, m.Cols, len(v)))
-	}
-	out := make(Vec, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		for j, x := range row {
-			out[j] += vi * x
-		}
-	}
-	return out
-}
-
-// AddMat returns a + b elementwise.
-func AddMat(a, b *Matrix) *Matrix {
-	mustSameShape("AddMat", a, b)
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
-// SubMat returns a - b elementwise.
-func SubMat(a, b *Matrix) *Matrix {
-	mustSameShape("SubMat", a, b)
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
 	}
 	return out
 }
@@ -208,52 +108,6 @@ func Block(a, b, c, d *Matrix) *Matrix {
 		r := a.Rows + i
 		copy(out.Data[r*out.Cols:], c.Data[i*c.Cols:(i+1)*c.Cols])
 		copy(out.Data[r*out.Cols+c.Cols:], d.Data[i*d.Cols:(i+1)*d.Cols])
-	}
-	return out
-}
-
-// HStack concatenates matrices horizontally (same row count).
-func HStack(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return NewMatrix(0, 0)
-	}
-	rows := ms[0].Rows
-	cols := 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic("tensor.HStack: row count mismatch")
-		}
-		cols += m.Cols
-	}
-	out := NewMatrix(rows, cols)
-	for i := 0; i < rows; i++ {
-		off := 0
-		for _, m := range ms {
-			copy(out.Data[i*cols+off:], m.Data[i*m.Cols:(i+1)*m.Cols])
-			off += m.Cols
-		}
-	}
-	return out
-}
-
-// VStack concatenates matrices vertically (same column count).
-func VStack(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return NewMatrix(0, 0)
-	}
-	cols := ms[0].Cols
-	rows := 0
-	for _, m := range ms {
-		if m.Cols != cols {
-			panic("tensor.VStack: column count mismatch")
-		}
-		rows += m.Rows
-	}
-	out := NewMatrix(rows, cols)
-	r := 0
-	for _, m := range ms {
-		copy(out.Data[r*cols:], m.Data)
-		r += m.Rows
 	}
 	return out
 }
@@ -349,38 +203,6 @@ func Solve(a, b *Matrix) (*Matrix, error) {
 // Inverse returns the inverse of a square matrix, or ErrSingular.
 func Inverse(a *Matrix) (*Matrix, error) {
 	return Solve(a, Identity(a.Rows))
-}
-
-// EqualMat reports whether a and b share a shape and all elements agree
-// within tol.
-func EqualMat(a, b *Matrix, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxAbs returns the largest absolute element in m (0 for empty).
-func MaxAbs(m *Matrix) float64 {
-	var out float64
-	for _, x := range m.Data {
-		if a := math.Abs(x); a > out {
-			out = a
-		}
-	}
-	return out
-}
-
-func mustSameShape(op string, a, b *Matrix) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor.%s: shape mismatch %dx%d vs %dx%d",
-			op, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 }
 
 func mustSquare(op string, m *Matrix) {

@@ -113,7 +113,10 @@ func TestTrilDiag(t *testing.T) {
 	// square A, A = strict_lower + diag + strict_upper where
 	// strict_upper = Tril(A^T)^T.
 	upper := Tril(a.T()).T()
-	sum := AddMat(AddMat(l, d), upper)
+	sum := NewMatrix(3, 3)
+	for i := range sum.Data {
+		sum.Data[i] = l.Data[i] + d.Data[i] + upper.Data[i]
+	}
 	if !EqualMat(sum, a, 0) {
 		t.Errorf("tril+diag+triu != A: %+v", sum)
 	}
@@ -135,41 +138,13 @@ func TestBlockAssembly(t *testing.T) {
 	}
 }
 
-func TestHStackVStack(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5}, {6}})
-	h := HStack(a, b)
-	if !EqualMat(h, FromRows([][]float64{{1, 2, 5}, {3, 4, 6}}), 0) {
-		t.Errorf("HStack = %+v", h)
-	}
-	c := FromRows([][]float64{{7, 8}})
-	v := VStack(a, c)
-	if !EqualMat(v, FromRows([][]float64{{1, 2}, {3, 4}, {7, 8}}), 0) {
-		t.Errorf("VStack = %+v", v)
-	}
-}
-
-func TestFromColumns(t *testing.T) {
-	m := FromColumns([]Vec{{1, 2, 3}, {4, 5, 6}})
-	want := FromRows([][]float64{{1, 4}, {2, 5}, {3, 6}})
-	if !EqualMat(m, want, 0) {
-		t.Errorf("FromColumns = %+v", m)
-	}
-	if got := m.Col(1); !Equal(got, Vec{4, 5, 6}, 0) {
-		t.Errorf("Col(1) = %v", got)
-	}
-	if got := m.Row(2); !Equal(got, Vec{3, 6}, 0) {
-		t.Errorf("Row(2) = %v", got)
-	}
-}
-
 func TestSolveKnown(t *testing.T) {
 	a := FromRows([][]float64{
 		{2, 1, -1},
 		{-3, -1, 2},
 		{-2, 1, 2},
 	})
-	b := FromColumns([]Vec{{8, -11, -3}})
+	b := FromRows([][]float64{{8}, {-11}, {-3}})
 	x, err := Solve(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +167,7 @@ func TestSolveRandomRoundTrip(t *testing.T) {
 		for i := range want {
 			want[i] = r.Normal()
 		}
-		b := FromColumns([]Vec{a.MulVec(want)})
+		b := &Matrix{Rows: n, Cols: 1, Data: a.MulVec(want)}
 		got, err := Solve(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -208,7 +183,7 @@ func TestSolveSingular(t *testing.T) {
 		{1, 2},
 		{2, 4},
 	})
-	_, err := Solve(a, FromColumns([]Vec{{1, 2}}))
+	_, err := Solve(a, FromRows([][]float64{{1}, {2}}))
 	if !errors.Is(err, ErrSingular) {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
@@ -252,9 +227,6 @@ func TestSolveMultiRHS(t *testing.T) {
 func TestScaleAddSubMat(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{4, 3}, {2, 1}})
-	if got := AddMat(a, b); !EqualMat(got, FromRows([][]float64{{5, 5}, {5, 5}}), 0) {
-		t.Errorf("AddMat = %+v", got)
-	}
 	if got := SubMat(a, b); !EqualMat(got, FromRows([][]float64{{-3, -1}, {1, 3}}), 0) {
 		t.Errorf("SubMat = %+v", got)
 	}
@@ -282,9 +254,6 @@ func TestShapePanics(t *testing.T) {
 		{"Tril", func() { Tril(NewMatrix(2, 3)) }},
 		{"Diag", func() { Diag(NewMatrix(2, 3)) }},
 		{"FromRows", func() { FromRows([][]float64{{1, 2}, {3}}) }},
-		{"FromColumns", func() { FromColumns([]Vec{{1, 2}, {3}}) }},
-		{"HStack", func() { HStack(NewMatrix(2, 2), NewMatrix(3, 2)) }},
-		{"VStack", func() { VStack(NewMatrix(2, 2), NewMatrix(2, 3)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -29,18 +29,6 @@ func CloneVec(v Vec) Vec {
 	return out
 }
 
-// Add returns a + b. It panics if lengths differ, which indicates a
-// programming error (vectors in this codebase always share the model
-// dimension).
-func Add(a, b Vec) Vec {
-	mustSameLen("Add", a, b)
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
 // Sub returns a - b.
 func Sub(a, b Vec) Vec {
 	mustSameLen("Sub", a, b)
@@ -60,27 +48,11 @@ func SubInto(dst, a, b Vec) {
 	}
 }
 
-// ScaleInto sets dst = alpha * v without allocating. dst may alias v.
-func ScaleInto(dst Vec, alpha float64, v Vec) {
-	mustSameLen("ScaleInto", dst, v)
-	for i := range dst {
-		dst[i] = alpha * v[i]
-	}
-}
-
 // AddInPlace sets dst = dst + src.
 func AddInPlace(dst, src Vec) {
 	mustSameLen("AddInPlace", dst, src)
 	for i := range dst {
 		dst[i] += src[i]
-	}
-}
-
-// SubInPlace sets dst = dst - src.
-func SubInPlace(dst, src Vec) {
-	mustSameLen("SubInPlace", dst, src)
-	for i := range dst {
-		dst[i] -= src[i]
 	}
 }
 
@@ -127,10 +99,10 @@ func DotsInto(out Vec, cols []Vec, v Vec) {
 		c0, c1, c2, c3 := cols[k][:len(v)], cols[k+1][:len(v)], cols[k+2][:len(v)], cols[k+3][:len(v)]
 		var s0, s1, s2, s3 float64
 		for i, x := range v {
-			s0 += c0[i] * x
-			s1 += c1[i] * x
-			s2 += c2[i] * x
-			s3 += c3[i] * x
+			s0 += float64(c0[i] * x)
+			s1 += float64(c1[i] * x)
+			s2 += float64(c2[i] * x)
+			s3 += float64(c3[i] * x)
 		}
 		out[k], out[k+1], out[k+2], out[k+3] = s0, s1, s2, s3
 	}
@@ -138,8 +110,8 @@ func DotsInto(out Vec, cols []Vec, v Vec) {
 		c0, c1 := cols[k][:len(v)], cols[k+1][:len(v)]
 		var s0, s1 float64
 		for i, x := range v {
-			s0 += c0[i] * x
-			s1 += c1[i] * x
+			s0 += float64(c0[i] * x)
+			s1 += float64(c1[i] * x)
 		}
 		out[k], out[k+1] = s0, s1
 		k += 2
@@ -156,31 +128,6 @@ func Norm2(v Vec) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// NormInf returns the maximum absolute element of v (0 for empty v).
-func NormInf(v Vec) float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Equal reports whether a and b have the same length and every pair of
-// elements differs by at most tol.
-func Equal(a, b Vec, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // AllFinite reports whether every element of v is finite (no NaN/Inf).

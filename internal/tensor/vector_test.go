@@ -28,9 +28,9 @@ func TestInPlaceOps(t *testing.T) {
 	if !Equal(a, Vec{2, 3, 4}, 0) {
 		t.Errorf("AddInPlace = %v", a)
 	}
-	SubInPlace(a, Vec{2, 2, 2})
+	AxpyInPlace(a, -2, Vec{1, 1, 1})
 	if !Equal(a, Vec{0, 1, 2}, 0) {
-		t.Errorf("SubInPlace = %v", a)
+		t.Errorf("AxpyInPlace = %v", a)
 	}
 	AxpyInPlace(a, 2, Vec{1, 1, 1})
 	if !Equal(a, Vec{2, 3, 4}, 0) {

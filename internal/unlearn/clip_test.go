@@ -12,7 +12,7 @@ func TestClipElementwiseKnown(t *testing.T) {
 	g := []float64{0.5, -0.5, 2, -3, 0}
 	ClipCount(g, 1, ClipElementwise)
 	want := []float64{0.5, -0.5, 1, -1, 0}
-	if !tensor.Equal(g, want, 1e-12) {
+	if !equal(g, want, 1e-12) {
 		t.Errorf("Clip = %v, want %v", g, want)
 	}
 }
@@ -21,7 +21,7 @@ func TestClipElementwiseFixedPointBelowThreshold(t *testing.T) {
 	g := []float64{0.3, -0.9, 0.99}
 	orig := tensor.CloneVec(g)
 	ClipCount(g, 1, ClipElementwise)
-	if !tensor.Equal(g, orig, 0) {
+	if !equal(g, orig, 0) {
 		t.Errorf("values below L must be preserved exactly: %v vs %v", g, orig)
 	}
 }
@@ -40,7 +40,7 @@ func TestClipNorm(t *testing.T) {
 	h := []float64{0.1, 0.1}
 	orig := tensor.CloneVec(h)
 	ClipCount(h, 1, ClipNorm)
-	if !tensor.Equal(h, orig, 0) {
+	if !equal(h, orig, 0) {
 		t.Errorf("small vector modified: %v", h)
 	}
 }
@@ -172,7 +172,7 @@ func TestClipNormProperty(t *testing.T) {
 		}
 		once := tensor.CloneVec(g)
 		ClipCount(g, l, ClipNorm)
-		return tensor.Equal(g, once, 1e-12)
+		return equal(g, once, 1e-12)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

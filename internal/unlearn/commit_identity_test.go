@@ -56,7 +56,8 @@ func denseRecompressCommit(t *testing.T, u *Unlearner, reg *telemetry.Registry, 
 			if err != nil {
 				t.Fatal(err)
 			}
-			grads[id] = dir.Dense()
+			grads[id] = make([]float64, dir.Len())
+			dir.DenseInto(grads[id])
 			if weights[id], err = old.Weight(round, id); err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +107,7 @@ func TestCommitRewriteMatchesDenseRecompress(t *testing.T) {
 	fed := trainFederation(t, 5, 14, 4, 23)
 	fed.store.NoteLeave(3, 12)
 	spilled, err := history.Load(bytes.NewReader(saved(t, fed.store)),
-		history.WithSpill(t.TempDir(), 2), history.WithSpillCache(2))
+		history.WithSpill(t.TempDir(), 2))
 	if err != nil {
 		t.Fatal(err)
 	}

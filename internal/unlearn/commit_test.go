@@ -40,7 +40,7 @@ func TestUnlearnAndCommitRewritesHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tensor.Equal(got, want, 0) {
+		if !equal(got, want, 0) {
 			t.Fatalf("prefix model %d differs", round)
 		}
 	}
@@ -59,7 +59,7 @@ func TestUnlearnAndCommitRewritesHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tensor.Equal(got, traj[round-f-1], 0) {
+		if !equal(got, traj[round-f-1], 0) {
 			t.Fatalf("suffix model %d does not match recovered trajectory", round)
 		}
 	}

@@ -133,7 +133,7 @@ func TestForgettingEveryParticipant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(res.Params, res.Unlearned, 0) {
+	if !equal(res.Params, res.Unlearned, 0) {
 		t.Error("recovery with zero remaining clients should be a no-op")
 	}
 }
@@ -153,7 +153,7 @@ func TestUnlearnIsRepeatable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(a.Params, b.Params, 0) {
+	if !equal(a.Params, b.Params, 0) {
 		t.Error("second unlearning differs — store was mutated")
 	}
 }
@@ -183,7 +183,7 @@ func TestZeroGradientHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(res.Params, res.Unlearned, 0) {
+	if !equal(res.Params, res.Unlearned, 0) {
 		t.Error("zero-gradient history should leave the model unchanged")
 	}
 	if res.DegenerateFallbacks == 0 {
@@ -206,7 +206,7 @@ func TestRecoveryDeterministicAcrossParallelism(t *testing.T) {
 	}
 	serial := run(1)
 	parallel := run(8)
-	if !tensor.Equal(serial, parallel, 0) {
+	if !equal(serial, parallel, 0) {
 		t.Error("recovery differs across parallelism settings")
 	}
 }

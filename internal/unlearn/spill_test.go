@@ -26,7 +26,7 @@ func TestUnlearnBitIdenticalWithSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	spilled, err := history.Load(bytes.NewReader(buf.Bytes()),
-		history.WithSpill(t.TempDir(), 2), history.WithSpillCache(2))
+		history.WithSpill(t.TempDir(), 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@
 // happens.
 //
 // To add a strategy: implement the three-method interface in this
-// package, pick a telemetry name under telemetry.StrategyPrefix, and
+// package, pick telemetry names under unlearn.strategy.<name>., and
 // add an instance to the strategies table in name order. See DESIGN.md
 // §14.
 package strategy
@@ -122,7 +122,7 @@ type Request struct {
 	// strategy reads it; its zero value selects the paper defaults.
 	Unlearn unlearn.Config
 	// Telemetry, when non-nil, receives each strategy's timers and
-	// counters under telemetry.StrategyPrefix. Nil disables
+	// counters under unlearn.strategy.<name>. Nil disables
 	// instrumentation at ~zero cost.
 	Telemetry *telemetry.Registry
 }

@@ -265,25 +265,9 @@ func TestNoTFlipsSign(t *testing.T) {
 	}
 }
 
-// TestParamSpansTileVector pins the span layout NoT relies on.
-func TestParamSpansTileVector(t *testing.T) {
-	tmpl := nn.NewMLP(16, 4, 3)
-	spans := tmpl.ParamSpans()
-	off := 0
-	for _, sp := range spans {
-		if sp[0] != off || sp[1] <= sp[0] {
-			t.Fatalf("span %v does not tile at offset %d", sp, off)
-		}
-		off = sp[1]
-	}
-	if off != tmpl.NumParams() {
-		t.Fatalf("spans cover %d params, want %d", off, tmpl.NumParams())
-	}
-}
-
 // TestStrategyTelemetryNames runs every builtin under one registry and
 // asserts each strategy timed its run under
-// telemetry.StrategyPrefix + name + ".total" — the namespace contract
+// "unlearn.strategy." + name + ".total" — the namespace contract
 // names_test.go pins from the telemetry side.
 func TestStrategyTelemetryNames(t *testing.T) {
 	req := fixture(t)
@@ -300,7 +284,7 @@ func TestStrategyTelemetryNames(t *testing.T) {
 		timed[tm.Name] = tm.Count
 	}
 	for _, name := range builtins {
-		want := telemetry.StrategyPrefix + name + ".total"
+		want := "unlearn.strategy." + name + ".total"
 		if timed[want] == 0 {
 			t.Errorf("strategy %q did not observe timer %q (timers: %v)", name, want, timed)
 		}

@@ -2,6 +2,8 @@ package unlearn
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 
 	"fuiov/internal/dataset"
@@ -127,7 +129,7 @@ func TestBacktrack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(w, want, 0) {
+	if !equal(w, want, 0) {
 		t.Error("backtracked model != stored w_F")
 	}
 	// Multiple clients: earliest join wins.
@@ -181,7 +183,7 @@ func TestUnlearnErasesClientAndRecovers(t *testing.T) {
 		accFinal, accUnlearned, accRecovered, res.DegenerateFallbacks, res.BootstrappedClients)
 
 	// Unlearning must actually reset the model (round 2 of 40).
-	dist, err := metrics.ModelDistance(res.Unlearned, fed.sim.Params())
+	dist, err := modelDistance(res.Unlearned, fed.sim.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +249,7 @@ func TestUnlearnedModelUntouchedByForgottenClient(t *testing.T) {
 	if err := sim.RunContext(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(wBar, sim.Params(), 0) {
+	if !equal(wBar, sim.Params(), 0) {
 		t.Error("backtracked model differs from training-without-client prefix")
 	}
 }
@@ -366,7 +368,7 @@ func TestRecoveryExcludesForgottenGradients(t *testing.T) {
 	if both.BacktrackRound != 0 {
 		t.Errorf("F = %d, want 0", both.BacktrackRound)
 	}
-	dist, err := metrics.ModelDistance(single.Params, both.Params)
+	dist, err := modelDistance(single.Params, both.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +391,30 @@ func TestDeterministicUnlearning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(a.Params, b.Params, 0) {
+	if !equal(a.Params, b.Params, 0) {
 		t.Error("unlearning is not deterministic")
 	}
+}
+
+// equal reports whether a and b have the same length and every pair of
+// elements differs by at most tol.
+func equal(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
+}
+
+// modelDistance returns the L2 distance between two flat parameter
+// vectors.
+func modelDistance(a, b []float64) (float64, error) {
+	if len(a) != len(b) {
+		return 0, fmt.Errorf("dimension mismatch %d vs %d", len(a), len(b))
+	}
+	return tensor.Norm2(tensor.Sub(a, b)), nil
 }

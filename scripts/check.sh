@@ -66,8 +66,10 @@ GOARCH=arm64 go vet ./...
 # them) shows a fused multiply-add anyway, or if one of them is missing
 # from the binary (renamed or inlined: update the list). FedAvg's
 # reductions (AggregateRange, the sharded fold and tree) run through
-# tensor.AxpyInPlace and are held to the scalar loop the same way.
-fma_funcs='tensor.saxpy tensor.saxpyGo tensor.AxpyInPlace tensor.gemmNNRange tensor.gemmTNRange tensor.gemmNTRange tensor.gemmNTGo sign.accumulateGo fl.FedAvg.AggregateRange fl.(*ShardedFedAvg).fold fl.(*ShardedFedAvg).Resolve'
+# tensor.AxpyInPlace and are held to the scalar loop the same way. The
+# recovery sweep (tensor.DotsInto, lbfgs.(*Approx).sweep) is listed
+# too, so the model bits it feeds are the same off amd64.
+fma_funcs='tensor.saxpy tensor.saxpyGo tensor.AxpyInPlace tensor.DotsInto lbfgs.(*Approx).sweep tensor.gemmNNRange tensor.gemmTNRange tensor.gemmNTRange tensor.gemmNTGo sign.accumulateGo fl.FedAvg.AggregateRange fl.(*ShardedFedAvg).fold fl.(*ShardedFedAvg).Resolve'
 fma_bin=$(mktemp)
 GOARCH=arm64 go build -o "$fma_bin" ./cmd/fuiov
 fma_re=$(echo "$fma_funcs" | sed 's/[.()*]/\\&/g; s/ /|/g')
