@@ -88,9 +88,6 @@ type IntervalSchedule = fl.IntervalSchedule
 // Recorder observes each round's model, gradients and weights.
 type Recorder = fl.Recorder
 
-// FedAvg is the paper's dataset-size-weighted aggregation rule.
-type FedAvg = fl.FedAvg
-
 // NewSimulation creates a federated simulation starting from the
 // template's current parameters.
 func NewSimulation(template *Network, clients []*Client, cfg SimConfig) (*Simulation, error) {
@@ -190,7 +187,7 @@ func NewUnlearner(store *Store, cfg UnlearnConfig) (*Unlearner, error) {
 // UnlearnCommitPass is an in-progress unlearning pass that rewrites
 // the history into a fresh store incrementally while the original
 // keeps recording rounds; see Unlearner.BeginCommit. Its committed
-// result is bit-identical to a stop-the-world UnlearnAndCommitContext
+// result is bit-identical to a stop-the-world BeginCommit + Commit
 // over the final history.
 type UnlearnCommitPass = unlearn.CommitPass
 

@@ -137,7 +137,11 @@ func TestPublicAPICommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rewritten, err := u.UnlearnAndCommitContext(context.Background(), 2)
+	cp, err := u.BeginCommit(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rewritten, err := cp.Commit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

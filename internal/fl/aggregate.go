@@ -8,23 +8,9 @@ import (
 	"fuiov/internal/tensor"
 )
 
-// Aggregator combines per-client gradients into one global update.
-// FedAvg is the only rule: the round engine calls it directly, and
-// unlearn.Config.Aggregator is the seam a test substitutes to observe
-// what recovery aggregates.
-type Aggregator interface {
-	// Aggregate combines the gradients; weights align with grads by
-	// client ID. It must not mutate the inputs, and must not retain
-	// them past the call: hot paths (the recovery loop) reuse the map
-	// and the gradient buffers on the next round.
-	Aggregate(grads map[history.ClientID][]float64, weights map[history.ClientID]float64) ([]float64, error)
-}
-
 // FedAvg is the paper's aggregation rule (eq. 1): the weighted average
 // of client gradients, weighted by local dataset size.
 type FedAvg struct{}
-
-var _ Aggregator = FedAvg{}
 
 // Aggregate computes Σ wᵢ·gᵢ / Σ wᵢ. Missing weights default to 1.
 func (FedAvg) Aggregate(grads map[history.ClientID][]float64, weights map[history.ClientID]float64) ([]float64, error) {

@@ -69,8 +69,8 @@ func (f FuncSchedule) Participates(id history.ClientID, t int) bool { return f(i
 // Recorder observes each round's pre-update model, uploaded gradients
 // and aggregation weights. *history.Store is the canonical
 // implementation; the full-gradient stores used by the baseline
-// recovery methods are others. Like an Aggregator, it must not mutate
-// its inputs and must not retain them past the call: the engine clears
+// recovery methods are others. It must not mutate its inputs and must
+// not retain them past the call: the engine clears
 // the maps when the round closes, and the networked coordinator reuses
 // the gradient buffers for the next round's uploads.
 type Recorder interface {

@@ -223,13 +223,26 @@ func New(cfg Config) (*Coordinator, error) {
 		c.queue = q
 	}
 	c.mux = http.NewServeMux()
-	c.mux.Handle("POST /v1/round", c.instrument(telemetry.ServerHTTPRound, c.handleRound))
-	c.mux.Handle("POST /v1/unlearn", c.instrument(telemetry.ServerHTTPUnlearn, c.handleUnlearn))
-	c.mux.Handle("GET /v1/unlearn/{id}", c.instrument(telemetry.ServerHTTPUnlearn, c.handleUnlearnStatus))
-	c.mux.Handle("GET /v1/model/{round}", c.instrument(telemetry.ServerHTTPModel, c.handleModel))
-	c.mux.Handle("GET /v1/status", c.instrument(telemetry.ServerHTTPStatus, c.handleStatus))
-	c.mux.Handle("GET /v1/metrics", c.instrument(telemetry.ServerHTTPMetrics, c.handleMetrics))
+	for _, rt := range routeTable {
+		c.mux.Handle(rt.pattern, c.instrument(rt.timer, func(w http.ResponseWriter, r *http.Request) { rt.h(c, w, r) }))
+	}
 	return c, nil
+}
+
+// routeTable is every method+pattern the coordinator serves, in the
+// order PROTOCOL.md documents them, each with its own latency timer.
+// A test diffs the patterns against the document so the protocol spec
+// cannot drift from the implementation.
+var routeTable = []struct {
+	pattern, timer string
+	h              func(*Coordinator, http.ResponseWriter, *http.Request)
+}{
+	{"POST /v1/round", telemetry.ServerHTTPRound, (*Coordinator).handleRound},
+	{"POST /v1/unlearn", telemetry.ServerHTTPUnlearn, (*Coordinator).handleUnlearn},
+	{"GET /v1/unlearn/{id}", telemetry.ServerHTTPUnlearnStatus, (*Coordinator).handleUnlearnStatus},
+	{"GET /v1/model/{round}", telemetry.ServerHTTPModel, (*Coordinator).handleModel},
+	{"GET /v1/status", telemetry.ServerHTTPStatus, (*Coordinator).handleStatus},
+	{"GET /v1/metrics", telemetry.ServerHTTPMetrics, (*Coordinator).handleMetrics},
 }
 
 // engineStore reads the engine's current history store under the
@@ -267,20 +280,6 @@ func (c *Coordinator) commitUnlearnPass(finish func() (*unlearn.QueueCommit, err
 	c.unlearns++
 	c.met.unlearns.Inc()
 	return nil
-}
-
-// routes lists every method+pattern the coordinator registers, in the
-// order they appear in PROTOCOL.md. A test diffs this list against the
-// document so the protocol spec cannot drift from the implementation.
-func routes() []string {
-	return []string{
-		"POST /v1/round",
-		"POST /v1/unlearn",
-		"GET /v1/unlearn/{id}",
-		"GET /v1/model/{round}",
-		"GET /v1/status",
-		"GET /v1/metrics",
-	}
 }
 
 // ServeHTTP implements http.Handler, so a Coordinator can be mounted

@@ -1197,3 +1197,58 @@ func TestAsyncUnlearn(t *testing.T) {
 		t.Fatalf("unknown request ID → %d", resp.StatusCode)
 	}
 }
+
+// TestUnlearnStatusPollsHaveOwnTimer: GET /v1/unlearn/{id} is timed by
+// its own timer, so polling an async request's status leaves the POST
+// /v1/unlearn timer at one request.
+func TestUnlearnStatusPollsHaveOwnTimer(t *testing.T) {
+	sim, _, _ := loopFixture(t, 4, loopSchedule, nil)
+	if err := sim.RunContext(context.Background(), 6); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	_, base := startCoordinator(t, server.Config{Engine: sim, MaxRounds: 6, Telemetry: reg})
+	body, _ := json.Marshal(map[string]any{"clients": []history.ClientID{1}, "async": true})
+	resp, err := http.Post(base+"/v1/unlearn", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted struct {
+		StatusPath string `json:"status_path"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&accepted); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async submit → %d", resp.StatusCode)
+	}
+	polls, done := 0, false
+	for deadline := time.Now().Add(30 * time.Second); polls < 3 || !done; polls++ {
+		if time.Now().After(deadline) {
+			t.Fatal("request never resolved")
+		}
+		resp, err := http.Get(base + accepted.StatusPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var status struct {
+			Status string `json:"status"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if status.Status == "failed" {
+			t.Fatalf("request failed: %+v", status)
+		}
+		done = status.Status == "done"
+		time.Sleep(time.Millisecond)
+	}
+	if n := reg.Timer(telemetry.ServerHTTPUnlearn).Stats().Count; n != 1 {
+		t.Errorf("%s count = %d after one POST and %d status polls, want 1", telemetry.ServerHTTPUnlearn, n, polls)
+	}
+	if n := reg.Timer(telemetry.ServerHTTPUnlearnStatus).Stats().Count; n != int64(polls) {
+		t.Errorf("%s count = %d, want %d", telemetry.ServerHTTPUnlearnStatus, n, polls)
+	}
+}

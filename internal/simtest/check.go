@@ -14,7 +14,6 @@ import (
 // named invariant (messages may differ as the schedule shrinks).
 const (
 	InvEngine      = "engine"         // the round engine or unlearner returned an unexpected error
-	InvClipBound   = "clip-bound"     // an estimated gradient escaped eq. 7's bound L
 	InvBacktrack   = "backtrack-wf"   // unlearned model ≠ the stored w_F, or F ≠ min join round
 	InvParallelism = "parallelism"    // results differ between Parallelism=1 and the base run
 	InvSpill       = "spill"          // results differ with the spill tier toggled
@@ -125,9 +124,6 @@ func (c *Checker) verify(sc Scenario) *Failure {
 	}
 
 	// Invariants on the base run alone.
-	if f := checkClip(sc, base); f != nil {
-		return f
-	}
 	if f := checkBacktrack(base); f != nil {
 		return f
 	}
@@ -235,15 +231,6 @@ func compareCommits(begin int, ov, stw *commitOutcome) *Failure {
 			what, len(ov.snapshot), len(stw.snapshot))
 	}
 	return nil
-}
-
-// checkClip surfaces the checking aggregator's verdict: every
-// estimated gradient that reached aggregation must respect eq. 7.
-func checkClip(sc Scenario, out *runOutcome) *Failure {
-	if sc.ClipMode == ClipOff || out.clipViolation == nil {
-		return nil
-	}
-	return failf(InvClipBound, "%v", out.clipViolation)
 }
 
 // checkBacktrack verifies eq. 5 independently: the unlearner's F must

@@ -13,7 +13,8 @@
 //     versus GOMAXPROCS, and with the spill tier on versus off;
 //   - a mid-scenario Store.Save/Load resume continues the trajectory
 //     bit-identically, down to the snapshot bytes;
-//   - every estimated gradient respects the clip bound L (eq. 7);
+//   - a commit pass overlapped with training commits the same result
+//     and store bytes as a stop-the-world pass over the final history;
 //   - Storage() resident/spilled accounting is internally consistent.
 //
 // On failure the harness shrinks the scenario to a minimal reproducer

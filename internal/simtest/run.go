@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"slices"
 
 	"fuiov"
 	"fuiov/internal/rng"
@@ -43,52 +41,6 @@ type runOutcome struct {
 	// modelAtF is the store's model snapshot at the unlearner's
 	// reported backtrack round, read back after recovery finished.
 	modelAtF []float64
-	// clipViolation is the first clip-bound violation the checking
-	// aggregator observed during recovery (nil if none).
-	clipViolation error
-}
-
-// clipCheckAgg wraps FedAvg and verifies, on every recovery round,
-// that each estimated gradient respects the clip bound before it is
-// aggregated — the eq. 7 invariant observed at the exact point the
-// estimates enter the model update.
-type clipCheckAgg struct {
-	mode      string
-	l         float64
-	violation error
-}
-
-func (a *clipCheckAgg) Aggregate(grads map[fuiov.ClientID][]float64, weights map[fuiov.ClientID]float64) ([]float64, error) {
-	if a.violation == nil {
-		ids := make([]fuiov.ClientID, 0, len(grads))
-		for id := range grads {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-	scan:
-		for _, id := range ids {
-			g := grads[id]
-			switch a.mode {
-			case ClipNorm:
-				var sum float64
-				for _, v := range g {
-					sum += v * v
-				}
-				if norm := math.Sqrt(sum); math.IsNaN(norm) || norm > a.l*(1+1e-9) {
-					a.violation = fmt.Errorf("client %d estimate norm %v exceeds clip bound L=%v", id, norm, a.l)
-					break scan
-				}
-			case ClipElementwise:
-				for i, v := range g {
-					if math.IsNaN(v) || math.Abs(v) > a.l {
-						a.violation = fmt.Errorf("client %d estimate[%d]=%v exceeds clip bound L=%v", id, i, v, a.l)
-						break scan
-					}
-				}
-			}
-		}
-	}
-	return fuiov.FedAvg{}.Aggregate(grads, weights)
 }
 
 // buildShard synthesises one client's private dataset, a pure function
@@ -174,6 +126,19 @@ func (sc Scenario) clipMode() fuiov.ClipMode {
 		return fuiov.ClipOff
 	default:
 		return fuiov.ClipElementwise
+	}
+}
+
+// unlearnConfig is the recovery configuration every unlearning run of
+// the scenario uses, at the variant's parallelism.
+func (sc Scenario) unlearnConfig(rs runSpec) fuiov.UnlearnConfig {
+	return fuiov.UnlearnConfig{
+		PairSize:      sc.PairSize,
+		ClipThreshold: sc.ClipThreshold,
+		ClipMode:      sc.clipMode(),
+		RefreshEvery:  sc.RefreshEvery,
+		LearningRate:  sc.LearningRate,
+		Parallelism:   rs.parallelism,
 	}
 }
 
@@ -287,16 +252,7 @@ func execute(sc Scenario, rs runSpec) (*runOutcome, error) {
 		return out, nil
 	}
 
-	agg := &clipCheckAgg{mode: sc.ClipMode, l: sc.ClipThreshold}
-	unl, err := fuiov.NewUnlearner(store, fuiov.UnlearnConfig{
-		PairSize:      sc.PairSize,
-		ClipThreshold: sc.ClipThreshold,
-		ClipMode:      sc.clipMode(),
-		RefreshEvery:  sc.RefreshEvery,
-		LearningRate:  sc.LearningRate,
-		Parallelism:   rs.parallelism,
-		Aggregator:    agg,
-	})
+	unl, err := fuiov.NewUnlearner(store, sc.unlearnConfig(rs))
 	if err != nil {
 		return nil, fmt.Errorf("new unlearner: %w", err)
 	}
@@ -305,7 +261,6 @@ func execute(sc Scenario, rs runSpec) (*runOutcome, error) {
 		return nil, fmt.Errorf("unlearn %v: %w", out.forgotten, err)
 	}
 	out.unlearn = res
-	out.clipViolation = agg.violation
 	if out.modelAtF, err = store.Model(res.BacktrackRound); err != nil {
 		return nil, fmt.Errorf("model at F=%d: %w", res.BacktrackRound, err)
 	}
@@ -342,9 +297,9 @@ func knownForget(store *fuiov.Store, forget []int) ([]fuiov.ClientID, bool, erro
 // round ≥ sc.Overlap at which every Forget client is known to the
 // store, a commit pass chases the live tip (Advance after each round)
 // and commits after the final round. It returns the overlapped outcome,
-// the stop-the-world outcome (a fresh UnlearnAndCommit over the same
-// finished history), and the round the pass began at. Both outcomes are
-// nil when the forget set never materialised.
+// the stop-the-world outcome (a fresh BeginCommit + Commit over the
+// same finished history), and the round the pass began at. Both
+// outcomes are nil when the forget set never materialised.
 func executeOverlap(sc Scenario, rs runSpec) (overlapped, stopTheWorld *commitOutcome, beginRound int, err error) {
 	template := buildTemplate(sc)
 	schedule := buildSchedule(sc)
@@ -370,26 +325,12 @@ func executeOverlap(sc Scenario, rs runSpec) (overlapped, stopTheWorld *commitOu
 		return nil, nil, -1, fmt.Errorf("new simulation: %w", err)
 	}
 
-	// Both sides must run the identical recovery configuration; the
-	// clip-checking aggregator is stateful, so each gets its own.
-	newUnlearner := func() (*fuiov.Unlearner, error) {
-		return fuiov.NewUnlearner(store, fuiov.UnlearnConfig{
-			PairSize:      sc.PairSize,
-			ClipThreshold: sc.ClipThreshold,
-			ClipMode:      sc.clipMode(),
-			RefreshEvery:  sc.RefreshEvery,
-			LearningRate:  sc.LearningRate,
-			Parallelism:   rs.parallelism,
-			Aggregator:    &clipCheckAgg{mode: sc.ClipMode, l: sc.ClipThreshold},
-		})
-	}
-
 	ctx := context.Background()
 	var cp *fuiov.UnlearnCommitPass
 	var forgotten []fuiov.ClientID
 	beginRound = -1
 	begin := func() error {
-		unl, err := newUnlearner()
+		unl, err := fuiov.NewUnlearner(store, sc.unlearnConfig(rs))
 		if err != nil {
 			return fmt.Errorf("new unlearner: %w", err)
 		}
@@ -458,11 +399,15 @@ func executeOverlap(sc Scenario, rs runSpec) (overlapped, stopTheWorld *commitOu
 	ns.Close()
 
 	// Stop-the-world comparator over the identical finished history.
-	unl, err := newUnlearner()
+	unl, err := fuiov.NewUnlearner(store, sc.unlearnConfig(rs))
 	if err != nil {
 		return nil, nil, -1, fmt.Errorf("new unlearner: %w", err)
 	}
-	swRes, swStore, err := unl.UnlearnAndCommitContext(context.Background(), forgotten...)
+	swPass, err := unl.BeginCommit(forgotten...)
+	if err != nil {
+		return nil, nil, -1, fmt.Errorf("stop-the-world begin commit: %w", err)
+	}
+	swRes, swStore, err := swPass.Commit(ctx)
 	if err != nil {
 		return nil, nil, -1, fmt.Errorf("stop-the-world commit: %w", err)
 	}

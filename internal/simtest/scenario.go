@@ -73,8 +73,8 @@ type Scenario struct {
 	// variant: once round Overlap has committed (and every Forget
 	// client is known to the store) a commit pass begins and chases the
 	// live round tip while training continues; its committed result
-	// must be bit-identical to a stop-the-world UnlearnAndCommit over
-	// the finished history. 0 skips the variant; it is a no-op when
+	// must be bit-identical to a stop-the-world BeginCommit + Commit
+	// over the finished history. 0 skips the variant; it is a no-op when
 	// Forget is empty.
 	Overlap int `json:"overlap,omitempty"`
 	// SpillWindow, when > 0, bounds the store's resident snapshots to

@@ -104,29 +104,30 @@ const (
 	// Request counters/timers are per endpoint; the round metrics
 	// describe the wall-clock collection windows that feed
 	// fl.RoundStream.
-	ServerRequests       = "server.requests"       // counter: HTTP requests served (all endpoints)
-	ServerRequestErrors  = "server.request_errors" // counter: requests answered with a 4xx/5xx status
-	ServerHTTPRound      = "server.http.round"     // timer: POST /v1/round request latency (includes barrier wait)
-	ServerHTTPUnlearn    = "server.http.unlearn"   // timer: POST /v1/unlearn request latency
-	ServerHTTPModel      = "server.http.model"     // timer: GET /v1/model/{round} request latency
-	ServerHTTPStatus     = "server.http.status"    // timer: GET /v1/status request latency
-	ServerHTTPMetrics    = "server.http.metrics"   // timer: GET /v1/metrics request latency
-	ServerUploadBytes    = "server.upload.bytes"   // counter: upload payload bytes accepted
-	ServerModelBytes     = "server.model.bytes"    // counter: model payload bytes served
-	ServerRoundsServed   = "server.rounds"         // counter: rounds committed through the HTTP path
-	ServerRoundsExpired  = "server.rounds_expired" // counter: collection windows resolved by deadline expiry
-	ServerRoundsFailed   = "server.rounds_failed"  // counter: collection windows failed below quorum
-	ServerLateUploads    = "server.late_uploads"   // counter: uploads rejected for missing their round's window
-	ServerUnlearns       = "server.unlearns"       // counter: unlearning operations served
-	ServerRoundWait      = "server.round.wait"     // timer: upload arrival → round resolution latency
-	ServerOpenWindow     = "server.round.window"   // timer: round window open → resolution
-	ServerSignUploads    = "server.uploads.sign"   // counter: sign-compressed uploads accepted
-	ServerDenseUploads   = "server.uploads.dense"  // counter: dense uploads accepted
-	ServerAgentRounds    = "agent.rounds"          // counter: rounds an agent participated in
-	ServerAgentSkips     = "agent.rounds_skipped"  // counter: rounds an agent sat out (no coverage)
-	ServerAgentRetries   = "agent.upload_retries"  // counter: agent upload retries
-	ServerAgentWaits     = "agent.status_polls"    // counter: agent status polls while waiting
-	ServerAgentUploadDur = "agent.upload"          // timer: agent upload round-trip latency
+	ServerRequests          = "server.requests"            // counter: HTTP requests served (all endpoints)
+	ServerRequestErrors     = "server.request_errors"      // counter: requests answered with a 4xx/5xx status
+	ServerHTTPRound         = "server.http.round"          // timer: POST /v1/round request latency (includes barrier wait)
+	ServerHTTPUnlearn       = "server.http.unlearn"        // timer: POST /v1/unlearn request latency
+	ServerHTTPUnlearnStatus = "server.http.unlearn_status" // timer: GET /v1/unlearn/{id} request latency
+	ServerHTTPModel         = "server.http.model"          // timer: GET /v1/model/{round} request latency
+	ServerHTTPStatus        = "server.http.status"         // timer: GET /v1/status request latency
+	ServerHTTPMetrics       = "server.http.metrics"        // timer: GET /v1/metrics request latency
+	ServerUploadBytes       = "server.upload.bytes"        // counter: upload payload bytes accepted
+	ServerModelBytes        = "server.model.bytes"         // counter: model payload bytes served
+	ServerRoundsServed      = "server.rounds"              // counter: rounds committed through the HTTP path
+	ServerRoundsExpired     = "server.rounds_expired"      // counter: collection windows resolved by deadline expiry
+	ServerRoundsFailed      = "server.rounds_failed"       // counter: collection windows failed below quorum
+	ServerLateUploads       = "server.late_uploads"        // counter: uploads rejected for missing their round's window
+	ServerUnlearns          = "server.unlearns"            // counter: unlearning operations served
+	ServerRoundWait         = "server.round.wait"          // timer: upload arrival → round resolution latency
+	ServerOpenWindow        = "server.round.window"        // timer: round window open → resolution
+	ServerSignUploads       = "server.uploads.sign"        // counter: sign-compressed uploads accepted
+	ServerDenseUploads      = "server.uploads.dense"       // counter: dense uploads accepted
+	ServerAgentRounds       = "agent.rounds"               // counter: rounds an agent participated in
+	ServerAgentSkips        = "agent.rounds_skipped"       // counter: rounds an agent sat out (no coverage)
+	ServerAgentRetries      = "agent.upload_retries"       // counter: agent upload retries
+	ServerAgentWaits        = "agent.status_polls"         // counter: agent status polls while waiting
+	ServerAgentUploadDur    = "agent.upload"               // timer: agent upload round-trip latency
 
 	// unlearn.strategy.<name>.* — the pluggable strategy layer
 	// (internal/unlearn/strategy). Every registered strategy times its

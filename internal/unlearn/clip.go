@@ -52,7 +52,7 @@ func (m ClipMode) String() string {
 // works during recovery.
 //
 // Edge-case contract (asserted by the table tests in clip_test.go and
-// relied on by the scenario harness's clip-bound invariant):
+// relied on by TestRecoveryEstimatesRespectClipBound's bound check):
 //
 //   - ClipElementwise guarantees |g[i]| ≤ L exactly for every finite
 //     and infinite input element: clipped elements are set to

@@ -66,8 +66,8 @@ func TestClipModeString(t *testing.T) {
 // TestClipEdgeCases pins the documented edge-case contract of
 // ClipCount (see clip.go): exact bounds at ±L, ±Inf clipping to ±L,
 // NaN preservation, zero vectors as fixed points, and norm-exactly-L
-// passing unscaled. The scenario harness's clip-bound invariant
-// (internal/simtest) depends on every row here.
+// passing unscaled. TestRecoveryEstimatesRespectClipBound's bound
+// check depends on every row here.
 func TestClipEdgeCases(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	tests := []struct {

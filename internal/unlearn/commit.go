@@ -9,9 +9,9 @@ import (
 	"fuiov/internal/sign"
 )
 
-// UnlearnAndCommitContext runs UnlearnContext and additionally
-// produces a rewritten history store reflecting the post-unlearning
-// world:
+// CommitPass is an in-flight unlearn-and-commit operation: the
+// recovery UnlearnContext runs, plus a rewritten history store
+// reflecting the post-unlearning world:
 //
 //   - the forgotten clients' directions and membership are gone;
 //   - model snapshots for rounds F+1..T−1 are replaced by the
@@ -20,35 +20,23 @@ import (
 //   - remaining clients' stored directions are carried over verbatim.
 //
 // Later unlearning requests can then run against the new store as if
-// the forgotten vehicles had never participated. Note the carried-over
+// the forgotten vehicles had never participated. The carried-over
 // directions were computed against the *original* trajectory, so a
 // second recovery compounds the scheme's approximation — the same
 // trade-off the paper accepts for its own recovered gradients.
 //
-// If ctx is cancelled, recovery stops at the next round boundary with
-// the context's error and no rewritten store is produced; the original
-// store is left untouched.
-func (u *Unlearner) UnlearnAndCommitContext(ctx context.Context, forgotten ...history.ClientID) (*Result, *history.Store, error) {
-	cp, err := u.BeginCommit(forgotten...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cp.Commit(ctx)
-}
-
-// CommitPass is an in-flight unlearn-and-commit operation that can
-// overlap a live store: recovery chases the store's growing tip with
-// repeated Advance calls while training keeps appending rounds, and
-// Commit performs the final short catch-up plus the store swap-out
-// under the caller's exclusion (no RecordRound may run during Commit).
-//
-// Because each recovered round depends only on that round's immutable
-// record and on state derived from earlier rounds — never on when the
-// round became visible — the committed result is bit-identical to a
-// stop-the-world UnlearnAndCommitContext over the final store, regardless of
-// how the pass interleaved with training. The one assumption is that
-// the forgotten clients' join rounds do not change while the pass runs
-// (i.e. a forgotten client does not leave and rejoin mid-pass).
+// A pass can overlap a live store: recovery chases the store's growing
+// tip with repeated Advance calls while training keeps appending
+// rounds, and Commit performs the final short catch-up plus the store
+// swap-out under the caller's exclusion (no RecordRound may run during
+// Commit). Because each recovered round depends only on that round's
+// immutable record and on state derived from earlier rounds — never on
+// when the round became visible — the committed result is
+// bit-identical to a stop-the-world BeginCommit + Commit over the
+// final store, regardless of how the pass interleaved with training.
+// The one assumption is that the forgotten clients' join rounds do not
+// change while the pass runs (i.e. a forgotten client does not leave
+// and rejoin mid-pass).
 //
 // The rewritten store is built incrementally as the pass advances —
 // round t is rewritten just before the pass recovers it, when the
@@ -95,7 +83,7 @@ func (u *Unlearner) BeginCommit(forgotten ...history.ClientID) (*CommitPass, err
 	}
 	return &CommitPass{
 		u:       u,
-		p:       u.newPass(wF, f, forgotten, nil),
+		p:       u.newPass(wF, f, forgotten),
 		ns:      ns,
 		buf:     make([]float64, u.store.Dim()),
 		dirs:    make(map[history.ClientID]*sign.Direction),

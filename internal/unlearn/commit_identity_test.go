@@ -15,21 +15,18 @@ import (
 // packed carry-over: every remaining direction expanded to a dense
 // vector, copied and handed to RecordRound, which compresses it again.
 // It exists only here, as the oracle CommitPass must match byte for
-// byte.
-func denseRecompressCommit(t *testing.T, u *Unlearner, reg *telemetry.Registry, forgotten ...history.ClientID) (*Result, *history.Store) {
+// byte. The recovered trajectory comes from refRecover, so the oracle
+// shares no recovery code with the pass.
+func denseRecompressCommit(t *testing.T, u *Unlearner, reg *telemetry.Registry, forgotten history.ClientID) (*Result, *history.Store) {
 	t.Helper()
-	var trajectory [][]float64
-	res, err := u.UnlearnObservedContext(context.Background(), func(_ int, w []float64) {
-		trajectory = append(trajectory, w)
-	}, forgotten...)
+	old := u.store
+	f, err := old.JoinRound(forgotten)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped := map[history.ClientID]bool{}
-	for _, id := range forgotten {
-		dropped[id] = true
-	}
-	old := u.store
+	params, trajectory, _, _ := refRecover(t, old, u.cfg, forgotten)
+	res := &Result{Params: params, BacktrackRound: f}
+	dropped := map[history.ClientID]bool{forgotten: true}
 	ns, err := history.NewStore(old.Dim(), old.Delta())
 	if err != nil {
 		t.Fatal(err)

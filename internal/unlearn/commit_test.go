@@ -15,7 +15,11 @@ func TestUnlearnAndCommitRewritesHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rewritten, err := u.UnlearnAndCommitContext(context.Background(), 1)
+	cp, err := u.BeginCommit(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, rewritten, err := cp.Commit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,16 +48,7 @@ func TestUnlearnAndCommitRewritesHistory(t *testing.T) {
 			t.Fatalf("prefix model %d differs", round)
 		}
 	}
-	var traj [][]float64
-	u2, err := New(fed.store, Config{LearningRate: fed.lr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := u2.UnlearnObservedContext(context.Background(), func(_ int, p []float64) {
-		traj = append(traj, p)
-	}, 1); err != nil {
-		t.Fatal(err)
-	}
+	_, traj, _, _ := refRecover(t, fed.store, Config{LearningRate: fed.lr}, 1)
 	for round := f + 1; round < rewritten.Rounds(); round++ {
 		got, err := rewritten.Model(round)
 		if err != nil {
@@ -102,7 +97,11 @@ func TestCommitEnablesSequentialUnlearning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, afterFirst, err := u.UnlearnAndCommitContext(context.Background(), 1)
+	cp, err := u.BeginCommit(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, afterFirst, err := cp.Commit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,11 @@ func TestCommitEnablesSequentialUnlearning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, afterSecond, err := u2.UnlearnAndCommitContext(context.Background(), 2)
+	cp2, err := u2.BeginCommit(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, afterSecond, err := cp2.Commit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +146,7 @@ func TestCommitRejectsHugeDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := u.UnlearnAndCommitContext(context.Background(), 1); err == nil {
+	if _, err := u.BeginCommit(1); err == nil {
 		t.Error("delta >= 1 commit should error")
 	}
 }

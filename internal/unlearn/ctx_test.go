@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"testing"
 
 	"fuiov/internal/history"
@@ -129,28 +130,46 @@ func TestUnlearnContextCancelled(t *testing.T) {
 	}
 }
 
-// TestUnlearnContextCancelMidRecovery: cancelling from the per-round
-// observer stops recovery at the next round boundary.
+// cancelOnRound is a slog.Handler that counts recover_round records and
+// cancels a context on the after-th one.
+type cancelOnRound struct {
+	seen, after int
+	cancel      context.CancelFunc
+}
+
+func (h *cancelOnRound) Enabled(context.Context, slog.Level) bool { return true }
+func (h *cancelOnRound) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *cancelOnRound) WithGroup(string) slog.Handler            { return h }
+
+func (h *cancelOnRound) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "recover_round" {
+		if h.seen++; h.seen == h.after {
+			h.cancel()
+		}
+	}
+	return nil
+}
+
+// TestUnlearnContextCancelMidRecovery: cancelling after the second
+// recovered round's telemetry record stops recovery at the next round
+// boundary.
 func TestUnlearnContextCancelMidRecovery(t *testing.T) {
 	const dim, f, total = 8, 3, 12
 	store := buildGappyStore(t, dim, f, total)
-	u, err := New(store, Config{LearningRate: 0.01})
+	ctx, cancel := context.WithCancel(context.Background())
+	h := &cancelOnRound{after: 2, cancel: cancel}
+	reg := telemetry.New()
+	reg.SetLogger(slog.New(h))
+	u, err := New(store, Config{LearningRate: 0.01, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	seen := 0
-	_, err = u.UnlearnObservedContext(ctx, func(round int, params []float64) {
-		seen++
-		if seen == 2 {
-			cancel()
-		}
-	}, 1)
+	_, err = u.UnlearnContext(ctx, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if seen > 3 {
-		t.Errorf("observer saw %d rounds after cancellation", seen)
+	if h.seen > 3 {
+		t.Errorf("recovery logged %d rounds after cancellation", h.seen)
 	}
 }
 

@@ -277,7 +277,7 @@ func TestRecoveryRoundAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := u.newPass(wF, f, []history.ClientID{1}, nil)
+		p := u.newPass(wF, f, []history.ClientID{1})
 		if err := p.runTo(ctx, f+4); err != nil { // warm-up: states, work lists
 			t.Fatal(err)
 		}

@@ -106,7 +106,7 @@ func TestFailedRefreshKeepsPreviousApprox(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := u.newPass(wF, jf, []history.ClientID{1}, nil)
+			p := u.newPass(wF, jf, []history.ClientID{1})
 			if err := p.runTo(context.Background(), round); err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestFailedRefreshKeepsPreviousApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := u.newPass(wF, jf, []history.ClientID{1}, nil)
+	p := u.newPass(wF, jf, []history.ClientID{1})
 	ctx := context.Background()
 	if err := p.runTo(ctx, bad); err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestFailedRefreshKeepsPreviousApprox(t *testing.T) {
 	}
 	got := p.finish()
 
-	params, refreshes, fallbacks := refRecover(t, store, cfg, 1)
+	params, _, refreshes, fallbacks := refRecover(t, store, cfg, 1)
 	if got.PairRefreshes != refreshes || got.DegenerateFallbacks != fallbacks {
 		t.Errorf("refreshes %d, fallbacks %d; reference %d, %d",
 			got.PairRefreshes, got.DegenerateFallbacks, refreshes, fallbacks)
@@ -170,8 +170,8 @@ func TestFailedRefreshKeepsPreviousApprox(t *testing.T) {
 // copied into a per-client window, every approximation built from a
 // fresh clone of it (refApprox, the pass-by-pass product), and the
 // aggregate is FedAvg.Aggregate. Elementwise clip, bootstrap from
-// stored history only.
-func refRecover(t *testing.T, store *history.Store, cfg Config, forgotten history.ClientID) (params []float64, refreshes, fallbacks int) {
+// stored history only. trajectory[t−F] is w̄ after the round-t update.
+func refRecover(t *testing.T, store history.Reader, cfg Config, forgotten history.ClientID) (params []float64, trajectory [][]float64, refreshes, fallbacks int) {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	must := func(err error) {
@@ -274,6 +274,7 @@ func refRecover(t *testing.T, store *history.Store, cfg Config, forgotten histor
 		agg, err := fl.FedAvg{}.Aggregate(grads, weights)
 		must(err)
 		tensor.AxpyInPlace(wBar, -cfg.LearningRate, agg)
+		trajectory = append(trajectory, tensor.CloneVec(wBar))
 	}
-	return wBar, refreshes, fallbacks
+	return wBar, trajectory, refreshes, fallbacks
 }

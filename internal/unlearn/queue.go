@@ -135,9 +135,9 @@ type request struct {
 // live store with Advance while training keeps running, then commits
 // through the configured CommitFunc's short exclusion window.
 //
-// Results are bit-identical to running one stop-the-world
-// UnlearnAndCommitContext over the union of the batch's clients on the
-// final store (see CommitPass).
+// Results are bit-identical to one stop-the-world BeginCommit +
+// Commit over the union of the batch's clients on the final store
+// (see CommitPass).
 type Queue struct {
 	cfg QueueConfig
 	met queueMetrics

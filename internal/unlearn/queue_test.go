@@ -310,7 +310,7 @@ func TestQueueClose(t *testing.T) {
 // TestQueueOverlapBitIdentical is the acceptance test for the
 // copy-on-write overlap: training keeps appending rounds while the
 // queue's pass chases the store, and the committed result must be
-// bit-identical to a stop-the-world UnlearnAndCommit over the exact
+// bit-identical to a stop-the-world BeginCommit + Commit over the exact
 // history the commit saw — the same store object, frozen by the swap.
 func TestQueueOverlapBitIdentical(t *testing.T) {
 	w := newQueueWorld(t, 6)
@@ -359,7 +359,11 @@ func TestQueueOverlapBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, swStore, err := u.UnlearnAndCommitContext(context.Background(), 1, 4)
+	swPass, err := u.BeginCommit(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, swStore, err := swPass.Commit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,11 +37,6 @@ type Config struct {
 	// within a recovery round (0 = GOMAXPROCS). Results are
 	// bit-identical at any setting.
 	Parallelism int
-	// Aggregator defaults to FedAvg, which recovery runs through its
-	// element-range split (bit-equal to FedAvg.AggregateInto). Any
-	// other value is called through Aggregate: the seam a test uses to
-	// observe what recovery aggregates.
-	Aggregator fl.Aggregator
 	// DisableBootstrap skips seeding L-BFGS pairs from pre-join
 	// history (ablation A3 in DESIGN.md). Estimation then starts from
 	// raw directions until the first pair refresh.
@@ -118,9 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RefreshEvery == 0 {
 		c.RefreshEvery = 21
-	}
-	if c.Aggregator == nil {
-		c.Aggregator = fl.FedAvg{}
 	}
 	return c
 }
@@ -231,21 +223,15 @@ func (u *Unlearner) Backtrack(forgotten ...history.ClientID) ([]float64, int, er
 // cancelled. The history store is never mutated by unlearning, so it
 // stays readable — a cancelled request can simply be reissued.
 func (u *Unlearner) UnlearnContext(ctx context.Context, forgotten ...history.ClientID) (*Result, error) {
-	return u.UnlearnObservedContext(ctx, nil, forgotten...)
-}
-
-// UnlearnObservedContext is UnlearnContext with a per-round observer;
-// observe receives (round t, w̄ after the round-t update).
-func (u *Unlearner) UnlearnObservedContext(ctx context.Context, observe func(t int, recovered []float64), forgotten ...history.ClientID) (*Result, error) {
 	wF, f, err := u.Backtrack(forgotten...)
 	if err != nil {
 		return nil, err
 	}
-	res, err := u.recover(ctx, wF, f, forgotten, observe)
-	if err != nil {
+	p := u.newPass(wF, f, forgotten)
+	if err := p.runTo(ctx, u.store.Rounds()); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return p.finish(), nil
 }
 
 // dispatchBootstrap calls the user's OnlineBootstrap callback with
@@ -385,15 +371,6 @@ func (u *Unlearner) seedPairs(ctx context.Context, st *clientState, id history.C
 	return seeded, nil
 }
 
-// recover re-estimates rounds f..T−1 starting from the unlearned model.
-func (u *Unlearner) recover(ctx context.Context, wF []float64, f int, forgotten []history.ClientID, observe func(int, []float64)) (*Result, error) {
-	p := u.newPass(wF, f, forgotten, observe)
-	if err := p.runTo(ctx, u.store.Rounds()); err != nil {
-		return nil, err
-	}
-	return p.finish(), nil
-}
-
 // estimate is one client-round estimation outcome, collected by the
 // parallel fan-out and folded serially afterwards.
 type estimate struct {
@@ -418,13 +395,12 @@ const (
 // bit-identical results to one stop-the-world sweep over the final
 // store. That property is what lets CommitPass overlap training.
 type pass struct {
-	u       *Unlearner
-	f       int
-	next    int // next round to recover
-	wF      []float64
-	wBar    []float64
-	res     *Result
-	observe func(int, []float64)
+	u    *Unlearner
+	f    int
+	next int // next round to recover
+	wF   []float64
+	wBar []float64
+	res  *Result
 
 	excluded map[history.ClientID]bool
 	states   map[history.ClientID]*clientState
@@ -445,7 +421,6 @@ type pass struct {
 	estimates    []estimate
 	grads        map[history.ClientID][]float64
 	weights      map[history.ClientID]float64
-	fedAvg       bool // the aggregator is FedAvg, aggregated in place by element range
 
 	// dw holds the round's Δw. A refresh round shares it with every
 	// client whose buffer takes the pair, so the next round moves to a
@@ -475,7 +450,7 @@ type pass struct {
 // newPass prepares a recovery pass over rounds f..; wF is the
 // backtracked model w_F, which the pass never writes and returns as
 // Result.Unlearned. The pass does not run until runTo is called.
-func (u *Unlearner) newPass(wF []float64, f int, forgotten []history.ClientID, observe func(int, []float64)) *pass {
+func (u *Unlearner) newPass(wF []float64, f int, forgotten []history.ClientID) *pass {
 	excluded := make(map[history.ClientID]bool, len(forgotten))
 	sortedForgotten := append([]history.ClientID(nil), forgotten...)
 	slices.Sort(sortedForgotten)
@@ -492,7 +467,6 @@ func (u *Unlearner) newPass(wF []float64, f int, forgotten []history.ClientID, o
 	u.met.backtrackRound.Set(float64(f))
 	u.met.backtrackDepth.Set(float64(u.store.Rounds() - f))
 
-	_, fedAvg := u.cfg.Aggregator.(fl.FedAvg)
 	dw := lbfgs.NewColumn(dim)
 	p := &pass{
 		u:    u,
@@ -505,7 +479,6 @@ func (u *Unlearner) newPass(wF []float64, f int, forgotten []history.ClientID, o
 			BacktrackRound: f,
 			Forgotten:      sortedForgotten,
 		},
-		observe:     observe,
 		excluded:    excluded,
 		states:      make(map[history.ClientID]*clientState),
 		parallelism: parallelism,
@@ -513,7 +486,6 @@ func (u *Unlearner) newPass(wF []float64, f int, forgotten []history.ClientID, o
 		aggOut:      make([]float64, dim),
 		grads:       make(map[history.ClientID][]float64),
 		weights:     make(map[history.ClientID]float64),
-		fedAvg:      fedAvg,
 		dw:          dw,
 		dwPool:      []*lbfgs.Column{dw},
 	}
@@ -686,23 +658,13 @@ func (p *pass) fanOut(stage, n, workers int) {
 	p.wg.Wait()
 }
 
-// aggregate combines the round's estimates into the global update.
-// FedAvg writes into p.aggOut with no allocation, split over
-// contiguous element ranges when the round has enough work for more
-// than one worker; each element still sums the clients in sorted-ID
-// order and then scales by 1/Σw — the bits of FedAvg.AggregateInto.
-// remaining is sorted (ParticipantsInto sorts and the exclusion filter
-// preserves order) and matches the grads keys exactly, so this sums in
-// the same order as Aggregate. Any other rule runs its Aggregate.
-func (p *pass) aggregate() ([]float64, error) {
-	if p.fedAvg {
-		return p.aggOut, p.aggregateRanges(fl.RangeWorkers(len(p.aggOut), len(p.remaining), p.parallelism))
-	}
-	return p.u.cfg.Aggregator.Aggregate(p.grads, p.weights)
-}
-
-// aggregateRanges is FedAvg.AggregateInto into p.aggOut, its elements
-// split over workers contiguous ranges on the fan-out.
+// aggregateRanges combines the round's estimates into the global
+// update (FedAvg, eq. 1), written into p.aggOut with no allocation and
+// its elements split over workers contiguous ranges on the fan-out.
+// Each element still sums the clients in sorted-ID order and then
+// scales by 1/Σw — the bits of FedAvg.AggregateInto: remaining is
+// sorted (ParticipantsInto sorts and the exclusion filter preserves
+// order) and matches the grads keys exactly.
 func (p *pass) aggregateRanges(workers int) error {
 	inv, err := fl.FedAvg{}.InvTotal(len(p.aggOut), p.remaining, p.grads, p.weights)
 	if err != nil {
@@ -819,11 +781,10 @@ func (p *pass) runTo(ctx context.Context, limit int) error {
 		var aggDur time.Duration
 		if len(p.grads) > 0 {
 			aggSpan := u.met.aggregate.Start()
-			agg, err := p.aggregate()
-			if err != nil {
+			if err := p.aggregateRanges(fl.RangeWorkers(len(p.aggOut), len(remaining), p.parallelism)); err != nil {
 				return fmt.Errorf("unlearn: round %d: %w", t, err)
 			}
-			tensor.AxpyInPlace(p.wBar, -u.cfg.LearningRate, agg)
+			tensor.AxpyInPlace(p.wBar, -u.cfg.LearningRate, p.aggOut)
 			aggDur = aggSpan.End()
 		}
 		p.res.RecoveredRounds++
@@ -840,9 +801,6 @@ func (p *pass) runTo(ctx context.Context, limit int) error {
 				slog.Duration("aggregate", aggDur),
 				slog.Duration("total", totalDur),
 			)
-		}
-		if p.observe != nil {
-			p.observe(t, tensor.CloneVec(p.wBar))
 		}
 		p.next = t + 1
 	}

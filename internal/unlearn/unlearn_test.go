@@ -107,9 +107,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.ClipMode != ClipElementwise {
 		t.Errorf("ClipMode = %v, want elementwise", cfg.ClipMode)
 	}
-	if cfg.Aggregator == nil {
-		t.Error("Aggregator should default to FedAvg")
-	}
 }
 
 func TestBacktrack(t *testing.T) {
@@ -306,30 +303,6 @@ func TestBootstrapRequiresPreJoinHistory(t *testing.T) {
 	}
 	if res2.BootstrappedClients != 3 {
 		t.Errorf("BootstrappedClients = %d, want 3", res2.BootstrappedClients)
-	}
-}
-
-func TestObserverSeesEveryRound(t *testing.T) {
-	fed := trainFederation(t, 4, 15, 3, 7)
-	u, err := New(fed.store, Config{LearningRate: fed.lr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen []int
-	res, err := u.UnlearnObservedContext(context.Background(), func(round int, params []float64) {
-		seen = append(seen, round)
-		if len(params) != fed.net.NumParams() {
-			t.Errorf("round %d: params length %d", round, len(params))
-		}
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != res.RecoveredRounds {
-		t.Fatalf("observer saw %d rounds, result says %d", len(seen), res.RecoveredRounds)
-	}
-	if seen[0] != 3 || seen[len(seen)-1] != 14 {
-		t.Errorf("observed rounds %v, want 3..14", seen)
 	}
 }
 

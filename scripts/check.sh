@@ -90,6 +90,11 @@ fi
 go build ./...
 go test ./...
 
+# Pinned bits, as CI runs them: the pipeline's SHA-256 golden hashes
+# through the AVX2 kernels and through the portable Go loops, at one
+# and two procs.
+go test -count=1 -cpu 1,2 -run '^TestGoldenBits(Portable)?$' ./internal/experiments/
+
 # The examples are the facade's only callers outside the scenario
 # harness, and go build only proves they compile: run each one and
 # fail on a non-zero exit (~6 s for all of them).
@@ -145,9 +150,9 @@ go test -race -count=1 -run '^TestVerifyForgettingProperty$' ./internal/experime
 # zero-allocation round at Parallelism 1 and 2, and, because the fan-out
 # refreshes shared pair columns and splits FedAvg by element range, the
 # whole pass's byte budget, the failed-refresh path against a cloning
-# reference, the range split against AggregateInto, and a whole pass
-# through the Config.Aggregator test seam against the default split.
-go test -race -count=1 -run '^(TestEstimateMatchesReferenceComposition|TestRecoveryRoundAllocs|TestRecoveryPassAllocBytes|TestFailedRefreshKeepsPreviousApprox|TestAggregateRangesMatchesFedAvg|TestAggregatorSeamMatchesDefault)$' ./internal/unlearn/
+# reference, the range split against AggregateInto, and eq. 7's clip
+# bound on every aggregated estimate of a pass run round by round.
+go test -race -count=1 -run '^(TestEstimateMatchesReferenceComposition|TestRecoveryRoundAllocs|TestRecoveryPassAllocBytes|TestFailedRefreshKeepsPreviousApprox|TestAggregateRangesMatchesFedAvg|TestRecoveryEstimatesRespectClipBound)$' ./internal/unlearn/
 
 # Dense upload frames under the race detector: the coordinator recycles
 # them, and one must not come back while its round still holds it —
