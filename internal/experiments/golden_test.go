@@ -6,30 +6,71 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"hash"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
+	"fuiov/internal/dataset"
+	"fuiov/internal/fl"
+	"fuiov/internal/nn"
+	"fuiov/internal/rng"
 	"fuiov/internal/unlearn/strategy"
 )
 
 // hashFloats is the SHA-256 of v as little-endian IEEE-754 bits.
 func hashFloats(v []float64) string {
+	h := sha256.New()
+	writeFloats(h, v)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// writeFloats feeds v to h as little-endian IEEE-754 bits.
+func writeFloats(h hash.Hash, v []float64) {
 	buf := make([]byte, 8*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
 	}
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:])
+	h.Write(buf)
+}
+
+// cnnRoundBits runs the fleet_cnn vehicle step — the TrafficCNN on a
+// SynthTraffic shard at seed 1, full batch — for 20 rounds at shards
+// 68 and 272, moving the model by 0.1·g after each round, and hashes
+// the gradients in round order. The Deployments train MLPs, so this is
+// what pins the conv, ReLU and max-pool kernels.
+func cnnRoundBits(t *testing.T, got map[string]string) {
+	t.Helper()
+	for _, shard := range []int{68, 272} {
+		data := dataset.SynthTraffic(dataset.DefaultTraffic(shard, 1))
+		net := nn.NewTrafficCNN(data.Dims.H, data.Classes)
+		net.Init(rng.New(1))
+		params := net.ParamVector()
+		c := &fl.Client{ID: 1, Data: data}
+		h := sha256.New()
+		for round := 0; round < 20; round++ {
+			g, err := c.ComputeGradient(net, params, 9, round)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeFloats(h, g)
+			for i := range params {
+				params[i] -= 0.1 * g[i]
+			}
+		}
+		got[fmt.Sprintf("TrafficCNN/shard%d/compute_gradient", shard)] = hex.EncodeToString(h.Sum(nil))
+	}
 }
 
 // goldenBits trains the CI-scale Digits and Traffic deployments under
 // the backdoor attack at seed 47 (the table1/verify deployment), then
 // unlearns the attackers with the paper scheme. Each key names one
 // value whose bits it hashes: the trained params, the direction
-// store's Save bytes and the unlearned params.
+// store's Save bytes and the unlearned params; cnnRoundBits adds the
+// CNN training rounds.
 func goldenBits(t *testing.T) map[string]string {
 	t.Helper()
 	got := map[string]string{}
@@ -56,6 +97,7 @@ func goldenBits(t *testing.T) map[string]string {
 		}
 		got[name+"/paper_params"] = hashFloats(res.Params)
 	}
+	cnnRoundBits(t, got)
 	return got
 }
 
