@@ -900,6 +900,14 @@ func (c *Coordinator) handleModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The model is copied into a recycled upload frame under the lock
+	// and written from it after; the frame goes back once written.
+	params := c.frames.get(c.dim)
+	if params == nil {
+		params = make([]float64, c.dim)
+	}
+	defer c.frames.put(params)
+
 	c.mu.Lock()
 	if _, err := c.ensureRound(); err != nil && !errors.Is(err, ErrClosed) {
 		c.mu.Unlock()
@@ -908,13 +916,12 @@ func (c *Coordinator) handleModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cur := c.cfg.Engine.Round()
-	var params []float64
 	switch {
 	case t == cur:
-		params = c.cfg.Engine.Params()
+		err = c.cfg.Engine.ParamsInto(params)
 	case t < cur:
 		if store := c.cfg.Engine.Config().Store; store != nil {
-			params, err = store.Model(t)
+			err = store.ModelInto(t, params)
 		} else {
 			err = fmt.Errorf("no stored model for round %d: %w", t, history.ErrNoHistory)
 		}

@@ -69,7 +69,7 @@ GOARCH=arm64 go vet ./...
 # tensor.AxpyInPlace and are held to the scalar loop the same way. The
 # recovery sweep (tensor.DotsInto, lbfgs.(*Approx).sweep) is listed
 # too, so the model bits it feeds are the same off amd64.
-fma_funcs='tensor.saxpy tensor.saxpyGo tensor.AxpyInPlace tensor.DotsInto lbfgs.(*Approx).sweep tensor.gemmNNRange tensor.gemmTNRange tensor.gemmNTRange tensor.gemmNTGo sign.accumulateGo fl.FedAvg.AggregateRange fl.(*ShardedFedAvg).fold fl.(*ShardedFedAvg).Resolve'
+fma_funcs='tensor.saxpy tensor.saxpyGo tensor.AxpyInPlace tensor.DotsInto lbfgs.(*Approx).sweep tensor.gemmRows tensor.gemmGo tensor.gemmNTRows tensor.gemmNTGo sign.accumulateGo fl.FedAvg.AggregateRange fl.(*ShardedFedAvg).fold fl.(*ShardedFedAvg).Resolve'
 fma_bin=$(mktemp)
 GOARCH=arm64 go build -o "$fma_bin" ./cmd/fuiov
 fma_re=$(echo "$fma_funcs" | sed 's/[.()*]/\\&/g; s/ /|/g')
