@@ -173,7 +173,7 @@ func TestDeterminismWithTelemetry(t *testing.T) {
 }
 
 // TestSimulationKernelTimers runs one instrumented round over a CNN
-// and checks that compute time is attributed to the im2col/GEMM/col2im
+// and checks that compute time is attributed to the pack/GEMM/unpack
 // kernel timers (the conv layers exercise all three).
 func TestSimulationKernelTimers(t *testing.T) {
 	const img = 8
@@ -205,7 +205,7 @@ func TestSimulationKernelTimers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		telemetry.NNKernelIm2col, telemetry.NNKernelGEMM, telemetry.NNKernelCol2im,
+		telemetry.NNKernelPack, telemetry.NNKernelGEMM, telemetry.NNKernelUnpack,
 	} {
 		st := reg.Timer(name).Stats()
 		if st.Count != 1 {

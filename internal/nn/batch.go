@@ -5,8 +5,8 @@
 // and the server.
 //
 // Layer compute is built on the GEMM kernels in internal/tensor:
-// convolutions run as im2col + GEMM (col2im for the input gradient),
-// dense layers as one batched GEMM per call, with layer-owned scratch
+// convolutions as GEMMs over windows of zero-padded samples, dense
+// layers as one batched GEMM per call, with layer-owned scratch
 // reused across calls. Every kernel keeps a fixed per-element
 // accumulation order, so training is bit-deterministic at any
 // parallelism level — the property the seeded federated experiments

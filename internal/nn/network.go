@@ -8,8 +8,8 @@ import (
 
 // microBatch is the most samples the layers see at once. Network
 // walks every batch in consecutive chunks of at most this many samples,
-// so the layer-owned buffers (and the conv im2col panels, the largest
-// of them) are sized by it and not by the batch. Chosen by measurement
+// so the layer-owned buffers (the conv layers' padded copies among
+// them) are sized by it and not by the batch. Chosen by measurement
 // among 8/16/32; see DESIGN.md §10.
 const microBatch = 16
 

@@ -20,10 +20,10 @@ const (
 	// nn compute-kernel attribution. fl.NewSimulation enables the
 	// process-wide kernel clocks when telemetry is configured; each
 	// RunRound then observes the share of the compute phase spent in
-	// the im2col / GEMM / col2im kernels.
-	NNKernelIm2col = "nn.kernel.im2col" // timer: im2col time per round
+	// the conv layers' pack / GEMM / unpack stages.
+	NNKernelPack   = "nn.kernel.pack"   // timer: zero-padded copies per round
 	NNKernelGEMM   = "nn.kernel.gemm"   // timer: GEMM time per round
-	NNKernelCol2im = "nn.kernel.col2im" // timer: col2im time per round
+	NNKernelUnpack = "nn.kernel.unpack" // timer: padded-width copy-outs per round
 
 	// The round's fl.StreamAggregator — ShardedFedAvg under
 	// Config.Streaming, the buffering cohort otherwise (DESIGN.md §13,

@@ -15,8 +15,8 @@ func benchMatrix(m, n int, seed float64) *Matrix {
 }
 
 // BenchmarkMatMul measures the square GEMM at the sizes the compute
-// layer actually hits: ~64 for CI-scale layers, ~256 for paper-scale
-// im2col panels.
+// layer actually hits: ~64 for CI-scale layers, ~256 for the largest
+// paper-scale products.
 func BenchmarkMatMul(b *testing.B) {
 	for _, n := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
