@@ -1,7 +1,7 @@
 // Fault tolerance: train a federation whose vehicles crash, straggle
 // and corrupt uploads — the IoV reality the paper motivates with — and
-// watch the round engine cope: per-client deadlines, bounded retries
-// with backoff, upload validation and quorum-based degradation keep
+// watch the round engine cope: per-client deadlines, bounded retries,
+// upload validation and quorum-based degradation keep
 // training converging, absentees are recorded as non-participants so
 // unlearning stays consistent, and the whole pipeline honours context
 // cancellation.
@@ -132,9 +132,9 @@ func run() error {
 
 	// -- 4. Unlearning survives offline clients -----------------------
 	// Erase vehicle 1. Vehicle 2's pre-join direction gap asks for the
-	// client-assisted bootstrap, but every dispatch fails (the vehicle
-	// left coverage); after the retry budget the scheme falls back to
-	// the paper's offline path and recovery still completes.
+	// client-assisted bootstrap, but its one dispatch fails (the
+	// vehicle left coverage), so the scheme falls back to the paper's
+	// offline path and recovery still completes.
 	u, err := fuiov.NewUnlearner(store, fuiov.UnlearnConfig{
 		LearningRate:  lr,
 		ClipThreshold: 0.05,
@@ -142,7 +142,6 @@ func run() error {
 		OnlineBootstrap: func(id fuiov.ClientID, round int, params []float64) ([]float64, error) {
 			return nil, fmt.Errorf("vehicle %d out of coverage", id)
 		},
-		BootstrapRetries: 2,
 	})
 	if err != nil {
 		return err

@@ -806,3 +806,316 @@ var _ interface{ Len() int } = Leaf(0)
 		}
 	})
 }
+
+// optionStructs are the option structs held to TestConfigFieldsAreSet,
+// as "dir.Type".
+var optionStructs = []string{
+	"internal/server.Config",
+	"internal/agent.Config",
+	"internal/fl.Config",
+	"internal/fl.FaultPolicy",
+	"internal/unlearn.Config",
+	"internal/unlearn.QueueConfig",
+	"internal/verify.Config",
+}
+
+// checkConfigFields applies the option-field rule to sources held in
+// memory, keyed by slash-separated path under the module root. It
+// reads the exported fields of the structs (as "dir.Type") from their
+// own directories' non-test files, and returns them as
+// "dir.Type.Field" together with those that nothing sets but the
+// struct's own package's non-test files (its defaults), both sorted.
+// Every other file counts, tests included: the own package's tests too.
+//
+// A field is set by a key in a composite literal of its struct (spelt
+// pkg.Type, through a type alias such as the facade's, or elided as an
+// element of a slice, array or map literal of the struct), or by a
+// selector x.Field that is assigned, incremented or has its address
+// taken. The scan has no types: a selector sets every tracked field of
+// that name.
+func checkConfigFields(files map[string]string, structs []string) (fields, unset []string, err error) {
+	type parsed struct {
+		dir  string
+		test bool
+		f    *ast.File
+	}
+	fset := token.NewFileSet()
+	var srcs []parsed
+	pkgName := map[string]string{} // dir → package name
+	for name, src := range files {
+		f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, nil, err
+		}
+		dir, test := path.Dir(name), strings.HasSuffix(name, "_test.go")
+		srcs = append(srcs, parsed{dir, test, f})
+		if !test {
+			pkgName[dir] = f.Name.Name
+		}
+	}
+
+	tracked := map[string][]string{} // "dir.Type" → exported fields
+	for _, s := range structs {
+		tracked[s] = nil
+	}
+	alias := map[string]string{} // "dir.Alias" → "dir.Type"
+	// importsOf maps a file's local import names to module directories.
+	importsOf := func(f *ast.File) map[string]string {
+		m := map[string]string{}
+		for _, imp := range f.Imports {
+			dir, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "fuiov")
+			if !ok || (dir != "" && dir[0] != '/') {
+				continue
+			}
+			dir = strings.TrimPrefix(dir, "/")
+			if dir == "" {
+				dir = "."
+			}
+			local := pkgName[dir]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			m[local] = dir
+		}
+		return m
+	}
+	// resolve names the tracked struct a type expression spells, or "".
+	resolve := func(dir string, imports map[string]string, t ast.Expr) string {
+		var key string
+		switch t := t.(type) {
+		case *ast.Ident:
+			key = dir + "." + t.Name
+		case *ast.SelectorExpr:
+			x, ok := t.X.(*ast.Ident)
+			if !ok || imports[x.Name] == "" {
+				return ""
+			}
+			key = imports[x.Name] + "." + t.Sel.Name
+		default:
+			return ""
+		}
+		if to, ok := alias[key]; ok {
+			key = to
+		}
+		if _, ok := tracked[key]; !ok {
+			return ""
+		}
+		return key
+	}
+	for _, p := range srcs {
+		imports := importsOf(p.f)
+		for _, d := range p.f.Decls {
+			g, ok := d.(*ast.GenDecl)
+			if !ok || g.Tok != token.TYPE {
+				continue
+			}
+			for _, s := range g.Specs {
+				ts := s.(*ast.TypeSpec)
+				if ts.Assign.IsValid() {
+					if to := resolve(p.dir, imports, ts.Type); to != "" {
+						alias[p.dir+"."+ts.Name.Name] = to
+					}
+					continue
+				}
+				key := p.dir + "." + ts.Name.Name
+				st, ok := ts.Type.(*ast.StructType)
+				if _, want := tracked[key]; !want || !ok || p.test {
+					continue
+				}
+				for _, fld := range st.Fields.List {
+					for _, id := range fld.Names {
+						if id.IsExported() {
+							tracked[key] = append(tracked[key], id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	set := map[string]bool{} // "dir.Type.Field"
+	for _, p := range srcs {
+		imports := importsOf(p.f)
+		// own reports whether key's fields are the file's own defaults.
+		own := func(key string) bool { return !p.test && strings.HasPrefix(key, p.dir+".") }
+		setByName := func(field string) {
+			for key, fs := range tracked {
+				if !own(key) && slices.Contains(fs, field) {
+					set[key+"."+field] = true
+				}
+			}
+		}
+		// keys records the keys of lit, a literal of the struct key.
+		keys := func(key string, lit *ast.CompositeLit) {
+			if own(key) {
+				return
+			}
+			for _, e := range lit.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						set[key+"."+id.Name] = true
+					}
+				}
+			}
+		}
+		ast.Inspect(p.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if key := resolve(p.dir, imports, n.Type); key != "" {
+					keys(key, n)
+					return true
+				}
+				var elt ast.Expr
+				switch t := n.Type.(type) {
+				case *ast.ArrayType:
+					elt = t.Elt
+				case *ast.MapType:
+					elt = t.Value
+				}
+				if star, ok := elt.(*ast.StarExpr); ok {
+					elt = star.X
+				}
+				key := resolve(p.dir, imports, elt)
+				if key == "" {
+					return true
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						e = kv.Value
+					}
+					if lit, ok := e.(*ast.CompositeLit); ok && lit.Type == nil {
+						keys(key, lit)
+					}
+				}
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					if sel, ok := l.(*ast.SelectorExpr); ok {
+						setByName(sel.Sel.Name)
+					}
+				}
+			case *ast.IncDecStmt:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok {
+					setByName(sel.Sel.Name)
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+					setByName(sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+
+	for key, fs := range tracked {
+		for _, name := range fs {
+			fields = append(fields, key+"."+name)
+			if !set[key+"."+name] {
+				unset = append(unset, key+"."+name)
+			}
+		}
+	}
+	sort.Strings(fields)
+	sort.Strings(unset)
+	return fields, unset, nil
+}
+
+// TestConfigFieldsAreSet holds the option structs to what their
+// callers set: every exported field of optionStructs is set somewhere
+// outside its own package, by a literal key, an assignment or &x.F, in
+// any file of the module (tests, bench/, cmd/ and examples/ included).
+// A field only the defaults fill is a constant: write it as one. The
+// table proves the rule on synthetic sources, the last subtest applies
+// it to this module.
+func TestConfigFieldsAreSet(t *testing.T) {
+	const lib = `package x
+
+type Config struct {
+	Rate   float64
+	Shards int
+	Depth  int
+	seed   uint64
+}
+
+var _ = Config{Depth: 1}
+`
+	cases := []struct {
+		name  string
+		files map[string]string
+		want  []string
+	}{
+		{
+			name: "keyed literals, assignments and &x.F outside the package count",
+			files: map[string]string{
+				"cmd/demo/main.go":         "package main\nimport \"fuiov/internal/x\"\nvar c = &x.Config{Rate: 1}\nfunc init() { c.Shards = 2 }\n",
+				"examples/ex/main_test.go": "package main\nimport (\"flag\"; y \"fuiov/internal/x\")\nvar c y.Config\nfunc init() { flag.IntVar(&c.Depth, \"d\", 0, \"\") }\n",
+			},
+		},
+		{
+			name: "the own package's non-test files and reads do not count",
+			files: map[string]string{
+				"internal/x/use.go": "package x\nvar _ = Config{Rate: 1}\nfunc f(c *Config) { c.Shards++ }\n",
+				"cmd/demo/main.go":  "package main\nimport \"fuiov/internal/x\"\nvar c x.Config\nvar _ = c.Depth + c.Shards\n",
+			},
+			want: []string{"internal/x.Config.Depth", "internal/x.Config.Rate", "internal/x.Config.Shards"},
+		},
+		{
+			name: "the own package's tests count",
+			files: map[string]string{
+				"internal/x/x_test.go": "package x\nvar _ = Config{Rate: 1}\nfunc f(c *Config) { c.Shards++; c.Depth = 2 }\n",
+			},
+		},
+		{
+			name: "facade aliases and elided element literals count",
+			files: map[string]string{
+				"fuiov.go":         "package fuiov\nimport \"fuiov/internal/x\"\ntype Options = x.Config\n",
+				"examples/ex/a.go": "package main\nimport \"fuiov\"\nvar _ = fuiov.Options{Rate: 1}\n",
+				"bench/b.go":       "package bench\nimport \"fuiov/internal/x\"\nvar _ = []*x.Config{{Shards: 1}}\nvar _ = map[string]x.Config{\"a\": {Depth: 1}}\n",
+			},
+		},
+		{
+			name: "a literal of another struct does not count",
+			files: map[string]string{
+				"cmd/demo/main.go": "package main\nimport \"fuiov/internal/x\"\ntype Config struct{ Rate, Shards, Depth int }\nvar _ = Config{Rate: 1}\nvar _ = x.Other{Shards: 1}\n",
+			},
+			want: []string{"internal/x.Config.Depth", "internal/x.Config.Rate", "internal/x.Config.Shards"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			files := map[string]string{"internal/x/x.go": lib}
+			for name, src := range tc.files {
+				files[name] = src
+			}
+			fields, unset, err := checkConfigFields(files, []string{"internal/x.Config"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []string{"internal/x.Config.Depth", "internal/x.Config.Rate", "internal/x.Config.Shards"}; !slices.Equal(fields, want) {
+				t.Errorf("fields = %v, want %v", fields, want)
+			}
+			if !slices.Equal(unset, tc.want) {
+				t.Errorf("unset = %v, want %v", unset, tc.want)
+			}
+		})
+	}
+
+	t.Run("this module", func(t *testing.T) {
+		root, others := moduleSources(t)
+		for name, src := range root {
+			others[name] = src
+		}
+		fields, unset, err := checkConfigFields(others, optionStructs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range optionStructs {
+			if !slices.ContainsFunc(fields, func(f string) bool { return strings.HasPrefix(f, s+".") }) {
+				t.Errorf("found no fields of %s: has the struct moved?", s)
+			}
+		}
+		t.Logf("the %d option structs have %d settable fields", len(optionStructs), len(fields))
+		for _, key := range unset {
+			t.Errorf("%s is set nowhere but in its own package's defaults: make it a constant, or add the caller first", key)
+		}
+	})
+}

@@ -87,7 +87,6 @@ func TestFaultTolerantPipeline(t *testing.T) {
 		OnlineBootstrap: func(id fuiov.ClientID, round int, params []float64) ([]float64, error) {
 			return nil, fmt.Errorf("vehicle %d out of coverage", id)
 		},
-		BootstrapRetries: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

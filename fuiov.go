@@ -109,8 +109,8 @@ type FaultPlan = faults.Plan
 func NewFaultPlan(seed uint64, spec FaultSpec) *FaultPlan { return faults.NewPlan(seed, spec) }
 
 // FaultPolicy tells the round engine how to cope with unreliable
-// clients: per-client deadlines, bounded retry with exponential
-// backoff, and quorum-based graceful degradation. A nil policy keeps
+// clients: per-client deadlines, bounded immediate retry, and
+// quorum-based graceful degradation. A nil policy keeps
 // the strict legacy behaviour (any failure aborts the round).
 type FaultPolicy = fl.FaultPolicy
 

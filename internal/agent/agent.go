@@ -62,9 +62,9 @@ type Config struct {
 	// Defaults to a client with no global timeout — POST /v1/round
 	// legitimately blocks for the server's collection window.
 	HTTPClient *http.Client
-	// Policy bounds retries of transient transport failures using the
-	// policy's retry budget and exponential backoff measured in wall-
-	// clock time. Nil retries nothing.
+	// Policy bounds retries of transient transport failures by the
+	// policy's MaxRetries; each retry follows the failure at once. Nil
+	// retries nothing.
 	Policy *fl.FaultPolicy
 	// PollInterval is the wait between /v1/status polls while sitting
 	// out rounds (out of coverage, or a window the agent lost).
@@ -179,7 +179,7 @@ func (a *Agent) Run(ctx context.Context) error {
 				lastSkipped = t
 			}
 			a.met.polls.Inc()
-			if err := fl.SleepCtx(ctx, a.cfg.PollInterval); err != nil {
+			if err := sleepCtx(ctx, a.cfg.PollInterval); err != nil {
 				return err
 			}
 			continue
@@ -206,7 +206,7 @@ func (a *Agent) runRound(ctx context.Context, t int) (done bool, err error) {
 	}
 	if status == http.StatusNotFound || status == http.StatusConflict {
 		// The clock moved while we were deciding; resynchronise.
-		return false, fl.SleepCtx(ctx, a.cfg.PollInterval)
+		return false, sleepCtx(ctx, a.cfg.PollInterval)
 	}
 	if err != nil {
 		return false, err
@@ -216,7 +216,7 @@ func (a *Agent) runRound(ctx context.Context, t int) (done bool, err error) {
 		return false, err
 	}
 	if a.cfg.UploadDelay > 0 {
-		if err := fl.SleepCtx(ctx, a.cfg.UploadDelay); err != nil {
+		if err := sleepCtx(ctx, a.cfg.UploadDelay); err != nil {
 			return false, err
 		}
 	}
@@ -233,7 +233,7 @@ func (a *Agent) runRound(ctx context.Context, t int) (done bool, err error) {
 		// Quorum failure (the window will re-collect or was skipped),
 		// a missed deadline, or a round mismatch: not fatal, fall back
 		// to the status poll and follow the clock.
-		return false, fl.SleepCtx(ctx, a.cfg.PollInterval)
+		return false, sleepCtx(ctx, a.cfg.PollInterval)
 	default:
 		return false, err
 	}
@@ -334,20 +334,18 @@ func (a *Agent) upload(ctx context.Context, t int, g []float64) (int, error) {
 	return code, err
 }
 
-// withRetry runs op, retrying transport-level failures within the
-// policy's wall-clock retry budget and exponential backoff. HTTP
+// withRetry runs op, retrying transport-level failures at once within
+// the policy's retry budget; ctx is checked before every attempt. HTTP
 // error statuses are not retried here — the protocol's status codes
 // carry their own semantics, interpreted by the round loop.
 func (a *Agent) withRetry(ctx context.Context, op func() error) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if attempt > 0 {
 			a.met.retries.Inc()
-			if err := fl.SleepCtx(ctx, a.cfg.Policy.Backoff(attempt)); err != nil {
-				return err
-			}
-		} else if err := ctx.Err(); err != nil {
-			return err
 		}
 		if lastErr = op(); lastErr == nil {
 			return nil
@@ -355,6 +353,22 @@ func (a *Agent) withRetry(ctx context.Context, op func() error) error {
 		if a.cfg.Policy == nil || attempt >= a.cfg.Policy.MaxRetries {
 			return lastErr
 		}
+	}
+}
+
+// sleepCtx waits for d, returning early with the context's error if it
+// is cancelled first.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
 	}
 }
 

@@ -297,7 +297,7 @@ func TestAgentRetriesTransportErrors(t *testing.T) {
 		return c, reg, tr, err
 	}
 	retrying := func(maxRetries int) *fl.FaultPolicy {
-		return &fl.FaultPolicy{MaxRetries: maxRetries, RetryBackoff: time.Millisecond}
+		return &fl.FaultPolicy{MaxRetries: maxRetries}
 	}
 
 	c, reg, _, err := run(retrying(2))

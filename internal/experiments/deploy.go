@@ -216,19 +216,19 @@ func (s Scale) Validate() error {
 	if s.Samples < 2*s.Clients {
 		return fmt.Errorf("experiments: %d samples too few for %d clients", s.Samples, s.Clients)
 	}
-	if s.LearningRate <= 0 {
+	if !(s.LearningRate > 0) {
 		return fmt.Errorf("experiments: learning rate %v", s.LearningRate)
 	}
-	if s.MaliciousFraction < 0 || s.MaliciousFraction >= 1 {
+	if !(s.MaliciousFraction >= 0 && s.MaliciousFraction < 1) {
 		return fmt.Errorf("experiments: malicious fraction %v", s.MaliciousFraction)
 	}
 	if s.ForgottenJoinRound < 0 {
 		return fmt.Errorf("experiments: join round %d", s.ForgottenJoinRound)
 	}
-	if s.FaultRate < 0 || s.FaultRate >= 1 {
+	if !(s.FaultRate >= 0 && s.FaultRate < 1) {
 		return fmt.Errorf("experiments: fault rate %v outside [0,1)", s.FaultRate)
 	}
-	if s.Quorum < 0 || s.Quorum > 1 {
+	if !(s.Quorum >= 0 && s.Quorum <= 1) {
 		return fmt.Errorf("experiments: quorum %v outside [0,1]", s.Quorum)
 	}
 	return nil

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -32,6 +33,30 @@ func TestScaleValidation(t *testing.T) {
 	bad.LearningRate = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero lr should be invalid")
+	}
+}
+
+// TestScaleRejectsNaN: a NaN field fails its range check instead of
+// slipping past both ends of it.
+func TestScaleRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		set  func(*Scale)
+	}{
+		{"learning rate", func(s *Scale) { s.LearningRate = nan }},
+		{"malicious fraction", func(s *Scale) { s.MaliciousFraction = nan }},
+		{"fault rate", func(s *Scale) { s.FaultRate = nan }},
+		{"quorum", func(s *Scale) { s.Quorum = nan }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := CIScale()
+			tc.set(&s)
+			if err := s.Validate(); err == nil {
+				t.Error("Validate accepted a NaN")
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package fl
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -378,8 +379,6 @@ func TestFaultPolicyValidate(t *testing.T) {
 	bad := []FaultPolicy{
 		{ClientTimeout: -time.Second},
 		{MaxRetries: -1},
-		{RetryBackoff: -time.Second},
-		{MaxBackoff: -time.Second},
 		{Quorum: -0.1},
 		{Quorum: 1.1},
 	}
@@ -388,26 +387,31 @@ func TestFaultPolicyValidate(t *testing.T) {
 			t.Errorf("bad policy %d validated", i)
 		}
 	}
-	good := FaultPolicy{ClientTimeout: time.Second, MaxRetries: 3, RetryBackoff: time.Millisecond, Quorum: 0.8}
+	good := FaultPolicy{ClientTimeout: time.Second, MaxRetries: 3, Quorum: 0.8}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good policy rejected: %v", err)
 	}
 }
 
-func TestFaultPolicyBackoff(t *testing.T) {
-	p := &FaultPolicy{RetryBackoff: 10 * time.Millisecond, MaxBackoff: 35 * time.Millisecond}
-	want := []time.Duration{10, 20, 35, 35} // ms; doubling then capped
-	for i, w := range want {
-		if got := p.Backoff(i + 1); got != w*time.Millisecond {
-			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
-		}
+// TestNaNOptionsRejected: a NaN option fails its range check instead
+// of slipping past both ends of it (a NaN quorum would otherwise make
+// QuorumCount negative and turn the quorum off).
+func TestNaNOptionsRejected(t *testing.T) {
+	clients, _, net := buildFederation(t, 2, 60, 1)
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"learning rate", Config{LearningRate: nan}},
+		{"quorum", Config{LearningRate: 0.1, FaultPolicy: &FaultPolicy{Quorum: nan}}},
 	}
-	if d := p.Backoff(0); d != 0 {
-		t.Errorf("Backoff(0) = %v, want 0", d)
-	}
-	var nilPolicy *FaultPolicy
-	if d := nilPolicy.Backoff(3); d != 0 {
-		t.Errorf("nil policy backoff = %v, want 0", d)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := NewSimulation(net, clients, tc.cfg); err == nil {
+				t.Error("NewSimulation accepted a NaN")
+			}
+		})
 	}
 }
 

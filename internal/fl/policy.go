@@ -34,7 +34,7 @@ var (
 // FaultPolicy controls how the round engine copes with unreliable
 // clients. A nil policy is strict: any client failure (including
 // injected faults) aborts the round. With a policy attached the engine
-// retries failed attempts, cuts off stragglers at the per-client
+// retries failed attempts at once, cuts off stragglers at the per-client
 // deadline, drops unrecoverable clients from the round and aggregates
 // as long as the quorum holds — absentees are simply recorded as
 // non-participants, keeping later unlearning consistent.
@@ -46,14 +46,8 @@ type FaultPolicy struct {
 	// bit-deterministic. 0 disables the deadline.
 	ClientTimeout time.Duration
 	// MaxRetries is the number of extra attempts after the first
-	// (0 = no retry).
+	// (0 = no retry). A retry follows the failed attempt at once.
 	MaxRetries int
-	// RetryBackoff is the real wall-clock wait before the first retry;
-	// it doubles on every further retry (exponential backoff) and
-	// honours context cancellation. 0 retries immediately.
-	RetryBackoff time.Duration
-	// MaxBackoff caps the exponential backoff. 0 means uncapped.
-	MaxBackoff time.Duration
 	// Quorum is the minimum fraction of the round's scheduled clients
 	// that must respond for the round to commit, in [0, 1]. Below it
 	// the round fails with ErrQuorumNotReached and the clock does not
@@ -72,10 +66,7 @@ func (p *FaultPolicy) Validate() error {
 	if p.MaxRetries < 0 {
 		return fmt.Errorf("fl: negative max retries %d", p.MaxRetries)
 	}
-	if p.RetryBackoff < 0 || p.MaxBackoff < 0 {
-		return fmt.Errorf("fl: negative backoff (%v, %v)", p.RetryBackoff, p.MaxBackoff)
-	}
-	if p.Quorum < 0 || p.Quorum > 1 {
+	if !(p.Quorum >= 0 && p.Quorum <= 1) {
 		return fmt.Errorf("fl: quorum %v outside [0,1]", p.Quorum)
 	}
 	return nil
@@ -98,47 +89,10 @@ func (p *FaultPolicy) QuorumCount(scheduled int) int {
 	return k
 }
 
-// Backoff returns the wall-clock wait before retry number retry (1 is
-// the first retry): RetryBackoff doubled per further retry, capped at
-// MaxBackoff. It is 0 on a nil policy or before the first retry.
-func (p *FaultPolicy) Backoff(retry int) time.Duration {
-	if p == nil || p.RetryBackoff <= 0 || retry <= 0 {
-		return 0
-	}
-	shift := retry - 1
-	if shift > 20 {
-		shift = 20 // beyond any sane MaxRetries; avoids overflow
-	}
-	d := p.RetryBackoff << uint(shift)
-	if d < p.RetryBackoff { // overflow guard
-		d = p.MaxBackoff
-	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
-}
-
-// SleepCtx waits for d, returning early with the context's error if it
-// is cancelled first.
-func SleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // CallClient runs one client gradient computation under a fault
 // injector and policy — the exact adjudication RunRoundContext uses
-// (crash and latency faults, deadline cutoff, bounded retry with
-// backoff, upload validation) — so other client-dependent paths, such as
+// (crash and latency faults, deadline cutoff, bounded retry, upload
+// validation) — so other client-dependent paths, such as
 // FedRecover's periodic exact corrections, share the round engine's
 // semantics. It returns the gradient and the number of retries spent.
 func CallClient(ctx context.Context, inj faults.Injector, policy *FaultPolicy,
@@ -167,11 +121,11 @@ type callResult struct {
 // callWithFaults runs one client computation under the configured
 // fault injector and policy: each attempt first consults the injector,
 // adjudicates injected crash/latency/corruption against the policy,
-// and retries with exponential backoff until an attempt succeeds or
-// the attempt budget is spent. With a nil policy there is exactly one
-// attempt and any injected fault is a terminal error (strict mode);
-// corruption is then NOT rejected — it flows into the upload, the
-// unprotected baseline.
+// and retries at once until an attempt succeeds, the attempt budget is
+// spent or ctx is done (checked before every attempt). With a nil
+// policy there is exactly one attempt and any injected fault is a
+// terminal error (strict mode); corruption is then NOT rejected — it
+// flows into the upload, the unprotected baseline.
 func callWithFaults(ctx context.Context, inj faults.Injector, policy *FaultPolicy,
 	seed uint64, id history.ClientID, round int, compute func() ([]float64, error)) callResult {
 
@@ -182,15 +136,12 @@ func callWithFaults(ctx context.Context, inj faults.Injector, policy *FaultPolic
 	}
 	var lastErr error
 	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			res.retries++
-			if err := SleepCtx(ctx, policy.Backoff(a)); err != nil {
-				res.err = err
-				return res
-			}
-		} else if err := ctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			res.err = err
 			return res
+		}
+		if a > 0 {
+			res.retries++
 		}
 		var out faults.Outcome
 		if inj != nil {

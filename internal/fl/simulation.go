@@ -130,8 +130,8 @@ type Config struct {
 	// unvalidated (the unprotected baseline).
 	Faults faults.Injector
 	// FaultPolicy, when non-nil, turns on graceful degradation:
-	// per-client deadlines, bounded retry with exponential backoff,
-	// upload validation and quorum aggregation. Clients that stay
+	// per-client deadlines, bounded immediate retry, upload
+	// validation and quorum aggregation. Clients that stay
 	// unreachable after retries are dropped from the round and
 	// recorded as non-participants, so later unlearning remains
 	// consistent.
@@ -274,7 +274,7 @@ func NewSimulation(template *nn.Network, clients []*Client, cfg Config) (*Simula
 	if len(clients) == 0 {
 		return nil, fmt.Errorf("fl: no clients")
 	}
-	if cfg.LearningRate <= 0 {
+	if !(cfg.LearningRate > 0) {
 		return nil, fmt.Errorf("fl: non-positive learning rate %v", cfg.LearningRate)
 	}
 	known := make(map[history.ClientID]bool, len(clients))

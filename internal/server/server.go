@@ -68,17 +68,11 @@ type Config struct {
 	// Unlearn parameterises /v1/unlearn. LearningRate defaults to the
 	// engine's; the store is always the engine's.
 	Unlearn unlearn.Config
-	// UnlearnQueueDepth bounds the async unlearning queue's pending
-	// requests (admission control): further async submissions get 429.
-	// 0 means the queue's default of 64.
-	UnlearnQueueDepth int
 	// Telemetry, when non-nil, receives per-endpoint request counters
 	// and latency timers plus round-window metrics (see
 	// internal/telemetry names.go, server.*). Nil disables
 	// instrumentation at ~zero cost.
 	Telemetry *telemetry.Registry
-	// Now substitutes the wall clock (tests). Defaults to time.Now.
-	Now func() time.Time
 }
 
 // coordMetrics caches the coordinator's telemetry handles (nil/no-op
@@ -174,9 +168,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Schedule == nil {
 		cfg.Schedule = ecfg.Schedule
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	if cfg.MaxRounds < 0 {
 		return nil, fmt.Errorf("server: negative max rounds %d", cfg.MaxRounds)
 	}
@@ -211,11 +202,10 @@ func New(cfg Config) (*Coordinator, error) {
 			qcfg.Telemetry = cfg.Telemetry
 		}
 		q, err := unlearn.NewQueue(unlearn.QueueConfig{
-			Store:      c.engineStore,
-			Config:     qcfg,
-			Commit:     c.commitUnlearnPass,
-			MaxPending: cfg.UnlearnQueueDepth,
-			Telemetry:  cfg.Telemetry,
+			Store:     c.engineStore,
+			Config:    qcfg,
+			Commit:    c.commitUnlearnPass,
+			Telemetry: cfg.Telemetry,
 		})
 		if err != nil {
 			return nil, err
@@ -435,7 +425,7 @@ func (c *Coordinator) ensureRound() (*roundState, error) {
 			}
 			rs := &roundState{
 				t:         t,
-				openedAt:  c.cfg.Now(),
+				openedAt:  time.Now(),
 				scheduled: scheduled,
 				stream:    stream,
 				done:      make(chan struct{}),
@@ -478,7 +468,7 @@ func (c *Coordinator) resolve(rs *roundState, expired bool) {
 	} else {
 		c.met.rounds.Inc()
 	}
-	c.met.openWindow.Observe(c.cfg.Now().Sub(rs.openedAt))
+	c.met.openWindow.Observe(time.Now().Sub(rs.openedAt))
 	c.cur = nil
 	close(rs.done)
 }
@@ -604,7 +594,7 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 
-	waitStart := c.cfg.Now()
+	waitStart := time.Now()
 	select {
 	case <-rs.done:
 	case <-r.Context().Done():
@@ -612,7 +602,7 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, r *http.Request) {
 		frame = nil
 		return
 	}
-	c.met.roundWait.Observe(c.cfg.Now().Sub(waitStart))
+	c.met.roundWait.Observe(time.Now().Sub(waitStart))
 
 	if rs.err != nil {
 		status, code := mapError(rs.err)
@@ -1026,7 +1016,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		reply.Scheduled = len(rs.scheduled)
 		reply.Responders = rs.responders
 		if c.window > 0 {
-			remaining := c.window - c.cfg.Now().Sub(rs.openedAt)
+			remaining := c.window - time.Now().Sub(rs.openedAt)
 			if remaining < 0 {
 				remaining = 0
 			}

@@ -72,7 +72,6 @@ const (
 	UnlearnFallbacks       = "unlearn.fallbacks"            // counter: raw-direction fallbacks
 	UnlearnClipActivations = "unlearn.clip_activations"     // counter: elements/vectors clipped by eq. 7
 	UnlearnBootstraps      = "unlearn.bootstrapped_clients" // counter
-	UnlearnBootstrapRetry  = "unlearn.bootstrap_retries"    // counter: retried OnlineBootstrap dispatches
 	UnlearnBootstrapSkips  = "unlearn.bootstrap_offline"    // counter: bootstrap rounds skipped (offline fallback)
 
 	// unlearn.Queue — the concurrent unlearning service (request

@@ -76,7 +76,7 @@ func Dot(a, b Vec) float64 {
 	mustSameLen("Dot", a, b)
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }

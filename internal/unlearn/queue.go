@@ -23,6 +23,10 @@ var (
 	ErrUnknownRequest = errors.New("unknown unlearn request")
 )
 
+// maxPending bounds the requests waiting for the next pass (admission
+// control): further submissions fail with ErrQueueFull.
+const maxPending = 64
+
 // RequestState is the lifecycle state of a queued unlearning request.
 type RequestState string
 
@@ -82,10 +86,6 @@ type QueueConfig struct {
 	Config Config
 	// Commit installs a finished pass; see CommitFunc. Required.
 	Commit CommitFunc
-	// MaxPending bounds the requests waiting for the next pass
-	// (admission control); further submissions fail with ErrQueueFull.
-	// 0 means the default of 64.
-	MaxPending int
 	// StartPaused creates the queue with its worker paused so several
 	// submissions can pile up and provably coalesce into one pass;
 	// call Start to begin processing. Used by benchmarks and tests.
@@ -172,12 +172,6 @@ func NewQueue(cfg QueueConfig) (*Queue, error) {
 	if err := cfg.Config.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MaxPending < 0 {
-		return nil, fmt.Errorf("unlearn: negative queue bound %d", cfg.MaxPending)
-	}
-	if cfg.MaxPending == 0 {
-		cfg.MaxPending = 64
-	}
 	q := &Queue{
 		cfg:    cfg,
 		met:    newQueueMetrics(cfg.Telemetry),
@@ -246,7 +240,7 @@ func (q *Queue) Submit(clients ...history.ClientID) (string, error) {
 			return r.id, nil
 		}
 	}
-	if len(q.pending) >= q.cfg.MaxPending {
+	if len(q.pending) >= maxPending {
 		q.met.rejected.Inc()
 		return "", fmt.Errorf("%w: %d requests pending", ErrQueueFull, len(q.pending))
 	}

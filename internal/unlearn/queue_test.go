@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -251,26 +252,40 @@ func TestQueueDedup(t *testing.T) {
 	}
 }
 
-// TestQueueAdmission checks the pending bound.
+// TestQueueAdmission checks the pending bound: with the worker paused,
+// maxPending requests no earlier one covers (every pair of the eight
+// clients, then triples) fill the queue, and the next is refused.
 func TestQueueAdmission(t *testing.T) {
 	w := newQueueWorld(t, 8)
 	for i := 0; i < 16; i++ {
 		w.trainRound()
 	}
-	cfg := w.queueConfig(true)
-	cfg.MaxPending = 2
-	q, err := NewQueue(cfg)
+	q, err := NewQueue(w.queueConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	for _, c := range []history.ClientID{1, 2} {
-		if _, err := q.Submit(c); err != nil {
-			t.Fatal(err)
+	var sets [][]history.ClientID
+	for _, size := range []int{2, 3} {
+		var pick func(from int, set []history.ClientID)
+		pick = func(from int, set []history.ClientID) {
+			if len(set) == size {
+				sets = append(sets, slices.Clone(set))
+				return
+			}
+			for _, c := range w.clients[from:] {
+				pick(int(c)+1, append(set, c))
+			}
+		}
+		pick(0, nil)
+	}
+	for i, set := range sets[:maxPending] {
+		if _, err := q.Submit(set...); err != nil {
+			t.Fatalf("submit %d of %d (%v): %v", i+1, maxPending, set, err)
 		}
 	}
-	if _, err := q.Submit(3); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("third submit err = %v, want ErrQueueFull", err)
+	if _, err := q.Submit(sets[maxPending]...); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit %d err = %v, want ErrQueueFull", maxPending+1, err)
 	}
 	// Unknown clients are rejected up front.
 	if _, err := q.Submit(77); !errors.Is(err, history.ErrUnknownClient) {

@@ -124,8 +124,8 @@ type FedRecover struct {
 	// faults, when non-nil, injects client unreliability into the
 	// exact-gradient calls (FedRecover's weak spot: unlike the paper's
 	// scheme it depends on clients being online during recovery).
-	// policy, when non-nil, applies the round engine's deadline / retry
-	// / backoff handling to every exact-gradient call and arms the
+	// policy, when non-nil, applies the round engine's deadline and
+	// retry handling to every exact-gradient call and arms the
 	// offline fallback: an exact correction whose client stays
 	// unreachable after the retry budget — or is simply no longer in
 	// the fleet — degrades to the L-BFGS estimated path for that

@@ -45,22 +45,12 @@ type Config struct {
 	// client-assisted bootstrap (§IV-B): for a remaining client that
 	// lacks stored directions in the pre-join window but is still
 	// online, the server dispatches the historical model of the
-	// missing round and receives a fresh gradient. The callback
-	// returns the client's gradient at the given parameters, or an
-	// error if the client is offline (the round is then skipped, as
-	// the paper's offline path prescribes).
+	// missing round and receives a fresh gradient. It is called once
+	// per missing round and returns the client's gradient at the given
+	// parameters, or an error if the client is offline: the round is
+	// then skipped, as the paper's offline path prescribes, and
+	// recovery proceeds from stored directions alone.
 	OnlineBootstrap func(id history.ClientID, round int, params []float64) ([]float64, error)
-	// BootstrapRetries is the number of extra OnlineBootstrap attempts
-	// after a failed dispatch — IoV clients are transiently
-	// unreachable, so one retry often recovers the round. After the
-	// budget is spent the scheme falls back to the offline path: the
-	// round is skipped and recovery proceeds from stored directions
-	// alone. 0 disables retry.
-	BootstrapRetries int
-	// BootstrapBackoff is the wall-clock wait before the first
-	// bootstrap retry; it doubles on every further retry and honours
-	// context cancellation. 0 retries immediately.
-	BootstrapBackoff time.Duration
 	// Telemetry, when non-nil, receives backtrack gauges, per-round
 	// recovery timings, clip/refresh/fallback counters and one event
 	// per recovered round. Nil disables instrumentation at ~zero cost.
@@ -80,7 +70,6 @@ type unlearnMetrics struct {
 	fallbacks       *telemetry.Counter
 	clips           *telemetry.Counter
 	bootstraps      *telemetry.Counter
-	bootstrapRetry  *telemetry.Counter
 	bootstrapSkips  *telemetry.Counter
 }
 
@@ -96,7 +85,6 @@ func newUnlearnMetrics(r *telemetry.Registry) unlearnMetrics {
 		fallbacks:       r.Counter(telemetry.UnlearnFallbacks),
 		clips:           r.Counter(telemetry.UnlearnClipActivations),
 		bootstraps:      r.Counter(telemetry.UnlearnBootstraps),
-		bootstrapRetry:  r.Counter(telemetry.UnlearnBootstrapRetry),
 		bootstrapSkips:  r.Counter(telemetry.UnlearnBootstrapSkips),
 	}
 }
@@ -121,20 +109,14 @@ func (c Config) validate() error {
 	if c.PairSize < 0 {
 		return fmt.Errorf("unlearn: negative pair size %d", c.PairSize)
 	}
-	if c.ClipThreshold < 0 {
-		return fmt.Errorf("unlearn: negative clip threshold %v", c.ClipThreshold)
+	if !(c.ClipThreshold >= 0) {
+		return fmt.Errorf("unlearn: clip threshold %v is not a non-negative number", c.ClipThreshold)
 	}
 	if c.RefreshEvery < 0 {
 		return fmt.Errorf("unlearn: negative refresh period %d", c.RefreshEvery)
 	}
-	if c.LearningRate <= 0 {
+	if !(c.LearningRate > 0) {
 		return fmt.Errorf("unlearn: non-positive learning rate %v", c.LearningRate)
-	}
-	if c.BootstrapRetries < 0 {
-		return fmt.Errorf("unlearn: negative bootstrap retries %d", c.BootstrapRetries)
-	}
-	if c.BootstrapBackoff < 0 {
-		return fmt.Errorf("unlearn: negative bootstrap backoff %v", c.BootstrapBackoff)
 	}
 	return nil
 }
@@ -234,34 +216,19 @@ func (u *Unlearner) UnlearnContext(ctx context.Context, forgotten ...history.Cli
 	return p.finish(), nil
 }
 
-// dispatchBootstrap calls the user's OnlineBootstrap callback with
-// bounded retry and exponential backoff. A nil error with a
-// wrong-dimension gradient is reported as an error so the caller can
-// fall back offline.
+// dispatchBootstrap calls the user's OnlineBootstrap callback once,
+// after checking ctx. A nil error with a wrong-dimension gradient is
+// reported as an error so the caller can fall back offline.
 func (u *Unlearner) dispatchBootstrap(ctx context.Context, id history.ClientID, round int, params []float64) ([]float64, error) {
-	backoff := u.cfg.BootstrapBackoff
-	var lastErr error
-	for attempt := 0; attempt <= u.cfg.BootstrapRetries; attempt++ {
-		if attempt > 0 {
-			u.met.bootstrapRetry.Inc()
-			if err := fl.SleepCtx(ctx, backoff); err != nil {
-				return nil, err
-			}
-			backoff *= 2
-		} else if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		fresh, err := u.cfg.OnlineBootstrap(id, round, params)
-		if err == nil && len(fresh) != u.store.Dim() {
-			err = fmt.Errorf("unlearn: bootstrap client %d round %d: gradient dimension %d, want %d",
-				id, round, len(fresh), u.store.Dim())
-		}
-		if err == nil {
-			return fresh, nil
-		}
-		lastErr = err
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	fresh, err := u.cfg.OnlineBootstrap(id, round, params)
+	if err == nil && len(fresh) != u.store.Dim() {
+		return nil, fmt.Errorf("unlearn: bootstrap client %d round %d: gradient dimension %d, want %d",
+			id, round, len(fresh), u.store.Dim())
+	}
+	return fresh, err
 }
 
 // clientState is one remaining client's recovery state: an L-BFGS
@@ -352,10 +319,10 @@ func (u *Unlearner) seedPairs(ctx context.Context, st *clientState, id history.C
 				if ctx.Err() != nil {
 					return seeded, ctx.Err()
 				}
-				// Offline fallback (§IV-B): the client stayed
-				// unreachable after the retry budget, so the round
-				// contributes no bootstrap pair and recovery proceeds
-				// from stored directions alone.
+				// Offline fallback (§IV-B): the client is
+				// unreachable, so the round contributes no bootstrap
+				// pair and recovery proceeds from stored directions
+				// alone.
 				u.met.bootstrapSkips.Inc()
 				continue
 			}

@@ -88,6 +88,27 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNaNConfigRejected: a NaN option fails its range check instead of
+// slipping past both ends of it.
+func TestNaNConfigRejected(t *testing.T) {
+	store, _ := history.NewStore(4, 0)
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"learning rate", Config{LearningRate: nan}},
+		{"clip threshold", Config{LearningRate: 0.1, ClipThreshold: nan}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := New(store, tc.cfg); err == nil {
+				t.Error("New accepted a NaN")
+			}
+		})
+	}
+}
+
 func TestConfigDefaults(t *testing.T) {
 	store, _ := history.NewStore(4, 0)
 	u, err := New(store, Config{LearningRate: 0.1})

@@ -127,9 +127,9 @@ func (s *Suite) fitAttack(ctx context.Context) (logistic, error) {
 		net.Init(r.Split(1))
 		tr := r.Split(2)
 		for step := 0; step < s.cfg.ShadowSteps; step++ {
-			x, labels := in.SampleBatch(tr, s.cfg.ShadowBatch)
+			x, labels := in.SampleBatch(tr, shadowBatch)
 			net.LossAndGrad(x, labels)
-			net.SGDStep(s.cfg.ShadowLR)
+			net.SGDStep(shadowLR)
 		}
 		span.End()
 		s.met.shadows.Inc()

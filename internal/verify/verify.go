@@ -40,15 +40,19 @@ const (
 	DefaultShadows = 6
 	// DefaultShadowSteps is the SGD steps per shadow model.
 	DefaultShadowSteps = 80
-	// DefaultShadowBatch is the shadow-training mini-batch size.
-	DefaultShadowBatch = 32
-	// DefaultShadowLR is the shadow-training step size.
-	DefaultShadowLR = 0.2
 	// DefaultRelearnCap bounds the relearn-time probe.
 	DefaultRelearnCap = 40
-	// DefaultRelearnFraction defines "re-memorized": forgotten-data
-	// accuracy back above this fraction of the pre-unlearn level.
-	DefaultRelearnFraction = 0.9
+)
+
+// Fixed knobs of the suite.
+const (
+	// shadowBatch is the shadow-training mini-batch size.
+	shadowBatch = 32
+	// shadowLR is the shadow-training step size.
+	shadowLR = 0.2
+	// relearnFraction defines "re-memorized": forgotten-data accuracy
+	// back above this fraction of the pre-unlearn level.
+	relearnFraction = 0.9
 )
 
 // Config tunes the verification suite. The zero value selects the
@@ -59,16 +63,8 @@ type Config struct {
 	// ShadowSteps is the SGD steps each shadow trains for
 	// (0 = DefaultShadowSteps).
 	ShadowSteps int
-	// ShadowBatch is the shadow mini-batch size (0 = DefaultShadowBatch).
-	ShadowBatch int
-	// ShadowLR is the shadow step size (0 = DefaultShadowLR).
-	ShadowLR float64
 	// RelearnCap bounds the relearn probe's rounds (0 = DefaultRelearnCap).
 	RelearnCap int
-	// RelearnFraction defines recovery: forgotten-data accuracy ≥
-	// RelearnFraction × the pre-unlearn model's forgotten-data
-	// accuracy (0 = DefaultRelearnFraction).
-	RelearnFraction float64
 	// SkipRelearn disables the relearn probe (and the post-relearn
 	// backdoor measurement); Score.RelearnRounds is reported as −1.
 	SkipRelearn bool
@@ -85,17 +81,8 @@ func (c Config) withDefaults() Config {
 	if c.ShadowSteps <= 0 {
 		c.ShadowSteps = DefaultShadowSteps
 	}
-	if c.ShadowBatch <= 0 {
-		c.ShadowBatch = DefaultShadowBatch
-	}
-	if c.ShadowLR <= 0 {
-		c.ShadowLR = DefaultShadowLR
-	}
 	if c.RelearnCap <= 0 {
 		c.RelearnCap = DefaultRelearnCap
-	}
-	if c.RelearnFraction <= 0 || c.RelearnFraction > 1 {
-		c.RelearnFraction = DefaultRelearnFraction
 	}
 	return c
 }
@@ -256,7 +243,7 @@ func NewSuite(ctx context.Context, tgt Target, cfg Config) (*Suite, error) {
 	s.eval.SetParamVector(tgt.Before)
 	s.miaBefore = s.advantage(s.eval)
 	s.beforeAcc = metrics.Accuracy(s.eval, s.forgotten)
-	s.threshold = cfg.RelearnFraction * s.beforeAcc
+	s.threshold = relearnFraction * s.beforeAcc
 	if tgt.Backdoor != nil {
 		v := tgt.Backdoor.SuccessRate(s.eval, tgt.Test)
 		s.bdBefore = &v

@@ -69,7 +69,7 @@ GOARCH=arm64 go vet ./...
 # tensor.AxpyInPlace and are held to the scalar loop the same way. The
 # recovery sweep (tensor.DotsInto, lbfgs.(*Approx).sweep) is listed
 # too, so the model bits it feeds are the same off amd64.
-fma_funcs='tensor.saxpy tensor.saxpyGo tensor.AxpyInPlace tensor.DotsInto lbfgs.(*Approx).sweep tensor.gemmRows tensor.gemmGo tensor.gemmNTRows tensor.gemmNTGo sign.accumulateGo fl.FedAvg.AggregateRange fl.(*ShardedFedAvg).fold fl.(*ShardedFedAvg).Resolve'
+fma_funcs='tensor.saxpy tensor.saxpyGo tensor.AxpyInPlace tensor.Dot tensor.DotsInto lbfgs.(*Approx).sweep tensor.gemmRows tensor.gemmGo tensor.gemmNTRows tensor.gemmNTGo sign.accumulateGo fl.FedAvg.AggregateRange fl.(*ShardedFedAvg).fold fl.(*ShardedFedAvg).Resolve'
 fma_bin=$(mktemp)
 GOARCH=arm64 go build -o "$fma_bin" ./cmd/fuiov
 fma_re=$(echo "$fma_funcs" | sed 's/[.()*]/\\&/g; s/ /|/g')
@@ -92,8 +92,10 @@ go test ./...
 
 # Pinned bits, as CI runs them: the pipeline's SHA-256 golden hashes
 # through the AVX2 kernels and through the portable Go loops, at one
-# and two procs.
+# and two procs; exported internal names held to their callers and
+# option-struct fields to their setters.
 go test -count=1 -cpu 1,2 -run '^TestGoldenBits(Portable)?$' ./internal/experiments/
+go test -count=1 -run 'TestInternalNamesHaveCallers|TestConfigFieldsAreSet' .
 
 # The examples are the facade's only callers outside the scenario
 # harness, and go build only proves they compile: run each one and
