@@ -9,6 +9,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"fuiov/internal/attack"
 	"fuiov/internal/dataset"
@@ -216,7 +217,7 @@ func (s Scale) Validate() error {
 	if s.Samples < 2*s.Clients {
 		return fmt.Errorf("experiments: %d samples too few for %d clients", s.Samples, s.Clients)
 	}
-	if !(s.LearningRate > 0) {
+	if !(s.LearningRate > 0 && s.LearningRate <= math.MaxFloat64) {
 		return fmt.Errorf("experiments: learning rate %v", s.LearningRate)
 	}
 	if !(s.MaliciousFraction >= 0 && s.MaliciousFraction < 1) {

@@ -37,7 +37,8 @@ func TestScaleValidation(t *testing.T) {
 }
 
 // TestScaleRejectsNaN: a NaN field fails its range check instead of
-// slipping past both ends of it.
+// slipping past both ends of it, and so does an infinite learning
+// rate.
 func TestScaleRejectsNaN(t *testing.T) {
 	nan := math.NaN()
 	cases := []struct {
@@ -45,6 +46,7 @@ func TestScaleRejectsNaN(t *testing.T) {
 		set  func(*Scale)
 	}{
 		{"learning rate", func(s *Scale) { s.LearningRate = nan }},
+		{"learning rate +Inf", func(s *Scale) { s.LearningRate = math.Inf(1) }},
 		{"malicious fraction", func(s *Scale) { s.MaliciousFraction = nan }},
 		{"fault rate", func(s *Scale) { s.FaultRate = nan }},
 		{"quorum", func(s *Scale) { s.Quorum = nan }},
@@ -54,7 +56,7 @@ func TestScaleRejectsNaN(t *testing.T) {
 			s := CIScale()
 			tc.set(&s)
 			if err := s.Validate(); err == nil {
-				t.Error("Validate accepted a NaN")
+				t.Error("Validate accepted it")
 			}
 		})
 	}

@@ -8,11 +8,11 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"fuiov/internal/fl"
 	"fuiov/internal/history"
+	"fuiov/internal/par"
 	"fuiov/internal/rng"
 )
 
@@ -178,6 +178,15 @@ func ScaleBench(ctx context.Context, cfg ScaleConfig) ([]ScaleRow, error) {
 			bufs[i] = make([]float64, cfg.Dim)
 		}
 		out := make([]float64, cfg.Dim)
+		// synth fills bufs[i] with batch[i]'s round gradient, for the
+		// chunk of the cohort being folded.
+		var batch []int32
+		var round int
+		synth := par.Loop{Body: func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				synthGrad(bufs[i], cfg.Seed, history.ClientID(batch[i]), round)
+			}
+		}}
 
 		var peak heapPeak
 		peak.touch()
@@ -195,17 +204,8 @@ func ScaleBench(ctx context.Context, cfg ScaleConfig) ([]ScaleRow, error) {
 					return nil, err
 				}
 				hi := min(lo+chunk, len(cohort))
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for i := lo + w; i < hi; i += workers {
-							synthGrad(bufs[i-lo], cfg.Seed, history.ClientID(cohort[i]), t)
-						}
-					}(w)
-				}
-				wg.Wait()
+				batch, round = cohort[lo:hi], t
+				synth.Run(len(batch), workers)
 				for i := lo; i < hi; i++ {
 					id := history.ClientID(cohort[i])
 					weight := 1 + float64(id%8)

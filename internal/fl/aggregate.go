@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"fuiov/internal/history"
+	"fuiov/internal/par"
 	"fuiov/internal/tensor"
 )
 
@@ -88,6 +89,50 @@ const MinRangeWork = 1 << 16
 // MinRangeWork of it, at least one and at most parallelism.
 func RangeWorkers(dim, clients, parallelism int) int {
 	return max(1, min(parallelism, dim*clients/MinRangeWork))
+}
+
+// RangeAggregator is the parallel FedAvg that the engine's commit and
+// the recovery pass both run: InvTotal, then AggregateRange over
+// RangeWorkers contiguous element ranges on a bound par.Loop. Each
+// element is computed once by the same AggregateRange whatever the
+// split, so the result is AggregateInto's, bit for bit, and a
+// steady-state call allocates nothing. The zero value is ready to use;
+// it must not be copied after its first use, nor used concurrently.
+type RangeAggregator struct {
+	loop    par.Loop
+	dst     []float64
+	ids     []history.ClientID
+	grads   map[history.ClientID][]float64
+	weights map[history.ClientID]float64
+	inv     float64
+}
+
+// Aggregate is FedAvg.AggregateInto(dst, ids, grads, weights) split
+// over RangeWorkers(len(dst), len(ids), parallelism) element ranges;
+// it fails as AggregateInto does, before writing dst. ids must be
+// sorted and exactly the keys of grads; nothing is retained past the
+// call.
+func (a *RangeAggregator) Aggregate(dst []float64, ids []history.ClientID, grads map[history.ClientID][]float64, weights map[history.ClientID]float64, parallelism int) error {
+	return a.aggregate(dst, ids, grads, weights, RangeWorkers(len(dst), len(ids), parallelism))
+}
+
+// aggregate is Aggregate at a given number of ranges.
+func (a *RangeAggregator) aggregate(dst []float64, ids []history.ClientID, grads map[history.ClientID][]float64, weights map[history.ClientID]float64, workers int) error {
+	inv, err := FedAvg{}.InvTotal(len(dst), ids, grads, weights)
+	if err != nil {
+		return err
+	}
+	if a.loop.Body == nil {
+		a.loop.Body = a.aggregateRange
+	}
+	a.dst, a.ids, a.grads, a.weights, a.inv = dst, ids, grads, weights, inv
+	a.loop.Run(len(dst), workers)
+	a.dst, a.ids, a.grads, a.weights = nil, nil, nil, nil
+	return nil
+}
+
+func (a *RangeAggregator) aggregateRange(lo, hi int) {
+	FedAvg{}.AggregateRange(a.dst, a.ids, a.grads, a.weights, a.inv, lo, hi)
 }
 
 // AggregateRange writes elements [lo, hi) of the weighted average into

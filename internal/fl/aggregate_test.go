@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fuiov/internal/history"
+	"fuiov/internal/rng"
 )
 
 // aggSpecials are the gradient values a vector reduction is most
@@ -258,4 +259,95 @@ func pairwise(shards []shardAcc, dim int) []float64 {
 		out[j] = v * inv
 	}
 	return out
+}
+
+// TestRangeAggregatorMatchesFedAvg: the RangeAggregator's element-range
+// split of FedAvg is AggregateInto on the full vector, bit for bit, for
+// dimensions around the split points and one client up to sixteen with
+// unequal (and some defaulted) weights, at widths 1, 2 and 3 forced
+// whatever RangeWorkers would pick; and it fails with AggregateInto's
+// error on a negative weight, a zero total weight and a length
+// mismatch.
+func TestRangeAggregatorMatchesFedAvg(t *testing.T) {
+	r := rng.New(27)
+	for _, dim := range []int{1, 3, 4, 5, 1211, 1212, 34186} {
+		for _, width := range []int{1, 2, 3} {
+			var a RangeAggregator
+			var ids []history.ClientID
+			grads := make(map[history.ClientID][]float64)
+			weights := make(map[history.ClientID]float64)
+			got, want := make([]float64, dim), make([]float64, dim)
+			for clients := 1; clients <= 16; clients++ {
+				name := fmt.Sprintf("dim %d width %d clients %d", dim, width, clients)
+				ids = ids[:0]
+				clear(grads)
+				clear(weights)
+				for c := 0; c < clients; c++ {
+					id := history.ClientID(3*c + 1)
+					ids = append(ids, id)
+					g := make([]float64, dim)
+					for i := range g {
+						g[i] = r.NormalScaled(0, 1)
+					}
+					grads[id] = g
+					if c%4 != 3 { // every fourth client takes the default weight
+						weights[id] = float64(1 + r.IntN(200))
+					}
+				}
+				if err := (FedAvg{}).AggregateInto(want, ids, grads, weights); err != nil {
+					t.Fatal(err)
+				}
+				clear(got)
+				if err := a.aggregate(got, ids, grads, weights, width); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				sameBits(t, name, got, want)
+			}
+
+			last := ids[len(ids)-1]
+			bad := []struct {
+				name  string
+				spoil func()
+			}{
+				{"negative weight", func() { weights[ids[2]] = -1 }},
+				{"zero total weight", func() {
+					for _, id := range ids {
+						weights[id] = 0
+					}
+				}},
+				{"length mismatch", func() { grads[last] = grads[last][:dim-1] }},
+			}
+			for _, b := range bad {
+				keepG, keepW := grads[last], make(map[history.ClientID]float64, len(weights))
+				for id, w := range weights {
+					keepW[id] = w
+				}
+				b.spoil()
+				wantErr := (FedAvg{}).AggregateInto(want, ids, grads, weights)
+				gotErr := a.aggregate(got, ids, grads, weights, width)
+				if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+					t.Errorf("dim %d width %d %s: err %v, AggregateInto %v", dim, width, b.name, gotErr, wantErr)
+				}
+				grads[last], weights = keepG, keepW
+			}
+		}
+	}
+}
+
+// TestRangeWorkersOffForSmallModels: the split stays off below
+// MinRangeWork of aggregation — at the TrafficCNN's 1 212 parameters
+// for any fleet a test or benchmark runs — and never exceeds the
+// caller's parallelism.
+func TestRangeWorkersOffForSmallModels(t *testing.T) {
+	for clients := 1; clients <= 16; clients++ {
+		if w := RangeWorkers(1212, clients, 8); w != 1 {
+			t.Errorf("dim 1212, %d clients: %d range workers, want the split off", clients, w)
+		}
+	}
+	if w := RangeWorkers(34186, 15, 2); w != 2 {
+		t.Errorf("dim 34186, 15 clients, parallelism 2: %d range workers, want 2", w)
+	}
+	if w := RangeWorkers(34186, 15, 64); w != 34186*15/MinRangeWork {
+		t.Errorf("dim 34186, 15 clients, parallelism 64: %d range workers, want %d", w, 34186*15/MinRangeWork)
+	}
 }

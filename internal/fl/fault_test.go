@@ -395,7 +395,8 @@ func TestFaultPolicyValidate(t *testing.T) {
 
 // TestNaNOptionsRejected: a NaN option fails its range check instead
 // of slipping past both ends of it (a NaN quorum would otherwise make
-// QuorumCount negative and turn the quorum off).
+// QuorumCount negative and turn the quorum off), and so does an
+// infinite learning rate.
 func TestNaNOptionsRejected(t *testing.T) {
 	clients, _, net := buildFederation(t, 2, 60, 1)
 	nan := math.NaN()
@@ -404,12 +405,13 @@ func TestNaNOptionsRejected(t *testing.T) {
 		cfg  Config
 	}{
 		{"learning rate", Config{LearningRate: nan}},
+		{"learning rate +Inf", Config{LearningRate: math.Inf(1)}},
 		{"quorum", Config{LearningRate: 0.1, FaultPolicy: &FaultPolicy{Quorum: nan}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := NewSimulation(net, clients, tc.cfg); err == nil {
-				t.Error("NewSimulation accepted a NaN")
+				t.Error("NewSimulation accepted it")
 			}
 		})
 	}

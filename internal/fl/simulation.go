@@ -5,14 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"fuiov/internal/faults"
 	"fuiov/internal/history"
 	"fuiov/internal/nn"
+	"fuiov/internal/par"
 	"fuiov/internal/telemetry"
 	"fuiov/internal/tensor"
 )
@@ -238,10 +239,6 @@ type Simulation struct {
 	clients  []*Client
 	round    int
 	met      simMetrics
-	// sem bounds the concurrent client computations (cap =
-	// Parallelism). The engine runs one round at a time, so it is idle
-	// between calls of computeChunk.
-	sem chan struct{}
 
 	// known is the registered-client set (O(1) upload validation in
 	// RoundStream.Add).
@@ -274,8 +271,8 @@ func NewSimulation(template *nn.Network, clients []*Client, cfg Config) (*Simula
 	if len(clients) == 0 {
 		return nil, fmt.Errorf("fl: no clients")
 	}
-	if !(cfg.LearningRate > 0) {
-		return nil, fmt.Errorf("fl: non-positive learning rate %v", cfg.LearningRate)
+	if !(cfg.LearningRate > 0 && cfg.LearningRate <= math.MaxFloat64) {
+		return nil, fmt.Errorf("fl: learning rate %v is not a finite positive number", cfg.LearningRate)
 	}
 	known := make(map[history.ClientID]bool, len(clients))
 	var maxID history.ClientID
@@ -326,7 +323,6 @@ func NewSimulation(template *nn.Network, clients []*Client, cfg Config) (*Simula
 		known:    known,
 		round:    cfg.StartRound,
 		met:      newSimMetrics(cfg.Telemetry),
-		sem:      make(chan struct{}, cfg.Parallelism),
 	}
 	s.respBits = history.NewBitmap(int(maxID) + 1)
 	s.aggOut = make([]float64, len(s.params))
@@ -505,10 +501,11 @@ func (s *Simulation) RunRoundContext(ctx context.Context) error {
 	return s.SubmitRoundStream(rs, len(cohort))
 }
 
-// computeChunk computes round t's gradient of every client of cs — at
-// most cap(sem) at a time, each adjudicated by callWithFaults — into
-// res[i], and waits for all of them. If ctx is cancelled by then it
-// returns ctx's error and tallies nothing. Otherwise the calls' fault
+// computeChunk computes round t's gradient of every client of cs into
+// res[i], each adjudicated by callWithFaults, and waits for all of
+// them: Parallelism workers each take a run of consecutive clients.
+// If ctx is cancelled by then it returns ctx's error and tallies
+// nothing. Otherwise the calls' fault
 // counters are tallied and the failures judged: without a policy every
 // failing client is an error — all of them joined, not just the first,
 // and counted in fl.client_errors; under a policy a failing client is
@@ -516,20 +513,13 @@ func (s *Simulation) RunRoundContext(ctx context.Context) error {
 // the error is nil.
 func (s *Simulation) computeChunk(ctx context.Context, t int, cs []*Client, res []callResult) error {
 	policy := s.cfg.FaultPolicy
-	var wg sync.WaitGroup
-	for i, c := range cs {
-		// Acquire before spawning so at most cap(sem) goroutines (and
-		// their gradient buffers) ever exist.
-		s.sem <- struct{}{}
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			defer func() { <-s.sem }()
-			res[i] = callWithFaults(ctx, s.cfg.Faults, policy, s.cfg.Seed, c.ID, t,
+	l := par.Loop{Body: func(lo, hi int) {
+		for i, c := range cs[lo:hi] {
+			res[lo+i] = callWithFaults(ctx, s.cfg.Faults, policy, s.cfg.Seed, c.ID, t,
 				func() ([]float64, error) { return c.ComputeGradient(s.template, s.params, s.cfg.Seed, t) })
-		}(i, c)
-	}
-	wg.Wait()
+		}
+	}}
+	l.Run(len(cs), s.cfg.Parallelism)
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -68,6 +68,7 @@ type cohortBuffer struct {
 	// parallelism bounds Resolve's element-range split (the engine's
 	// Config.Parallelism).
 	parallelism int
+	agg         RangeAggregator
 
 	mu      sync.Mutex
 	ids     []history.ClientID
@@ -93,31 +94,11 @@ func (b *cohortBuffer) Add(id history.ClientID, grad []float64, weight float64) 
 
 // Resolve implements StreamAggregator: FedAvg.AggregateInto over the
 // sorted IDs — Aggregate's summation order without its per-round
-// result allocation. A cohort worth more than MinRangeWork of summing
-// splits [0, dim) into RangeWorkers contiguous element ranges, the
-// calling goroutine taking the first; each element is computed once by
-// the same AggregateRange whatever the split, so the bits do not
-// depend on it.
+// result allocation — split over element ranges by the
+// RangeAggregator, whose bits do not depend on the split.
 func (b *cohortBuffer) Resolve(dst []float64) error {
 	slices.Sort(b.ids)
-	f := FedAvg{}
-	inv, err := f.InvTotal(len(dst), b.ids, b.grads, b.weights)
-	if err != nil {
-		return err
-	}
-	workers := RangeWorkers(len(dst), len(b.ids), b.parallelism)
-	chunk := (len(dst) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := chunk; lo < len(dst); lo += chunk {
-		wg.Add(1)
-		go func(lo int) {
-			defer wg.Done()
-			f.AggregateRange(dst, b.ids, b.grads, b.weights, inv, lo, min(lo+chunk, len(dst)))
-		}(lo)
-	}
-	f.AggregateRange(dst, b.ids, b.grads, b.weights, inv, 0, min(chunk, len(dst)))
-	wg.Wait()
-	return nil
+	return b.agg.Aggregate(dst, b.ids, b.grads, b.weights, b.parallelism)
 }
 
 // Folded implements StreamAggregator.

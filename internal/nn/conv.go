@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fuiov/internal/par"
 	"fuiov/internal/rng"
 	"fuiov/internal/tensor"
 )
@@ -47,9 +48,9 @@ type Conv2D struct {
 	// each sample.
 	xpad, gpad, work []float64
 
-	// fan runs sample over a batch's samples for the stage being
-	// run; fx and fy are that stage's input and output batches.
-	fan    sampleFan
+	// loop runs samples over a batch for the stage being run; fx and
+	// fy are that stage's input and output batches.
+	loop   par.Loop
 	stage  convStage
 	fx, fy *Batch
 	timing bool
@@ -91,7 +92,7 @@ func NewConv2D(inC, outC, k int, pad bool) *Conv2D {
 	n := outC*inC*k*k + outC
 	c := &Conv2D{InC: inC, OutC: outC, K: k, Pad: pad,
 		params: make([]float64, n), grads: make([]float64, n)}
-	c.fan.run = c.sample
+	c.loop.Body = c.samples
 	return c
 }
 
@@ -173,17 +174,19 @@ func (c *Conv2D) Forward(x *Batch) *Batch {
 	c.xpad = growFloats(c.xpad, x.N*g.xlen)
 	c.work = growFloats(c.work, x.N*c.OutC*outDims.H*g.pw)
 	c.stage, c.fx, c.fy, c.timing = convForward, x, out, kernelTimingOn.Load()
-	c.fan.forEach(x.N, 2*c.OutC*len(g.win)*outDims.H*g.pw)
+	c.loop.Run(x.N, par.Workers(x.N, 2*c.OutC*len(g.win)*outDims.H*g.pw))
 	c.fx, c.fy = nil, nil
 	return out
 }
 
-// sample runs the current stage on sample n.
-func (c *Conv2D) sample(n int) {
-	if c.stage == convForward {
-		c.forwardSample(n)
-	} else {
-		c.inputGradSample(n)
+// samples runs the current stage on samples [lo, hi).
+func (c *Conv2D) samples(lo, hi int) {
+	for n := lo; n < hi; n++ {
+		if c.stage == convForward {
+			c.forwardSample(n)
+		} else {
+			c.inputGradSample(n)
+		}
 	}
 }
 
@@ -249,7 +252,7 @@ func (c *Conv2D) Backward(dy *Batch) *Batch {
 	c.gpad = growFloats(c.gpad, x.N*g.glen)
 	c.work = growFloats(c.work, x.N*c.InC*x.Dims.H*g.gw)
 	c.stage, c.fx, c.fy, c.timing = convInputGrad, dy, dx, kernelTimingOn.Load()
-	c.fan.forEach(x.N, 2*c.OutC*len(g.win)*x.Dims.H*g.gw)
+	c.loop.Run(x.N, par.Workers(x.N, 2*c.OutC*len(g.win)*x.Dims.H*g.gw))
 	c.fx, c.fy = nil, nil
 	c.backwardParams(dy)
 	return dx

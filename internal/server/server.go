@@ -684,7 +684,9 @@ type unlearnReply struct {
 // strategyRequest assembles a strategy.Request from everything the
 // coordinator's engine holds: the direction store and any recorded
 // full-gradient tier, the client handles, the serving model and the
-// training configuration. Called with mu held.
+// training configuration. Every strategy runs at /v1/unlearn's
+// learning rate (Config.Unlearn.LearningRate, the engine's unless
+// set). Called with mu held.
 func (c *Coordinator) strategyRequest(forgotten []history.ClientID) strategy.Request {
 	ecfg := c.cfg.Engine.Config()
 	req := strategy.Request{
@@ -693,7 +695,7 @@ func (c *Coordinator) strategyRequest(forgotten []history.ClientID) strategy.Req
 		Template:     c.cfg.Engine.Template(),
 		Clients:      c.cfg.Engine.Clients(),
 		FinalParams:  c.cfg.Engine.Params(),
-		LearningRate: ecfg.LearningRate,
+		LearningRate: c.cfg.Unlearn.LearningRate,
 		Rounds:       c.cfg.Engine.Round(),
 		Seed:         ecfg.Seed,
 		Parallelism:  ecfg.Parallelism,

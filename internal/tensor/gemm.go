@@ -2,10 +2,9 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"fuiov/internal/cpuid"
+	"fuiov/internal/par"
 )
 
 // Cache-blocked, goroutine-parallel GEMM kernels.
@@ -28,45 +27,7 @@ const (
 	// gemmBlockJ bounds the width of the output panel accumulated per
 	// pass, keeping the dst row segment plus the b panel L2-resident.
 	gemmBlockJ = 256
-	// gemmMinParallelFlops is the total multiply-add count below which
-	// spawning goroutines costs more than it saves.
-	gemmMinParallelFlops = 1 << 15
 )
-
-// serialRows reports whether a row-partitioned kernel should run on
-// the calling goroutine: a single P, a single row, or too little work
-// to amortise goroutine startup. Each kernel checks this BEFORE
-// building the closure for parallelRows, so the serial path allocates
-// nothing (a closure passed near a go statement always escapes).
-func serialRows(rows, flopsPerRow int) bool {
-	return runtime.GOMAXPROCS(0) <= 1 || rows <= 1 ||
-		rows*flopsPerRow < gemmMinParallelFlops
-}
-
-// parallelRows splits [0, rows) into contiguous chunks, one goroutine
-// each. fn must touch only output rows in [lo, hi), which makes the
-// partitioning invisible in the results. Callers gate on serialRows
-// first.
-func parallelRows(rows int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	chunk := (rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 func mustShape(op string, gotR, gotC, wantR, wantC int) {
 	if gotR != wantR || gotC != wantC {
@@ -94,15 +55,17 @@ func MatMulInto(dst, a, b *Matrix) {
 // partitioning.
 func gemmNN(dst, a, b *Matrix) {
 	k, n := a.Cols, b.Cols
-	if serialRows(a.Rows, 2*k*n) {
+	w := par.Workers(a.Rows, 2*k*n)
+	if w == 1 {
 		gemmNNRange(dst, a, b, 0, a.Rows)
 		return
 	}
-	// The closure captures value copies of the headers: capturing the
+	// The loop body captures value copies of the headers: capturing the
 	// incoming pointers would force every caller-built Matrix header to
 	// the heap, even on the serial path.
 	dd, aa, bb := *dst, *a, *b
-	parallelRows(a.Rows, func(lo, hi int) { gemmNNRange(&dd, &aa, &bb, lo, hi) })
+	l := par.Loop{Body: func(lo, hi int) { gemmNNRange(&dd, &aa, &bb, lo, hi) }}
+	l.Run(a.Rows, w)
 }
 
 // gemmNNRange accumulates output rows [lo, hi) of dst += a*b, in
@@ -285,12 +248,14 @@ func MatMulNTAddInto(dst, a, b *Matrix) {
 			a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	mustShape("MatMulNTAddInto", dst.Rows, dst.Cols, a.Rows, b.Rows)
-	if serialRows(a.Rows, 2*a.Cols*b.Rows) {
+	w := par.Workers(a.Rows, 2*a.Cols*b.Rows)
+	if w == 1 {
 		gemmNTRange(dst, a, b, 0, a.Rows)
 		return
 	}
 	dd, aa, bb := *dst, *a, *b
-	parallelRows(a.Rows, func(lo, hi int) { gemmNTRange(&dd, &aa, &bb, lo, hi) })
+	l := par.Loop{Body: func(lo, hi int) { gemmNTRange(&dd, &aa, &bb, lo, hi) }}
+	l.Run(a.Rows, w)
 }
 
 // gemmNTRange computes output rows [lo, hi) of dst += a*bᵀ, gemmBlockJ
@@ -390,12 +355,14 @@ func gemmTNChecked(op string, dst, a, b *Matrix, acc bool) {
 			op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	mustShape(op, dst.Rows, dst.Cols, a.Cols, b.Cols)
-	if serialRows(a.Cols, 2*a.Rows*b.Cols) {
+	w := par.Workers(a.Cols, 2*a.Rows*b.Cols)
+	if w == 1 {
 		gemmTNRange(dst, a, b, acc, 0, a.Cols)
 		return
 	}
 	dd, aa, bb := *dst, *a, *b
-	parallelRows(a.Cols, func(lo, hi int) { gemmTNRange(&dd, &aa, &bb, acc, lo, hi) })
+	l := par.Loop{Body: func(lo, hi int) { gemmTNRange(&dd, &aa, &bb, acc, lo, hi) }}
+	l.Run(a.Cols, w)
 }
 
 // gemmTNRange computes output rows [lo, hi) of dst = (dst +) aᵀ*b: row
@@ -415,12 +382,14 @@ func (m *Matrix) MulVecInto(dst, v Vec) {
 	if len(dst) != m.Rows {
 		panic(fmt.Sprintf("tensor.MulVecInto: dst length %d, want %d", len(dst), m.Rows))
 	}
-	if serialRows(m.Rows, 2*m.Cols) {
+	w := par.Workers(m.Rows, 2*m.Cols)
+	if w == 1 {
 		m.mulVecRange(dst, v, 0, m.Rows)
 		return
 	}
 	mm := *m
-	parallelRows(m.Rows, func(lo, hi int) { mm.mulVecRange(dst, v, lo, hi) })
+	l := par.Loop{Body: func(lo, hi int) { mm.mulVecRange(dst, v, lo, hi) }}
+	l.Run(m.Rows, w)
 }
 
 // mulVecRange computes dst[lo:hi] of the matrix-vector product.

@@ -73,7 +73,7 @@ func (s Retrain) Unlearn(ctx context.Context, req Request) (*Result, error) {
 	fresh := req.Template.Clone()
 	fresh.Init(rng.New(req.Seed).Split(0xfe7a11))
 	sim, err := fl.NewSimulation(fresh, remaining, fl.Config{
-		LearningRate: req.lr(),
+		LearningRate: req.LearningRate,
 		Seed:         req.Seed,
 		Parallelism:  req.Parallelism,
 		Telemetry:    req.Telemetry,
@@ -164,7 +164,7 @@ func (s FedRecover) Unlearn(ctx context.Context, req Request) (*Result, error) {
 	if pairSize == 0 {
 		pairSize = 2
 	}
-	tel, full, eta := req.Telemetry, req.Full, req.lr()
+	tel, full, eta := req.Telemetry, req.Full, req.LearningRate
 	span := tel.Timer(telemetry.FedRecoverTotal).Start()
 	defer span.End()
 	total := full.Rounds()
@@ -338,7 +338,7 @@ func (FedRecovery) Needs() Needs { return NeedsFullHistory | NeedsFinalParams }
 // replayed-round boundary with the context's error if ctx is cancelled
 // and is timed under unlearn.strategy.fedrecovery.total.
 func (FedRecovery) Unlearn(ctx context.Context, req Request) (*Result, error) {
-	full, eta := req.Full, req.lr()
+	full, eta := req.Full, req.LearningRate
 	if req.Noise < 0 {
 		return nil, fmt.Errorf("fedrecovery: negative noise stddev %v", req.Noise)
 	}

@@ -39,7 +39,7 @@ func (FedEraser) Unlearn(ctx context.Context, req Request) (*Result, error) {
 	defer span.End()
 	calibrated := req.Telemetry.Counter(telemetry.FedEraserCalibrated)
 
-	full, eta := req.Full, req.lr()
+	full, eta := req.Full, req.LearningRate
 	backtrack := math.MaxInt
 	for _, id := range req.Forgotten {
 		f, err := full.JoinRound(id)

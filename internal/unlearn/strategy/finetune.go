@@ -32,7 +32,7 @@ func fineTune(ctx context.Context, req Request, start []float64, rounds int, see
 	tmpl := req.Template.Clone()
 	tmpl.SetParamVector(start)
 	sim, err := fl.NewSimulation(tmpl, remaining, fl.Config{
-		LearningRate: req.lr(),
+		LearningRate: req.LearningRate,
 		Seed:         rng.Mix(req.Seed, seedTag),
 		Parallelism:  req.Parallelism,
 		Telemetry:    req.Telemetry,

@@ -25,9 +25,7 @@ func (Paper) Needs() Needs { return NeedsDirectionStore }
 // Unlearn backtracks and recovers through unlearn.Unlearner.
 func (Paper) Unlearn(ctx context.Context, req Request) (*Result, error) {
 	cfg := req.Unlearn
-	if cfg.LearningRate <= 0 {
-		cfg.LearningRate = req.LearningRate
-	}
+	cfg.LearningRate = req.LearningRate
 	if cfg.Parallelism == 0 {
 		cfg.Parallelism = req.Parallelism
 	}

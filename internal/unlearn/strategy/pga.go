@@ -60,7 +60,7 @@ func (p PGA) Unlearn(ctx context.Context, req Request) (*Result, error) {
 	}
 	rate := p.AscentRate
 	if rate <= 0 {
-		rate = req.lr()
+		rate = req.LearningRate
 	}
 	ref := req.FinalParams
 	radius := p.Radius

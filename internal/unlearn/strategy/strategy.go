@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -102,7 +103,8 @@ type Request struct {
 	Clients []*fl.Client
 	// FinalParams is the trained global model w_T (NeedsFinalParams).
 	FinalParams []float64
-	// LearningRate is η, shared with original training. Required.
+	// LearningRate is η, shared with original training: the one rate
+	// every strategy reads. Required; a finite positive number.
 	LearningRate float64
 	// Rounds is the original training horizon T, used by strategies
 	// that retrain or fine-tune. 0 falls back to what the provided
@@ -119,7 +121,8 @@ type Request struct {
 	Noise float64
 	// Unlearn carries the paper-scheme knobs (pair size, clip
 	// threshold, refresh period, bootstrap hooks). Only the paper
-	// strategy reads it; its zero value selects the paper defaults.
+	// strategy reads it, with its LearningRate replaced by the
+	// request's; its zero value selects the paper defaults.
 	Unlearn unlearn.Config
 	// Telemetry, when non-nil, receives each strategy's timers and
 	// counters under unlearn.strategy.<name>. Nil disables
@@ -133,8 +136,8 @@ func (r Request) Validate(needs Needs) error {
 	if len(r.Forgotten) == 0 {
 		return fmt.Errorf("%w: no clients to forget", ErrMissingInput)
 	}
-	if r.LearningRate <= 0 && r.Unlearn.LearningRate <= 0 {
-		return fmt.Errorf("%w: learning rate not set", ErrMissingInput)
+	if !(r.LearningRate > 0 && r.LearningRate <= math.MaxFloat64) {
+		return fmt.Errorf("%w: learning rate %v is not a finite positive number", ErrMissingInput, r.LearningRate)
 	}
 	if needs.Has(NeedsDirectionStore) && r.Store == nil {
 		return fmt.Errorf("%w: direction store required", ErrMissingInput)
@@ -152,15 +155,6 @@ func (r Request) Validate(needs Needs) error {
 		return fmt.Errorf("%w: final model parameters required", ErrMissingInput)
 	}
 	return nil
-}
-
-// lr returns the effective learning rate (the paper config's value
-// wins when set, matching unlearn.Config semantics).
-func (r Request) lr() float64 {
-	if r.LearningRate > 0 {
-		return r.LearningRate
-	}
-	return r.Unlearn.LearningRate
 }
 
 // forgottenSet returns the forgotten IDs as a lookup.

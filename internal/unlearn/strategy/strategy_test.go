@@ -144,6 +144,37 @@ func TestValidateNeeds(t *testing.T) {
 	}
 }
 
+// TestLearningRateRejected: every builtin refuses a request whose one
+// learning rate is not a finite positive number — NaN and +Inf
+// included, and a rate set only on the paper config — before it does
+// any work, instead of returning the un-unlearned model (NaN) or an
+// infinite one (+Inf).
+func TestLearningRateRejected(t *testing.T) {
+	base := fixture(t)
+	cases := []struct {
+		name          string
+		lr, unlearnLR float64
+	}{
+		{"zero", 0, 0},
+		{"negative", -0.1, 0},
+		{"NaN", math.NaN(), 0},
+		{"+Inf", math.Inf(1), 0},
+		{"paper config only", 0, 0.1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, name := range builtins {
+				req := base
+				req.LearningRate = tc.lr
+				req.Unlearn.LearningRate = tc.unlearnLR
+				if _, err := Unlearn(context.Background(), name, req); !errors.Is(err, ErrMissingInput) {
+					t.Errorf("%s: err = %v, want ErrMissingInput", name, err)
+				}
+			}
+		})
+	}
+}
+
 // TestStrategyDeterminism runs every builtin twice on one fixture and
 // demands bit-equal results — the repo-wide reproducibility invariant
 // extended to the strategy layer.

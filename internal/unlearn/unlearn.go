@@ -8,12 +8,12 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"fuiov/internal/fl"
 	"fuiov/internal/history"
 	"fuiov/internal/lbfgs"
+	"fuiov/internal/par"
 	"fuiov/internal/sign"
 	"fuiov/internal/telemetry"
 	"fuiov/internal/tensor"
@@ -115,8 +115,8 @@ func (c Config) validate() error {
 	if c.RefreshEvery < 0 {
 		return fmt.Errorf("unlearn: negative refresh period %d", c.RefreshEvery)
 	}
-	if !(c.LearningRate > 0) {
-		return fmt.Errorf("unlearn: non-positive learning rate %v", c.LearningRate)
+	if !(c.LearningRate > 0 && c.LearningRate <= math.MaxFloat64) {
+		return fmt.Errorf("unlearn: learning rate %v is not a finite positive number", c.LearningRate)
 	}
 	return nil
 }
@@ -339,19 +339,13 @@ func (u *Unlearner) seedPairs(ctx context.Context, st *clientState, id history.C
 }
 
 // estimate is one client-round estimation outcome, collected by the
-// parallel fan-out and folded serially afterwards.
+// parallel estimate loop and folded serially afterwards.
 type estimate struct {
 	clipped   int
 	fallback  bool
 	refreshed bool // the round's pair refresh rebuilt the approximation
 	err       error
 }
-
-// The two stages of a round the fan-out runs.
-const (
-	stageEstimate  = iota // per client: estimate, then refresh
-	stageAggregate        // per element range: FedAvg
-)
 
 // pass is a resumable recovery pass: the entire state of the round loop
 // between round boundaries. runTo(ctx, limit) advances it through
@@ -396,22 +390,18 @@ type pass struct {
 	dw     *lbfgs.Column
 	dwPool []*lbfgs.Column
 
-	// t, refresh, stage, chunk and inv are set per fan-out; they are
-	// hoisted so runChunk (a method, shared by all workers) can see
-	// them.
+	// t and refresh are the round under estimation; they are hoisted
+	// so estimateRange (bound once to estimateLoop) can see them.
 	t       int
 	refresh bool
-	stage   int
-	chunk   int
-	inv     float64 // FedAvg's 1/Σw for the aggregate stage
 
-	// The fan-out is owned by the pass so a steady-state round allocates
-	// nothing at any parallelism: workers[w] is bound once to
-	// runChunk(w) and started with a bare go statement, wg is reused
-	// every round. Workers live only inside a fan-out — an abandoned
-	// pass leaves no goroutine behind.
-	wg      sync.WaitGroup
-	workers []func()
+	// The loops are owned by the pass so a steady-state round allocates
+	// nothing at any parallelism: estimateLoop runs estimateRange over
+	// the remaining clients, agg the FedAvg over the model's elements.
+	// Their goroutines live only inside a Run — an abandoned pass
+	// leaves none behind.
+	estimateLoop par.Loop
+	agg          fl.RangeAggregator
 }
 
 // newPass prepares a recovery pass over rounds f..; wF is the
@@ -456,15 +446,7 @@ func (u *Unlearner) newPass(wF []float64, f int, forgotten []history.ClientID) *
 		dw:          dw,
 		dwPool:      []*lbfgs.Column{dw},
 	}
-	if parallelism > 1 {
-		p.workers = make([]func(), parallelism)
-		for w := range p.workers {
-			p.workers[w] = func() {
-				defer p.wg.Done()
-				p.runChunk(w)
-			}
-		}
-	}
+	p.estimateLoop.Body = p.estimateRange
 	return p
 }
 
@@ -504,13 +486,18 @@ func (p *pass) stateFor(ctx context.Context, id history.ClientID) (*clientState,
 	return st, nil
 }
 
+// estimateRange runs estimateOne for the remaining clients [lo, hi).
+func (p *pass) estimateRange(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		p.estimateOne(i)
+	}
+}
+
 // estimateOne computes the i-th remaining client's corrected gradient
 // estimate for the round under estimation (p.t) and, on a refresh
 // round, refreshes that client's pairs right after: both touch only
 // the client's own state and the round's read-only Δw, so they run
-// inside the fan-out. A method, not a per-round closure: a closure
-// built per round would be a heap allocation each iteration (it
-// escapes through the go statements in fanOut).
+// inside the parallel estimate loop.
 func (p *pass) estimateOne(i int) {
 	id := p.remaining[i]
 	dir, err := p.u.store.Direction(p.t, id)
@@ -541,7 +528,8 @@ func (p *pass) estimateOne(i int) {
 // the sweep unclipped and ClipCount afterwards. Without a usable
 // approximation — none built yet, or a non-finite product — the
 // estimate is the raw stored direction. Each client owns its Approx,
-// so the scratch-backed EstimateInto is safe under the fan-out.
+// so the scratch-backed EstimateInto is safe in the parallel estimate
+// loop.
 func (st *clientState) estimate(dir *sign.Direction, deltaW []float64, refresh bool, l float64, mode ClipMode) estimate {
 	if refresh {
 		// On refresh rounds raw is the pair buffer's Slot, and the
@@ -586,60 +574,6 @@ func (st *clientState) refresh(dw *lbfgs.Column) bool {
 	}
 	st.approx = a
 	return true
-}
-
-// runChunk is fan-out worker w's share of the stage: the w-th
-// contiguous chunk of the remaining clients, or of the model's
-// elements.
-func (p *pass) runChunk(w int) {
-	lo := w * p.chunk
-	switch p.stage {
-	case stageEstimate:
-		for i := lo; i < min(lo+p.chunk, len(p.remaining)); i++ {
-			p.estimateOne(i)
-		}
-	case stageAggregate:
-		fl.FedAvg{}.AggregateRange(p.aggOut, p.remaining, p.grads, p.weights, p.inv, lo, min(lo+p.chunk, len(p.aggOut)))
-	}
-}
-
-// fanOut runs stage over n items split into at most workers contiguous
-// chunks, one per pre-bound worker, inline when that is one chunk.
-// Every item is computed exactly once by the same code whatever the
-// split, so results are bit-identical at any parallelism.
-func (p *pass) fanOut(stage, n, workers int) {
-	if n == 0 {
-		return
-	}
-	p.stage = stage
-	p.chunk = (n + workers - 1) / workers
-	chunks := (n + p.chunk - 1) / p.chunk
-	if chunks == 1 {
-		p.runChunk(0)
-		return
-	}
-	p.wg.Add(chunks)
-	for w := 0; w < chunks; w++ {
-		go p.workers[w]()
-	}
-	p.wg.Wait()
-}
-
-// aggregateRanges combines the round's estimates into the global
-// update (FedAvg, eq. 1), written into p.aggOut with no allocation and
-// its elements split over workers contiguous ranges on the fan-out.
-// Each element still sums the clients in sorted-ID order and then
-// scales by 1/Σw — the bits of FedAvg.AggregateInto: remaining is
-// sorted (ParticipantsInto sorts and the exclusion filter preserves
-// order) and matches the grads keys exactly.
-func (p *pass) aggregateRanges(workers int) error {
-	inv, err := fl.FedAvg{}.InvTotal(len(p.aggOut), p.remaining, p.grads, p.weights)
-	if err != nil {
-		return err
-	}
-	p.inv = inv
-	p.fanOut(stageAggregate, len(p.aggOut), workers)
-	return nil
 }
 
 // nextDW moves the pass off a Δw column that clients now hold, onto a
@@ -711,7 +645,7 @@ func (p *pass) runTo(ctx context.Context, limit int) error {
 		// own buffers, one goroutine per worker, no goroutine-per-client
 		// churn.
 		p.t = t
-		p.fanOut(stageEstimate, len(remaining), min(p.parallelism, len(remaining)))
+		p.estimateLoop.Run(len(remaining), p.parallelism)
 		if p.dw.Held() {
 			p.nextDW()
 		}
@@ -748,7 +682,10 @@ func (p *pass) runTo(ctx context.Context, limit int) error {
 		var aggDur time.Duration
 		if len(p.grads) > 0 {
 			aggSpan := u.met.aggregate.Start()
-			if err := p.aggregateRanges(fl.RangeWorkers(len(p.aggOut), len(remaining), p.parallelism)); err != nil {
+			// FedAvg (eq. 1) of the estimates: remaining is sorted
+			// (ParticipantsInto sorts and the exclusion filter keeps
+			// the order) and is exactly the grads keys.
+			if err := p.agg.Aggregate(p.aggOut, remaining, p.grads, p.weights, p.parallelism); err != nil {
 				return fmt.Errorf("unlearn: round %d: %w", t, err)
 			}
 			tensor.AxpyInPlace(p.wBar, -u.cfg.LearningRate, p.aggOut)

@@ -89,7 +89,8 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestNaNConfigRejected: a NaN option fails its range check instead of
-// slipping past both ends of it.
+// slipping past both ends of it, and so does an infinite learning
+// rate.
 func TestNaNConfigRejected(t *testing.T) {
 	store, _ := history.NewStore(4, 0)
 	nan := math.NaN()
@@ -98,12 +99,13 @@ func TestNaNConfigRejected(t *testing.T) {
 		cfg  Config
 	}{
 		{"learning rate", Config{LearningRate: nan}},
+		{"learning rate +Inf", Config{LearningRate: math.Inf(1)}},
 		{"clip threshold", Config{LearningRate: 0.1, ClipThreshold: nan}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := New(store, tc.cfg); err == nil {
-				t.Error("New accepted a NaN")
+				t.Error("New accepted it")
 			}
 		})
 	}

@@ -146,15 +146,22 @@ go test -race -count=1 -run '^TestQueue' ./internal/unlearn/
 # rounds).
 go test -race -count=1 -run '^TestVerifyForgettingProperty$' ./internal/experiments/
 
+# The one data-parallel loop under the race detector: par.Loop and
+# par.Workers, and the RangeAggregator (the parallel FedAvg of the
+# engine's commit and of recovery) against AggregateInto at forced
+# widths 1-3.
+go test -race -count=1 ./internal/par/
+go test -race -count=1 -run '^TestRangeAggregatorMatchesFedAvg$' ./internal/fl/
+
 # Recovery-kernel equivalence under the race detector: the two-sweep
 # estimate against the retained reference composition (bit-identical
-# est, clip count and fallback flag), the pass-owned fan-out's
-# zero-allocation round at Parallelism 1 and 2, and, because the fan-out
-# refreshes shared pair columns and splits FedAvg by element range, the
-# whole pass's byte budget, the failed-refresh path against a cloning
-# reference, the range split against AggregateInto, and eq. 7's clip
-# bound on every aggregated estimate of a pass run round by round.
-go test -race -count=1 -run '^(TestEstimateMatchesReferenceComposition|TestRecoveryRoundAllocs|TestRecoveryPassAllocBytes|TestFailedRefreshKeepsPreviousApprox|TestAggregateRangesMatchesFedAvg|TestRecoveryEstimatesRespectClipBound)$' ./internal/unlearn/
+# est, clip count and fallback flag), the pass's zero-allocation round
+# at Parallelism 1 and 2, and, because the estimate loop refreshes
+# shared pair columns and FedAvg runs split by element range, the whole
+# pass's byte budget, the failed-refresh path against a cloning
+# reference, and eq. 7's clip bound on every aggregated estimate of a
+# pass run round by round.
+go test -race -count=1 -run '^(TestEstimateMatchesReferenceComposition|TestRecoveryRoundAllocs|TestRecoveryPassAllocBytes|TestFailedRefreshKeepsPreviousApprox|TestRecoveryEstimatesRespectClipBound)$' ./internal/unlearn/
 
 # Dense upload frames under the race detector: the coordinator recycles
 # them, and one must not come back while its round still holds it —
