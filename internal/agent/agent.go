@@ -155,24 +155,32 @@ func (a *Agent) participates(t int) bool {
 	return a.cfg.Schedule == nil || a.cfg.Schedule.Participates(a.cfg.Client.ID, t)
 }
 
-// Run follows the coordinator's round clock until the server reports
-// training done (or answers 410), or the context is cancelled. Each
-// round the agent either computes-and-uploads (in coverage) or sits
-// the round out polling /v1/status (out of coverage).
+// Run follows the coordinator's round clock until training is done (a
+// round reply or /v1/status says so, or the server answers 410), or
+// the context is cancelled. Each round the agent either
+// computes-and-uploads (in coverage) or sits the round out polling
+// /v1/status (out of coverage). A committed round's reply names the
+// next round, so /v1/status is asked only at start, when that next
+// round finds the vehicle out of coverage, and after any answer but
+// 200.
 func (a *Agent) Run(ctx context.Context) error {
 	lastSkipped := -1
+	t, known := 0, false
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		st, err := a.status(ctx)
-		if err != nil {
-			return fmt.Errorf("agent %d: status: %w", a.cfg.Client.ID, err)
+		if !known {
+			st, err := a.status(ctx)
+			if err != nil {
+				return fmt.Errorf("agent %d: status: %w", a.cfg.Client.ID, err)
+			}
+			if st.Done {
+				return nil
+			}
+			t = st.Round
 		}
-		if st.Done {
-			return nil
-		}
-		t := st.Round
+		known = false
 		if !a.participates(t) {
 			if t != lastSkipped {
 				a.met.skips.Inc()
@@ -184,59 +192,71 @@ func (a *Agent) Run(ctx context.Context) error {
 			}
 			continue
 		}
-		done, err := a.runRound(ctx, t)
+		reply, err := a.runRound(ctx, t)
 		if err != nil {
 			return fmt.Errorf("agent %d: round %d: %w", a.cfg.Client.ID, t, err)
 		}
-		if done {
+		if reply.Done {
 			return nil
+		}
+		if reply.committed {
+			t, known = reply.NextRound, true
 		}
 	}
 }
 
 // runRound executes one participation attempt: fetch the round's
 // model, compute the local gradient, upload, and interpret the
-// resolution. It reports done=true when the server says training is
-// over. Losing the round (deadline, quorum failure, duplicate) is not
-// an error — the loop resynchronises from /v1/status.
-func (a *Agent) runRound(ctx context.Context, t int) (done bool, err error) {
+// resolution. Its reply is the server's on a commit; Done is also set
+// when the server answers 410. Losing the round (deadline, quorum
+// failure, duplicate) is not an error — the loop resynchronises from
+// /v1/status.
+func (a *Agent) runRound(ctx context.Context, t int) (roundReply, error) {
 	params, status, err := a.fetchModel(ctx, t)
 	if status == http.StatusGone {
-		return true, nil
+		return roundReply{Done: true}, nil
 	}
 	if status == http.StatusNotFound || status == http.StatusConflict {
 		// The clock moved while we were deciding; resynchronise.
-		return false, sleepCtx(ctx, a.cfg.PollInterval)
+		return roundReply{}, sleepCtx(ctx, a.cfg.PollInterval)
 	}
 	if err != nil {
-		return false, err
+		return roundReply{}, err
 	}
 	g, err := a.cfg.Client.ComputeGradient(a.cfg.Template, params, a.cfg.Seed, t)
 	if err != nil {
-		return false, err
+		return roundReply{}, err
 	}
 	if a.cfg.UploadDelay > 0 {
 		if err := sleepCtx(ctx, a.cfg.UploadDelay); err != nil {
-			return false, err
+			return roundReply{}, err
 		}
 	}
-	status, err = a.upload(ctx, t, g)
+	status, reply, err := a.upload(ctx, t, g)
 	switch status {
 	case http.StatusOK:
 		a.met.rounds.Inc()
-		return false, nil
+		return reply, nil
 	case http.StatusGone:
-		return true, nil
+		return roundReply{Done: true}, nil
 	case http.StatusServiceUnavailable,
 		http.StatusRequestTimeout,
 		http.StatusConflict:
 		// Quorum failure (the window will re-collect or was skipped),
 		// a missed deadline, or a round mismatch: not fatal, fall back
 		// to the status poll and follow the clock.
-		return false, sleepCtx(ctx, a.cfg.PollInterval)
+		return roundReply{}, sleepCtx(ctx, a.cfg.PollInterval)
 	default:
-		return false, err
+		return roundReply{}, err
 	}
+}
+
+// roundReply mirrors the fields of POST /v1/round's 200 body the agent
+// follows; committed records that the body was one.
+type roundReply struct {
+	NextRound int  `json:"next_round"`
+	Done      bool `json:"done"`
+	committed bool
 }
 
 // statusReply mirrors the server's /v1/status body (the fields the
@@ -306,14 +326,17 @@ func (a *Agent) fetchModel(ctx context.Context, t int) ([]float64, int, error) {
 }
 
 // upload POSTs the gradient frame for round t and waits for the
-// round's resolution. The returned status is the HTTP code.
-func (a *Agent) upload(ctx context.Context, t int, g []float64) (int, error) {
+// round's resolution. The returned status is the HTTP code, and on 200
+// the reply is the decoded commit summary (left uncommitted if the body
+// is not one, so the caller falls back to /v1/status).
+func (a *Agent) upload(ctx context.Context, t int, g []float64) (int, roundReply, error) {
 	a.frame.Reset()
 	if err := server.WriteUpload(&a.frame, a.cfg.Client.ID, t, a.cfg.Client.Weight(),
 		a.cfg.Encoding, g, a.cfg.Delta, a.cfg.Scale); err != nil {
-		return 0, err
+		return 0, roundReply{}, err
 	}
 	var code int
+	var reply roundReply
 	err := a.withRetry(ctx, func() error {
 		span := a.met.uploadDur.Start()
 		defer span.End()
@@ -329,9 +352,12 @@ func (a *Agent) upload(ctx context.Context, t int, g []float64) (int, error) {
 		}
 		defer drain(resp)
 		code = resp.StatusCode
+		if code == http.StatusOK {
+			reply.committed = json.NewDecoder(resp.Body).Decode(&reply) == nil
+		}
 		return nil
 	})
-	return code, err
+	return code, reply, err
 }
 
 // withRetry runs op, retrying transport-level failures at once within

@@ -45,6 +45,7 @@ type coordinator struct {
 	uploads []*server.Upload // accepted uploads, in round order
 	models  map[int]int      // GET /v1/model/{t} count per round
 	posts   map[int]int      // POST /v1/round count per claimed round
+	polls   int              // GET /v1/status count
 }
 
 func newCoordinator(t *testing.T, rounds int, params []float64) *coordinator {
@@ -57,6 +58,7 @@ func (c *coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer c.mu.Unlock()
 	switch {
 	case r.URL.Path == "/v1/status":
+		c.polls++
 		_ = json.NewEncoder(w).Encode(map[string]any{
 			"round": c.round, "done": c.round >= c.rounds, "dim": len(c.params)})
 	case strings.HasPrefix(r.URL.Path, "/v1/model/"):
@@ -103,6 +105,8 @@ func (c *coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			c.params[i] -= 0.1 * g
 		}
 		c.round++
+		_ = json.NewEncoder(w).Encode(map[string]any{"round": up.Round, "committed": true,
+			"next_round": c.round, "done": c.round >= c.rounds})
 	default:
 		c.t.Errorf("unexpected request %s %s", r.Method, r.URL.Path)
 		w.WriteHeader(http.StatusNotFound)
@@ -180,6 +184,32 @@ func TestAgentUploadsMatchInProcess(t *testing.T) {
 		}
 		if round > 0 && math.Float64bits(up.Grad[0]) == math.Float64bits(c.uploads[round-1].Grad[0]) {
 			t.Fatalf("round %d repeated round %d's gradient", round, round-1)
+		}
+	}
+}
+
+// TestAgentFollowsRoundReply checks that a vehicle in coverage for the
+// whole run follows each commit's reply to the next round: one status
+// poll at start, one model fetch and one upload per round, and no
+// upload after the reply that says training is done (so no 410).
+func TestAgentFollowsRoundReply(t *testing.T) {
+	const rounds = 4
+	_, template := testVehicle()
+	c := newCoordinator(t, rounds, template.ParamVector())
+	if err := runAgent(t, c, nil); err != nil {
+		t.Fatal(err)
+	}
+	if c.polls != 1 {
+		t.Errorf("%d status polls, want 1", c.polls)
+	}
+	for round := 0; round <= rounds; round++ {
+		want := 1
+		if round == rounds {
+			want = 0
+		}
+		if c.models[round] != want || c.posts[round] != want {
+			t.Errorf("round %d: %d model fetches and %d uploads, want %d of each",
+				round, c.models[round], c.posts[round], want)
 		}
 	}
 }

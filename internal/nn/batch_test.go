@@ -56,7 +56,7 @@ func TestConstructorValidation(t *testing.T) {
 		{"dense", func() { NewDense(0, 5) }},
 		{"conv", func() { NewConv2D(0, 3, 3, true) }},
 		{"convEvenPad", func() { NewConv2D(1, 1, 2, true) }},
-		{"pool", func() { NewMaxPool2D(0) }},
+		{"pool", func() { NewConvReLUPool(1, 1, 2) }},
 		{"mlp", func() { NewMLP(5) }},
 	}
 	for _, tc := range cases {
@@ -72,7 +72,7 @@ func TestConstructorValidation(t *testing.T) {
 }
 
 func TestBackwardBeforeForwardPanics(t *testing.T) {
-	layers := []Layer{NewDense(2, 2), NewConv2D(1, 1, 3, true), NewMaxPool2D(2), NewReLU(), NewTanh()}
+	layers := []Layer{NewDense(2, 2), NewConv2D(1, 1, 3, true), NewConvReLUPool(1, 1, 3), NewReLU(), NewTanh()}
 	dy := NewBatch(1, Dims{C: 2, H: 1, W: 1})
 	for _, l := range layers {
 		func() {
@@ -87,8 +87,10 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 }
 
 func TestPoolCropsIndivisibleInput(t *testing.T) {
-	// 5x5 input with pool 2 crops to 2x2 output.
-	p := NewMaxPool2D(2)
+	// 5x5 input with pool 2 crops to 2x2 output; the 1×1 convolution
+	// with weight 1 and bias 0 passes the non-negative input through.
+	p := NewConvReLUPool(1, 1, 1)
+	p.params[0] = 1
 	out := p.OutputDims(Dims{C: 1, H: 5, W: 5})
 	if out.H != 2 || out.W != 2 {
 		t.Errorf("OutputDims = %+v", out)

@@ -19,7 +19,7 @@ import (
 // Every pass works on zero-padded copies of a sample and never builds
 // a patch panel. A receptive field is a window of the padded copy, so
 // the forward pass is one matrix product whose right operand's rows are
-// overlapping windows of that copy (tensor.WindowMulAddInto), computed
+// overlapping windows of that copy (tensor.WindowMulBiasInto), computed
 // at the padded width with the real columns copied out. The input
 // gradient convolves the zero-padded output gradient with the flipped
 // kernel one tap (ky, kx) at a time (tensor.WindowMulSumInto), and the
@@ -83,17 +83,23 @@ var _ Layer = (*Conv2D)(nil)
 // NewConv2D constructs the layer. K must be positive and odd when
 // same-padding is requested.
 func NewConv2D(inC, outC, k int, pad bool) *Conv2D {
-	if inC <= 0 || outC <= 0 || k <= 0 {
-		panic(fmt.Sprintf("nn.NewConv2D: invalid shape inC=%d outC=%d k=%d", inC, outC, k))
-	}
-	if pad && k%2 == 0 {
-		panic("nn.NewConv2D: same-padding requires an odd kernel")
-	}
-	n := outC*inC*k*k + outC
-	c := &Conv2D{InC: inC, OutC: outC, K: k, Pad: pad,
-		params: make([]float64, n), grads: make([]float64, n)}
+	c := &Conv2D{}
+	c.init(inC, outC, k, pad)
 	c.loop.Body = c.samples
 	return c
+}
+
+// init checks the shape, sets it and allocates the parameters.
+func (c *Conv2D) init(inC, outC, k int, pad bool) {
+	if inC <= 0 || outC <= 0 || k <= 0 {
+		panic(fmt.Sprintf("nn: invalid conv shape inC=%d outC=%d k=%d", inC, outC, k))
+	}
+	if pad && k%2 == 0 {
+		panic("nn: same-padding requires an odd kernel")
+	}
+	n := outC*inC*k*k + outC
+	c.InC, c.OutC, c.K, c.Pad = inC, outC, k, pad
+	c.params, c.grads = make([]float64, n), make([]float64, n)
 }
 
 func (c *Conv2D) weights() []float64 { return c.params[:c.OutC*c.InC*c.K*c.K] }
@@ -160,6 +166,14 @@ func (c *Conv2D) setGeometry(in, out Dims) {
 // computed entirely by one goroutine with a fixed accumulation order,
 // so results are bit-identical at any parallelism.
 func (c *Conv2D) Forward(x *Batch) *Batch {
+	out := c.out.Reshape(x.N, c.beginForward(x))
+	c.run(convForward, x, out)
+	return out
+}
+
+// beginForward checks x, lays out the padded buffers for its shape and
+// returns the convolution's output shape.
+func (c *Conv2D) beginForward(x *Batch) Dims {
 	if x.Dims.C != c.InC {
 		panic(fmt.Sprintf("nn.Conv2D: input channels %d, layer expects %d", x.Dims.C, c.InC))
 	}
@@ -169,14 +183,23 @@ func (c *Conv2D) Forward(x *Batch) *Batch {
 		panic(fmt.Sprintf("nn.Conv2D: kernel %d too large for input %s", c.K, x.Dims))
 	}
 	c.setGeometry(x.Dims, outDims)
-	out := c.out.Reshape(x.N, outDims)
 	g := &c.geo
 	c.xpad = growFloats(c.xpad, x.N*g.xlen)
 	c.work = growFloats(c.work, x.N*c.OutC*outDims.H*g.pw)
-	c.stage, c.fx, c.fy, c.timing = convForward, x, out, kernelTimingOn.Load()
-	c.loop.Run(x.N, par.Workers(x.N, 2*c.OutC*len(g.win)*outDims.H*g.pw))
+	return outDims
+}
+
+// run runs stage over every sample of the current batch, fx its input
+// and fy its output, on as many workers as the stage's flops warrant.
+func (c *Conv2D) run(stage convStage, fx, fy *Batch) {
+	x, g := c.lastIn, &c.geo
+	rows := c.OutputDims(x.Dims).H * g.pw
+	if stage != convForward {
+		rows = x.Dims.H * g.gw
+	}
+	c.stage, c.fx, c.fy, c.timing = stage, fx, fy, kernelTimingOn.Load()
+	c.loop.Run(x.N, par.Workers(x.N, 2*c.OutC*len(g.win)*rows))
 	c.fx, c.fy = nil, nil
-	return out
 }
 
 // samples runs the current stage on samples [lo, hi).
@@ -190,11 +213,27 @@ func (c *Conv2D) samples(lo, hi int) {
 	}
 }
 
-// forwardSample pads sample n of c.fx into its xpad slot and writes its
-// convolution into c.fy: each output row starts at the bias and adds
-// the weight·window terms in (ic, ky, kx) order, as W·im2col did.
+// forwardSample writes sample n's convolution into c.fy, copied out of
+// the padded-width rows convolve leaves.
 func (c *Conv2D) forwardSample(n int) {
-	x, out, g := c.fx, c.fy, &c.geo
+	yw, t := c.convolve(n)
+	out, g := c.fy, &c.geo
+	oh, ow := out.Dims.H, out.Dims.W
+	rowLen := oh * g.pw
+	y := out.Sample(n)
+	for oc := 0; oc < c.OutC; oc++ {
+		copyRows(y[oc*oh*ow:], ow, yw[oc*rowLen:], g.pw, oh, ow)
+	}
+	c.lap(t, &unpackNanos)
+}
+
+// convolve pads sample n of c.fx into its xpad slot and computes its
+// convolution at the padded width into its slot of c.work, which it
+// returns with the running timer: each output row starts at the bias
+// and adds the weight·window terms in (ic, ky, kx) order, as W·im2col
+// did. Of each row of pw columns only the first OW are outputs.
+func (c *Conv2D) convolve(n int) ([]float64, time.Time) {
+	x, g := c.fx, &c.geo
 	t := c.startTimer()
 	xp := c.xpad[n*g.xlen : (n+1)*g.xlen]
 	off, ih, iw := c.padOffset(), x.Dims.H, x.Dims.W
@@ -204,22 +243,10 @@ func (c *Conv2D) forwardSample(n int) {
 		copyRows(xp[ic*plane+off*g.pw+off:], g.pw, in[ic*ih*iw:], iw, ih, iw)
 	}
 	t = c.lap(t, &packNanos)
-	oh, ow := out.Dims.H, out.Dims.W
-	rowLen := oh * g.pw
+	rowLen := c.OutputDims(x.Dims).H * g.pw
 	yw := c.work[n*c.OutC*rowLen : (n+1)*c.OutC*rowLen]
-	for oc, bias := range c.bias() {
-		row := yw[oc*rowLen : (oc+1)*rowLen]
-		for j := range row {
-			row[j] = bias
-		}
-	}
-	tensor.WindowMulAddInto(yw, g.yrows, c.weights(), len(g.win), 1, xp, g.win, rowLen)
-	t = c.lap(t, &gemmNanos)
-	y := out.Sample(n)
-	for oc := 0; oc < c.OutC; oc++ {
-		copyRows(y[oc*oh*ow:], ow, yw[oc*rowLen:], g.pw, oh, ow)
-	}
-	c.lap(t, &unpackNanos)
+	tensor.WindowMulBiasInto(yw, g.yrows, c.bias(), c.weights(), len(g.win), 1, xp, g.win, rowLen)
+	return yw, c.lap(t, &gemmNanos)
 }
 
 // startTimer and lap attribute kernel wall-clock time when timing is
@@ -243,42 +270,60 @@ func (c *Conv2D) lap(t time.Time, acc *atomic.Int64) time.Time {
 // Backward accumulates weight/bias gradients and returns dL/dx (input
 // gradients in parallel across samples, like Forward).
 func (c *Conv2D) Backward(dy *Batch) *Batch {
-	x := c.lastIn
-	if x == nil {
-		panic("nn.Conv2D: Backward before Forward")
-	}
-	dx := c.dx.Reshape(x.N, x.Dims)
-	g := &c.geo
-	c.gpad = growFloats(c.gpad, x.N*g.glen)
-	c.work = growFloats(c.work, x.N*c.InC*x.Dims.H*g.gw)
-	c.stage, c.fx, c.fy, c.timing = convInputGrad, dy, dx, kernelTimingOn.Load()
-	c.loop.Run(x.N, par.Workers(x.N, 2*c.OutC*len(g.win)*x.Dims.H*g.gw))
-	c.fx, c.fy = nil, nil
+	dx := c.beginBackward()
+	c.run(convInputGrad, dy, dx)
 	c.backwardParams(dy)
 	return dx
 }
 
-// inputGradSample writes sample n's input gradient into c.fy. It pads
-// the sample's output gradient into its gpad slot, then for each tap
-// (ky, kx) in increasing order adds, per input element, that tap's
-// sum over output channels — the patch-gradient element col2im added —
-// read at the window the tap shifts to. A tap whose window falls on
-// the padding adds Σ w·0 = +0, which leaves the sum as it is because
-// the sum started at +0 and so is never −0. That holds for finite
-// weights; an infinite or NaN weight makes such a tap NaN (∞·0), where
-// col2im would have added nothing (DESIGN.md §10).
+// beginBackward sizes the output-gradient and input-gradient buffers
+// for the batch Forward saw and returns the input gradient.
+func (c *Conv2D) beginBackward() *Batch {
+	x := c.lastIn
+	if x == nil {
+		panic("nn.Conv2D: Backward before Forward")
+	}
+	c.growGpad()
+	c.work = growFloats(c.work, x.N*c.InC*x.Dims.H*c.geo.gw)
+	return c.dx.Reshape(x.N, x.Dims)
+}
+
+// growGpad sizes gpad for the batch Forward saw.
+func (c *Conv2D) growGpad() {
+	c.gpad = growFloats(c.gpad, c.lastIn.N*c.geo.glen)
+}
+
+// gradLead is the offset of the output gradient's first element in
+// each gpad plane, on both axes: K−1−pad.
+func (c *Conv2D) gradLead() int { return c.K - 1 - c.padOffset() }
+
+// inputGradSample pads sample n's output gradient into its gpad slot
+// and writes its input gradient into c.fy (see inputGrad).
 func (c *Conv2D) inputGradSample(n int) {
-	dy, dx, g := c.fx, c.fy, &c.geo
+	dy, g := c.fx, &c.geo
 	t := c.startTimer()
-	k := c.K
-	lead := k - 1 - c.padOffset()
+	lead := c.gradLead()
 	oh, ow := dy.Dims.H, dy.Dims.W
 	gp := c.gpad[n*g.glen : (n+1)*g.glen]
 	src := dy.Sample(n)
 	for oc, o := range g.gplanes {
 		copyRows(gp[o+lead*g.gw+lead:], g.gw, src[oc*oh*ow:], ow, oh, ow)
 	}
-	t = c.lap(t, &packNanos)
+	c.inputGrad(n, c.lap(t, &packNanos))
+}
+
+// inputGrad writes sample n's input gradient into c.fy from its gpad
+// slot: for each tap (ky, kx) in increasing order it adds, per input
+// element, that tap's sum over output channels — the patch-gradient
+// element col2im added — read at the window the tap shifts to. A tap
+// whose window falls on the padding adds Σ w·0 = +0, which leaves the
+// sum as it is because the sum started at +0 and so is never −0. That
+// holds for finite weights; an infinite or NaN weight makes such a tap
+// NaN (∞·0), where col2im would have added nothing (DESIGN.md §10).
+func (c *Conv2D) inputGrad(n int, t time.Time) {
+	dx, g := c.fy, &c.geo
+	k := c.K
+	gp := c.gpad[n*g.glen : (n+1)*g.glen]
 	ih, iw := dx.Dims.H, dx.Dims.W
 	rowLen := ih * g.gw
 	dxw := c.work[n*c.InC*rowLen : (n+1)*c.InC*rowLen]
@@ -298,35 +343,68 @@ func (c *Conv2D) inputGradSample(n int) {
 	c.lap(t, &unpackNanos)
 }
 
-// backwardParams accumulates the weight/bias gradients serially in
-// sample order from the padded inputs Forward kept, each sample's terms
-// added onto the running gradient — so gradient bits depend neither on
-// parallelism nor on how a batch is split into consecutive calls. A
-// weight's window over the padded input is oh segments of ow
-// positions, one per output row, pw apart: dY times those windows adds
-// the terms in the position order of the dY·colᵀ product it replaced.
+// backwardParams accumulates the weight/bias gradients from the output
+// gradient dy (see paramGrads).
 func (c *Conv2D) backwardParams(dy *Batch) {
+	c.paramGrads(dy.Data, dy.Dims.Size(), dy.Dims.H*dy.Dims.W, dy.Dims.W)
+}
+
+// paramGrads accumulates the weight/bias gradients serially in sample
+// order from the padded inputs Forward kept, each sample's terms added
+// onto the running gradient — so gradient bits depend neither on
+// parallelism nor on how a batch is split into consecutive calls.
+// Sample n's output gradient starts at dy[n*stride]: OutC planes lda
+// apart, each OH rows of OW elements astride apart. A weight's window over the padded
+// input is OH segments of OW positions, one per output row, pw apart:
+// dY times those windows adds the terms in the position order of the
+// dY·colᵀ product it replaced.
+func (c *Conv2D) paramGrads(dy []float64, stride, lda, astride int) {
 	x, g := c.lastIn, &c.geo
 	kk := len(g.win)
-	oh, ow := dy.Dims.H, dy.Dims.W
-	p := oh * ow
+	out := c.OutputDims(x.Dims)
+	oh, ow := out.H, out.W
 	gw := c.grads[:c.OutC*kk]
 	gb := c.grads[c.OutC*kk:]
 	c.timing = kernelTimingOn.Load()
 	t := c.startTimer()
 	for n := 0; n < x.N; n++ {
 		xp := c.xpad[n*g.xlen : (n+1)*g.xlen]
-		d := dy.Sample(n)
-		tensor.WindowMulNTAddInto(gw, kk, d, p, xp, g.win, c.OutC, oh, ow, g.pw)
-		for oc := 0; oc < c.OutC; oc++ {
-			s := gb[oc]
-			for _, gv := range d[oc*p : (oc+1)*p] {
-				s += gv
-			}
-			gb[oc] = s
-		}
+		d := dy[n*stride:]
+		tensor.WindowMulNTAddInto(gw, kk, d, lda, astride, xp, g.win, c.OutC, oh, ow, g.pw)
+		biasGrads(gb, d, lda, astride, oh, ow)
 	}
 	c.lap(t, &gemmNanos)
+}
+
+// biasGrads adds to gb[oc] the oh·ow output gradients of channel oc,
+// d[oc*lda + y*astride + x], in position order: one serial chain per
+// channel, four channels' chains interleaved so their adds overlap.
+func biasGrads(gb, d []float64, lda, astride, oh, ow int) {
+	oc := 0
+	for ; oc+4 <= len(gb); oc += 4 {
+		s0, s1, s2, s3 := gb[oc], gb[oc+1], gb[oc+2], gb[oc+3]
+		for y := 0; y < oh; y++ {
+			o := oc*lda + y*astride
+			r0, r1, r2, r3 := d[o:o+ow], d[o+lda:o+lda+ow], d[o+2*lda:o+2*lda+ow], d[o+3*lda:o+3*lda+ow]
+			for x := range r0 {
+				s0 += r0[x]
+				s1 += r1[x]
+				s2 += r2[x]
+				s3 += r3[x]
+			}
+		}
+		gb[oc], gb[oc+1], gb[oc+2], gb[oc+3] = s0, s1, s2, s3
+	}
+	for ; oc < len(gb); oc++ {
+		s := gb[oc]
+		for y := 0; y < oh; y++ {
+			o := oc*lda + y*astride
+			for _, gv := range d[o : o+ow] {
+				s += gv
+			}
+		}
+		gb[oc] = s
+	}
 }
 
 // copyRows copies a rows × width block from src (row stride lds) to

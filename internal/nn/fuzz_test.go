@@ -8,18 +8,23 @@ import (
 	"testing"
 )
 
-// FuzzNNKernels holds the ReLU and MaxPool vector bodies to their
-// oracles, whichever path the CPU selects: reluMask must leave exactly
-// reluMaskGo's bits (it only copies y or writes +0, so NaN payloads
-// included), and MaxPool2D.Forward must give maxPoolNaive's values and
-// argmax indices. It also holds the panel-free Conv2D to the im2col +
-// GEMM (+ col2im) formulation it replaced (convMatchesPanels), with the
-// fuzzed weights and once more with their non-finite values replaced,
-// so the finite-weight case, where every bit must match, runs against
-// specials in the input and the output gradient too. raw is read as
-// little-endian float64s and cycled to fill the inputs; the shape
-// bytes are folded into C ≤ 3, H ≤ 13, W ≤ 26 and window sizes 1–3, so
-// whole 2×2 blocks, tails and crops all run, and the conv runs
+// FuzzNNKernels holds the ReLU and the fused ReLU-and-pool vector
+// bodies to their oracles, whichever path the CPU selects: reluMask must
+// leave exactly reluMaskGo's bits (it only copies y or writes +0, so
+// NaN payloads included), and reluPool2 must give reluPool2Go's values
+// and offsets over a row of any width and row stride, and unpool2
+// unpool2Go's scatter of a row of pooled gradients. It holds the
+// panel-free Conv2D to the im2col + GEMM (+ col2im) formulation it
+// replaced (convMatchesPanels), and ConvReLUPool to the Conv2D →
+// reluMaskGo → maxPoolNaive composition it replaced (fusedMatchesRef),
+// output, argmax and gradients, through Backward and through the
+// first-layer backwardParams. Both run with the fuzzed weights and once
+// more with their non-finite values replaced, so the finite-weight
+// case, where every bit must match, runs against specials in the input
+// and the output gradient too. raw is read as little-endian float64s
+// and cycled to fill the inputs; the shape bytes are folded into C ≤ 3,
+// H ≤ 13, W ≤ 26 and kernel sizes 1–3, so whole 4-output blocks, masked
+// partial ones and odd-size crops all run, and the conv runs
 // same-padded (odd kernels) and valid.
 func FuzzNNKernels(f *testing.F) {
 	specials := []float64{
@@ -79,7 +84,34 @@ func FuzzNNKernels(f *testing.F) {
 				x.Data[i] = v[i%len(v)]
 			}
 		}
-		poolMatchesNaive(t, x, k)
+
+		// One pooled row of W/2 outputs over two rows pw = W + slack
+		// apart.
+		pw := d.W + int(h)%3
+		row := make([]float64, pw+d.W)
+		for i := range row {
+			row[i] = x.Data[i%len(x.Data)]
+		}
+		ow := d.W / 2
+		gotY, wantY := make([]float64, ow), make([]float64, ow)
+		gotAm, wantAm := make([]int, ow), make([]int, ow)
+		reluPool2(gotY, gotAm, row, pw)
+		reluPool2Go(wantY, wantAm, row, pw)
+		if !slices.Equal(gotAm, wantAm) {
+			t.Fatalf("reluPool2 over %d outputs, pw %d: offsets %v, Go loop %v", ow, pw, gotAm, wantAm)
+		}
+		sameBits(t, "reluPool2", gotY, wantY)
+
+		// The same row's gradient scatter, over the pooled outputs and
+		// offsets just computed and a gradient cycled from the input.
+		g := make([]float64, ow)
+		for i := range g {
+			g[i] = row[(i+2)%len(row)]
+		}
+		gotW, wantW := slices.Clone(row), slices.Clone(row)
+		unpool2(gotW, g, wantY, wantAm, pw)
+		unpool2Go(wantW, g, wantY, wantAm, pw)
+		sameBits(t, "unpool2", gotW, wantW)
 
 		conv := NewConv2D(d.C, int(h)%4+1, k, k%2 == 1 && w%2 == 0)
 		for i := range conv.params {
@@ -89,13 +121,75 @@ func FuzzNNKernels(f *testing.F) {
 			conv.grads[i] = x.Data[(i+3)%len(x.Data)]
 		}
 		convMatchesPanels(t, conv, x)
-		for i, p := range conv.params {
-			if math.IsInf(p, 0) || math.IsNaN(p) {
-				conv.params[i] = 1.5
+		fused := NewConvReLUPool(d.C, conv.OutC, k|1)
+		for i := range fused.params {
+			fused.params[i] = x.Data[(i+7)%len(x.Data)]
+			fused.grads[i] = x.Data[(i+3)%len(x.Data)]
+		}
+		fusedMatchesRef(t, fused, x)
+		for _, c := range []*Conv2D{conv, &fused.Conv2D} {
+			for i, p := range c.params {
+				if math.IsInf(p, 0) || math.IsNaN(p) {
+					c.params[i] = 1.5
+				}
 			}
 		}
 		convMatchesPanels(t, conv, x)
+		fusedMatchesRef(t, fused, x)
 	})
+}
+
+// fusedMatchesRef runs p forward and backward over x (the pooled
+// gradient cycled from x) and checks the output, the argmax, the input
+// gradient and the parameter gradients against refConvReLUPool's, bit
+// for bit up to NaN payloads; then, from the same starting gradients,
+// that the first-layer backwardParams leaves the same parameter
+// gradients. A non-finite weight may make the input gradient NaN where
+// the reference is not, as in convMatchesPanels.
+func fusedMatchesRef(t *testing.T, p *ConvReLUPool, x *Batch) {
+	t.Helper()
+	out := p.OutputDims(x.Dims)
+	if out.H == 0 || out.W == 0 {
+		return
+	}
+	dy := NewBatch(x.N, out)
+	for i := range dy.Data {
+		dy.Data[i] = x.Data[(i+5)%len(x.Data)]
+	}
+	start := slices.Clone(p.grads)
+	first := p.Clone().(*ConvReLUPool)
+	copy(first.grads, start)
+	wantY, wantDx, wantG := refConvReLUPool(p, x, dy)
+	y := p.Forward(x).Clone()
+	what := fmt.Sprintf("fused conv %d→%d k=%d over N=%d %s", p.InC, p.OutC, p.K, x.N, x.Dims)
+	sameBits(t, what+" output", y.Data, wantY)
+	conv := NewBatch(x.N, p.Conv2D.OutputDims(x.Dims))
+	act := NewBatch(x.N, conv.Dims)
+	copy(conv.Data, refConvOut(p, x))
+	reluMaskGo(act.Data, conv.Data, conv.Data)
+	if _, idx := maxPoolNaive(act, 2); !slices.Equal(argmaxIndex(p, x), idx) {
+		t.Fatalf("%s argmax %v, reference %v", what, argmaxIndex(p, x), idx)
+	}
+	dx := p.Backward(dy)
+	if slices.ContainsFunc(p.weights(), func(w float64) bool { return math.IsInf(w, 0) || math.IsNaN(w) }) {
+		for i, g := range dx.Data {
+			if math.IsNaN(g) {
+				wantDx[i] = g
+			}
+		}
+	}
+	sameBits(t, what+" input gradient", dx.Data, wantDx)
+	sameBits(t, what+" parameter gradients", p.grads, wantG)
+	first.Forward(x)
+	first.backwardParams(dy)
+	sameBits(t, what+" first-layer parameter gradients", first.grads, wantG)
+}
+
+// refConvOut is the output of a Conv2D holding p's parameters over x.
+func refConvOut(p *ConvReLUPool, x *Batch) []float64 {
+	c := NewConv2D(p.InC, p.OutC, p.K, true)
+	copy(c.params, p.params)
+	return c.Forward(x).Data
 }
 
 // convMatchesPanels runs c forward and backward over x (the output

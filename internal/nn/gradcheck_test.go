@@ -107,8 +107,7 @@ func TestGradCheckConvSamePadding(t *testing.T) {
 func TestGradCheckConvReLUPool(t *testing.T) {
 	r := rng.New(105)
 	net := MustNetwork(Dims{C: 1, H: 6, W: 6},
-		NewConv2D(1, 2, 3, true), NewReLU(), NewMaxPool2D(2),
-		NewFlatten(), NewDense(2*3*3, 3))
+		NewConvReLUPool(1, 2, 3), NewFlatten(), NewDense(2*3*3, 3))
 	net.Init(r)
 	x, labels := randomBatch(r, 3, net.InDims, 3)
 	checkGrads(t, net, x, labels)

@@ -9,16 +9,15 @@ package nn
 
 // NewDigitsCNN returns the MNIST-style model: conv(1→4,3×3, same) →
 // ReLU → pool2 → conv(4→8,3×3, same) → ReLU → pool2 → flatten →
-// dense(→32) → ReLU → dense(→classes).
+// dense(→32) → ReLU → dense(→classes). Each conv → ReLU → pool2 runs as
+// one ConvReLUPool layer.
 func NewDigitsCNN(img, classes int) *Network {
 	in := Dims{C: 1, H: img, W: img}
-	c1 := NewConv2D(1, 4, 3, true)
-	c2 := NewConv2D(4, 8, 3, true)
 	p := img / 2 / 2
 	flat := 8 * p * p
 	return MustNetwork(in,
-		c1, NewReLU(), NewMaxPool2D(2),
-		c2, NewReLU(), NewMaxPool2D(2),
+		NewConvReLUPool(1, 4, 3),
+		NewConvReLUPool(4, 8, 3),
 		NewFlatten(),
 		NewDense(flat, 32), NewReLU(),
 		NewDense(32, classes),
@@ -26,14 +25,15 @@ func NewDigitsCNN(img, classes int) *Network {
 }
 
 // NewTrafficCNN returns the GTSRB-style model: conv(1→4) → ReLU →
-// pool2 → conv(4→8) → ReLU → pool2 → flatten → dense(→classes).
+// pool2 → conv(4→8) → ReLU → pool2 → flatten → dense(→classes), each
+// conv → ReLU → pool2 one ConvReLUPool layer.
 func NewTrafficCNN(img, classes int) *Network {
 	in := Dims{C: 1, H: img, W: img}
 	p := img / 2 / 2
 	flat := 8 * p * p
 	return MustNetwork(in,
-		NewConv2D(1, 4, 3, true), NewReLU(), NewMaxPool2D(2),
-		NewConv2D(4, 8, 3, true), NewReLU(), NewMaxPool2D(2),
+		NewConvReLUPool(1, 4, 3),
+		NewConvReLUPool(4, 8, 3),
 		NewFlatten(),
 		NewDense(flat, classes),
 	)

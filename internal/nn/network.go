@@ -43,8 +43,15 @@ func NewNetwork(in Dims, layers ...Layer) (*Network, error) {
 		if d, ok := l.(*Dense); ok && dims.Size() != d.In {
 			return nil, fmt.Errorf("nn: layer %d (Dense) expects %d inputs, got %s", i, d.In, dims)
 		}
-		if c, ok := l.(*Conv2D); ok && dims.C != c.InC {
-			return nil, fmt.Errorf("nn: layer %d (Conv2D) expects %d channels, got %s", i, c.InC, dims)
+		var c *Conv2D
+		switch l := l.(type) {
+		case *Conv2D:
+			c = l
+		case *ConvReLUPool:
+			c = &l.Conv2D
+		}
+		if c != nil && dims.C != c.InC {
+			return nil, fmt.Errorf("nn: layer %d (%T) expects %d channels, got %s", i, l, c.InC, dims)
 		}
 		dims = out
 	}
@@ -79,10 +86,18 @@ func (n *Network) NumParams() int {
 	return total
 }
 
-// Init (re)initialises all layer parameters deterministically from r.
+// Init (re)initialises all layer parameters deterministically from r:
+// each layer from the stream split off at its position. A ConvReLUPool
+// takes three positions, those of the conv, ReLU and pool layers it
+// fuses, so a network draws the parameters it drew as those three.
 func (n *Network) Init(r *rng.RNG) {
-	for i, l := range n.layers {
+	i := 0
+	for _, l := range n.layers {
 		l.Init(r.Split(uint64(i)))
+		i++
+		if _, ok := l.(*ConvReLUPool); ok {
+			i += 2
+		}
 	}
 }
 

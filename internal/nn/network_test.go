@@ -205,7 +205,7 @@ func TestNewNetworkShapeValidation(t *testing.T) {
 		t.Error("expected error for Conv2D channel mismatch")
 	}
 	// Pool collapsing to nothing must be rejected.
-	_, err = NewNetwork(Dims{C: 1, H: 2, W: 2}, NewMaxPool2D(4))
+	_, err = NewNetwork(Dims{C: 1, H: 1, W: 1}, NewConvReLUPool(1, 1, 1))
 	if err == nil {
 		t.Error("expected error for degenerate pooling")
 	}

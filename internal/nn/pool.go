@@ -2,162 +2,225 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"fuiov/internal/cpuid"
 	"fuiov/internal/rng"
 )
 
-// MaxPool2D downsamples each channel by taking the maximum over
-// non-overlapping Size×Size windows. Inputs whose height/width are not
-// divisible by Size are cropped at the bottom/right edge, matching the
-// common "floor" pooling convention.
-type MaxPool2D struct {
-	Size int
-
-	lastIn  *Batch
-	argmax  []int // flat index (within sample) of each output's source
-	outDims Dims
-	out, dx Batch
+// ConvReLUPool is a same-padded Conv2D followed by ReLU and 2×2 max
+// pooling, run as one layer so no stage writes a batch the next one
+// only reads. Forward's epilogue reads the convolution's padded-width
+// rows where the kernel left them and writes only the pooled output and
+// each output's argmax. Backward scatters the ReLU-masked pooled
+// gradient straight into the convolution's zero-padded output-gradient
+// buffer, where the input and weight gradients read it. Every element
+// gets the ops of the three layers it replaced, in their order, so the
+// bits are theirs (DESIGN.md §10): ReLU maps x to x where x > 0 and to
+// +0 elsewhere (NaN and −0 included), the pool keeps the first strictly
+// greater of its window's four ReLU outputs scanned row by row, and the
+// gradient reaching the argmax is +0 + g where that output is positive
+// and +0 elsewhere. Odd heights and widths crop the last row and
+// column, whose gradient stays the +0 gpad was allocated with.
+type ConvReLUPool struct {
+	Conv2D
+	// argmax holds each pooled output's source within its window, as an
+	// offset from the window's top-left element in the padded-width
+	// rows: 0, 1, pw or pw+1.
+	argmax []int
 }
 
-var _ Layer = (*MaxPool2D)(nil)
+var _ Layer = (*ConvReLUPool)(nil)
 
-// NewMaxPool2D constructs a pooling layer with the given window size.
-func NewMaxPool2D(size int) *MaxPool2D {
-	if size <= 0 {
-		panic(fmt.Sprintf("nn.NewMaxPool2D: invalid size %d", size))
-	}
-	return &MaxPool2D{Size: size}
+// NewConvReLUPool constructs the layer: a K×K same-padded convolution
+// from inC to outC channels (K positive and odd), ReLU, and 2×2 max
+// pooling.
+func NewConvReLUPool(inC, outC, k int) *ConvReLUPool {
+	p := &ConvReLUPool{}
+	p.init(inC, outC, k, true)
+	p.loop.Body = p.samples
+	return p
 }
 
 // OutputDims reports the pooled shape.
-func (p *MaxPool2D) OutputDims(in Dims) Dims {
-	return Dims{C: in.C, H: in.H / p.Size, W: in.W / p.Size}
+func (p *ConvReLUPool) OutputDims(in Dims) Dims {
+	return Dims{C: p.OutC, H: in.H / 2, W: in.W / 2}
 }
 
-// Forward computes the max over each pooling window, recording argmax
-// positions for the backward pass.
-func (p *MaxPool2D) Forward(x *Batch) *Batch {
-	outDims := p.OutputDims(x.Dims)
-	if outDims.H <= 0 || outDims.W <= 0 {
-		panic(fmt.Sprintf("nn.MaxPool2D: window %d too large for input %s", p.Size, x.Dims))
+// Forward convolves, rectifies and pools each sample, in parallel
+// across samples like Conv2D.Forward.
+func (p *ConvReLUPool) Forward(x *Batch) *Batch {
+	p.beginForward(x)
+	out := p.out.Reshape(x.N, p.OutputDims(x.Dims))
+	if out.Dims.H <= 0 || out.Dims.W <= 0 {
+		panic(fmt.Sprintf("nn.ConvReLUPool: input %s too small to pool", x.Dims))
 	}
-	p.lastIn = x
-	p.outDims = outDims
-	out := p.out.Reshape(x.N, outDims)
-	if cap(p.argmax) < x.N*outDims.Size() {
-		p.argmax = make([]int, x.N*outDims.Size())
+	if cap(p.argmax) < len(out.Data) {
+		p.argmax = make([]int, len(out.Data))
 	}
-	p.argmax = p.argmax[:x.N*outDims.Size()]
-	ih, iw := x.Dims.H, x.Dims.W
-	oh, ow := outDims.H, outDims.W
-	for n := 0; n < x.N; n++ {
-		in := x.Sample(n)
-		y := out.Sample(n)
-		am := p.argmax[n*outDims.Size() : (n+1)*outDims.Size()]
-		for c := 0; c < x.Dims.C; c++ {
-			for oy := 0; oy < oh; oy++ {
-				o := (c*oh + oy) * ow
-				base := c*ih*iw + oy*p.Size*iw
-				if p.Size == 2 {
-					maxPool2(y[o:o+ow], am[o:o+ow], in, iw, base)
-				} else {
-					p.poolRow(y[o:o+ow], am[o:o+ow], in, iw, base)
-				}
-			}
-		}
-	}
+	p.argmax = p.argmax[:len(out.Data)]
+	p.run(convForward, x, out)
 	return out
 }
 
-// poolRow fills one row of outputs for any window size: window ox
-// covers rows base/iw … +Size−1 and columns ox·Size … +Size−1 of in,
-// scanned row by row from its top-left element, and a later element
-// replaces the running maximum only when strictly greater — so the
-// first maximum wins and a NaN neither replaces nor is replaced.
-func (p *MaxPool2D) poolRow(y []float64, am []int, in []float64, iw, base int) {
-	for ox := range y {
-		bestIdx := base + ox*p.Size
-		best := in[bestIdx]
-		for ky := 0; ky < p.Size; ky++ {
-			for kx := 0; kx < p.Size; kx++ {
-				idx := base + ky*iw + ox*p.Size + kx
-				if in[idx] > best {
-					best, bestIdx = in[idx], idx
-				}
-			}
+// samples runs the current stage on samples [lo, hi).
+func (p *ConvReLUPool) samples(lo, hi int) {
+	for n := lo; n < hi; n++ {
+		if p.stage == convForward {
+			yw, t := p.convolve(n)
+			p.reluPool(n, yw)
+			p.lap(t, &unpackNanos)
+		} else {
+			t := p.startTimer()
+			p.scatter(n)
+			p.inputGrad(n, p.lap(t, &packNanos))
 		}
-		y[ox] = best
-		am[ox] = bestIdx
 	}
 }
 
-// maxPool2 is poolRow for 2×2 windows: whole 4-output blocks in
-// maxPool2AVX2 when the CPU has AVX2, the rest in maxPool2Go.
-func maxPool2(y []float64, am []int, in []float64, iw, base int) {
+// reluPool writes sample n's pooled outputs and argmax from its
+// padded-width convolution rows yw.
+func (p *ConvReLUPool) reluPool(n int, yw []float64) {
+	out, pw := p.fy, p.geo.pw
+	oh, ow := out.Dims.H, out.Dims.W
+	ih := p.lastIn.Dims.H
+	y := out.Sample(n)
+	am := p.argmax[n*len(y) : (n+1)*len(y)]
+	for oc := 0; oc < p.OutC; oc++ {
+		for py := 0; py < oh; py++ {
+			o := (oc*oh + py) * ow
+			reluPool2(y[o:o+ow], am[o:o+ow], yw[(oc*ih+2*py)*pw:], pw)
+		}
+	}
+}
+
+// reluPool2 pools one row of outputs: output ox is the first strictly
+// greater ReLU output of in[2ox], in[2ox+1], in[pw+2ox] and
+// in[pw+2ox+1], and am[ox] its offset from in[2ox]. The row runs in
+// reluPool2AVX2 when the CPU has AVX2.
+func reluPool2(y []float64, am []int, in []float64, pw int) {
 	if cpuid.AVX2 {
-		n := len(y) &^ 3
-		if n > 0 {
-			maxPool2AVX2(y[:n], am[:n], in[base:base+iw+2*n], iw, base)
-			y, am, base = y[n:], am[n:], base+2*n
-		}
+		reluPool2AVX2(y, am[:len(y)], in[:pw+2*len(y)], pw)
+		return
 	}
-	maxPool2Go(y, am, in, iw, base)
+	reluPool2Go(y, am, in, pw)
 }
 
-// maxPool2Go is poolRow unrolled for 2×2 windows, comparing the four
-// positions in the same order: the tail, the fallback and the oracle
+// reluPool2Go is the portable reluPool2: the fallback and the oracle
 // the vector body is held to.
-func maxPool2Go(y []float64, am []int, in []float64, iw, base int) {
+func reluPool2Go(y []float64, am []int, in []float64, pw int) {
 	am = am[:len(y)]
 	for ox := range y {
-		i := base + 2*ox
-		best, bestIdx := in[i], i
-		if v := in[i+1]; v > best {
-			best, bestIdx = v, i+1
+		i := 2 * ox
+		best, at := relu(in[i]), 0
+		if v := relu(in[i+1]); v > best {
+			best, at = v, 1
 		}
-		if v := in[i+iw]; v > best {
-			best, bestIdx = v, i+iw
+		if v := relu(in[i+pw]); v > best {
+			best, at = v, pw
 		}
-		if v := in[i+iw+1]; v > best {
-			best, bestIdx = v, i+iw+1
+		if v := relu(in[i+pw+1]); v > best {
+			best, at = v, pw+1
 		}
-		y[ox], am[ox] = best, bestIdx
+		y[ox], am[ox] = best, at
 	}
 }
 
-// Backward routes each output gradient to its argmax input position.
-// dx is scatter-added into, so it is cleared first.
-func (p *MaxPool2D) Backward(dy *Batch) *Batch {
-	x := p.lastIn
-	if x == nil {
-		panic("nn.MaxPool2D: Backward before Forward")
+// relu is v where v > 0 and +0 elsewhere.
+func relu(v float64) float64 {
+	if v > 0 {
+		return v
 	}
-	dx := p.dx.Reshape(x.N, x.Dims)
-	clear(dx.Data)
-	osz := p.outDims.Size()
-	for n := 0; n < x.N; n++ {
-		g := dy.Sample(n)
-		din := dx.Sample(n)
-		am := p.argmax[n*osz : (n+1)*osz]
-		for o, idx := range am {
-			din[idx] += g[o]
+	return 0
+}
+
+// scatter writes sample n's pooled gradient (of c.fx) into its gpad
+// slot, one row of windows at a time (unpool2). The windows tile the
+// uncropped plane, so every element they cover is written and none
+// needs clearing first.
+func (p *ConvReLUPool) scatter(n int) {
+	dy, g := p.fx, &p.geo
+	oh, ow := dy.Dims.H, dy.Dims.W
+	lead := p.gradLead()
+	gp := p.gpad[n*g.glen : (n+1)*g.glen]
+	src, y := dy.Sample(n), p.out.Sample(n)
+	am := p.argmax[n*len(y) : (n+1)*len(y)]
+	for oc, plane := range g.gplanes {
+		for py := 0; py < oh; py++ {
+			o := (oc*oh + py) * ow
+			top := plane + (lead+2*py)*g.gw + lead
+			unpool2(gp[top:], src[o:o+ow], y[o:o+ow], am[o:o+ow], g.gw)
 		}
 	}
+}
+
+// unpool2 writes one row of 2×2 windows: window ox, whose top-left is
+// w[2ox], gets +0 + g[ox] at its argmax offset am[ox] when the pooled
+// output y[ox] is positive and +0 at its other three positions — the
+// pool's clear-and-add, then the ReLU mask. The row runs in
+// unpool2AVX2 when the CPU has AVX2.
+func unpool2(w, g, y []float64, am []int, gw int) {
+	if cpuid.AVX2 {
+		unpool2AVX2(w[:gw+2*len(g)], g, y[:len(g)], am[:len(g)], gw)
+		return
+	}
+	unpool2Go(w, g, y, am, gw)
+}
+
+// unpool2Go is the portable unpool2: the fallback and the oracle the
+// vector body is held to.
+func unpool2Go(w, g, y []float64, am []int, gw int) {
+	y, am = y[:len(g)], am[:len(g)]
+	for ox, gv := range g {
+		// y is +0 or positive, so its bits are zero exactly where the
+		// mask is off: an integer select, no branch.
+		v := math.Float64bits(0 + gv)
+		if math.Float64bits(y[ox]) == 0 {
+			v = 0
+		}
+		win := w[2*ox : 2*ox+gw+2]
+		win[0], win[1], win[gw], win[gw+1] = 0, 0, 0, 0
+		win[am[ox]] = math.Float64frombits(v)
+	}
+}
+
+// Backward accumulates the weight/bias gradients and returns dL/dx.
+func (p *ConvReLUPool) Backward(dy *Batch) *Batch {
+	dx := p.beginBackward()
+	p.run(convInputGrad, dy, dx)
+	p.gpadParamGrads()
 	return dx
 }
 
-// Params returns nil; pooling has no parameters.
-func (p *MaxPool2D) Params() []float64 { return nil }
+// backwardParams accumulates the weight/bias gradients without forming
+// the input gradient: the scatter, then the parameter pass.
+func (p *ConvReLUPool) backwardParams(dy *Batch) {
+	if p.lastIn == nil {
+		panic("nn.ConvReLUPool: Backward before Forward")
+	}
+	p.growGpad()
+	p.fx = dy
+	for n := 0; n < dy.N; n++ {
+		p.scatter(n)
+	}
+	p.fx = nil
+	p.gpadParamGrads()
+}
 
-// Grads returns nil; pooling has no parameters.
-func (p *MaxPool2D) Grads() []float64 { return nil }
+// gpadParamGrads runs Conv2D.paramGrads over the convolution's output
+// gradient where scatter left it, in gpad's rows.
+func (p *ConvReLUPool) gpadParamGrads() {
+	g := &p.geo
+	lead := p.gradLead()
+	p.paramGrads(p.gpad[lead*g.gw+lead:], g.glen, (g.in.H+p.K-1)*g.gw, g.gw)
+}
 
-// Init does nothing; pooling has no parameters.
-func (p *MaxPool2D) Init(*rng.RNG) {}
-
-// Clone returns a fresh pooling layer with the same window size.
-func (p *MaxPool2D) Clone() Layer { return NewMaxPool2D(p.Size) }
+// Clone returns a parameter-copying deep copy.
+func (p *ConvReLUPool) Clone() Layer {
+	out := NewConvReLUPool(p.InC, p.OutC, p.K)
+	copy(out.params, p.params)
+	return out
+}
 
 // Flatten reshapes CxHxW activations into a feature vector; it is the
 // bridge between convolutional and dense stages.

@@ -256,7 +256,7 @@ func (d *Dense) backwardNaive(dy *Batch) *Batch {
 	return dx
 }
 
-// maxPoolNaive is the direct-loop reference for MaxPool2D.Forward:
+// maxPoolNaive is the direct-loop max pool ConvReLUPool is held to:
 // per sample, channel and output position it scans the size×size
 // window row by row from its top-left element and keeps the first
 // strictly greater value, returning the pooled batch data and each

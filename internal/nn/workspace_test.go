@@ -81,8 +81,8 @@ func workspaceBytes(n *Network) int {
 			floats += cap(l.out.Data) + cap(l.dx.Data)
 		case *Tanh:
 			floats += cap(l.out.Data) + cap(l.dx.Data)
-		case *MaxPool2D:
-			floats += cap(l.out.Data) + cap(l.dx.Data)
+		case *ConvReLUPool:
+			floats += cap(l.out.Data) + cap(l.dx.Data) + cap(l.xpad) + cap(l.gpad) + cap(l.work)
 			ints += cap(l.argmax)
 		case *Flatten: // views of its neighbours' buffers
 		default:
@@ -112,6 +112,12 @@ func TestWorkspaceIndependentOfBatch(t *testing.T) {
 				if cap(first.dx.Data) != 0 || cap(first.gpad) != 0 {
 					t.Errorf("%s: first conv layer built an input gradient (dx %d, gpad %d floats)",
 						name, cap(first.dx.Data), cap(first.gpad))
+				}
+			case *ConvReLUPool:
+				// Its parameter pass reads the output gradient in gpad.
+				if cap(first.dx.Data) != 0 {
+					t.Errorf("%s: first conv layer built an input gradient (%d floats)",
+						name, cap(first.dx.Data))
 				}
 			case *Dense:
 				if cap(first.dx.Data) != 0 {

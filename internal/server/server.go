@@ -500,6 +500,9 @@ type roundReply struct {
 	// NextRound is the coordinator's round clock after resolution —
 	// the round the client should fetch the model for next.
 	NextRound int `json:"next_round"`
+	// Done reports that this commit reached MaxRounds: training is over
+	// and no later upload is accepted.
+	Done bool `json:"done,omitempty"`
 }
 
 // handleRound accepts one gradient upload and blocks until the round
@@ -625,6 +628,7 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, r *http.Request) {
 		Scheduled:  len(rs.scheduled),
 		Absent:     len(rs.scheduled) - rs.responders,
 		NextRound:  rs.t + 1,
+		Done:       c.cfg.MaxRounds > 0 && rs.t+1 >= c.cfg.MaxRounds,
 	})
 }
 

@@ -330,14 +330,24 @@ func parseModelHeader(hdr []byte) (round int, n uint64, err error) {
 	return round, n, nil
 }
 
-// chunkPool holds the chunkElems-sized staging buffers writeFloats
-// moves payload through, so a model write does not allocate one of its
-// own.
+// chunkPool holds the chunkElems-sized staging buffers a big-endian
+// host's writeFloats swaps payload through, so a model write does not
+// allocate one of its own.
 var chunkPool = sync.Pool{New: func() any { return new([8 * chunkElems]byte) }}
 
-// writeFloats streams v as little-endian float64s in chunkElems-sized
-// chunks, so neither side ever materialises the whole payload twice.
+// writeFloats writes v as little-endian float64s. On a little-endian
+// host those are v's own bytes, written as they lie, mirroring
+// readFloats; a big-endian host swaps chunkElems-sized chunks through a
+// pooled buffer, so neither side ever materialises the whole payload
+// twice.
 func writeFloats(w io.Writer, v []float64) error {
+	if hostLittleEndian {
+		if len(v) == 0 {
+			return nil
+		}
+		_, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v)))
+		return err
+	}
 	buf := chunkPool.Get().(*[8 * chunkElems]byte)
 	defer chunkPool.Put(buf)
 	for len(v) > 0 {

@@ -11,8 +11,9 @@ func saxpyAVX2(orow []float64, av float64, brow []float64)
 
 // gemmNT4AVX2 is gemmNTGo for four output rows over the columns of
 // boff, whose length is a multiple of 4: row r of dst starts at
-// dst[r*ldd], row r of a at a[r*lda], and row j of b at b[boff[j]],
-// its segs segments of seg terms bstride apart. Each 4-column block
+// dst[r*ldd], row r of a at a[r*lda] and row j of b at b[boff[j]],
+// each in segs segments of seg terms, astride apart in a and bstride
+// apart in b. Each 4-column block
 // keeps one YMM accumulator per output row, lane c holding output
 // column j+c, started from dst. Per four k-steps of a segment it loads
 // the 4×4 tile of b rows j..j+3, transposes it in registers
@@ -24,7 +25,7 @@ func saxpyAVX2(orow []float64, av float64, brow []float64)
 // scalar loads.
 //
 //go:noescape
-func gemmNT4AVX2(dst []float64, ldd int, a []float64, lda int, b []float64, boff []int, segs, seg, bstride int)
+func gemmNT4AVX2(dst []float64, ldd int, a []float64, lda, astride int, b []float64, boff []int, segs, seg, bstride int)
 
 // gemm4AVX2 is gemmGo for the four output rows at dst[doff[0..3]] over
 // columns [0, nv), nv a multiple of 4: row r's k-th a term is
@@ -35,8 +36,9 @@ func gemmNT4AVX2(dst []float64, ldd int, a []float64, lda int, b []float64, boff
 // for each row whose a element is not ±0 (a scalar test and branch,
 // Go's skip), adds the broadcast a element times it — VMULPD then
 // VADDPD, one k-ascending chain per element, never a fused
-// multiply-add. The accumulators start from dst, or from +0 with sum
-// set, in which case the tile is added to dst at the end.
+// multiply-add. The accumulators start from c0[r] when c0 is not
+// empty, else from dst, or from +0 with sum set, in which case the tile
+// is added to dst at the end.
 //
 //go:noescape
-func gemm4AVX2(dst []float64, doff []int, a []float64, lda, ak int, b []float64, boff []int, nv int, sum bool)
+func gemm4AVX2(dst []float64, doff []int, a []float64, lda, ak int, b []float64, boff []int, c0 []float64, nv int, sum bool)

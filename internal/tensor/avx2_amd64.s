@@ -68,15 +68,15 @@ done:
 	VADDPD       Y14, Y2, Y2         \
 	VADDPD       Y15, Y3, Y3
 
-// func gemmNT4AVX2(dst []float64, ldd int, a []float64, lda int, b []float64, boff []int, segs, seg, bstride int)
-TEXT ·gemmNT4AVX2(SB), NOSPLIT, $0-136
+// func gemmNT4AVX2(dst []float64, ldd int, a []float64, lda, astride int, b []float64, boff []int, segs, seg, bstride int)
+TEXT ·gemmNT4AVX2(SB), NOSPLIT, $0-144
 	MOVQ dst_base+0(FP), DI  // dst row 0, column j
 	MOVQ ldd+24(FP), R8
 	SHLQ $3, R8              // dst row stride in bytes
 	MOVQ lda+56(FP), R9
 	SHLQ $3, R9              // a row stride in bytes
-	MOVQ boff_base+88(FP), R14 // offset of b row j
-	MOVQ boff_len+96(FP), CX
+	MOVQ boff_base+96(FP), R14 // offset of b row j
+	MOVQ boff_len+104(FP), CX
 	SHRQ $2, CX              // 4-column blocks
 	JZ   done
 
@@ -86,7 +86,7 @@ block:
 	VMOVUPD (DI)(R8*1), Y1
 	VMOVUPD (DI)(R8*2), Y2
 	VMOVUPD (DI)(DX*1), Y3
-	MOVQ    b_base+64(FP), R10
+	MOVQ    b_base+72(FP), R10
 	MOVQ    (R14), AX
 	LEAQ    (R10)(AX*8), BX  // b row j
 	MOVQ    8(R14), AX
@@ -98,12 +98,12 @@ block:
 	MOVQ    a_base+32(FP), SI
 	LEAQ    (R9)(R9*2), AX
 	LEAQ    (SI)(AX*1), R12  // a row 3
-	MOVQ    segs+112(FP), R10 // segment countdown
+	MOVQ    segs+120(FP), R10 // segment countdown
 	TESTQ   R10, R10
 	JZ      store
 
 segment:
-	MOVQ seg+120(FP), AX
+	MOVQ seg+128(FP), AX
 	SHRQ $2, AX
 	JZ   tail
 
@@ -127,7 +127,7 @@ quad:
 	JNZ  quad
 
 tail:
-	MOVQ seg+120(FP), AX
+	MOVQ seg+128(FP), AX
 	ANDQ $3, AX
 	JZ   next
 
@@ -148,13 +148,18 @@ single:
 	JNZ  single
 
 next:
-	MOVQ bstride+128(FP), AX // b rows jump to the next segment
-	SUBQ seg+120(FP), AX
+	MOVQ bstride+136(FP), AX // b rows jump to the next segment
+	SUBQ seg+128(FP), AX
 	SHLQ $3, AX
 	ADDQ AX, BX
 	ADDQ AX, R11
 	ADDQ AX, R13
 	ADDQ AX, DX
+	MOVQ astride+64(FP), AX  // a rows jump to the next segment
+	SUBQ seg+128(FP), AX
+	SHLQ $3, AX
+	ADDQ AX, SI
+	ADDQ AX, R12
 	DECQ R10
 	JNZ  segment
 
@@ -206,8 +211,8 @@ done:
 	VMULPD       Y8, Y10, Y10 \
 	VADDPD       Y10, acc, acc
 
-// func gemm4AVX2(dst []float64, doff []int, a []float64, lda, ak int, b []float64, boff []int, nv int, sum bool)
-TEXT ·gemm4AVX2(SB), NOSPLIT, $0-145
+// func gemm4AVX2(dst []float64, doff []int, a []float64, lda, ak int, b []float64, boff []int, c0 []float64, nv int, sum bool)
+TEXT ·gemm4AVX2(SB), NOSPLIT, $0-169
 	MOVQ dst_base+0(FP), DI
 	MOVQ doff_base+24(FP), R8
 	MOVQ lda+72(FP), R9
@@ -215,12 +220,15 @@ TEXT ·gemm4AVX2(SB), NOSPLIT, $0-145
 	MOVQ ak+80(FP), R10
 	SHLQ $3, R10
 	MOVQ b_base+88(FP), R11
-	MOVQ nv+136(FP), CX
+	MOVQ nv+160(FP), CX
 
 blk8:
 	CMPQ    CX, $8
 	JLT     blk4
-	MOVBLZX sum+144(FP), AX
+	MOVQ    c0_len+144(FP), AX
+	TESTQ   AX, AX
+	JNZ     bias8
+	MOVBLZX sum+168(FP), AX
 	TESTQ   AX, AX
 	JNZ     zero8
 	rowoff(0)
@@ -236,6 +244,18 @@ blk8:
 	VMOVUPD (DI)(AX*8), Y6
 	VMOVUPD 32(DI)(AX*8), Y7
 	JMP     k8
+
+bias8:
+	MOVQ         c0_base+136(FP), AX
+	VBROADCASTSD (AX), Y0
+	VMOVAPD      Y0, Y1
+	VBROADCASTSD 8(AX), Y2
+	VMOVAPD      Y2, Y3
+	VBROADCASTSD 16(AX), Y4
+	VMOVAPD      Y4, Y5
+	VBROADCASTSD 24(AX), Y6
+	VMOVAPD      Y6, Y7
+	JMP          k8
 
 zero8:
 	VXORPD Y0, Y0, Y0
@@ -282,7 +302,7 @@ r8d:
 	JNZ  loop8
 
 end8:
-	MOVBLZX sum+144(FP), DX
+	MOVBLZX sum+168(FP), DX
 	TESTQ   DX, DX
 	JZ      store8
 	rowoff(0)
@@ -319,7 +339,10 @@ store8:
 blk4:
 	TESTQ   CX, CX
 	JZ      done4
-	MOVBLZX sum+144(FP), AX
+	MOVQ    c0_len+144(FP), AX
+	TESTQ   AX, AX
+	JNZ     bias4
+	MOVBLZX sum+168(FP), AX
 	TESTQ   AX, AX
 	JNZ     zero4
 	rowoff(0)
@@ -331,6 +354,14 @@ blk4:
 	rowoff(3)
 	VMOVUPD (DI)(AX*8), Y6
 	JMP     k4
+
+bias4:
+	MOVQ         c0_base+136(FP), AX
+	VBROADCASTSD (AX), Y0
+	VBROADCASTSD 8(AX), Y2
+	VBROADCASTSD 16(AX), Y4
+	VBROADCASTSD 24(AX), Y6
+	JMP          k4
 
 zero4:
 	VXORPD Y0, Y0, Y0
@@ -371,7 +402,7 @@ r4d:
 	JNZ  loop4
 
 end4:
-	MOVBLZX sum+144(FP), DX
+	MOVBLZX sum+168(FP), DX
 	TESTQ   DX, DX
 	JZ      store4
 	rowoff(0)

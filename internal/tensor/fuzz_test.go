@@ -22,10 +22,12 @@ var kernelSpecials = []float64{
 // replace, bit for bit, whichever path the CPU selects: saxpy against
 // saxpyGo; gemmRows (gemm4AVX2 on 4-row groups) against gemmGo row by
 // row, laid out as a·b (NN), as aᵀ·b (TN, a walked with row stride 1)
-// and over overlapping b windows with scattered output rows, in both
-// chain-from-dst and sum-then-add modes; and gemmNTRows against
-// gemmNTGo, plain and with b rows gathered from segments. raw is read as little-endian float64s and cycled to fill
-// the operands; the shape bytes are folded into rows ≤ 40, k ≤ 159 and
+// and over overlapping b windows with scattered output rows, in the
+// chain-from-dst, sum-then-add and chain-from-c0 modes; and gemmNTRows
+// against gemmNTGo, plain and with the rows of both operands gathered
+// from strided segments, so the padded 4-column tail block runs for
+// every n mod 4. raw is read as little-endian float64s and cycled to
+// fill the operands; the shape bytes are folded into rows ≤ 40, k ≤ 159 and
 // n ≤ 149 so the 8- and 4-column blocks, the k tails and the Go loop's
 // leftover rows and columns all run. A NaN need only meet a NaN: Go
 // leaves unspecified which operand's payload an operation propagates.
@@ -58,6 +60,7 @@ func FuzzTensorKernels(f *testing.F) {
 	}{
 		{4, 9, 144, true}, {8, 36, 36, true}, {9, 4, 144, true}, {36, 8, 36, true},
 		{4, 144, 9, true}, {16, 72, 12, true}, {5, 37, 13, false},
+		{8, 36, 37, true}, {4, 12, 10, false}, {4, 24, 11, true},
 	} {
 		m, k, n := int(sh.rows), int(sh.k), int(sh.n)
 		v := make([]float64, m*k+n*k+m*n)
@@ -111,7 +114,7 @@ func FuzzTensorKernels(f *testing.F) {
 			lda, ak int
 		}{{"NN", kk, 1}, {"TN", 1, m}} {
 			got, ref := slices.Clone(dst), slices.Clone(dst)
-			gemmRows(got, nn, nil, a, l.lda, l.ak, b, tab, m, nn, sum)
+			gemmRows(got, nn, nil, nil, a, l.lda, l.ak, b, tab, m, nn, sum)
 			for r := 0; r < m; r++ {
 				gemmGo(ref[r*nn:(r+1)*nn], a[min(r*l.lda, len(a)):], l.ak, b, tab, sum)
 			}
@@ -131,11 +134,26 @@ func FuzzTensorKernels(f *testing.F) {
 			doff[r] = (m - 1 - r) * nn
 		}
 		got, ref := slices.Clone(dst), slices.Clone(dst)
-		gemmRows(got, 0, doff, a, kk, 1, wb, win, m, nn, sum)
+		gemmRows(got, 0, doff, nil, a, kk, 1, wb, win, m, nn, sum)
 		for r := 0; r < m; r++ {
 			gemmGo(ref[doff[r]:doff[r]+nn], a[min(r*kk, len(a)):], 1, wb, win, sum)
 		}
 		sameBits(t, "gemmRows windows", got, ref)
+
+		// The same windows with each row's chains started from c0 (a
+		// conv layer's bias): the reference fills the row first.
+		c0 := make([]float64, m)
+		fill(c0, 11)
+		got, ref = slices.Clone(dst), slices.Clone(dst)
+		gemmRows(got, 0, doff, c0, a, kk, 1, wb, win, m, nn, false)
+		for r := 0; r < m; r++ {
+			row := ref[doff[r] : doff[r]+nn]
+			for j := range row {
+				row[j] = c0[r]
+			}
+			gemmGo(row, a[min(r*kk, len(a)):], 1, wb, win, false)
+		}
+		sameBits(t, "gemmRows windows from c0", got, ref)
 
 		// NT: dst (m×nn) += a (m×kk) · bᵀ, b rows kk apart; then with
 		// each b row gathered from segments (a conv weight gradient's
@@ -147,20 +165,25 @@ func FuzzTensorKernels(f *testing.F) {
 			ntab[j] = j * kk
 		}
 		got, ref = slices.Clone(dst), slices.Clone(dst)
-		gemmNTRows(got, nn, a, kk, nt, ntab, m, 1, kk, kk)
-		gemmNTGo(ref, nn, a, kk, nt, ntab, m, 1, kk, kk)
+		gemmNTRows(got, nn, a, kk, kk, nt, ntab, m, 1, kk, kk)
+		gemmNTGo(ref, nn, a, kk, kk, nt, ntab, m, 1, kk, kk)
 		sameBits(t, "gemmNTRows", got, ref)
 
+		// a's rows are strided too (a conv output gradient read in
+		// place from its padded rows), astride a gap of 0–2 past the
+		// segment.
 		segs := 1 + int(n)%3
-		seg, bstride := kk/segs, kk/segs+int(rows)%3
+		seg, bstride, astride := kk/segs, kk/segs+int(rows)%3, kk/segs+int(k)%3
 		sb := make([]float64, nn*segs*bstride+seg)
 		fill(sb, 5)
 		for j := range ntab {
 			ntab[j] = j * segs * bstride
 		}
+		sa := make([]float64, m*segs*astride+seg)
+		fill(sa, 2)
 		got, ref = slices.Clone(dst), slices.Clone(dst)
-		gemmNTRows(got, nn, a, kk, sb, ntab, m, segs, seg, bstride)
-		gemmNTGo(ref, nn, a, kk, sb, ntab, m, segs, seg, bstride)
+		gemmNTRows(got, nn, sa, segs*astride, astride, sb, ntab, m, segs, seg, bstride)
+		gemmNTGo(ref, nn, sa, segs*astride, astride, sb, ntab, m, segs, seg, bstride)
 		sameBits(t, "gemmNTRows segments", got, ref)
 	})
 }

@@ -91,37 +91,42 @@ func gemmBlocked(dst []float64, ldd int, a []float64, lda, ak int, b []float64, 
 			tab[t] = (kb + t) * n
 		}
 		for jb := 0; jb < n; jb += gemmBlockJ {
-			gemmRows(dst[jb:], ldd, nil, a[kb*ak:], lda, ak, b[jb:], tab, rows, min(gemmBlockJ, n-jb), false)
+			gemmRows(dst[jb:], ldd, nil, nil, a[kb*ak:], lda, ak, b[jb:], tab, rows, min(gemmBlockJ, n-jb), false)
 		}
 	}
 }
 
-// WindowMulAddInto accumulates dst[doff[i]+j] += Σₖ a[i*lda+k*ak]·b[boff[k]+j]
+// WindowMulBiasInto sets dst[doff[i]+j] = c0[i] + Σₖ a[i*lda+k*ak]·b[boff[k]+j]
 // for i < len(doff) and j < n: a matrix product whose right operand's
 // row k is the window of b starting at boff[k] (rows may overlap), and
 // whose output rows sit anywhere in dst. Each element is one chain
-// started from dst, adding its terms in increasing k and skipping a
+// started from c0[i], adding its terms in increasing k and skipping a
 // term whose a factor is ±0 — the plain products' order, so the bits
-// are those of a GEMM onto dst over the gathered matrix.
-func WindowMulAddInto(dst []float64, doff []int, a []float64, lda, ak int, b []float64, boff []int, n int) {
-	gemmRows(dst, 0, doff, a, lda, ak, b, boff, len(doff), n, false)
+// are those of a GEMM onto rows filled with c0 over the gathered
+// matrix.
+func WindowMulBiasInto(dst []float64, doff []int, c0, a []float64, lda, ak int, b []float64, boff []int, n int) {
+	if len(c0) != len(doff) {
+		panic(fmt.Sprintf("tensor.WindowMulBiasInto: %d row starts for %d rows", len(c0), len(doff)))
+	}
+	gemmRows(dst, 0, doff, c0, a, lda, ak, b, boff, len(doff), n, false)
 }
 
-// WindowMulSumInto is WindowMulAddInto with each element's product
+// WindowMulSumInto is WindowMulBiasInto with each element's product
 // summed on its own, from +0, and only then added to dst: dst gathers
 // one rounded partial product per call, the order a scatter-add of a
 // separately computed product (the conv input gradient's Wᵀ·dY, then
 // col2im) produces.
 func WindowMulSumInto(dst []float64, doff []int, a []float64, lda, ak int, b []float64, boff []int, n int) {
-	gemmRows(dst, 0, doff, a, lda, ak, b, boff, len(doff), n, true)
+	gemmRows(dst, 0, doff, nil, a, lda, ak, b, boff, len(doff), n, true)
 }
 
 // gemmRows runs the strided product over `rows` output rows — row i at
-// dst[doff[i]] when doff is given, else at dst[i*ldd] — and n columns.
+// dst[doff[i]] when doff is given, else at dst[i*ldd] — and n columns,
+// each row's chains started from c0[i] when c0 is given, else from dst.
 // With AVX2, each group of four rows sends its whole 4-column blocks to
 // gemm4AVX2; gemmGo computes the remaining columns and the last
 // rows mod 4 rows. Both add every element's terms in increasing k.
-func gemmRows(dst []float64, ldd int, doff []int, a []float64, lda, ak int, b []float64, boff []int, rows, n int, sum bool) {
+func gemmRows(dst []float64, ldd int, doff []int, c0, a []float64, lda, ak int, b []float64, boff []int, rows, n int, sum bool) {
 	if rows == 0 || n == 0 {
 		return
 	}
@@ -142,9 +147,20 @@ func gemmRows(dst []float64, ldd int, doff []int, a []float64, lda, ak int, b []
 			panic(fmt.Sprintf("tensor: b row %d at %d+%d overruns %d", kk, o, n, len(b)))
 		}
 	}
+	// fill starts row r's columns [j0, n) from c0[r].
+	fill := func(r, j0 int) {
+		if c0 != nil {
+			o := rowOff(r)
+			row := dst[o+j0 : o+n]
+			for j := range row {
+				row[j] = c0[r]
+			}
+		}
+	}
 	if k == 0 {
 		// No terms: a and b are never read, and a sum adds +0.
 		for r := 0; r < rows; r++ {
+			fill(r, 0)
 			o := rowOff(r)
 			gemmGo(dst[o:o+n], nil, 0, nil, nil, sum)
 		}
@@ -163,7 +179,11 @@ func gemmRows(dst []float64, ldd int, doff []int, a []float64, lda, ak int, b []
 			for r := range d {
 				d[r] = rowOff(i + r)
 			}
-			gemm4AVX2(dst, d[:], a[i*lda:], lda, ak, b, boff, nv, sum)
+			var c4 []float64
+			if c0 != nil {
+				c4 = c0[i : i+4]
+			}
+			gemm4AVX2(dst, d[:], a[i*lda:], lda, ak, b, boff, c4, nv, sum)
 		}
 	}
 	for r := 0; r < rows; r++ {
@@ -172,6 +192,7 @@ func gemmRows(dst []float64, ldd int, doff []int, a []float64, lda, ak int, b []
 			j0 = nv
 		}
 		if j0 < n {
+			fill(r, j0)
 			o := rowOff(r)
 			gemmGo(dst[o+j0:o+n], a[r*lda:], ak, b[j0:], boff, sum)
 		}
@@ -268,32 +289,34 @@ func gemmNTRange(dst, a, b *Matrix, lo, hi int) {
 		for t := range tab {
 			tab[t] = (jb + t) * k
 		}
-		gemmNTRows(dst.Data[lo*n+jb:], n, a.Data[lo*k:], k, b.Data, tab, hi-lo, 1, k, k)
+		gemmNTRows(dst.Data[lo*n+jb:], n, a.Data[lo*k:], k, k, b.Data, tab, hi-lo, 1, k, k)
 	}
 }
 
-// WindowMulNTAddInto accumulates dst[i*ldd+j] += Σₜ a[i*lda+t]·bⱼ[t]
-// for i < rows and j < len(boff): a*bᵀ where row j of b is gathered
-// from segs windows of seg elements, bstride apart, the first at
-// b[boff[j]] — term t = s·seg + x is b[boff[j] + s·bstride + x]. Each
-// element is one chain started from dst, adding its segs·seg terms in
-// increasing t with no term skipped: MatMulNTAddInto's order over the
-// gathered matrix.
-func WindowMulNTAddInto(dst []float64, ldd int, a []float64, lda int, b []float64, boff []int, rows, segs, seg, bstride int) {
-	gemmNTRows(dst, ldd, a, lda, b, boff, rows, segs, seg, bstride)
+// WindowMulNTAddInto accumulates dst[i*ldd+j] += Σₜ aᵢ[t]·bⱼ[t] for
+// i < rows and j < len(boff): a*bᵀ where both operands' rows are
+// gathered from segs segments of seg elements. Term t = s·seg + x of
+// row i of a is a[i*lda + s·astride + x], and of row j of b it is
+// b[boff[j] + s·bstride + x]. Each element is one chain started from
+// dst, adding its segs·seg terms in increasing t with no term skipped:
+// MatMulNTAddInto's order over the gathered matrices.
+func WindowMulNTAddInto(dst []float64, ldd int, a []float64, lda, astride int, b []float64, boff []int, rows, segs, seg, bstride int) {
+	gemmNTRows(dst, ldd, a, lda, astride, b, boff, rows, segs, seg, bstride)
 }
 
-// gemmNTRows computes dst[i*ldd+j] += Σₜ a[i*lda+t]·bⱼ[t] over the
-// segmented rows of b (see WindowMulNTAddInto). With AVX2, each group
-// of four rows sends its whole 4-column blocks to gemmNT4AVX2; gemmNTGo
-// computes the remaining columns and the last rows mod 4 rows. Each
-// output element is one t-increasing chain on either path.
-func gemmNTRows(dst []float64, ldd int, a []float64, lda int, b []float64, boff []int, rows, segs, seg, bstride int) {
+// gemmNTRows computes dst[i*ldd+j] += Σₜ aᵢ[t]·bⱼ[t] over the segmented
+// rows of a and b (see WindowMulNTAddInto). With AVX2, each group of
+// four rows sends its whole 4-column blocks to gemmNT4AVX2, and its
+// last n mod 4 columns as one more block whose missing columns repeat
+// the last b row into a scratch tile; gemmNTGo computes the last
+// rows mod 4 rows. Each output element is one t-increasing chain on
+// either path, and a tile lane is an element's chain on its own.
+func gemmNTRows(dst []float64, ldd int, a []float64, lda, astride int, b []float64, boff []int, rows, segs, seg, bstride int) {
 	n, k := len(boff), segs*seg
 	if rows == 0 || n == 0 || k == 0 {
 		return
 	}
-	if (rows-1)*ldd+n > len(dst) || (rows-1)*lda+k > len(a) || (segs > 1 && bstride < 0) {
+	if (rows-1)*ldd+n > len(dst) || (rows-1)*lda+(segs-1)*astride+seg > len(a) || (segs > 1 && (bstride < 0 || astride < 0)) {
 		panic(fmt.Sprintf("tensor: %d rows at strides %d, %d overrun dst %d or a %d", rows, ldd, lda, len(dst), len(a)))
 	}
 	span := (segs-1)*bstride + seg
@@ -302,38 +325,50 @@ func gemmNTRows(dst []float64, ldd int, a []float64, lda int, b []float64, boff 
 			panic(fmt.Sprintf("tensor: b row %d at %d+%d overruns %d", j, o, span, len(b)))
 		}
 	}
-	i, nv := 0, 0
+	i := 0
 	if cpuid.AVX2 {
-		nv = n &^ 3
-	}
-	if nv > 0 {
-		for ; i+4 <= rows; i += 4 {
-			gemmNT4AVX2(dst[i*ldd:], ldd, a[i*lda:], lda, b, boff[:nv], segs, seg, bstride)
+		nv := n &^ 3
+		var tile [16]float64
+		var tail [4]int
+		for c := range tail {
+			tail[c] = boff[min(nv+c, n-1)]
 		}
-		if nv < n {
-			gemmNTGo(dst[nv:], ldd, a, lda, b, boff[nv:], i, segs, seg, bstride)
+		for ; i+4 <= rows; i += 4 {
+			d := dst[i*ldd:]
+			if nv > 0 {
+				gemmNT4AVX2(d, ldd, a[i*lda:], lda, astride, b, boff[:nv], segs, seg, bstride)
+			}
+			if nv < n {
+				for r := 0; r < 4; r++ {
+					copy(tile[4*r:4*r+n-nv], d[r*ldd+nv:r*ldd+n])
+				}
+				gemmNT4AVX2(tile[:], 4, a[i*lda:], lda, astride, b, tail[:], segs, seg, bstride)
+				for r := 0; r < 4; r++ {
+					copy(d[r*ldd+nv:r*ldd+n], tile[4*r:4*r+n-nv])
+				}
+			}
 		}
 	}
 	if i < rows {
-		gemmNTGo(dst[i*ldd:], ldd, a[i*lda:], lda, b, boff, rows-i, segs, seg, bstride)
+		gemmNTGo(dst[i*ldd:], ldd, a[i*lda:], lda, astride, b, boff, rows-i, segs, seg, bstride)
 	}
 }
 
 // gemmNTGo is the portable a*bᵀ kernel: for i < rows and j < len(boff),
 // one serial chain per output element, started from dst[i*ldd+j],
-// adding its terms a[i*lda+t]·b[boff[j] + s·bstride + x] (t = s·seg + x)
-// in increasing t. The float64 conversion keeps each product rounded on
-// its own (see gemmGo).
-func gemmNTGo(dst []float64, ldd int, a []float64, lda int, b []float64, boff []int, rows, segs, seg, bstride int) {
+// adding its terms a[i*lda + s·astride + x]·b[boff[j] + s·bstride + x]
+// (t = s·seg + x) in increasing t. The float64 conversion keeps each
+// product rounded on its own (see gemmGo).
+func gemmNTGo(dst []float64, ldd int, a []float64, lda, astride int, b []float64, boff []int, rows, segs, seg, bstride int) {
 	for i := 0; i < rows; i++ {
-		arow := a[i*lda : i*lda+segs*seg]
 		orow := dst[i*ldd : i*ldd+len(boff)]
 		for j, o := range boff {
 			s := orow[j]
 			for sg := 0; sg < segs; sg++ {
+				arow := a[i*lda+sg*astride : i*lda+sg*astride+seg]
 				brow := b[o+sg*bstride : o+sg*bstride+seg]
 				for x, bv := range brow {
-					s += float64(arow[sg*seg+x] * bv)
+					s += float64(arow[x] * bv)
 				}
 			}
 			orow[j] = s
