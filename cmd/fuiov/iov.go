@@ -18,8 +18,10 @@ import (
 // erases a dropped-out vehicle with backtracking + server-side
 // recovery — no client participation needed. -faults derives client
 // faults from the same mobility trace and arms the fault policy. The
-// RSU stores only 2-bit directions, so -strategy can name client-side
-// strategies (retrain, pga, not) but none that replays full gradients.
+// simulated RSU stores only 2-bit directions but holds every vehicle's
+// shard in-process, so -strategy can name client-side strategies
+// (retrain, pga, not) but none that replays full gradients; the
+// networked RSU (fuiov rsu) runs only the paper's scheme.
 func bindIoV(fs *flag.FlagSet) runFunc {
 	vehicles := fs.Int("vehicles", 20, "fleet size")
 	rounds := fs.Int("rounds", 120, "federated rounds")

@@ -43,7 +43,6 @@ func bindRSU(fs *flag.FlagSet) runFunc {
 	streaming := fs.Bool("streaming", false, "fold uploads into sharded accumulators on arrival (flat collection memory)")
 	streamShards := fs.Int("stream-shards", 0, "shard accumulator count for -streaming (0 = parallelism default)")
 	uploadDelay := fs.Duration("upload-delay", 0, "artificial straggler delay before every agent upload")
-	strategyName := strategyFlag(fs)
 	return func(ctx context.Context, e *env, _ []string) error {
 		encoding, err := server.ParseEncoding(*encodingName)
 		if err != nil {
@@ -157,19 +156,14 @@ func bindRSU(fs *flag.FlagSet) runFunc {
 		if !ok {
 			return nil
 		}
-		e.printf("unlearning dropout vehicle %d via POST /v1/unlearn (strategy %q)\n", victim, *strategyName)
-		reply, err := postUnlearn(ctx, base, victim, *strategyName)
+		e.printf("unlearning dropout vehicle %d via POST /v1/unlearn\n", victim)
+		reply, err := postUnlearn(ctx, base, victim)
 		if err != nil {
 			return err
 		}
 		accRecovered := metrics.AccuracyAt(f.model.Clone(), sim.Params(), f.test)
-		if reply.BacktrackRound >= 0 {
-			e.printf("backtracked to round %d, recovered %d rounds: accuracy %.3f (trained was %.3f)\n",
-				reply.BacktrackRound, reply.RecoveredRounds, accRecovered, accTrained)
-		} else {
-			e.printf("erased without backtracking, %d recovery rounds: accuracy %.3f (trained was %.3f)\n",
-				reply.RecoveredRounds, accRecovered, accTrained)
-		}
+		e.printf("backtracked to round %d, recovered %d rounds: accuracy %.3f (trained was %.3f)\n",
+			reply.BacktrackRound, reply.RecoveredRounds, accRecovered, accTrained)
 		printStorage(e, f.store)
 		return nil
 	}
@@ -181,9 +175,9 @@ type unlearnReply struct {
 	RecoveredRounds int `json:"recovered_rounds"`
 }
 
-// postUnlearn erases one client over the wire with the named strategy.
-func postUnlearn(ctx context.Context, base string, id history.ClientID, strategy string) (*unlearnReply, error) {
-	body, err := json.Marshal(map[string]any{"clients": []history.ClientID{id}, "strategy": strategy})
+// postUnlearn erases one client over the wire.
+func postUnlearn(ctx context.Context, base string, id history.ClientID) (*unlearnReply, error) {
+	body, err := json.Marshal(map[string]any{"clients": []history.ClientID{id}})
 	if err != nil {
 		return nil, err
 	}

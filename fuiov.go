@@ -204,7 +204,7 @@ type UnlearnRequest = strategy.Request
 type StrategyResult = strategy.Result
 
 // Unlearn erases req.Forgotten with the named strategy — the single
-// entry point the fuiov commands and POST /v1/unlearn dispatch through.
+// entry point the in-process fuiov commands dispatch through.
 // Seven strategies are registered: "paper" (the paper's
 // 2-bit-direction scheme), "retrain", "fedrecover", "fedrecovery",
 // "federaser", "pga" and "not" (DESIGN.md §14). It validates req

@@ -32,7 +32,6 @@ import (
 	"fuiov/internal/history"
 	"fuiov/internal/telemetry"
 	"fuiov/internal/unlearn"
-	"fuiov/internal/unlearn/strategy"
 )
 
 // ErrClosed marks requests that arrive after Close.
@@ -65,8 +64,9 @@ type Config struct {
 	// round open for re-collection. This is the IoV-realistic setting:
 	// a coverage gap should not stall the fleet.
 	SkipOnQuorumFailure bool
-	// Unlearn parameterises /v1/unlearn. LearningRate defaults to the
-	// engine's; the store is always the engine's.
+	// Unlearn parameterises /v1/unlearn, sync requests and the queue
+	// alike. LearningRate defaults to the engine's and Telemetry to
+	// the coordinator's; the store is always the engine's.
 	Unlearn unlearn.Config
 	// Telemetry, when non-nil, receives per-endpoint request counters
 	// and latency timers plus round-window metrics (see
@@ -181,6 +181,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Unlearn.LearningRate == 0 {
 		cfg.Unlearn.LearningRate = ecfg.LearningRate
 	}
+	if cfg.Unlearn.Telemetry == nil {
+		cfg.Unlearn.Telemetry = cfg.Telemetry
+	}
 	c := &Coordinator{
 		cfg:        cfg,
 		window:     window,
@@ -197,13 +200,9 @@ func New(cfg Config) (*Coordinator, error) {
 		// into shared recovery passes, and commit through the engine
 		// lock while rounds keep being served (see internal/unlearn
 		// Queue/CommitPass and DESIGN.md §16).
-		qcfg := cfg.Unlearn
-		if qcfg.Telemetry == nil {
-			qcfg.Telemetry = cfg.Telemetry
-		}
 		q, err := unlearn.NewQueue(unlearn.QueueConfig{
 			Store:     c.engineStore,
-			Config:    qcfg,
+			Config:    cfg.Unlearn,
 			Commit:    c.commitUnlearnPass,
 			Telemetry: cfg.Telemetry,
 		})
@@ -639,22 +638,17 @@ func (c *Coordinator) currentRound() int {
 	return c.cfg.Engine.Round()
 }
 
-// unlearnRequest is POST /v1/unlearn's JSON body.
+// unlearnRequest is POST /v1/unlearn's JSON body. The coordinator
+// runs one algorithm, the paper's, and always installs its result;
+// decoding refuses unknown fields, so a body that names an algorithm or
+// asks for a dry run is answered 400 bad_request before any work.
 type unlearnRequest struct {
 	// Clients are the vehicles to erase.
 	Clients []history.ClientID `json:"clients"`
-	// Apply, when false, runs unlearning without installing the
-	// recovered parameters as the serving model. Default true.
-	Apply *bool `json:"apply,omitempty"`
-	// Strategy selects the unlearning algorithm by registered name
-	// (strategy.Names lists them). Empty selects "paper", the scheme
-	// this repo reproduces.
-	Strategy string `json:"strategy,omitempty"`
 	// Async enqueues the request on the unlearning queue instead of
 	// running it inline: the reply is 202 with a request ID, rounds
 	// keep being served while recovery chases the live history, and
-	// requests queued together coalesce into one shared pass. Async
-	// mode supports only the paper strategy and always applies.
+	// requests queued together coalesce into one shared pass.
 	Async bool `json:"async,omitempty"`
 }
 
@@ -674,58 +668,28 @@ type asyncUnlearnReply struct {
 type unlearnReply struct {
 	// Forgotten echoes the erased client IDs (sorted).
 	Forgotten []history.ClientID `json:"forgotten"`
-	// Strategy names the algorithm that produced the result.
-	Strategy string `json:"strategy"`
-	// BacktrackRound is F, the round the model was rolled back to
-	// (−1 for strategies that do not backtrack).
+	// BacktrackRound is F, the round the model was rolled back to.
 	BacktrackRound int `json:"backtrack_round"`
 	// RecoveredRounds is T − F, the number of re-estimated rounds.
 	RecoveredRounds int `json:"recovered_rounds"`
-	// Applied reports whether the recovered model is now serving.
+	// Applied reports that the recovered model is now serving (always
+	// true).
 	Applied bool `json:"applied"`
 }
 
-// strategyRequest assembles a strategy.Request from everything the
-// coordinator's engine holds: the direction store and any recorded
-// full-gradient tier, the client handles, the serving model and the
-// training configuration. Every strategy runs at /v1/unlearn's
-// learning rate (Config.Unlearn.LearningRate, the engine's unless
-// set). Called with mu held.
-func (c *Coordinator) strategyRequest(forgotten []history.ClientID) strategy.Request {
-	ecfg := c.cfg.Engine.Config()
-	req := strategy.Request{
-		Forgotten:    forgotten,
-		Store:        ecfg.Store,
-		Template:     c.cfg.Engine.Template(),
-		Clients:      c.cfg.Engine.Clients(),
-		FinalParams:  c.cfg.Engine.Params(),
-		LearningRate: c.cfg.Unlearn.LearningRate,
-		Rounds:       c.cfg.Engine.Round(),
-		Seed:         ecfg.Seed,
-		Parallelism:  ecfg.Parallelism,
-		Unlearn:      c.cfg.Unlearn,
-		Telemetry:    c.cfg.Telemetry,
-	}
-	for _, rec := range ecfg.Recorders {
-		if fh, ok := rec.(*strategy.FullHistory); ok {
-			req.Full = fh
-		}
-	}
-	return req
-}
-
-// handleUnlearn erases the requested clients with the selected
-// strategy (default: the paper scheme — backtrack to their earliest
-// join round and recover server-side from stored directions) and, by
-// default, installs the resulting parameters as the serving model.
-// Inline (synchronous) requests lock the engine for the duration —
-// rounds queue behind the operation. Async requests return 202
-// immediately and run on the unlearning queue, whose recovery pass
+// handleUnlearn erases the requested clients with the paper's scheme:
+// backtrack to their earliest join round, recover server-side from the
+// stored directions, and install the recovered parameters as the
+// serving model. Inline (synchronous) requests lock the engine for the
+// duration — rounds queue behind the operation. Async requests return
+// 202 immediately and run on the unlearning queue, whose recovery pass
 // chases the live history while rounds keep being served; only the
 // commit's final catch-up takes the engine lock.
 func (c *Coordinator) handleUnlearn(w http.ResponseWriter, r *http.Request) {
 	var req unlearnRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		c.writeErr(w, http.StatusBadRequest, "bad_request",
 			fmt.Errorf("decode unlearn request: %w", err), c.currentRound())
 		return
@@ -735,20 +699,28 @@ func (c *Coordinator) handleUnlearn(w http.ResponseWriter, r *http.Request) {
 			errors.New("unlearn request names no clients"), c.currentRound())
 		return
 	}
-	name := req.Strategy
-	if name == "" {
-		name = "paper"
+	// The queue exists exactly when the engine has a history store.
+	if c.queue == nil {
+		c.writeErr(w, http.StatusNotFound, "no_history",
+			fmt.Errorf("coordinator has no history store: %w", history.ErrNoHistory), c.currentRound())
+		return
 	}
 	if req.Async {
-		c.handleUnlearnAsync(w, req, name)
+		id, err := c.queue.Submit(req.Clients...)
+		if err != nil {
+			status, code := mapError(err)
+			c.writeErr(w, status, code, err, c.currentRound())
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		_ = json.NewEncoder(w).Encode(asyncUnlearnReply{
+			RequestID:  id,
+			Status:     string(unlearn.StatePending),
+			StatusPath: "/v1/unlearn/" + id,
+		})
 		return
 	}
-	strat, err := strategy.Lookup(name)
-	if err != nil {
-		c.writeErr(w, http.StatusBadRequest, "unknown_strategy", err, c.currentRound())
-		return
-	}
-	apply := req.Apply == nil || *req.Apply
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -756,71 +728,29 @@ func (c *Coordinator) handleUnlearn(w http.ResponseWriter, r *http.Request) {
 		c.writeErr(w, http.StatusServiceUnavailable, "closed", ErrClosed, c.cfg.Engine.Round())
 		return
 	}
-	sreq := c.strategyRequest(req.Clients)
-	if strat.Needs().Has(strategy.NeedsDirectionStore) && sreq.Store == nil {
-		c.writeErr(w, http.StatusNotFound, "no_history",
-			fmt.Errorf("coordinator has no history store: %w", history.ErrNoHistory), c.cfg.Engine.Round())
+	u, err := unlearn.New(c.cfg.Engine.Config().Store, c.cfg.Unlearn)
+	if err != nil {
+		c.writeErr(w, http.StatusInternalServerError, "internal", err, c.cfg.Engine.Round())
 		return
 	}
-	if err := sreq.Validate(strat.Needs()); err != nil {
-		c.writeErr(w, http.StatusBadRequest, "strategy_unavailable", err, c.cfg.Engine.Round())
-		return
-	}
-	res, err := strat.Unlearn(r.Context(), sreq)
+	res, err := u.UnlearnContext(r.Context(), req.Clients...)
 	if err != nil {
 		status, code := mapError(err)
 		c.writeErr(w, status, code, err, c.cfg.Engine.Round())
 		return
 	}
-	res.Strategy = name
-	if apply {
-		if err := c.cfg.Engine.SetParams(res.Params); err != nil {
-			c.writeErr(w, http.StatusInternalServerError, "internal", err, c.cfg.Engine.Round())
-			return
-		}
+	if err := c.cfg.Engine.SetParams(res.Params); err != nil {
+		c.writeErr(w, http.StatusInternalServerError, "internal", err, c.cfg.Engine.Round())
+		return
 	}
 	c.unlearns++
 	c.met.unlearns.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(unlearnReply{
 		Forgotten:       res.Forgotten,
-		Strategy:        name,
 		BacktrackRound:  res.BacktrackRound,
 		RecoveredRounds: res.RecoveredRounds,
-		Applied:         apply,
-	})
-}
-
-// handleUnlearnAsync enqueues an unlearning request on the queue and
-// answers 202 with its request ID.
-func (c *Coordinator) handleUnlearnAsync(w http.ResponseWriter, req unlearnRequest, name string) {
-	if name != "paper" {
-		c.writeErr(w, http.StatusBadRequest, "strategy_unavailable",
-			fmt.Errorf("async unlearning supports only the paper strategy, not %q", name), c.currentRound())
-		return
-	}
-	if req.Apply != nil && !*req.Apply {
-		c.writeErr(w, http.StatusBadRequest, "bad_request",
-			errors.New("async unlearning always applies; use a synchronous request with apply=false"), c.currentRound())
-		return
-	}
-	if c.queue == nil {
-		c.writeErr(w, http.StatusNotFound, "no_history",
-			fmt.Errorf("async unlearning needs a history store: %w", history.ErrNoHistory), c.currentRound())
-		return
-	}
-	id, err := c.queue.Submit(req.Clients...)
-	if err != nil {
-		status, code := mapError(err)
-		c.writeErr(w, status, code, err, c.currentRound())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	_ = json.NewEncoder(w).Encode(asyncUnlearnReply{
-		RequestID:  id,
-		Status:     string(unlearn.StatePending),
-		StatusPath: "/v1/unlearn/" + id,
+		Applied:         true,
 	})
 }
 

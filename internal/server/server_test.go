@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -23,7 +23,6 @@ import (
 	"fuiov/internal/server"
 	"fuiov/internal/telemetry"
 	"fuiov/internal/unlearn"
-	"fuiov/internal/unlearn/strategy"
 )
 
 const (
@@ -424,73 +423,70 @@ func TestStatusAndModel(t *testing.T) {
 	}
 }
 
-// TestStrategiesDocumented diffs the registered strategy names against
-// PROTOCOL.md, mirroring TestRoutesDocumented: a strategy selectable
-// on the wire must be listed in the POST /v1/unlearn section.
-func TestStrategiesDocumented(t *testing.T) {
-	doc, err := os.ReadFile("../../PROTOCOL.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(doc)
-	for _, name := range strategy.Names() {
-		if !strings.Contains(text, "`"+name+"`") {
-			t.Errorf("strategy %q is not documented in PROTOCOL.md", name)
-		}
-	}
-}
-
-// TestUnlearnStrategySelection exercises the strategy field of POST
-// /v1/unlearn: unknown names are rejected before any work, registered
-// strategies whose inputs this coordinator lacks answer
-// strategy_unavailable, and a satisfiable selection reports its name
-// in the reply.
-func TestUnlearnStrategySelection(t *testing.T) {
+// TestUnlearnRefusesUnknownFields posts bodies that name an algorithm
+// or ask for a dry run. The coordinator runs only the paper's scheme
+// and always installs its result, so each body is refused 400
+// bad_request before any work: the status and every served model stay
+// byte-identical, and a plain request still unlearns afterwards.
+func TestUnlearnRefusesUnknownFields(t *testing.T) {
 	sim, _, _ := loopFixture(t, 4, loopSchedule, nil)
 	if err := sim.RunContext(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
 	_, base := startCoordinator(t, server.Config{Engine: sim, MaxRounds: 3})
-	post := func(body map[string]any) (int, map[string]any) {
-		b, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(base+"/v1/unlearn", "application/json", bytes.NewReader(b))
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var rep map[string]any
-		_ = json.NewDecoder(resp.Body).Decode(&rep)
-		return resp.StatusCode, rep
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s → %s (%v)", path, resp.Status, err)
+		}
+		return b
+	}
+	paths := []string{"/v1/status", "/v1/model/0", "/v1/model/1", "/v1/model/2", "/v1/model/3"}
+	snapshot := func() [][]byte {
+		out := make([][]byte, len(paths))
+		for i, p := range paths {
+			out[i] = get(p)
+		}
+		return out
+	}
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/unlearn", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e struct {
+			Code string `json:"code"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Code
 	}
 
-	code, rep := post(map[string]any{"clients": []int{1}, "strategy": "nope"})
-	if code != http.StatusBadRequest || rep["code"] != "unknown_strategy" {
-		t.Fatalf("unknown strategy → %d %v", code, rep)
+	before := snapshot()
+	for _, body := range []string{
+		`{"clients":[1],"strategy":"paper"}`,
+		`{"clients":[1],"strategy":"pga"}`,
+		`{"clients":[1],"apply":false}`,
+		`{"clients":[1],"async":true,"strategy":"paper"}`,
+	} {
+		if code, s := post(body); code != http.StatusBadRequest || s != "bad_request" {
+			t.Errorf("%s → %d %q, want 400 bad_request", body, code, s)
+		}
 	}
-	// federaser needs the full-gradient history tier, which this
-	// coordinator does not record.
-	code, rep = post(map[string]any{"clients": []int{1}, "strategy": "federaser"})
-	if code != http.StatusBadRequest || rep["code"] != "strategy_unavailable" {
-		t.Fatalf("unsatisfiable strategy → %d %v", code, rep)
+	for i, b := range snapshot() {
+		if !bytes.Equal(b, before[i]) {
+			t.Errorf("refused requests changed GET %s", paths[i])
+		}
 	}
-	// not is satisfiable from the serving model and registered clients.
-	code, rep = post(map[string]any{"clients": []int{1}, "apply": false, "strategy": "not"})
-	if code != http.StatusOK {
-		t.Fatalf("not strategy → %d %v", code, rep)
-	}
-	if rep["strategy"] != "not" {
-		t.Errorf("reply strategy = %v, want \"not\"", rep["strategy"])
-	}
-	if br, ok := rep["backtrack_round"].(float64); !ok || br != -1 {
-		t.Errorf("reply backtrack_round = %v, want -1", rep["backtrack_round"])
-	}
-	// The default (no strategy field) stays the paper scheme.
-	code, rep = post(map[string]any{"clients": []int{1}, "apply": false})
-	if code != http.StatusOK || rep["strategy"] != "paper" {
-		t.Fatalf("default strategy → %d %v", code, rep)
+	if code, s := post(`{"clients":[1]}`); code != http.StatusOK {
+		t.Fatalf("plain unlearn → %d %q", code, s)
 	}
 }
 
@@ -1182,7 +1178,7 @@ func TestAsyncUnlearn(t *testing.T) {
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		return resp.StatusCode, e.Code
 	}
-	if code, s := postJSON(map[string]any{"clients": []int{1}, "async": true, "strategy": "pga"}); code != http.StatusBadRequest || s != "strategy_unavailable" {
+	if code, s := postJSON(map[string]any{"clients": []int{1}, "async": true, "strategy": "pga"}); code != http.StatusBadRequest || s != "bad_request" {
 		t.Fatalf("async non-paper strategy → %d %q", code, s)
 	}
 	if code, s := postJSON(map[string]any{"clients": []int{1}, "async": true, "apply": false}); code != http.StatusBadRequest || s != "bad_request" {

@@ -3,14 +3,16 @@
 // paper's 2-bit-direction scheme, the three comparison baselines
 // (retraining, FedRecover, FedRecovery) and three competitors from
 // related work (FedEraser, projected-gradient-ascent erasure, NoT
-// weight negation) — plus a registry so callers select algorithms by
-// name at runtime (facade, cmd flags, POST /v1/unlearn).
+// weight negation) — plus a registry so in-process callers select
+// algorithms by name at runtime (facade, cmd flags, experiments). The
+// networked RSU (POST /v1/unlearn) is not one of them: it runs only
+// the paper's scheme, through unlearn.Unlearner directly.
 //
 // Every strategy consumes the same Request and produces the same
 // Result, but algorithms differ in which inputs they can work from: a
 // Needs bitmask declares the required history tier and federation
-// handles, and Request.Validate checks them up front so a coordinator
-// can answer "this strategy is not satisfiable here" before any work
+// handles, and Request.Validate checks them up front so a caller can
+// answer "this strategy is not satisfiable here" before any work
 // happens.
 //
 // To add a strategy: implement the three-method interface in this
@@ -278,8 +280,8 @@ func Names() []string {
 }
 
 // Unlearn looks up name, validates req against the strategy's needs
-// and runs it. This is the single entry point the facade, the cmd
-// binaries and POST /v1/unlearn all dispatch through.
+// and runs it. This is the single entry point the facade and the cmd
+// binaries dispatch through.
 func Unlearn(ctx context.Context, name string, req Request) (*Result, error) {
 	s, err := Lookup(name)
 	if err != nil {
